@@ -1,9 +1,11 @@
 """Qualitative and quantitative analysis of finite Markov (reward) chains.
 
-Graph-level analyses (reachability, probability-zero detection, almost-sure
-certification) combine with exact linear-algebra solves for until
-probabilities, expected hitting times, expected accumulated costs, and
-first-entry laws.
+Qualitative verdicts (probability zero, probability one) are exact graph
+criteria in both arithmetic modes; no float tolerance decides them. The
+quantitative answers (until probabilities, expected hitting times,
+expected accumulated costs, first-entry laws) each solve one absorbing
+system ``(I - Q) x = b`` over a block of states that the graph criteria
+pick so that the system is nonsingular.
 
 Two conventions hold throughout and are easy to trip over:
 
@@ -27,10 +29,6 @@ from .chain import EXACT, MarkovChain, RewardChain
 from .errors import ConditionHasZeroProbabilityError, StartInTargetError
 
 INFINITY = math.inf
-
-#: Relative tolerance when float-mode results are compared against the
-#: probability-one classification.
-FLOAT_ONE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,41 @@ def _can_reach_idx(chain: MarkovChain, within: set[int], targets: set[int]) -> s
     return reached
 
 
+def _blocks(chain: MarkovChain, within: set[int], targets: set[int], s: int):
+    """The states a path from ``s`` can occupy before ``targets``, and which are live.
+
+    ``seen`` is ``s`` plus every state reachable from it through ``within``,
+    minus the targets; ``live`` is the part of ``seen`` that can still
+    reach the targets through ``within``. On a finite chain the targets are
+    reached through ``within`` with probability one exactly when the two
+    are equal (Baier & Katoen, *Principles of Model Checking*, 10.1).
+    """
+    seen = ({s} | _reachable_idx(chain, within, s)) - targets
+    return seen, seen & _can_reach_idx(chain, within, targets)
+
+
+def _solve_block(chain: MarkovChain, block, rhs) -> dict:
+    """Solve ``(I - Q) x = b`` with ``Q`` the transitions inside ``block``.
+
+    ``block`` is a sorted index list and ``rhs(u)`` the row of ``b`` for
+    state ``u``. Returns the solution row of each block state. The caller
+    picks a block from every state of which the path eventually leaves it with
+    positive probability, which makes the system nonsingular.
+    """
+    pos = {u: r for r, u in enumerate(block)}
+    zero, one = chain.zero, chain.one
+    a = []
+    for u in block:
+        row = [zero] * len(block)
+        row[pos[u]] = one
+        for v, p in chain.row_by_index(u).items():
+            if v in pos:
+                row[pos[v]] -= p
+        a.append(row)
+    x = linalg.solve(a, [rhs(u) for u in block], chain.mode)
+    return dict(zip(block, x))
+
+
 def reachable(chain: MarkovChain, phi, start: str) -> set[str]:
     """States reachable from ``start`` via intermediate states in ``phi``.
 
@@ -140,67 +173,51 @@ def until_prob_is_zero(chain: MarkovChain, phi, psi, start: str) -> bool:
 
 
 def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
-    """Certify that the until event holds almost surely from ``start``.
+    """Decide whether the until event holds almost surely from ``start``.
 
-    Checks the graph conditions: the start is in ``phi``, everything
-    reachable through ``phi - psi`` stays inside ``phi | psi``, and every
-    non-``psi`` state among them can still reach ``psi``. A ``True`` result
-    certifies probability one. ``False`` only means "not certified by this
-    criterion" (the condition is sufficient, not necessary).
+    A start in ``psi`` satisfies the event at once and a start outside
+    ``phi`` never does. Otherwise the event is certain exactly when every
+    state the path can occupy before ``psi`` lies in ``phi`` and can still
+    reach ``psi`` through ``phi - psi``. The criterion is exact on finite
+    chains: ``True`` if and only if the until probability is one, in both
+    arithmetic modes, since it never looks at a float.
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     s = chain.index_of(start)
+    if s in psi_idx:
+        return True
     if s not in phi_idx:
         return False
-    within = phi_idx - psi_idx
-    reach = _reachable_idx(chain, within, s)
-    if not reach <= (phi_idx | psi_idx):
-        return False
-    for t in (reach | {s}) - psi_idx:
-        if not _reachable_idx(chain, within, t) & psi_idx:
-            return False
-    return True
+    seen, live = _blocks(chain, phi_idx - psi_idx, psi_idx, s)
+    return seen == live
 
 
 def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
     """Probability of the until event from every state, as a label-keyed dict.
 
-    States in ``psi`` get 1; states classified as probability-zero by the
-    graph criterion get an exact 0; the rest solve the linear fixed-point
-    system ``x_s = sum_t tau(s,t) x_t`` by Gaussian elimination. The zero
-    classification guarantees the remaining system is nonsingular.
+    States in ``psi`` get 1; states that cannot reach ``psi`` through
+    ``phi - psi`` get an exact 0; the rest solve the linear fixed-point
+    system ``x_s = sum_t tau(s,t) x_t`` by Gaussian elimination, which is
+    nonsingular on exactly those states.
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
-    n = len(chain.states)
     zero = chain.zero
-    one = chain.one
 
-    positive = _can_reach_idx(chain, phi_idx - psi_idx, psi_idx)
-    unknown = sorted(positive - psi_idx)
-    pos = {u: r for r, u in enumerate(unknown)}
+    def into_psi(u):
+        mass = zero
+        for v, p in chain.row_by_index(u).items():
+            if v in psi_idx:
+                mass += p
+        return [mass]
 
-    values = [zero] * n
-    for i in psi_idx:
-        values[i] = one
-
-    if unknown:
-        a = [[zero] * len(unknown) for _ in unknown]
-        b = [[zero] for _ in unknown]
-        for u in unknown:
-            r = pos[u]
-            a[r][r] = one
-            for v, p in chain.row_by_index(u).items():
-                if v in psi_idx:
-                    b[r][0] += p
-                elif v in pos:
-                    a[r][pos[v]] -= p
-        x = linalg.solve(a, b, chain.mode)
-        for u in unknown:
-            values[u] = x[pos[u]][0]
-
-    return {chain.states[i]: values[i] for i in range(n)}
+    block = sorted(_can_reach_idx(chain, phi_idx - psi_idx, psi_idx))
+    x = _solve_block(chain, block, into_psi)
+    return {
+        label: chain.one if i in psi_idx else x[i][0] if i in x else zero
+        for i, label in enumerate(chain.states)
+    }
 
 
 def until_probability(chain: MarkovChain, phi, psi, start: str):
@@ -209,17 +226,21 @@ def until_probability(chain: MarkovChain, phi, psi, start: str):
     return until_probabilities(chain, phi, psi)[start]
 
 
-def _is_one(value, mode) -> bool:
-    if mode == EXACT:
-        return value == 1
-    return abs(value - 1.0) <= FLOAT_ONE_TOL
+def _expected_until(chain: MarkovChain, phi, start: str, step):
+    """Expected sum of ``step(u)`` over the states ``u`` left before entering ``phi``.
 
-
-def _transient_block(chain: MarkovChain, phi_idx: set[int], start: int) -> list[int]:
-    """States the path can occupy before first hitting ``phi``, from ``start``."""
+    Returns ``math.inf`` when ``phi`` is not reached almost surely, and
+    zero for a start already in ``phi``.
+    """
+    phi_idx = chain.index_set(phi)
+    s = chain.index_of(start)
+    if s in phi_idx:
+        return chain.zero
     outside = set(range(len(chain.states))) - phi_idx
-    block = ({start} | _reachable_idx(chain, outside, start)) - phi_idx
-    return sorted(block)
+    seen, live = _blocks(chain, outside, phi_idx, s)
+    if seen != live:
+        return INFINITY
+    return _solve_block(chain, sorted(seen), lambda u: [step(u)])[s][0]
 
 
 def expected_hitting_time(chain: MarkovChain, phi, start: str):
@@ -229,26 +250,7 @@ def expected_hitting_time(chain: MarkovChain, phi, start: str):
     otherwise solves ``h_s = 1 + sum_t tau(s,t) h_t`` over the transient
     states reachable from the start.
     """
-    phi_idx = chain.index_set(phi)
-    s = chain.index_of(start)
-    if s in phi_idx:
-        return chain.zero
-    if not _is_one(until_probability(chain, chain.states, phi, start), chain.mode):
-        return INFINITY
-
-    block = _transient_block(chain, phi_idx, s)
-    pos = {u: r for r, u in enumerate(block)}
-    zero, one = chain.zero, chain.one
-    a = [[zero] * len(block) for _ in block]
-    b = [[one] for _ in block]
-    for u in block:
-        r = pos[u]
-        a[r][r] = one
-        for v, p in chain.row_by_index(u).items():
-            if v in pos:
-                a[r][pos[v]] -= p
-    h = linalg.solve(a, b, chain.mode)
-    return h[pos[s]][0]
+    return _expected_until(chain, phi, start, lambda u: chain.one)
 
 
 def expected_cost_until(rchain: RewardChain, phi, start: str):
@@ -259,74 +261,44 @@ def expected_cost_until(rchain: RewardChain, phi, start: str):
     ``math.inf`` when ``phi`` is not reached almost surely.
     """
     chain = rchain.chain
-    phi_idx = chain.index_set(phi)
-    s = chain.index_of(start)
-    if s in phi_idx:
-        return chain.zero
-    if not _is_one(until_probability(chain, chain.states, phi, start), chain.mode):
-        return INFINITY
+    zero = chain.zero
 
-    block = _transient_block(chain, phi_idx, s)
-    pos = {u: r for r, u in enumerate(block)}
-    zero, one = chain.zero, chain.one
-    a = [[zero] * len(block) for _ in block]
-    b = [[zero] for _ in block]
-    for u in block:
-        r = pos[u]
-        a[r][r] = one
+    def step_cost(u):
         cost_row = rchain.cost_row_by_index(u)
+        acc = zero
         for v, p in chain.row_by_index(u).items():
-            b[r][0] += p * cost_row.get(v, zero)
-            if v in pos:
-                a[r][pos[v]] -= p
-    c = linalg.solve(a, b, chain.mode)
-    return c[pos[s]][0]
+            acc += p * cost_row.get(v, zero)
+        return acc
+
+    return _expected_until(chain, phi, start, step_cost)
 
 
-def _absorption_block(chain: MarkovChain, t_idx: set[int], s: int) -> list[int]:
-    """Transient states that matter for first entry of the target from ``s``.
+def _entry_masses(chain: MarkovChain, t_idx: set[int], s: int, key) -> dict:
+    """Mass of each first-entry outcome ``key(u, c)`` of the target from ``s``.
 
-    Intersects the states the path can occupy before hitting the target
-    with the states that can still reach it; outside this block every
-    first-entry mass is zero, and restricting to it keeps the linear
-    system nonsingular even when part of the chain can avoid the target
-    forever.
+    ``u`` is the last state outside the target and ``c`` the entry state.
+    Solves, with one right-hand-side column per outcome,
+    ``f_s(k) = sum_{c in target, key(s,c)=k} tau(s,c) + sum_{t outside} tau(s,t) f_t(k)``
+    over the states that can occupy the path before entry and can still
+    reach the target; every other state has zero entry mass.
     """
     outside = set(range(len(chain.states))) - t_idx
-    seen = ({s} | _reachable_idx(chain, outside, s)) - t_idx
-    return sorted(seen & _can_reach_idx(chain, outside, t_idx))
-
-
-def _entry_edge_masses(chain: MarkovChain, t_idx: set[int], s: int) -> dict:
-    """Mass of each boundary edge ``(u, c)`` at first entry into the target.
-
-    Solves, with one right-hand-side column per boundary edge,
-    ``f_s(u,c) = [s=u] tau(u,c) + sum_{t outside target} tau(s,t) f_t(u,c)``.
-    """
-    block = _absorption_block(chain, t_idx, s)
-    if s not in block:
+    live = _blocks(chain, outside, t_idx, s)[1]
+    if s not in live:
         return {}
-    pos = {u: r for r, u in enumerate(block)}
-    zero, one = chain.zero, chain.one
+    block = sorted(live)
+    keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in t_idx})
+    col = {k: j for j, k in enumerate(keys)}
 
-    edges = sorted(
-        (u, v) for u in block for v in chain.row_by_index(u) if v in t_idx
-    )
-    edge_pos = {e: j for j, e in enumerate(edges)}
-    a = [[zero] * len(block) for _ in block]
-    b = [[zero] * len(edges) for _ in block]
-    for u in block:
-        r = pos[u]
-        a[r][r] = one
+    def entering(u):
+        b = [chain.zero] * len(col)
         for v, p in chain.row_by_index(u).items():
             if v in t_idx:
-                b[r][edge_pos[(u, v)]] += p
-            elif v in pos:
-                a[r][pos[v]] -= p
-    x = linalg.solve(a, b, chain.mode)
+                b[col[key(u, v)]] += p
+        return b
 
-    srow = pos[s]
-    return {e: x[srow][j] for e, j in edge_pos.items() if x[srow][j] > 0}
+    row = _solve_block(chain, block, entering)[s]
+    return {k: row[j] for k, j in col.items() if row[j] > 0}
 
 
 def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribution:
@@ -338,34 +310,13 @@ def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribu
     """
     t_idx = chain.index_set(target)
     s = chain.index_of(start)
-    zero, one = chain.zero, chain.one
     if s in t_idx:
-        return Distribution({start: one}, zero)
-
-    block = _absorption_block(chain, t_idx, s)
-    if s not in block:
-        return Distribution({}, one)
-    pos = {u: r for r, u in enumerate(block)}
-
-    entries = sorted({v for u in block for v in chain.row_by_index(u) if v in t_idx})
-    col = {c: j for j, c in enumerate(entries)}
-    a = [[zero] * len(block) for _ in block]
-    b = [[zero] * len(entries) for _ in block]
-    for u in block:
-        r = pos[u]
-        a[r][r] = one
-        for v, p in chain.row_by_index(u).items():
-            if v in t_idx:
-                b[r][col[v]] += p
-            elif v in pos:
-                a[r][pos[v]] -= p
-    x = linalg.solve(a, b, chain.mode)
-
-    srow = pos[s]
+        return Distribution({start: chain.one}, chain.zero)
     mass = {
-        chain.states[c]: x[srow][j] for c, j in col.items() if x[srow][j] > 0
+        chain.states[v]: m
+        for v, m in _entry_masses(chain, t_idx, s, lambda u, v: v).items()
     }
-    return Distribution(mass, _residual(mass.values(), one, chain.mode))
+    return Distribution(mass, _residual(mass.values(), chain.one, chain.mode))
 
 
 def entry_edge_distribution(chain: MarkovChain, target, start: str) -> EdgeDistribution:
@@ -381,7 +332,7 @@ def entry_edge_distribution(chain: MarkovChain, target, start: str) -> EdgeDistr
 
     mass = {
         (chain.states[u], chain.states[v]): m
-        for (u, v), m in _entry_edge_masses(chain, t_idx, s).items()
+        for (u, v), m in _entry_masses(chain, t_idx, s, lambda u, v: (u, v)).items()
     }
     return EdgeDistribution(mass, _residual(mass.values(), chain.one, chain.mode))
 

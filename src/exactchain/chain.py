@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyStateSpaceError,
+    InvalidParamsError,
     NegativeCostError,
     NegativeProbabilityError,
     RowSumNotOneError,
@@ -52,6 +53,25 @@ def format_scalar(value):
     if value == math.inf:
         return "inf"
     return repr(float(value))
+
+
+def _coerce_param(value, name):
+    """Read a case-study parameter: floats pass through, the rest become Fractions."""
+    if isinstance(value, float):
+        return value
+    try:
+        return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
+
+
+def _triple(closed, solver):
+    """Report entry comparing a closed form with the solver's value."""
+    return {
+        "closed_form": format_scalar(closed),
+        "solver": format_scalar(solver),
+        "difference": format_scalar(closed - solver),
+    }
 
 
 def _coerce(value, mode):

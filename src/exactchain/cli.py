@@ -14,6 +14,7 @@ Exit codes::
     4  model file parse failure (JSON or schema)
     5  semantic validation failure (bad rows, bad parameters)
     6  unknown state label in a query
+    7  solver failure (a float system singular after rounding)
 
 The default arithmetic mode is exact; set ``EXACTCHAIN_MODE=float`` or
 pass ``--float`` to switch.
@@ -36,6 +37,7 @@ from .errors import (
     InvalidParamsError,
     ModelIOError,
     ModelParseError,
+    SingularSystemError,
     UnknownStateError,
 )
 from .simulate import SimConfig, estimate_cost, estimate_until
@@ -46,6 +48,7 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_MODEL = 5
 EXIT_QUERY = 6
+EXIT_SOLVER = 7
 
 ENV_MODE = "EXACTCHAIN_MODE"
 
@@ -509,6 +512,7 @@ _ERROR_EXITS = (
     (ModelParseError, EXIT_PARSE, "parse error"),
     (UnknownStateError, EXIT_QUERY, "unknown state"),
     (InvalidParamsError, EXIT_MODEL, "invalid parameters"),
+    (SingularSystemError, EXIT_SOLVER, "solver failure"),
     (ExactchainError, EXIT_MODEL, "validation error"),
 )
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import analysis, info
-from .chain import EXACT, MarkovChain, format_scalar, validate_chain
+from .chain import EXACT, MarkovChain, _coerce_param, _triple, format_scalar, validate_chain
 from .errors import InvalidParamsError, NotHonestJondoError
 from .simulate import SimConfig, estimate_joint_first_last
 
@@ -38,15 +38,6 @@ def init_label(jondo: str) -> str:
 
 def mix_label(jondo: str) -> str:
     return f"Mix {jondo}"
-
-
-def _coerce_param(value, name):
-    if isinstance(value, float):
-        return value
-    try:
-        return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -299,6 +290,25 @@ def solver_hit_prob(model: CrowdsModel):
     )
 
 
+def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
+    """Unconditional joint of (initiator, jondo of the state entering ``target``).
+
+    Weights each honest initiator's entry-edge law into ``target`` by its
+    initiation probability; keys run over ``honest x lasts``.
+    """
+    params = model.params
+    chain = model.chain
+    joint = {(i, l): chain.zero for i in params.honest for l in lasts}
+    for i in params.honest:
+        weight = params.init[i]
+        if weight == 0:
+            continue
+        edge = analysis.entry_edge_distribution(chain, target, init_label(i))
+        for (pred, _), m in edge.mass.items():
+            joint[(i, model.jondo_of(pred))] += weight * m
+    return joint
+
+
 def solver_joint_first_last(model: CrowdsModel) -> dict:
     """The (initiator, last honest) conditional joint from the solver.
 
@@ -306,19 +316,10 @@ def solver_joint_first_last(model: CrowdsModel) -> dict:
     gives the joint with the hit event; conditioning on the total hit
     probability reproduces the closed form exactly in exact mode.
     """
-    params = model.params
-    chain = model.chain
-    target = model.collaborator_mix_labels()
-    numerator = {(i, l): chain.zero for i in params.honest for l in params.honest}
-    for i in params.honest:
-        weight = params.init[i]
-        if weight == 0:
-            continue
-        edge = analysis.entry_edge_distribution(chain, target, init_label(i))
-        for (pred, _), m in edge.mass.items():
-            l = model.jondo_of(pred)
-            numerator[(i, l)] += weight * m
-    hit = sum(numerator.values(), chain.zero)
+    numerator = _initiator_joint(
+        model, model.collaborator_mix_labels(), model.params.honest
+    )
+    hit = sum(numerator.values(), model.chain.zero)
     return {
         pair: analysis.conditional_probability(v, hit)
         for pair, v in numerator.items()
@@ -332,17 +333,7 @@ def first_last_jondo_joint(model: CrowdsModel) -> dict:
     marginals: which jondo ends up contacting the server carries no
     information about who initiated the route.
     """
-    params = model.params
-    chain = model.chain
-    joint = {(i, l): chain.zero for i in params.honest for l in params.jondos}
-    for i in params.honest:
-        weight = params.init[i]
-        if weight == 0:
-            continue
-        edge = analysis.entry_edge_distribution(chain, {END}, init_label(i))
-        for (pred, _), m in edge.mass.items():
-            joint[(i, model.jondo_of(pred))] += weight * m
-    return joint
+    return _initiator_joint(model, {END}, model.params.jondos)
 
 
 def is_product_joint(joint: dict) -> bool:
@@ -410,13 +401,6 @@ def crowds_report(
     uniform = Fraction(1, params.J) if mode == EXACT else 1.0 / params.J
     innocence = probable_innocence(params)
 
-    def triple(closed, solver):
-        return {
-            "closed_form": format_scalar(closed),
-            "solver": format_scalar(solver),
-            "difference": format_scalar(closed - solver),
-        }
-
     report = {
         "model": "crowds",
         "mode": mode,
@@ -428,10 +412,10 @@ def crowds_report(
         },
         "J": params.J,
         "H": params.H,
-        "hit_collaborator": triple(hit_closed, hit_solver),
-        "first_equals_last": triple(diag_closed, diag_solver),
+        "hit_collaborator": _triple(hit_closed, hit_solver),
+        "first_equals_last": _triple(diag_closed, diag_solver),
         "joint_first_last": {
-            f"{i}|{l}": triple(joint_closed[(i, l)], joint_solver[(i, l)])
+            f"{i}|{l}": _triple(joint_closed[(i, l)], joint_solver[(i, l)])
             for i in params.honest
             for l in params.honest
         },

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from . import analysis
 from .chain import MarkovChain, RewardChain
 
 _MASK64 = (1 << 64) - 1
@@ -165,29 +166,6 @@ def sample_path(
     return PathSample(tuple(seq), rng.seed, rng.path_index)
 
 
-def _never_reaching(chain: MarkovChain, within: set[int], targets: set[int]) -> set[int]:
-    """States with no edge-path to ``targets`` through ``within``.
-
-    Graph-level classification shared with the exact analysis: a walk
-    entering such a state is decided negatively, which also keeps sampled
-    paths from spinning inside absorbing non-target states until the
-    horizon.
-    """
-    preds = [[] for _ in chain.states]
-    for i in range(len(chain.states)):
-        for j in chain.row_by_index(i):
-            preds[j].append(i)
-    reaching = set(targets)
-    frontier = list(targets)
-    while frontier:
-        t = frontier.pop()
-        for u in preds[t]:
-            if u in within and u not in reaching:
-                reaching.add(u)
-                frontier.append(u)
-    return set(range(len(chain.states))) - reaching
-
-
 def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> Estimate:
     """Monte Carlo estimate of the until probability from ``start``.
 
@@ -200,7 +178,8 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     s0 = chain.index_of(start)
-    dead = _never_reaching(chain, phi_idx - psi_idx, psi_idx) - psi_idx
+    dead = set(range(len(chain.states))) - psi_idx
+    dead -= analysis._can_reach_idx(chain, phi_idx - psi_idx, psi_idx)
     sampler = ChainSampler(chain)
     cum, succ = sampler.cum, sampler.succ
     seed = cfg.seed & _MASK64
@@ -247,9 +226,8 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     chain = rchain.chain
     phi_idx = chain.index_set(phi)
     s0 = chain.index_of(start)
-    dead = _never_reaching(
-        chain, set(range(len(chain.states))) - phi_idx, phi_idx
-    )
+    outside = set(range(len(chain.states))) - phi_idx
+    dead = outside - analysis._can_reach_idx(chain, outside, phi_idx)
     sampler = ChainSampler(chain)
     cum, succ = sampler.cum, sampler.succ
     cost = [

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis
-from .chain import EXACT, RewardChain, format_scalar, validate_chain, validate_reward
+from .chain import (
+    EXACT, RewardChain, _coerce_param, _triple, format_scalar, validate_chain, validate_reward,
+)
 from .errors import InvalidParamsError
 from .simulate import SimConfig, estimate_cost, estimate_until
 
@@ -37,15 +39,6 @@ def probe_label(n: int) -> str:
 def hosts_to_q(hosts: int) -> Fraction:
     """Collision probability when ``hosts`` addresses are already taken."""
     return Fraction(hosts, ADDRESS_POOL)
-
-
-def _coerce_param(value, name):
-    if isinstance(value, float):
-        return value
-    try:
-        return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,14 +156,6 @@ def expected_cost_closed(params: ZeroconfParams):
     restart_rounds = q * (r + pn1 * e + r * p * (1 - p**n) / (1 - p))
     direct = (1 - q) * r * (n + 1)
     return (restart_rounds + direct) / (1 - q * (1 - pn1))
-
-
-def _triple(closed, solver):
-    return {
-        "closed_form": format_scalar(closed),
-        "solver": format_scalar(solver),
-        "difference": format_scalar(closed - solver),
-    }
 
 
 def zeroconf_report(

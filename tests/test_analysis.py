@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactchain import FLOAT, validate_chain, validate_reward
 from exactchain.analysis import (
@@ -121,16 +123,18 @@ def test_certify_ae_fails_with_escape_state():
     assert until_probability(chain, set(chain.states), {"c"}, "a") == F(1, 2)
 
 
-def test_certified_implies_probability_one():
-    rng = random.Random(42)
-    hits = 0
-    for _ in range(80):
-        chain = random_chain(rng, rng.randint(2, 6))
-        phi, psi, start = random_query(rng, chain)
-        if certify_ae_until(chain, phi, psi, start):
-            hits += 1
-            assert until_probability(chain, phi, psi, start) == 1
-    assert hits > 5  # the generator must actually exercise the certificate
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 6))
+def test_certified_implies_probability_one(seed, n_states):
+    # Both graph verdicts are exact: each holds iff the solver agrees,
+    # from every start, starts inside psi included.
+    rng = random.Random(seed)
+    chain = random_chain(rng, n_states)
+    phi, psi, _ = random_query(rng, chain)
+    for start in chain.states:
+        prob = until_probability(chain, phi, psi, start)
+        assert certify_ae_until(chain, phi, psi, start) == (prob == 1)
+        assert until_prob_is_zero(chain, phi, psi, start) == (prob == 0)
 
 
 # --------------------------------------------------------- until probability
@@ -408,3 +412,14 @@ def test_float_mode_hitting_and_cost(zc_small):
     assert expected_hitting_time(fchain, {"Ok", "Error"}, "Start") == pytest.approx(14 / 5)
     assert expected_cost_until(frchain, {"Ok", "Error"}, "Start") == pytest.approx(14 / 5)
     assert math.isinf(expected_hitting_time(fchain, {"Error"}, "Start"))
+
+
+def test_float_probability_just_below_one_is_not_one():
+    # The until probability is 1 - 2e-13: a float tolerance would call it
+    # one and then solve a singular system that contains the trap.
+    chain = chain_of({
+        ("a", "a"): 0.5, ("a", "goal"): 0.5 - 1e-13, ("a", "trap"): 1e-13,
+        ("goal", "goal"): 1.0, ("trap", "trap"): 1.0,
+    }, FLOAT)
+    assert expected_hitting_time(chain, {"goal"}, "a") == INFINITY
+    assert not certify_ae_until(chain, set(chain.states), {"goal"}, "a")

@@ -113,6 +113,45 @@ def test_solve_float_mode(capsys, small_model):
     assert abs(float(report["results"][0]["value"]) - 0.2) < 1e-12
 
 
+def test_solve_float_cost_just_below_one_is_infinite(capsys, tmp_path):
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps({
+        "states": ["a", "goal", "trap"],
+        "transitions": [
+            {"from": "a", "to": "a", "prob": "0.5"},
+            {"from": "a", "to": "goal", "prob": "0.4999999999999"},
+            {"from": "a", "to": "trap", "prob": "1e-13"},
+            {"from": "goal", "to": "goal", "prob": 1},
+            {"from": "trap", "to": "trap", "prob": 1},
+        ],
+        "rewards": [{"from": "a", "to": "goal", "cost": 1}],
+    }))
+    for mode in ("--exact", "--float"):
+        report = run_json(capsys, "solve", str(path), mode, "--cost",
+                          "--until", "ALL=>goal", "--start", "a")
+        by_name = {r["name"]: r["value"] for r in report["results"]}
+        assert by_name["expected_cost"] == "inf"
+
+
+def test_solve_float_singular_system_exit_code(capsys, tmp_path):
+    # Valid in exact mode; in float the self-loop rounds to 1.0.
+    path = tmp_path / "rounding.json"
+    path.write_text(json.dumps({
+        "states": ["a", "goal"],
+        "transitions": [
+            {"from": "a", "to": "a", "prob": "0.99999999999999999"},
+            {"from": "a", "to": "goal", "prob": "1e-17"},
+            {"from": "goal", "to": "goal", "prob": 1},
+        ],
+    }))
+    report = run_json(capsys, "solve", str(path), "--until", "ALL=>goal", "--start", "a")
+    assert report["results"][0]["value"] == "1"
+    code, _, err = run(capsys, "solve", str(path), "--float",
+                       "--until", "ALL=>goal", "--start", "a")
+    assert code == cli.EXIT_SOLVER
+    assert err.startswith("error: solver failure:")
+
+
 # ------------------------------------------------------------------ zeroconf
 
 def test_zeroconf_preset_report(capsys):
