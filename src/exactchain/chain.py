@@ -14,6 +14,7 @@ internal detail of the sparse representation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -63,6 +64,20 @@ def _coerce_param(value, name):
         return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
+
+
+def _with_mode(params, mode):
+    """Copy a case-study parameter record with its rational fields as floats."""
+    if mode == EXACT:
+        return params
+    changes = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Fraction):
+            changes[f.name] = float(value)
+        elif isinstance(value, Mapping):  # an initiator law
+            changes[f.name] = {k: float(v) for k, v in value.items()}
+    return dataclasses.replace(params, **changes)  # re-runs the record's validation
 
 
 def _triple(closed, solver):

@@ -24,7 +24,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import analysis, info
-from .chain import EXACT, MarkovChain, _coerce_param, _triple, format_scalar, validate_chain
+from .chain import (
+    EXACT, MarkovChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
+)
 from .errors import InvalidParamsError, NotHonestJondoError
 from .simulate import SimConfig, estimate_joint_first_last
 
@@ -103,16 +105,6 @@ class CrowdsParams:
     def H(self) -> int:
         return self.J - len(self.colls)
 
-    def with_mode(self, mode: str) -> "CrowdsParams":
-        if mode == EXACT:
-            return self
-        return CrowdsParams(
-            self.jondos,
-            self.colls,
-            float(self.p_f),
-            {j: float(v) for j, v in self.init.items()},
-        )
-
 
 def make_params(n_jondos: int, n_colls: int, p_f, init=None) -> CrowdsParams:
     """Auto-label a crowd ``J1 .. Jn``; the last ``n_colls`` collaborate."""
@@ -161,7 +153,7 @@ class CrowdsModel:
 
 def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     """Build and validate the route-establishment chain."""
-    params = params.with_mode(mode)
+    params = _with_mode(params, mode)
     one = Fraction(1) if mode == EXACT else 1.0
     uniform = one / params.J
     p_f = params.p_f
@@ -385,7 +377,7 @@ def crowds_report(
     params: CrowdsParams, mode: str = EXACT, sim: SimConfig | None = None
 ) -> dict:
     """Closed forms, solver cross-checks, anonymity verdicts, optional MC block."""
-    params = params.with_mode(mode)
+    params = _with_mode(params, mode)
     model = build_crowds(params, mode)
     chain = model.chain
 

@@ -5,12 +5,15 @@ additive state walk plus a shift/multiply output mix), so identical seeds
 give identical samples on every platform. Per-path streams are derived by
 the generator's O(1) jump: path ``i`` starts ``i * 2**20`` steps into the
 seed's state sequence and therefore owns a disjoint block of ``2**20``
-draws (paths never draw more than ``max_steps`` times).
+draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
+rejects ``max_steps > 2**20 + 1``).
 
 Sampling always runs in 64-bit floats, also for exact-mode chains: rows
 are converted once and successors are drawn by inverse CDF over the
-index-sorted sparse row. Exactness lives in the analysis module; the
-simulator only corroborates it.
+index-sorted sparse row. :class:`PathRng` and :func:`sample_path` are the
+scalar reference; the estimators walk paths in blocks that replay exactly
+their per-path streams and successors. Exactness lives in the analysis
+module; the simulator only corroborates it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import analysis
 from .chain import MarkovChain, RewardChain
+from .errors import InvalidParamsError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -28,10 +34,13 @@ _MIX2 = 0x94D049BB133111EB
 _UNIT = 2.0 ** -53
 
 #: Draws reserved per path; streams for consecutive path indices are
-#: disjoint as long as one path consumes fewer draws than this.
+#: disjoint as long as one path consumes at most this many draws.
 PATH_STREAM_STRIDE = 1 << 20
 
 DEFAULT_MAX_STEPS = 10_000
+
+#: Paths the estimators walk together; bounds the walker's working arrays.
+_BLOCK = 4096
 
 
 def _jump(seed: int, steps: int) -> int:
@@ -69,9 +78,12 @@ class SimConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+            raise InvalidParamsError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.max_steps <= PATH_STREAM_STRIDE + 1:
+            # A longer path would draw into the next path's stream.
+            raise InvalidParamsError(
+                f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {self.max_steps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,62 @@ def sample_path(
     return PathSample(tuple(seq), rng.seed, rng.path_index)
 
 
+def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
+    """Walk paths ``0 .. cfg.samples - 1`` from ``start``, ``_BLOCK`` at a time.
+
+    Path ``k`` replays ``sample_path`` on ``PathRng(cfg.seed, k)`` with the
+    index set ``stop`` and ``cfg.max_steps``. The successor column is the
+    count of cumulative row entries ``<= u`` (``bisect_right``), searched
+    in rows padded with ``+inf`` to a power-of-two width.
+
+    Yields per block, in path order: end states, states entered by the
+    first step and left by the last (the start if no step was taken), and
+    transition costs under the reward chain ``cost`` summed in step order.
+    """
+    sampler = ChainSampler(chain)
+    n = len(chain.states)
+    width = 1 << (max(map(len, sampler.succ)) - 1).bit_length()
+    cum = np.full((n, width), np.inf)
+    succ = np.zeros((n, width), dtype=np.intp)
+    price = np.zeros((n, width))
+    for i, row in enumerate(sampler.succ):
+        cum[i, : len(row)] = sampler.cum[i]
+        succ[i, : len(row)] = row
+        if cost is not None:
+            costs = cost.cost_row_by_index(i)
+            price[i, : len(row)] = [float(costs.get(j, 0)) for j in row]
+    stopped = np.zeros(n, dtype=bool)
+    stopped[list(stop)] = True
+    s0 = chain.index_of(start)
+
+    for lo in range(0, cfg.samples, _BLOCK):
+        paths = np.arange(lo, min(lo + _BLOCK, cfg.samples), dtype=np.uint64)
+        rng = _jump(cfg.seed & _MASK64, paths * PATH_STREAM_STRIDE)
+        end = np.full(paths.size, s0, dtype=np.intp)
+        first, last, acc = end.copy(), end.copy(), np.zeros(paths.size)
+        live = np.arange(paths.size)
+        for steps in range(1, cfg.max_steps):
+            live = live[~stopped[end[live]]]
+            if not live.size:
+                break
+            z = rng[live] + _GAMMA
+            rng[live] = z
+            z = (z ^ (z >> 30)) * _MIX1
+            z = (z ^ (z >> 27)) * _MIX2
+            u = ((z ^ (z >> 31)) >> 11) * _UNIT
+            i = end[live]
+            col, half = np.zeros(live.size, dtype=np.intp), width
+            while half := half >> 1:
+                col += half * (cum[i, col + half - 1] <= u)
+            end[live] = succ[i, col]
+            last[live] = i
+            if steps == 1:
+                first[live] = end[live]
+            if cost is not None:
+                acc[live] += price[i, col]
+        yield end, first, last, acc
+
+
 def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> Estimate:
     """Monte Carlo estimate of the until probability from ``start``.
 
@@ -177,38 +245,16 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
-    s0 = chain.index_of(start)
     dead = set(range(len(chain.states))) - psi_idx
     dead -= analysis._can_reach_idx(chain, phi_idx - psi_idx, psi_idx)
-    sampler = ChainSampler(chain)
-    cum, succ = sampler.cum, sampler.succ
-    seed = cfg.seed & _MASK64
-    horizon = cfg.max_steps
 
-    hits = 0
-    censored = 0
-    for path in range(cfg.samples):
-        state = (seed + path * PATH_STREAM_STRIDE * _GAMMA) & _MASK64
-        i = s0
-        steps = 1
-        while True:
-            if i in psi_idx:
-                hits += 1
-                break
-            if i in dead:
-                break
-            if steps >= horizon:
-                censored += 1
-                break
-            state = (state + _GAMMA) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            u = ((z ^ (z >> 31)) >> 11) * _UNIT
-            i = succ[i][bisect_right(cum[i], u)]
-            steps += 1
+    stop = psi_idx | dead
+    hits = decided = 0
+    for end, _, _, _ in _walks(chain, start, cfg, stop):
+        hits += int(np.isin(end, list(psi_idx)).sum())
+        decided += int(np.isin(end, list(stop)).sum())
 
-    decided = cfg.samples - censored
+    censored = cfg.samples - decided
     if decided == 0:
         return Estimate(0.0, 0.0, cfg.samples, censored)
     p = hits / decided
@@ -225,43 +271,18 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     """
     chain = rchain.chain
     phi_idx = chain.index_set(phi)
-    s0 = chain.index_of(start)
     outside = set(range(len(chain.states))) - phi_idx
     dead = outside - analysis._can_reach_idx(chain, outside, phi_idx)
-    sampler = ChainSampler(chain)
-    cum, succ = sampler.cum, sampler.succ
-    cost = [
-        {j: float(c) for j, c in rchain.cost_row_by_index(i).items()}
-        for i in range(len(chain.states))
-    ]
-    seed = cfg.seed & _MASK64
-    horizon = cfg.max_steps
 
     total = 0.0
     total_sq = 0.0
     decided = 0
-    for path in range(cfg.samples):
-        state = (seed + path * PATH_STREAM_STRIDE * _GAMMA) & _MASK64
-        i = s0
-        acc = 0.0
-        steps = 1
-        while True:
-            if i in phi_idx:
-                decided += 1
-                total += acc
-                total_sq += acc * acc
-                break
-            if i in dead or steps >= horizon:
-                break
-            state = (state + _GAMMA) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            u = ((z ^ (z >> 31)) >> 11) * _UNIT
-            j = succ[i][bisect_right(cum[i], u)]
-            acc += cost[i].get(j, 0.0)
-            i = j
-            steps += 1
+    for end, _, _, acc in _walks(chain, start, cfg, phi_idx | dead, rchain):
+        # Path-index order, as a path-by-path reference sum would add them.
+        for c in acc[np.isin(end, list(phi_idx))].tolist():
+            decided += 1
+            total += c
+            total_sq += c * c
 
     censored = cfg.samples - decided
     if decided == 0:
@@ -281,48 +302,24 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
     ``model`` is a built Crowds model. Each path runs until a collaborator
     enters the mixing phase (a hit, recording the initiating jondo and the
     honest jondo that contacted the collaborator), the route completes
-    without one (a miss), or the horizon censors it.
+    without one (a miss), or the horizon censors it. The initiator is the
+    jondo of the state entered by the first step (an ``Init`` state), the
+    contact that of the state left by the last step.
     """
     chain = model.chain
-    sampler = ChainSampler(chain)
-    cum, succ = sampler.cum, sampler.succ
-    s0 = chain.index_of(model.START)
     end_idx = chain.index_of(model.END)
     coll_mix = chain.index_set(model.collaborator_mix_labels())
     jondo = [model.jondo_of(label) for label in chain.states]
-    seed = cfg.seed & _MASK64
-    horizon = cfg.max_steps
 
     counts: dict = {}
     hits = 0
-    censored = 0
-    for path in range(cfg.samples):
-        state = (seed + path * PATH_STREAM_STRIDE * _GAMMA) & _MASK64
-        i = s0
-        first = None
-        prev_jondo = None
-        steps = 1
-        while True:
-            if i in coll_mix:
-                hits += 1
-                key = (first, prev_jondo)
-                counts[key] = counts.get(key, 0) + 1
-                break
-            if i == end_idx:
-                break
-            if steps >= horizon:
-                censored += 1
-                break
-            state = (state + _GAMMA) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            u = ((z ^ (z >> 31)) >> 11) * _UNIT
-            if jondo[i] is not None:
-                prev_jondo = jondo[i]
-            i = succ[i][bisect_right(cum[i], u)]
-            if first is None and jondo[i] is not None:
-                first = jondo[i]
-            steps += 1
+    censored = cfg.samples
+    for end, first, last, _ in _walks(chain, model.START, cfg, coll_mix | {end_idx}):
+        hit = np.isin(end, list(coll_mix))
+        censored -= int(hit.sum()) + int((end == end_idx).sum())
+        for f, l in zip(first[hit].tolist(), last[hit].tolist()):
+            key = (jondo[f], jondo[l])
+            counts[key] = counts.get(key, 0) + 1
+            hits += 1
 
     return JointCounts(counts, hits, cfg.samples, censored)

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import analysis
 from .chain import (
-    EXACT, RewardChain, _coerce_param, _triple, format_scalar, validate_chain, validate_reward,
+    EXACT, RewardChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
+    validate_reward,
 )
 from .errors import InvalidParamsError
 from .simulate import SimConfig, estimate_cost, estimate_until
@@ -70,14 +71,6 @@ class ZeroconfParams:
         if self.E < 0:
             raise InvalidParamsError(f"need E >= 0, got E={self.E}")
 
-    def with_mode(self, mode: str) -> "ZeroconfParams":
-        """Copy with numeric fields converted for the requested arithmetic."""
-        if mode == EXACT:
-            return self
-        return ZeroconfParams(
-            self.N, float(self.p), float(self.q), float(self.r), float(self.E)
-        )
-
 
 #: 16 hosts on the network, 3 probe rounds, 1% packet loss, 2 ms round
 #: trips, one hour repair penalty.
@@ -97,7 +90,7 @@ def state_labels(params: ZeroconfParams) -> list[str]:
 
 def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
     """Build the validated allocation chain with its cost matrix."""
-    params = params.with_mode(mode)
+    params = _with_mode(params, mode)
     n, p, q, r, e = params.N, params.p, params.q, params.r, params.E
     one = Fraction(1) if mode == EXACT else 1.0
 
@@ -168,7 +161,7 @@ def zeroconf_report(
     ``1/10**13`` and flags the comparison instead of failing. With ``sim``
     given, seeded Monte Carlo estimates are attached.
     """
-    params = params.with_mode(mode)
+    params = _with_mode(params, mode)
     rchain = build_zeroconf(params, mode)
     chain = rchain.chain
     states = chain.states

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from exactchain import validate_chain
+from exactchain import EXACT, FLOAT, validate_chain, validate_reward
 
 
 def random_chain(rng: random.Random, n_states: int, max_out: int = 3):
@@ -18,6 +18,22 @@ def random_chain(rng: random.Random, n_states: int, max_out: int = 3):
         for t, w in zip(targets, weights):
             trans[(s, t)] = trans.get((s, t), Fraction(0)) + Fraction(w, total)
     return validate_chain(states, trans)
+
+
+def random_reward(rng: random.Random, n_states: int, mode: str = EXACT):
+    """A random reward chain: a :func:`random_chain` with small costs on most edges."""
+    chain = random_chain(rng, n_states)
+    cost = {
+        (u, v): Fraction(rng.randint(0, 9), rng.randint(1, 9))
+        for u, v, _ in chain.edges()
+        if rng.random() < 0.8
+    }
+    if mode == FLOAT:
+        chain = validate_chain(
+            chain.states, {(u, v): float(p) for u, v, p in chain.edges()}, FLOAT
+        )
+        cost = {edge: float(c) for edge, c in cost.items()}
+    return validate_reward(chain, cost)
 
 
 def random_query(rng: random.Random, chain):

@@ -310,6 +310,17 @@ def test_simulate_cost_needs_rewards(capsys):
     assert "rewards" in err
 
 
+def test_simulate_max_steps_keeps_path_streams_disjoint(capsys):
+    # Paths of up to 2**20 + 1 states stay inside their own draw streams.
+    args = ("simulate", "crowds:fig3", "--event", "until:ALL=>End",
+            "--seed", "1", "--samples", "10")
+    report = run_json(capsys, *args, "--max-steps", "1048577")
+    assert report["max_steps"] == 1048577
+    code, out, err = run(capsys, *args, "--max-steps", "1048578")
+    assert code == cli.EXIT_MODEL
+    assert out == "" and err.startswith("error: invalid parameters: max_steps")
+
+
 # ------------------------------------------------------------------- generic
 
 def test_usage_error_exit_code(capsys):

@@ -1,15 +1,21 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from exactchain import validate_chain, validate_reward
-from exactchain.analysis import until_probability
-from exactchain.crowds import FIG3, build_crowds, path_shape_error
+from exactchain import EXACT, FLOAT, validate_chain, validate_reward
+from exactchain.analysis import until_prob_is_zero, until_probability
+from exactchain.crowds import FIG3, build_crowds, make_params, path_shape_error
+from exactchain.errors import InvalidParamsError
 from exactchain.simulate import (
+    _BLOCK,
     PATH_STREAM_STRIDE,
     ChainSampler,
     Estimate,
+    JointCounts,
     PathRng,
     SimConfig,
     estimate_cost,
@@ -19,7 +25,16 @@ from exactchain.simulate import (
 )
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 
+from _support import random_query, random_reward
+
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
+
+# Path counts straddling a walker block, short horizons that censor, and
+# seeds that wrap modulo 2**64.
+SAMPLES = st.sampled_from([1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+MAX_STEPS = st.sampled_from([1, 2, 3, 10, 100])
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -5]), st.integers(-2**70, 2**70))
+MODES = st.sampled_from([EXACT, FLOAT])
 
 
 def chain_of(spec):
@@ -47,6 +62,15 @@ def test_sim_config_validation():
         SimConfig(seed=0, samples=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, samples=1, max_steps=0)
+
+
+def test_sim_config_keeps_path_streams_disjoint():
+    # A path of max_steps states draws max_steps - 1 times; a longer one
+    # would draw from the next path's stream.
+    assert SimConfig(seed=0, samples=1, max_steps=PATH_STREAM_STRIDE + 1)
+    for bad in (dict(samples=0), dict(max_steps=0), dict(max_steps=PATH_STREAM_STRIDE + 2)):
+        with pytest.raises(InvalidParamsError):
+            SimConfig(**{"seed": 0, "samples": 1, **bad})
 
 
 def test_sample_path_deterministic_chain():
@@ -140,25 +164,98 @@ def test_estimates_are_deterministic():
     assert a != c
 
 
-def test_estimator_walk_matches_sample_path():
-    # The tight estimator loop must replay exactly the draws that
-    # sample_path makes for the same (seed, path index) stream.
-    rchain = build_zeroconf(SMALL)
-    chain = rchain.chain
-    psi = {"Error"}
-    dead = {"Ok"}
-    cfg = SimConfig(seed=21, samples=400, max_steps=50)
-    est = estimate_until(chain, set(chain.states), psi, "Start", cfg)
-
+def _reference_paths(chain, start, cfg, stop):
     sampler = ChainSampler(chain)
-    hits = 0
-    for i in range(cfg.samples):
-        path = sample_path(chain, "Start", PathRng(cfg.seed, i),
-                           stop=lambda s: s in psi or s in dead,
-                           max_steps=cfg.max_steps, sampler=sampler)
-        if path.states[-1] in psi:
+    return [
+        sample_path(chain, start, PathRng(cfg.seed, k), stop=stop.__contains__,
+                    max_steps=cfg.max_steps, sampler=sampler).states
+        for k in range(cfg.samples)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 6), mode=MODES,
+       seed=SEEDS, samples=SAMPLES, max_steps=MAX_STEPS, start_in_psi=st.booleans())
+@example(chain_seed=1, n_states=4, mode=EXACT, seed=2**64 - 1, samples=1,
+         max_steps=1, start_in_psi=False)
+@example(chain_seed=2, n_states=5, mode=FLOAT, seed=-5, samples=_BLOCK - 1,
+         max_steps=2, start_in_psi=False)
+@example(chain_seed=3, n_states=6, mode=EXACT, seed=-5, samples=_BLOCK,
+         max_steps=3, start_in_psi=True)
+@example(chain_seed=4, n_states=3, mode=FLOAT, seed=2**64 - 1, samples=_BLOCK + 1,
+         max_steps=10, start_in_psi=False)
+def test_estimator_walk_matches_sample_path(chain_seed, n_states, mode, seed, samples,
+                                            max_steps, start_in_psi):
+    # The block walker behind the estimators must replay exactly the draws
+    # and successors that sample_path takes for each (seed, path index).
+    rng = random.Random(chain_seed)
+    rchain = random_reward(rng, n_states, mode)
+    chain = rchain.chain
+    phi, psi, start = random_query(rng, chain)
+    if start_in_psi:
+        start = min(psi)
+    cfg = SimConfig(seed, samples, max_steps)
+
+    # A path is decided on entering psi, or a state with zero probability left.
+    dead = {s for s in chain.states if until_prob_is_zero(chain, phi, psi, s)}
+    ends = [p[-1] for p in _reference_paths(chain, start, cfg, psi | dead)]
+    decided = sum(e in psi or e in dead for e in ends)
+    if decided:
+        p = sum(e in psi for e in ends) / decided
+        want = Estimate(p, (p * (1.0 - p) / decided) ** 0.5, samples, samples - decided)
+    else:
+        want = Estimate(0.0, 0.0, samples, samples)
+    assert estimate_until(chain, phi, psi, start, cfg) == want
+
+    everything = set(chain.states)
+    dead = {s for s in chain.states if until_prob_is_zero(chain, everything, psi, s)}
+    costs = []
+    for path in _reference_paths(chain, start, cfg, psi | dead):
+        if path[-1] in psi:
+            acc = 0.0
+            for u, v in zip(path, path[1:]):
+                acc += float(rchain.cost(u, v))
+            costs.append(acc)
+    n = len(costs)
+    if n:
+        total = total_sq = 0.0
+        for c in costs:
+            total += c
+            total_sq += c * c
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        want = Estimate(mean, (var / n) ** 0.5, samples, samples - n)
+    else:
+        want = Estimate(0.0, 0.0, samples, samples)
+    assert estimate_cost(rchain, psi, start, cfg) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_jondos=st.integers(3, 9), coll_seed=st.integers(0, 100), skewed=st.booleans(),
+       p_f=st.sampled_from([F(1, 2), F(4, 5), F(9, 10)]), mode=MODES, seed=SEEDS,
+       samples=SAMPLES, max_steps=st.sampled_from([1, 2, 3, 5, 10_000]))
+@example(n_jondos=5, coll_seed=1, skewed=True, p_f=F(4, 5), mode=FLOAT, seed=-5,
+         samples=_BLOCK + 1, max_steps=3)
+def test_joint_walk_matches_sample_path(n_jondos, coll_seed, skewed, p_f, mode, seed,
+                                        samples, max_steps):
+    n_colls = 1 + coll_seed % (n_jondos - 2)
+    init = {"J1": F(3, 4), "J2": F(1, 4)} if skewed else None
+    model = build_crowds(make_params(n_jondos, n_colls, p_f, init), mode)
+    cfg = SimConfig(seed, samples, max_steps)
+    coll_mix = model.collaborator_mix_labels()
+
+    counts = {}
+    hits = censored = 0
+    for path in _reference_paths(model.chain, model.START, cfg, coll_mix | {model.END}):
+        if path[-1] in coll_mix:
+            key = (model.jondo_of(path[1]), model.jondo_of(path[-2]))
+            counts[key] = counts.get(key, 0) + 1
             hits += 1
-    assert est.mean == hits / cfg.samples
+        elif path[-1] != model.END:
+            censored += 1
+    got = estimate_joint_first_last(model, cfg)
+    assert got == JointCounts(counts, hits, samples, censored)
+    assert list(got.counts) == list(counts)
 
 
 def test_prefix_frequencies_match_cylinder_probabilities():
