@@ -90,10 +90,7 @@ def _can_reach_idx(chain: MarkovChain, within: set[int], targets: set[int]) -> s
     Backward closure over the nonzero-edge graph; the returned set excludes
     the targets themselves.
     """
-    preds = [[] for _ in chain.states]
-    for i in range(len(chain.states)):
-        for j in chain.row_by_index(i):
-            preds[j].append(i)
+    preds = chain._predecessors()
     reached: set[int] = set()
     frontier = list(targets)
     while frontier:
@@ -118,25 +115,48 @@ def _blocks(chain: MarkovChain, within: set[int], targets: set[int], s: int):
     return seen, seen & _can_reach_idx(chain, within, targets)
 
 
-def _solve_block(chain: MarkovChain, block, rhs) -> dict:
+def _solve_block(
+    chain: MarkovChain, block, width=1, exit_col=None, cost_row=None, base=None
+) -> dict:
     """Solve ``(I - Q) x = b`` with ``Q`` the transitions inside ``block``.
 
-    ``block`` is a sorted index list and ``rhs(u)`` the row of ``b`` for
-    state ``u``. Returns the solution row of each block state. The caller
-    picks a block from every state of which the path eventually leaves it with
-    positive probability, which makes the system nonsingular.
+    ``block`` is a sorted index list and ``b`` has ``width`` columns. One
+    pass over each block row builds both rows of the system. Row ``u`` of
+    ``b`` starts at ``base`` (zero by default) in every column, and then:
+
+    * an edge ``u -> v`` leaving the block adds its probability to column
+      ``exit_col(u, v)``, unless that is None;
+    * with ``cost_row``, every edge adds ``p * cost_row(u)[v]`` to column 0.
+
+    Returns the solution row of each block state. The caller picks a block
+    from every state of which the path eventually leaves it with positive
+    probability, which makes the system nonsingular.
     """
+    if not block:
+        return {}
     pos = {u: r for r, u in enumerate(block)}
     zero, one = chain.zero, chain.one
-    a = []
+    if base is None:
+        base = zero
+    a, b = [], []
     for u in block:
-        row = [zero] * len(block)
-        row[pos[u]] = one
+        a_row = [zero] * len(block)
+        a_row[pos[u]] = one
+        b_row = [base] * width
+        costs = cost_row(u) if cost_row is not None else None
         for v, p in chain.row_by_index(u).items():
-            if v in pos:
-                row[pos[v]] -= p
-        a.append(row)
-    x = linalg.solve(a, [rhs(u) for u in block], chain.mode)
+            r = pos.get(v)
+            if r is not None:
+                a_row[r] -= p
+            elif exit_col is not None:
+                c = exit_col(u, v)
+                if c is not None:
+                    b_row[c] += p
+            if costs is not None:
+                b_row[0] += p * costs.get(v, zero)
+        a.append(a_row)
+        b.append(b_row)
+    x = linalg.solve(a, b, chain.mode)
     return dict(zip(block, x))
 
 
@@ -204,16 +224,8 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     zero = chain.zero
-
-    def into_psi(u):
-        mass = zero
-        for v, p in chain.row_by_index(u).items():
-            if v in psi_idx:
-                mass += p
-        return [mass]
-
     block = sorted(_can_reach_idx(chain, phi_idx - psi_idx, psi_idx))
-    x = _solve_block(chain, block, into_psi)
+    x = _solve_block(chain, block, exit_col=lambda u, v: 0 if v in psi_idx else None)
     return {
         label: chain.one if i in psi_idx else x[i][0] if i in x else zero
         for i, label in enumerate(chain.states)
@@ -226,11 +238,13 @@ def until_probability(chain: MarkovChain, phi, psi, start: str):
     return until_probabilities(chain, phi, psi)[start]
 
 
-def _expected_until(chain: MarkovChain, phi, start: str, step):
-    """Expected sum of ``step(u)`` over the states ``u`` left before entering ``phi``.
+def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
+    """Expected cost of the transitions taken before entering ``phi``.
 
-    Returns ``math.inf`` when ``phi`` is not reached almost surely, and
-    zero for a start already in ``phi``.
+    ``cost_row(u)`` maps the successors of ``u`` to transition costs; without
+    it every transition costs one (the hitting time). Returns ``math.inf``
+    when ``phi`` is not reached almost surely, and zero for a start already
+    in ``phi``.
     """
     phi_idx = chain.index_set(phi)
     s = chain.index_of(start)
@@ -240,7 +254,9 @@ def _expected_until(chain: MarkovChain, phi, start: str, step):
     seen, live = _blocks(chain, outside, phi_idx, s)
     if seen != live:
         return INFINITY
-    return _solve_block(chain, sorted(seen), lambda u: [step(u)])[s][0]
+    if cost_row is None:
+        return _solve_block(chain, sorted(seen), base=chain.one)[s][0]
+    return _solve_block(chain, sorted(seen), cost_row=cost_row)[s][0]
 
 
 def expected_hitting_time(chain: MarkovChain, phi, start: str):
@@ -250,7 +266,7 @@ def expected_hitting_time(chain: MarkovChain, phi, start: str):
     otherwise solves ``h_s = 1 + sum_t tau(s,t) h_t`` over the transient
     states reachable from the start.
     """
-    return _expected_until(chain, phi, start, lambda u: chain.one)
+    return _expected_until(chain, phi, start)
 
 
 def expected_cost_until(rchain: RewardChain, phi, start: str):
@@ -260,45 +276,35 @@ def expected_cost_until(rchain: RewardChain, phi, start: str):
     onward; a start already in ``phi`` accumulates nothing. Returns
     ``math.inf`` when ``phi`` is not reached almost surely.
     """
-    chain = rchain.chain
-    zero = chain.zero
-
-    def step_cost(u):
-        cost_row = rchain.cost_row_by_index(u)
-        acc = zero
-        for v, p in chain.row_by_index(u).items():
-            acc += p * cost_row.get(v, zero)
-        return acc
-
-    return _expected_until(chain, phi, start, step_cost)
+    return _expected_until(rchain.chain, phi, start, rchain.cost_row_by_index)
 
 
-def _entry_masses(chain: MarkovChain, t_idx: set[int], s: int, key) -> dict:
-    """Mass of each first-entry outcome ``key(u, c)`` of the target from ``s``.
+def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
+    """Mass of each first-entry outcome ``key(u, c)`` of the target, per start.
 
-    ``u`` is the last state outside the target and ``c`` the entry state.
-    Solves, with one right-hand-side column per outcome,
+    ``u`` is the last state outside the target and ``c`` the entry state;
+    ``starts`` lie outside the target. Solves, with one right-hand-side
+    column per outcome,
     ``f_s(k) = sum_{c in target, key(s,c)=k} tau(s,c) + sum_{t outside} tau(s,t) f_t(k)``
-    over the states that can occupy the path before entry and can still
-    reach the target; every other state has zero entry mass.
+    once over the union of the starts' blocks: the states that can occupy
+    a path before entry and can still reach the target. Every other state
+    has zero entry mass. Returns ``{start: {outcome: mass}}`` with the
+    strictly positive masses.
     """
     outside = set(range(len(chain.states))) - t_idx
-    live = _blocks(chain, outside, t_idx, s)[1]
-    if s not in live:
-        return {}
+    live = set()
+    for s in starts:
+        live |= _blocks(chain, outside, t_idx, s)[1]
     block = sorted(live)
     keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in t_idx})
     col = {k: j for j, k in enumerate(keys)}
-
-    def entering(u):
-        b = [chain.zero] * len(col)
-        for v, p in chain.row_by_index(u).items():
-            if v in t_idx:
-                b[col[key(u, v)]] += p
-        return b
-
-    row = _solve_block(chain, block, entering)[s]
-    return {k: row[j] for k, j in col.items() if row[j] > 0}
+    x = _solve_block(
+        chain, block, len(col), lambda u, v: col[key(u, v)] if v in t_idx else None
+    )
+    return {
+        s: {k: x[s][j] for k, j in col.items() if x[s][j] > 0} if s in x else {}
+        for s in starts
+    }
 
 
 def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribution:
@@ -314,7 +320,7 @@ def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribu
         return Distribution({start: chain.one}, chain.zero)
     mass = {
         chain.states[v]: m
-        for v, m in _entry_masses(chain, t_idx, s, lambda u, v: v).items()
+        for v, m in _entry_masses(chain, t_idx, [s], lambda u, v: v)[s].items()
     }
     return Distribution(mass, _residual(mass.values(), chain.one, chain.mode))
 
@@ -332,7 +338,7 @@ def entry_edge_distribution(chain: MarkovChain, target, start: str) -> EdgeDistr
 
     mass = {
         (chain.states[u], chain.states[v]): m
-        for (u, v), m in _entry_masses(chain, t_idx, s, lambda u, v: (u, v)).items()
+        for (u, v), m in _entry_masses(chain, t_idx, [s], lambda u, v: (u, v))[s].items()
     }
     return EdgeDistribution(mass, _residual(mass.values(), chain.one, chain.mode))
 

@@ -118,6 +118,7 @@ class MarkovChain:
         # Read-only row views: chains are shared freely across analyses.
         self._rows = tuple(MappingProxyType(dict(r)) for r in rows)
         self._mode = mode
+        self._preds = None
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -152,6 +153,16 @@ class MarkovChain:
 
     def row_by_index(self, i: int) -> Mapping:
         return self._rows[i]
+
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Index lists of each state's predecessors, built on first use."""
+        if self._preds is None:
+            preds = [[] for _ in self._states]
+            for i, row in enumerate(self._rows):
+                for j in row:
+                    preds[j].append(i)
+            self._preds = tuple(map(tuple, preds))
+        return self._preds
 
     def row(self, label: str) -> dict:
         """Nonzero outgoing probabilities of a state, keyed by successor label."""

@@ -285,19 +285,24 @@ def solver_hit_prob(model: CrowdsModel):
 def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     """Unconditional joint of (initiator, jondo of the state entering ``target``).
 
-    Weights each honest initiator's entry-edge law into ``target`` by its
-    initiation probability; keys run over ``honest x lasts``.
+    Weights each honest initiator's entry law into ``target``, keyed by the
+    jondo of the state it enters from, by its initiation probability; keys
+    run over ``honest x lasts``. One solve covers every initiator with
+    positive weight, with one right-hand-side column per entering jondo.
     """
     params = model.params
     chain = model.chain
+    starts = {
+        chain.index_of(init_label(i)): i for i in params.honest if params.init[i] > 0
+    }
+    masses = analysis._entry_masses(
+        chain, chain.index_set(target), list(starts),
+        lambda u, v: model.jondo_of(chain.states[u]),
+    )
     joint = {(i, l): chain.zero for i in params.honest for l in lasts}
-    for i in params.honest:
-        weight = params.init[i]
-        if weight == 0:
-            continue
-        edge = analysis.entry_edge_distribution(chain, target, init_label(i))
-        for (pred, _), m in edge.mass.items():
-            joint[(i, model.jondo_of(pred))] += weight * m
+    for s, i in starts.items():
+        for l, m in masses[s].items():
+            joint[(i, l)] += params.init[i] * m
     return joint
 
 

@@ -2,9 +2,12 @@
 
 The systems solved here are `(I - Q) x = b` style absorption equations with
 at most a few hundred unknowns, so direct elimination is enough. Exact mode
-uses fraction-free (Bareiss) Gaussian elimination over integers after
-clearing denominators, which keeps intermediate values from exploding the
-way naive rational elimination can. Float mode delegates to numpy.
+clears denominators row by row and runs fraction-free (Bareiss) Gaussian
+elimination over integers, which keeps intermediate values from exploding
+the way naive rational elimination can. Back-substitution stays in integers
+too: every unknown is an integer over the last Bareiss pivot, the
+determinant (Bareiss 1968), so the only rationals built are the results.
+Float mode delegates to numpy.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ def solve_exact(a, b):
     # which is what makes the Bareiss divisions exact.
     m = []
     for i in range(n):
-        row = [Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]]
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([int(x * scale) for x in row])
+        row = [*a[i], *b[i]]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
 
     prev = 1
     for col in range(n):
@@ -56,15 +59,20 @@ def solve_exact(a, b):
             row_r[col] = 0
         prev = pivval
 
-    # Back-substitution on the integer triangle, done in Fractions.
-    out = [[Fraction(0)] * k for _ in range(n)]
+    # Back-substitution in integers. By Cramer's rule x_i = X_i / det with
+    # X_i an integer and det the last pivot, so each division is exact.
+    det = prev
+    out = [[None] * k for _ in range(n)]
     for c in range(k):
         col_idx = n + c
+        xs = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = Fraction(m[i][col_idx])
+            row = m[i]
+            acc = det * row[col_idx]
             for j in range(i + 1, n):
-                acc -= m[i][j] * out[j][c]
-            out[i][c] = acc / m[i][i]
+                acc -= row[j] * xs[j]
+            xs[i] = acc // row[i]
+            out[i][c] = Fraction(xs[i], det)
     return out
 
 

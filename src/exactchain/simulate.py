@@ -6,7 +6,7 @@ give identical samples on every platform. Per-path streams are derived by
 the generator's O(1) jump: path ``i`` starts ``i * 2**20`` steps into the
 seed's state sequence and therefore owns a disjoint block of ``2**20``
 draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
-rejects ``max_steps > 2**20 + 1``).
+and :func:`sample_path` reject ``max_steps > 2**20 + 1``).
 
 Sampling always runs in 64-bit floats, also for exact-mode chains: rows
 are converted once and successors are drawn by inverse CDF over the
@@ -165,8 +165,14 @@ def sample_path(
     ``stop`` is an optional predicate on state labels checked at every
     state including the start; sampling ends at the first state satisfying
     it, otherwise at the horizon. One uniform draw is consumed per
-    transition taken.
+    transition taken, so ``max_steps`` above ``PATH_STREAM_STRIDE + 1``
+    raises :class:`InvalidParamsError`: the path would draw from the next
+    path's stream.
     """
+    if max_steps > PATH_STREAM_STRIDE + 1:
+        raise InvalidParamsError(
+            f"max_steps must be at most {PATH_STREAM_STRIDE + 1}, got {max_steps}"
+        )
     if sampler is None:
         sampler = ChainSampler(chain)
     states = chain.states

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from exactchain import FLOAT, validate_chain, validate_reward
 from exactchain.analysis import (
     INFINITY,
+    _entry_masses,
     certify_ae_until,
     conditional_probability,
     entry_edge_distribution,
@@ -331,6 +332,23 @@ def test_entry_edge_marginal_matches_first_entry():
         for (pred, entry) in edge.mass:
             assert pred not in target
             assert entry in target
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 4))
+def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
+    rng = random.Random(seed)
+    chain = random_chain(rng, n)
+    target = set(rng.sample(range(n), rng.randint(1, 2)))
+    outside = [s for s in range(n) if s not in target]
+    starts = rng.sample(outside, min(k, len(outside)))
+    # Entry state, entry edge, and a key that merges several edges per column.
+    for key in (lambda u, v: v, lambda u, v: (u, v), lambda u, v: u % 2):
+        batched = _entry_masses(chain, target, starts, key)
+        assert list(batched) == starts
+        for s in starts:
+            alone = _entry_masses(chain, target, [s], key)[s]
+            assert list(batched[s].items()) == list(alone.items())
 
 
 def test_certified_targets_have_finite_expectations():

@@ -185,3 +185,15 @@ def test_chain_mode_flag_and_arithmetic_types():
         states, {k: float(v) for k, v in trans.items()}, mode=FLOAT
     )
     assert isinstance(fchain.prob("Start", "Ok"), float)
+
+
+def test_predecessor_lists_match_edges_and_are_built_once():
+    rng = random.Random(21)
+    for _ in range(20):
+        chain = random_chain(rng, rng.randint(1, 8))
+        preds = chain._predecessors()
+        assert chain._predecessors() is preds
+        idx = chain.index_of
+        assert sorted((i, j) for j, ps in enumerate(preds) for i in ps) == sorted(
+            (idx(u), idx(v)) for u, v, _ in chain.edges()
+        )

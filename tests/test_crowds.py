@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactchain import FLOAT
+from exactchain import FLOAT, linalg
 from exactchain.analysis import certify_ae_until, entry_edge_distribution
 from exactchain.errors import InvalidParamsError, NotHonestJondoError
 from exactchain.crowds import (
@@ -88,6 +88,45 @@ def test_honest_jondo_with_zero_init_mass():
     assert solver_joint_first_last(model) == conditional_joint(params)
     assert sum(conditional_joint(params).values()) == 1
     assert is_product_joint(first_last_jondo_joint(model))
+
+
+@pytest.mark.parametrize("mode", ["exact", FLOAT])
+def test_skewed_init_with_a_silent_honest_jondo(mode):
+    # J2 never initiates: the batched solve covers J1, J3 and J4 only, yet every
+    # cell of the joint, J2's row of zeros included, matches the closed form.
+    params = make_params(6, 2, F(3, 4), init={"J1": F(1, 3), "J2": 0, "J3": F(1, 6),
+                                             "J4": F(1, 2)})
+    model = build_crowds(params, mode)
+    if mode == "exact":
+        def same(x, y):
+            return x == y
+    else:
+        def same(x, y):
+            return x == pytest.approx(y, rel=1e-12, abs=1e-15)
+    solver = solver_joint_first_last(model)
+    closed = conditional_joint(model.params)
+    assert list(solver) == list(closed)
+    assert all(same(solver[c], closed[c]) for c in closed)
+    assert all(solver[("J2", l)] == 0 for l in params.honest)
+    joint = first_last_jondo_joint(model)
+    assert all(same(v, model.params.init[i] / 6) for (i, _), v in joint.items())
+    assert is_product_joint(joint)
+
+
+def test_report_solves_once_per_query(monkeypatch):
+    # Hit probability, collaborator joint, last-jondo law and the
+    # independence joint: one absorbing solve each, whatever J.
+    calls = []
+    solve = linalg.solve
+
+    def counting_solve(a, b, mode):
+        calls.append(len(a))
+        return solve(a, b, mode)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    report = crowds_report(make_params(20, 4, F(4, 5)))
+    assert len(calls) <= 4
+    assert all(t["difference"] == "0" for t in report["joint_first_last"].values())
 
 
 def test_hit_probability_closed_form():

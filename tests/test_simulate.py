@@ -73,6 +73,18 @@ def test_sim_config_keeps_path_streams_disjoint():
             SimConfig(**{"seed": 0, "samples": 1, **bad})
 
 
+def test_sample_path_keeps_path_streams_disjoint():
+    chain = chain_of({("a", "b"): F(1, 2), ("a", "a"): F(1, 2), ("b", "a"): F(1)})
+    # The longest path that stays inside its own stream is accepted ...
+    edge = sample_path(chain, "a", PathRng(3, 0), stop=lambda s: True,
+                       max_steps=PATH_STREAM_STRIDE + 1)
+    assert edge.states == ("a",)
+    # ... one more state would replay path 1's first draw.
+    for bad in (PATH_STREAM_STRIDE + 2, PATH_STREAM_STRIDE + 40):
+        with pytest.raises(InvalidParamsError):
+            sample_path(chain, "a", PathRng(3, 0), max_steps=bad)
+
+
 def test_sample_path_deterministic_chain():
     chain = chain_of({("a", "b"): F(1), ("b", "c"): F(1), ("c", "c"): F(1)})
     path = sample_path(chain, "a", PathRng(0), max_steps=3)
