@@ -1,11 +1,13 @@
 """Qualitative and quantitative analysis of finite Markov (reward) chains.
 
 Qualitative verdicts (probability zero, probability one) are exact graph
-criteria in both arithmetic modes; no float tolerance decides them. The
-quantitative answers (until probabilities, expected hitting times,
-expected accumulated costs, first-entry laws) each solve one absorbing
-system ``(I - Q) x = b`` over a block of states that the graph criteria
-pick so that the system is nonsingular.
+criteria in both arithmetic modes, read from one split of all states into
+those of probability zero and probability one (``_prob01``, two backward
+searches); no float tolerance decides them. The quantitative answers
+(until probabilities, expected hitting times, expected accumulated
+costs, first-entry laws) each solve one absorbing system
+``(I - Q) x = b`` over a block of states that the graph criteria pick so
+that the system is nonsingular.
 
 Two conventions hold throughout and are easy to trip over:
 
@@ -102,17 +104,19 @@ def _can_reach_idx(chain: MarkovChain, within: set[int], targets: set[int]) -> s
     return reached
 
 
-def _blocks(chain: MarkovChain, within: set[int], targets: set[int], s: int):
-    """The states a path from ``s`` can occupy before ``targets``, and which are live.
+def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
+    """The states of probability zero and one of reaching ``targets`` through ``within``.
 
-    ``seen`` is ``s`` plus every state reachable from it through ``within``,
-    minus the targets; ``live`` is the part of ``seen`` that can still
-    reach the targets through ``within``. On a finite chain the targets are
-    reached through ``within`` with probability one exactly when the two
-    are equal (Baier & Katoen, *Principles of Model Checking*, 10.1).
+    Covers every state: ``zero`` holds the states outside the targets with
+    no path to them through ``within``; ``one`` holds the rest except the
+    states with a path through ``within`` into ``zero``. On a finite chain
+    these are exactly the states from which the targets are reached through
+    ``within`` with probability zero and one (Baier & Katoen, *Principles
+    of Model Checking*, 10.1), whatever the arithmetic mode.
     """
-    seen = ({s} | _reachable_idx(chain, within, s)) - targets
-    return seen, seen & _can_reach_idx(chain, within, targets)
+    every = set(range(len(chain.states)))
+    zero = every - targets - _can_reach_idx(chain, within, targets)
+    return zero, every - zero - _can_reach_idx(chain, within, zero)
 
 
 def _solve_block(
@@ -184,12 +188,7 @@ def until_prob_is_zero(chain: MarkovChain, phi, psi, start: str) -> bool:
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     s = chain.index_of(start)
-    if s in psi_idx:
-        return False
-    if s not in phi_idx:
-        return True
-    hits = _reachable_idx(chain, phi_idx - psi_idx, s) & psi_idx
-    return not hits
+    return s in _prob01(chain, phi_idx - psi_idx, psi_idx)[0]
 
 
 def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
@@ -205,12 +204,7 @@ def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     s = chain.index_of(start)
-    if s in psi_idx:
-        return True
-    if s not in phi_idx:
-        return False
-    seen, live = _blocks(chain, phi_idx - psi_idx, psi_idx, s)
-    return seen == live
+    return s in _prob01(chain, phi_idx - psi_idx, psi_idx)[1]
 
 
 def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
@@ -251,12 +245,12 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
     if s in phi_idx:
         return chain.zero
     outside = set(range(len(chain.states))) - phi_idx
-    seen, live = _blocks(chain, outside, phi_idx, s)
-    if seen != live:
+    if s not in _prob01(chain, outside, phi_idx)[1]:
         return INFINITY
+    block = sorted(({s} | _reachable_idx(chain, outside, s)) - phi_idx)
     if cost_row is None:
-        return _solve_block(chain, sorted(seen), base=chain.one)[s][0]
-    return _solve_block(chain, sorted(seen), cost_row=cost_row)[s][0]
+        return _solve_block(chain, block, base=chain.one)[s][0]
+    return _solve_block(chain, block, cost_row=cost_row)[s][0]
 
 
 def expected_hitting_time(chain: MarkovChain, phi, start: str):
@@ -292,10 +286,10 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     strictly positive masses.
     """
     outside = set(range(len(chain.states))) - t_idx
-    live = set()
+    seen = set()
     for s in starts:
-        live |= _blocks(chain, outside, t_idx, s)[1]
-    block = sorted(live)
+        seen |= {s} | _reachable_idx(chain, outside, s)
+    block = sorted(seen & _can_reach_idx(chain, outside, t_idx))
     keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in t_idx})
     col = {k: j for j, k in enumerate(keys)}
     x = _solve_block(

@@ -52,23 +52,6 @@ EXIT_SOLVER = 7
 
 ENV_MODE = "EXACTCHAIN_MODE"
 
-ZEROCONF_CSV_COLUMNS = [
-    "mode", "N", "p", "q", "r", "E",
-    "p_err_closed", "p_err_solver", "p_err_diff",
-    "cost_closed", "cost_solver", "cost_diff",
-    "ae_all_states", "within_claimed_bound",
-]
-
-CROWDS_CSV_COLUMNS = [
-    "mode", "jondos", "colls", "J", "H", "p_f",
-    "hit_closed", "hit_solver", "hit_diff",
-    "first_eq_last_closed", "first_eq_last_solver", "first_eq_last_diff",
-    "innocence_holds", "innocence_threshold",
-    "mi_exact_bits", "mi_bound_bits",
-    "independence_first_last_jondo", "ae_route_terminates",
-]
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -189,7 +172,7 @@ def _split_until(spec: str) -> tuple[str, str]:
 
 def _parse_sweep(spec: str, allowed: set[str]) -> list[dict]:
     """Expand 'name=v1,v2;name=...' into the grid of override dicts."""
-    axes = []
+    axes = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -200,11 +183,15 @@ def _parse_sweep(spec: str, allowed: set[str]) -> list[dict]:
             raise InvalidParamsError(
                 f"sweep axis {name!r} not in {sorted(allowed)}"
             )
-        axes.append((name, [v.strip() for v in values.split(",") if v.strip()]))
+        if name in axes:
+            raise InvalidParamsError(f"sweep axis {name!r} given twice")
+        axes[name] = [v.strip() for v in values.split(",") if v.strip()]
+        if not axes[name]:
+            raise InvalidParamsError(f"sweep axis {name!r} has no values")
     if not axes:
         raise InvalidParamsError("empty sweep specification")
     grid = [{}]
-    for name, values in axes:
+    for name, values in axes.items():
         grid = [dict(point, **{name: v}) for point in grid for v in values]
     return grid
 
@@ -453,21 +440,13 @@ def _flatten_crowds(report: dict) -> dict:
 
 
 def _print_csv(reports, command: str) -> None:
-    if command == "zeroconf":
-        columns, flatten = ZEROCONF_CSV_COLUMNS, _flatten_zeroconf
-    elif command == "crowds":
-        columns, flatten = CROWDS_CSV_COLUMNS, _flatten_crowds
-    else:
-        rows = [_flatten_generic(r) for r in reports]
-        columns = list(rows[0]) if rows else []
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
+    flatten = {"zeroconf": _flatten_zeroconf, "crowds": _flatten_crowds}.get(
+        command, _flatten_generic
+    )
+    rows = [flatten(r) for r in reports]
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for report in reports:
-        writer.writerow(flatten(report))
+    writer.writerows(rows)
 
 
 def _flatten_generic(report: dict, prefix: str = "") -> dict:

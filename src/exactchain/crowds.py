@@ -147,9 +147,6 @@ class CrowdsModel:
     def collaborator_mix_labels(self) -> set[str]:
         return {mix_label(c) for c in self.params.colls}
 
-    def honest_init_labels(self) -> set[str]:
-        return {init_label(j) for j in self.params.honest}
-
 
 def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     """Build and validate the route-establishment chain."""

@@ -251,10 +251,7 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
-    dead = set(range(len(chain.states))) - psi_idx
-    dead -= analysis._can_reach_idx(chain, phi_idx - psi_idx, psi_idx)
-
-    stop = psi_idx | dead
+    stop = psi_idx | analysis._prob01(chain, phi_idx - psi_idx, psi_idx)[0]
     hits = decided = 0
     for end, _, _, _ in _walks(chain, start, cfg, stop):
         hits += int(np.isin(end, list(psi_idx)).sum())
@@ -278,12 +275,12 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     chain = rchain.chain
     phi_idx = chain.index_set(phi)
     outside = set(range(len(chain.states))) - phi_idx
-    dead = outside - analysis._can_reach_idx(chain, outside, phi_idx)
+    stop = phi_idx | analysis._prob01(chain, outside, phi_idx)[0]
 
     total = 0.0
     total_sq = 0.0
     decided = 0
-    for end, _, _, acc in _walks(chain, start, cfg, phi_idx | dead, rchain):
+    for end, _, _, acc in _walks(chain, start, cfg, stop, rchain):
         # Path-index order, as a path-by-path reference sum would add them.
         for c in acc[np.isin(end, list(phi_idx))].tolist():
             decided += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import FLOAT, validate_chain, validate_reward
+from exactchain import EXACT, FLOAT, validate_chain, validate_reward
 from exactchain.analysis import (
     INFINITY,
     _entry_masses,
@@ -27,7 +27,7 @@ from exactchain.errors import (
     UnknownStateError,
 )
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
-from _support import random_chain, random_query, truncated_until_mass
+from _support import random_chain, random_query, random_reward, truncated_until_mass
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
@@ -351,21 +351,23 @@ def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
             assert list(batched[s].items()) == list(alone.items())
 
 
-def test_certified_targets_have_finite_expectations():
-    rng = random.Random(13)
-    certified = 0
-    for _ in range(60):
-        chain = random_chain(rng, rng.randint(2, 6))
-        target = set(rng.sample(chain.states, rng.randint(1, 2)))
-        start = rng.choice(chain.states)
-        if certify_ae_until(chain, set(chain.states), target, start):
-            certified += 1
-            assert expected_hitting_time(chain, target, start) != INFINITY
-            rchain = validate_reward(
-                chain, {(u, v): F(1, 3) for u, v, _ in chain.edges()}
-            )
-            assert expected_cost_until(rchain, target, start) != INFINITY
-    assert certified > 5
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(2, 6),
+    mode=st.sampled_from([EXACT, FLOAT]),
+)
+def test_certified_targets_have_finite_expectations(seed, n_states, mode):
+    # Expectations are infinite exactly where the target is not certain,
+    # from every start, targets included.
+    rng = random.Random(seed)
+    rchain = random_reward(rng, n_states, mode)
+    chain = rchain.chain
+    target = set(rng.sample(chain.states, rng.randint(1, 2)))
+    for start in chain.states:
+        uncertain = not certify_ae_until(chain, set(chain.states), target, start)
+        assert (expected_hitting_time(chain, target, start) == INFINITY) == uncertain
+        assert (expected_cost_until(rchain, target, start) == INFINITY) == uncertain
 
 
 def test_first_entry_never_mass_complements_reach_probability():

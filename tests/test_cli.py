@@ -192,6 +192,19 @@ def test_zeroconf_sweep_csv(capsys):
     assert lines[1].startswith("exact,1,1/100")
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("p=", "no values"),
+    ("p=1/100,;probes= ,", "no values"),
+    ("p=1/100;p=1/10", "twice"),
+])
+def test_zeroconf_sweep_rejects_empty_and_repeated_axes(capsys, sweep, message):
+    code, out, err = run(capsys, "zeroconf", "--preset", "paper-typical",
+                         "--sweep", sweep, "--csv")
+    assert code == cli.EXIT_MODEL
+    assert out == ""
+    assert "invalid parameters" in err and message in err
+
+
 def test_zeroconf_simulation_block(capsys):
     report = run_json(capsys, "zeroconf", "--probes", "1", "--p", "1/2",
                       "--q", "1/2", "--r", "1", "--E", "0",

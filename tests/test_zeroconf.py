@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactchain import FLOAT
+from exactchain import FLOAT, analysis
 from exactchain.analysis import (
     certify_ae_until,
     expected_cost_until,
@@ -156,6 +156,27 @@ def test_ae_termination_from_every_state():
     chain = build_zeroconf(PAPER_TYPICAL).chain
     for s in chain.states:
         assert certify_ae_until(chain, chain.states, {"Ok", "Error"}, s)
+
+
+def test_report_graph_searches_do_not_grow_with_n(monkeypatch):
+    # The verdicts for all states come from one all-states split, not one
+    # backward search per state.
+    calls = []
+    search = analysis._can_reach_idx
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(analysis, "_can_reach_idx", counted)
+
+    def count(n):
+        calls.clear()
+        report = zeroconf_report(ZeroconfParams(N=n, p=F(1, 10), q=F(1, 2), r=1, E=1))
+        assert all(report["ae_termination"].values())
+        return len(calls)
+
+    assert count(2) == count(40)
 
 
 def test_report_exact_mode():
