@@ -135,11 +135,15 @@ def _solve_block(
     Returns the solution row of each block state. The caller picks a block
     from every state of which the path eventually leaves it with positive
     probability, which makes the system nonsingular.
+    Float mode sets each diagonal entry to the row's exit mass instead of
+    ``1 - p_uu``, so a self-loop of ``1 - 1e-17`` cannot round the pivot to
+    zero (Grassmann, Taksar & Heyman 1985); exact rows make the two equal.
     """
     if not block:
         return {}
     pos = {u: r for r, u in enumerate(block)}
     zero, one = chain.zero, chain.one
+    exit_mass = chain.mode != EXACT
     if base is None:
         base = zero
     a, b = [], []
@@ -158,6 +162,8 @@ def _solve_block(
                     b_row[c] += p
             if costs is not None:
                 b_row[0] += p * costs.get(v, zero)
+        if exit_mass:
+            a_row[pos[u]] = sum(p for v, p in chain.row_by_index(u).items() if v != u)
         a.append(a_row)
         b.append(b_row)
     x = linalg.solve(a, b, chain.mode)

@@ -57,8 +57,10 @@ def format_scalar(value):
 
 
 def _coerce_param(value, name):
-    """Read a case-study parameter: floats pass through, the rest become Fractions."""
+    """Read a case-study parameter: finite floats pass through, the rest become Fractions."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvalidParamsError(f"parameter {name} must be finite, got {value}")
         return value
     try:
         return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
@@ -73,10 +75,13 @@ def _with_mode(params, mode):
     changes = {}
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, Fraction):
-            changes[f.name] = float(value)
-        elif isinstance(value, Mapping):  # an initiator law
-            changes[f.name] = {k: float(v) for k, v in value.items()}
+        try:
+            if isinstance(value, Fraction):
+                changes[f.name] = float(value)
+            elif isinstance(value, Mapping):  # an initiator law
+                changes[f.name] = {k: float(v) for k, v in value.items()}
+        except OverflowError:
+            raise InvalidParamsError(f"parameter {f.name} overflows a float") from None
     return dataclasses.replace(params, **changes)  # re-runs the record's validation
 
 
@@ -100,7 +105,10 @@ def _coerce(value, mode):
                 f"or a string literal like '1/100'"
             )
         return Fraction(value)
-    out = float(Fraction(str(value))) if isinstance(value, str) else float(value)
+    try:
+        out = float(Fraction(str(value))) if isinstance(value, str) else float(value)
+    except OverflowError:
+        return None
     if not math.isfinite(out):
         return None
     return out

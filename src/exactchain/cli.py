@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``solve``, ``zeroconf``, ``crowds``,
 ``simulate``. Reports print as human-readable key/value lines by default;
 ``--json`` and ``--csv`` switch to machine formats. All numeric flags
 accept rational literals (``16/65024``) and decimal literals, which exact
-mode parses as exact decimal fractions.
+mode parses as exact decimal fractions. ``zeroconf``'s ``q`` and ``hosts``
+are two spellings of one parameter; a sweep may name only one of them.
 
 Exit codes::
 
@@ -14,7 +15,7 @@ Exit codes::
     4  model file parse failure (JSON or schema)
     5  semantic validation failure (bad rows, bad parameters)
     6  unknown state label in a query
-    7  solver failure (a float system singular after rounding)
+    7  solver failure (a linear system found singular)
 
 The default arithmetic mode is exact; set ``EXACTCHAIN_MODE=float`` or
 pass ``--float`` to switch.
@@ -24,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import analysis, crowds, modelfile, zeroconf
 from .chain import EXACT, FLOAT, RewardChain, format_scalar
@@ -40,7 +43,7 @@ from .errors import (
     SingularSystemError,
     UnknownStateError,
 )
-from .simulate import SimConfig, estimate_cost, estimate_until
+from .simulate import DEFAULT_MAX_STEPS, SimConfig, estimate_cost, estimate_until
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +54,13 @@ EXIT_QUERY = 6
 EXIT_SOLVER = 7
 
 ENV_MODE = "EXACTCHAIN_MODE"
+
+# The case studies' presets: argparse choices, the parameter resolvers and
+# simulate's ``command:preset`` model specs all read this one table.
+_PRESETS = {
+    "zeroconf": {"paper-typical": zeroconf.PAPER_TYPICAL},
+    "crowds": {"fig3": crowds.FIG3},
+}
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -86,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true", help="include wall-clock timing (breaks byte-identical reruns)")
 
     p = sub.add_parser("validate", help="validate a JSON model file")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("model")
     add_common(p)
 
     p = sub.add_parser("solve", help="until probability and verdicts on a model file")
+    p.set_defaults(handler=cmd_solve)
     p.add_argument("model")
     p.add_argument("--until", required=True, metavar="PHI=>PSI",
                    help="comma-separated label sets, or ALL")
@@ -98,47 +110,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the expected cost until PSI (needs rewards)")
     add_common(p)
 
-    p = sub.add_parser("zeroconf", help="ZeroConf address-allocation case study")
-    p.add_argument("--preset", choices=["paper-typical"],
-                   help="start from the bundled typical parameters")
-    p.add_argument("--probes", type=int, metavar="N", help="last probe index N (N+1 probes)")
-    p.add_argument("--p", type=_rational_flag, help="probe/response loss probability")
-    q = p.add_mutually_exclusive_group()
-    q.add_argument("--q", type=_rational_flag, help="address-collision probability")
-    q.add_argument("--hosts", type=int, help=f"hosts on the network; sets q = hosts/{zeroconf.ADDRESS_POOL}")
-    p.add_argument("--r", type=_rational_flag, help="probe round time in seconds")
-    p.add_argument("--E", type=_rational_flag, help="error penalty in seconds")
-    p.add_argument("--sweep", metavar="SPEC",
-                   help="grid sweep 'name=v1,v2;name=...' over probes,p,q,hosts,r,E")
-    p.add_argument("--simulate", action="store_true", help="attach Monte Carlo estimates")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--max-steps", type=_positive_int, default=10_000)
-    add_common(p)
+    def add_sampling(p, required=False):
+        p.add_argument("--seed", type=int, default=0, required=required)
+        p.add_argument("--samples", type=_positive_int, default=100_000, required=required)
+        p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
 
-    p = sub.add_parser("crowds", help="Crowds anonymity case study")
-    p.add_argument("--preset", choices=["fig3"], help="3 jondos, 1 collaborator, p_f=1/2")
-    p.add_argument("--jondos", type=int, help="crowd size J")
-    p.add_argument("--colls", type=int, help="number of collaborators (the last labels)")
-    p.add_argument("--pf", type=_rational_flag, help="forwarding probability")
-    p.add_argument("--init", metavar="FILE",
-                   help="JSON file mapping jondo labels (J1..Jn) to initiator masses")
-    p.add_argument("--sweep", metavar="SPEC",
-                   help="grid sweep 'name=v1,v2;name=...' over jondos,colls,pf")
-    p.add_argument("--simulate", action="store_true", help="attach Monte Carlo estimates")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--max-steps", type=_positive_int, default=10_000)
-    add_common(p)
+    for command, study in _CASE_STUDIES.items():
+        p = sub.add_parser(command, help=study.help)
+        p.set_defaults(handler=_cmd_case_study)
+        p.add_argument("--preset", choices=list(_PRESETS[command]), help=study.preset_help)
+        study.add_flags(p)
+        p.add_argument("--sweep", metavar="SPEC", help="grid sweep 'name=v1,v2;name=...' "
+                       f"over {','.join(study.axes)}")
+        p.add_argument("--simulate", action="store_true", help="attach Monte Carlo estimates")
+        add_sampling(p)
+        add_common(p)
 
+    presets = " / ".join(f"'{c}:{name}'" for c, names in _PRESETS.items() for name in names)
     p = sub.add_parser("simulate", help="seeded Monte Carlo estimation")
-    p.add_argument("model",
-                   help="model file path, or preset 'zeroconf:paper-typical' / 'crowds:fig3'")
+    p.set_defaults(handler=cmd_simulate)
+    p.add_argument("model", help=f"model file path, or preset {presets}")
     p.add_argument("--event", required=True, metavar="until:PHI=>PSI | cost:PHI")
     p.add_argument("--start", default="Start")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--max-steps", type=_positive_int, default=10_000)
+    add_sampling(p, required=True)
     add_common(p)
 
     return parser
@@ -163,20 +157,17 @@ def _resolve_set(spec: str, chain) -> set[str]:
     return labels
 
 
-def _split_until(spec: str) -> tuple[str, str]:
+def _until_sets(spec: str, chain) -> tuple[set[str], set[str]]:
     if "=>" not in spec:
         raise InvalidParamsError(f"--until expects 'PHI=>PSI', got {spec!r}")
     phi, _, psi = spec.partition("=>")
-    return phi.strip(), psi.strip()
+    return _resolve_set(phi.strip(), chain), _resolve_set(psi.strip(), chain)
 
 
-def _parse_sweep(spec: str, allowed: set[str]) -> list[dict]:
+def _parse_sweep(spec: str, allowed: tuple) -> list[dict]:
     """Expand 'name=v1,v2;name=...' into the grid of override dicts."""
     axes = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (part.strip() for part in spec.split(";"))):
         name, eq, values = part.partition("=")
         name = name.strip()
         if not eq or name not in allowed:
@@ -190,10 +181,7 @@ def _parse_sweep(spec: str, allowed: set[str]) -> list[dict]:
             raise InvalidParamsError(f"sweep axis {name!r} has no values")
     if not axes:
         raise InvalidParamsError("empty sweep specification")
-    grid = [{}]
-    for name, values in axes.items():
-        grid = [dict(point, **{name: v}) for point in grid for v in values]
-    return grid
+    return [dict(zip(axes, point)) for point in itertools.product(*axes.values())]
 
 
 def _echo(argv) -> str:
@@ -207,14 +195,12 @@ def _as_int(name: str, value) -> int:
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _load_chain_for(args, mode):
-    model = modelfile.load_model(args.model, mode)
-    chain = model.chain if isinstance(model, RewardChain) else model
-    return model, chain
+def _with_chain(model):
+    return model, getattr(model, "chain", model)  # reward chains and Crowds models wrap one
 
 
 def cmd_validate(args, argv, mode) -> dict:
-    model, chain = _load_chain_for(args, mode)
+    model, chain = _with_chain(modelfile.load_model(args.model, mode))
     return {
         "command": _echo(argv),
         "mode": mode,
@@ -227,10 +213,8 @@ def cmd_validate(args, argv, mode) -> dict:
 
 
 def cmd_solve(args, argv, mode) -> dict:
-    model, chain = _load_chain_for(args, mode)
-    phi_spec, psi_spec = _split_until(args.until)
-    phi = _resolve_set(phi_spec, chain)
-    psi = _resolve_set(psi_spec, chain)
+    model, chain = _with_chain(modelfile.load_model(args.model, mode))
+    phi, psi = _until_sets(args.until, chain)
     chain.index_of(args.start)
 
     prob = analysis.until_probability(chain, phi, psi, args.start)
@@ -259,109 +243,108 @@ def cmd_solve(args, argv, mode) -> dict:
     }
 
 
-def _zeroconf_params(args, overrides: dict) -> zeroconf.ZeroconfParams:
-    base = zeroconf.PAPER_TYPICAL if args.preset == "paper-typical" else None
-    fields = {
-        "probes": args.probes, "p": args.p, "q": args.q,
-        "hosts": args.hosts, "r": args.r, "E": args.E,
-    }
-    # A sweep axis replaces the corresponding flag; sweeping q or hosts
-    # also displaces the other way of fixing the collision probability.
-    if "q" in overrides:
-        fields["hosts"] = None
-    if "hosts" in overrides:
-        fields["q"] = None
-    fields.update(overrides)
-
-    n = fields["probes"] if fields["probes"] is not None else (base.N if base else None)
-    p = fields["p"] if fields["p"] is not None else (base.p if base else None)
-    if fields["hosts"] is not None:
-        q = zeroconf.hosts_to_q(_as_int("hosts", fields["hosts"]))
-    elif fields["q"] is not None:
-        q = fields["q"]
-    else:
-        q = base.q if base else None
-    r = fields["r"] if fields["r"] is not None else (base.r if base else None)
-    e = fields["E"] if fields["E"] is not None else (base.E if base else None)
-    missing = [name for name, v in (("probes", n), ("p", p), ("q|hosts", q), ("r", r), ("E", e)) if v is None]
+def _layer(kind: str, names, sources) -> dict:
+    """Each name's value from the first source that has it: sweep point, flags, preset."""
+    values = {n: next((src[n] for src in sources if src.get(n) is not None), None) for n in names}
+    missing = [name for name in names if values[name] is None]
     if missing:
-        raise InvalidParamsError(f"missing zeroconf parameters: {', '.join(missing)}")
-    return zeroconf.ZeroconfParams(_as_int("probes", n), p, q, r, e)
+        raise InvalidParamsError(f"missing {kind} parameters: {', '.join(missing)}")
+    return values
 
 
-def cmd_zeroconf(args, argv, mode) -> dict | list:
+def _zeroconf_flags(p) -> None:
+    p.add_argument("--probes", type=int, metavar="N", help="last probe index N (N+1 probes)")
+    p.add_argument("--p", type=_rational_flag, help="probe/response loss probability")
+    q = p.add_mutually_exclusive_group()
+    q.add_argument("--q", type=_rational_flag, help="address-collision probability")
+    q.add_argument("--hosts", type=_hosts_flag, dest="q", metavar="HOSTS",
+                   help=f"hosts on the network; sets q = hosts/{zeroconf.ADDRESS_POOL}")
+    p.add_argument("--r", type=_rational_flag, help="probe round time in seconds")
+    p.add_argument("--E", type=_rational_flag, help="error penalty in seconds")
+
+
+def _hosts_flag(text: str) -> Fraction:
+    return zeroconf.hosts_to_q(int(text))
+
+
+def _zeroconf_params(args, point: dict, preset) -> zeroconf.ZeroconfParams:
+    if "hosts" in point:  # the other spelling of q, as for the flags
+        if "q" in point:
+            raise InvalidParamsError("a sweep may name q or hosts, not both")
+        point = {**point, "q": zeroconf.hosts_to_q(_as_int("hosts", point["hosts"]))}
+    base = ({"probes": preset.N, "p": preset.p, "q": preset.q, "r": preset.r, "E": preset.E}
+            if preset else {})
+    v = _layer("zeroconf", ("probes", "p", "q", "r", "E"), (point, vars(args), base))
+    return zeroconf.ZeroconfParams(_as_int("probes", v["probes"]), v["p"], v["q"], v["r"], v["E"])
+
+
+def _crowds_flags(p) -> None:
+    p.add_argument("--jondos", type=int, help="crowd size J")
+    p.add_argument("--colls", type=int, help="number of collaborators (the last labels)")
+    p.add_argument("--pf", type=_rational_flag, help="forwarding probability")
+    p.add_argument("--init", metavar="FILE",
+                   help="JSON file mapping jondo labels (J1..Jn) to initiator masses")
+
+
+def _crowds_params(args, point: dict, preset) -> crowds.CrowdsParams:
+    base = {"jondos": preset.J, "colls": len(preset.colls), "pf": preset.p_f} if preset else {}
+    v = _layer("crowds", ("jondos", "colls", "pf"), (point, vars(args), base))
+    init = modelfile._read_json(args.init) if args.init else None
+    if init is not None and not isinstance(init, dict):
+        raise ModelParseError(f"init file {args.init} must hold an object")
+    return crowds.make_params(
+        _as_int("jondos", v["jondos"]), _as_int("colls", v["colls"]), v["pf"], init)
+
+
+class _CaseStudy(NamedTuple):
+    help: str
+    preset_help: str
+    add_flags: Callable  # (parser): the flags a preset or sweep point stands in for
+    axes: tuple  # the sweep axes
+    params: Callable  # (args, sweep point, preset or None) -> parameter record
+    report: Callable  # (params, mode, sim) -> report
+    model: Callable  # (preset, mode) -> the model that simulate samples
+
+
+_CASE_STUDIES = {
+    "zeroconf": _CaseStudy(
+        "ZeroConf address-allocation case study", "start from the bundled typical parameters",
+        _zeroconf_flags, ("probes", "p", "q", "hosts", "r", "E"),
+        _zeroconf_params, zeroconf.zeroconf_report, zeroconf.build_zeroconf,
+    ),
+    "crowds": _CaseStudy(
+        "Crowds anonymity case study", "3 jondos, 1 collaborator, p_f=1/2",
+        _crowds_flags, ("jondos", "colls", "pf"),
+        _crowds_params, crowds.crowds_report, crowds.build_crowds,
+    ),
+}
+
+
+def _cmd_case_study(args, argv, mode) -> dict | list:
+    study = _CASE_STUDIES[args.command]
+    preset = _PRESETS[args.command].get(args.preset)
     sim = SimConfig(args.seed, args.samples, args.max_steps) if args.simulate else None
     if args.sweep:
-        grid = _parse_sweep(args.sweep, {"probes", "p", "q", "hosts", "r", "E"})
-        reports = []
-        for overrides in grid:
-            params = _zeroconf_params(args, overrides)
-            reports.append(zeroconf.zeroconf_report(params, mode, sim))
-        return reports
-    report = zeroconf.zeroconf_report(_zeroconf_params(args, {}), mode, sim)
+        grid = _parse_sweep(args.sweep, study.axes)
+        return [study.report(study.params(args, point, preset), mode, sim) for point in grid]
+    report = study.report(study.params(args, {}, preset), mode, sim)
     report["command"] = _echo(argv)
     return report
-
-
-def _crowds_params(args, overrides: dict) -> crowds.CrowdsParams:
-    base = crowds.FIG3 if args.preset == "fig3" else None
-    n = overrides.get("jondos", args.jondos)
-    c = overrides.get("colls", args.colls)
-    pf = overrides.get("pf", args.pf)
-    if n is None and base is not None:
-        n = base.J
-    if c is None and base is not None:
-        c = len(base.colls)
-    if pf is None and base is not None:
-        pf = base.p_f
-    missing = [name for name, v in (("jondos", n), ("colls", c), ("pf", pf)) if v is None]
-    if missing:
-        raise InvalidParamsError(f"missing crowds parameters: {', '.join(missing)}")
-    init = None
-    if args.init:
-        try:
-            with open(args.init) as fh:
-                init = json.load(fh, parse_float=Fraction)
-            if not isinstance(init, dict):
-                raise ModelParseError(f"init file {args.init} must hold an object")
-        except OSError as exc:
-            raise ModelIOError(f"cannot read {args.init}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelParseError(f"bad init file {args.init}: {exc}") from exc
-    return crowds.make_params(_as_int("jondos", n), _as_int("colls", c), pf, init)
-
-
-def cmd_crowds(args, argv, mode) -> dict | list:
-    sim = SimConfig(args.seed, args.samples, args.max_steps) if args.simulate else None
-    if args.sweep:
-        grid = _parse_sweep(args.sweep, {"jondos", "colls", "pf"})
-        return [
-            crowds.crowds_report(_crowds_params(args, o), mode, sim) for o in grid
-        ]
-    report = crowds.crowds_report(_crowds_params(args, {}), mode, sim)
-    report["command"] = _echo(argv)
-    return report
-
-
-def _simulation_model(spec: str, mode: str):
-    if spec == "zeroconf:paper-typical":
-        return zeroconf.build_zeroconf(zeroconf.PAPER_TYPICAL, mode)
-    if spec == "crowds:fig3":
-        return crowds.build_crowds(crowds.FIG3, mode).chain
-    return modelfile.load_model(spec, mode)
 
 
 def cmd_simulate(args, argv, mode) -> dict:
-    model = _simulation_model(args.model, mode)
-    chain = model.chain if isinstance(model, RewardChain) else model
+    command, _, name = args.model.partition(":")
+    preset = _PRESETS.get(command, {}).get(name)
+    if preset is None:
+        model, chain = _with_chain(modelfile.load_model(args.model, mode))
+    else:
+        model, chain = _with_chain(_CASE_STUDIES[command].model(preset, mode))
     chain.index_of(args.start)
     cfg = SimConfig(args.seed, args.samples, args.max_steps)
 
     kind, _, spec = args.event.partition(":")
     if kind == "until":
-        phi_spec, psi_spec = _split_until(spec)
-        phi = _resolve_set(phi_spec, chain)
-        psi = _resolve_set(psi_spec, chain)
+        phi, psi = _until_sets(spec, chain)
         est = estimate_until(chain, phi, psi, args.start, cfg)
         name = "until_probability"
     elif kind == "cost":
@@ -498,20 +481,12 @@ _ERROR_EXITS = (
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
-    handlers = {
-        "validate": cmd_validate,
-        "solve": cmd_solve,
-        "zeroconf": cmd_zeroconf,
-        "crowds": cmd_crowds,
-        "simulate": cmd_simulate,
-    }
     started = time.perf_counter()
     try:
         mode = _resolve_mode(args)
-        report = handlers[args.command](args, argv, mode)
+        report = args.handler(args, argv, mode)
     except ExactchainError as exc:
         for err_type, code, label in _ERROR_EXITS:
             if isinstance(exc, err_type):

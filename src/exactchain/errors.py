@@ -49,10 +49,9 @@ class NegativeCostError(ExactchainError):
 class SingularSystemError(ExactchainError):
     """A linear system that should be uniquely solvable was singular.
 
-    The graph criteria only hand nonsingular systems to the solver, so in
-    exact mode this indicates an internal error. In float mode rounding can
-    still make such a system singular on a valid chain (a self-loop of
-    ``1 - 1e-17`` becomes ``1.0``); either way it is not a user mistake.
+    The graph criteria only hand nonsingular systems to the solver, and
+    float mode builds their pivots without subtraction, so this indicates
+    an internal error rather than a user mistake.
     """
 
 

@@ -27,19 +27,18 @@ from .errors import ModelIOError, ModelParseError
 _TOP_KEYS = {"states", "transitions", "rewards"}
 
 
-def _parse_value(raw, mode: str, where: str):
+def _parse_value(raw, where: str):
     if isinstance(raw, str):
         try:
-            value = Fraction(raw)
+            return Fraction(raw)  # converted to the chain's arithmetic on validation
         except (ValueError, ZeroDivisionError):
             raise ModelParseError(f"{where}: cannot parse number {raw!r}") from None
-        return value if mode == EXACT else float(value)
     if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction)):
         raise ModelParseError(f"{where}: expected a number or string, got {raw!r}")
     return raw
 
 
-def _parse_edges(obj, key: str, value_key: str, mode: str):
+def _parse_edges(obj, key: str, value_key: str):
     edges = {}
     entries = obj.get(key, [])
     if not isinstance(entries, list):
@@ -55,7 +54,7 @@ def _parse_edges(obj, key: str, value_key: str, mode: str):
             raise ModelParseError(f"{where}: 'from' and 'to' must be state names")
         if (frm, to) in edges:
             raise ModelParseError(f"{where}: duplicate edge {frm!r} -> {to!r}")
-        edges[(frm, to)] = _parse_value(entry[value_key], mode, where)
+        edges[(frm, to)] = _parse_value(entry[value_key], where)
     return edges
 
 
@@ -74,20 +73,36 @@ def parse_model(obj: dict, mode: str = EXACT) -> MarkovChain | RewardChain:
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ModelParseError("'states' must be a list of state names")
 
-    trans = _parse_edges(obj, "transitions", "prob", mode)
+    trans = _parse_edges(obj, "transitions", "prob")
     chain = validate_chain(states, trans, mode)
     if "rewards" not in obj:
         return chain
-    return validate_reward(chain, _parse_edges(obj, "rewards", "cost", mode))
+    return validate_reward(chain, _parse_edges(obj, "rewards", "cost"))
+
+
+def _reject_constant(name):
+    raise ModelParseError(f"invalid JSON: non-finite number {name}")
+
+
+def _decode(text: str, mode: str = EXACT):
+    """Decode JSON, numbers in ``mode``'s arithmetic; ``NaN`` and ``Infinity`` are errors."""
+    parse_number = Fraction if mode == EXACT else float
+    try:
+        return json.loads(text, parse_float=parse_number, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ModelParseError(f"invalid JSON: {exc}") from exc
+
+
+def _read_json(path, mode: str = EXACT):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ModelIOError(f"cannot read {path}: {exc}") from exc
+    return _decode(text, mode)
 
 
 def loads_model(text: str, mode: str = EXACT) -> MarkovChain | RewardChain:
-    parse_number = Fraction if mode == EXACT else float
-    try:
-        obj = json.loads(text, parse_float=parse_number)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"invalid JSON: {exc}") from exc
-    return parse_model(obj, mode)
+    return parse_model(_decode(text, mode), mode)
 
 
 def load_model(path, mode: str = EXACT) -> MarkovChain | RewardChain:
@@ -97,11 +112,7 @@ def load_model(path, mode: str = EXACT) -> MarkovChain | RewardChain:
     :class:`ModelParseError` for JSON/schema problems, and the chain
     validation errors for semantic ones.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelIOError(f"cannot read {path}: {exc}") from exc
-    return loads_model(text, mode)
+    return parse_model(_read_json(path, mode), mode)
 
 
 def model_to_dict(model: MarkovChain | RewardChain) -> dict:

@@ -20,20 +20,46 @@ def random_chain(rng: random.Random, n_states: int, max_out: int = 3):
     return validate_chain(states, trans)
 
 
-def random_reward(rng: random.Random, n_states: int, mode: str = EXACT):
-    """A random reward chain: a :func:`random_chain` with small costs on most edges."""
-    chain = random_chain(rng, n_states)
+def near_one_chain(rng: random.Random, n_states: int):
+    """A random exact-mode chain where most states keep a self-loop ``1 - 10**-k``, k <= 17.
+
+    The rest of each row, ``10**-k`` or all of it, is split over up to three
+    random successors; in float mode such a self-loop rounds to ``1.0``.
+    """
+    states = [f"s{i}" for i in range(n_states)]
+    trans = {}
+    for s in states:
+        leave = Fraction(1)
+        if rng.random() < 0.7:
+            leave = Fraction(1, 10 ** rng.randint(1, 17))
+            trans[(s, s)] = 1 - leave
+        targets = rng.sample(states, rng.randint(1, min(3, n_states)))
+        weights = [rng.randint(1, 9) for _ in targets]
+        for t, w in zip(targets, weights):
+            trans[(s, t)] = trans.get((s, t), 0) + leave * Fraction(w, sum(weights))
+    return validate_chain(states, trans)
+
+
+def random_reward(rng: random.Random, n_states: int, mode: str = EXACT, chain=None):
+    """A random reward chain: small costs on most edges of ``chain``, else of a :func:`random_chain`."""
+    if chain is None:
+        chain = random_chain(rng, n_states)
     cost = {
         (u, v): Fraction(rng.randint(0, 9), rng.randint(1, 9))
         for u, v, _ in chain.edges()
         if rng.random() < 0.8
     }
-    if mode == FLOAT:
-        chain = validate_chain(
-            chain.states, {(u, v): float(p) for u, v, p in chain.edges()}, FLOAT
-        )
-        cost = {edge: float(c) for edge, c in cost.items()}
-    return validate_reward(chain, cost)
+    return as_mode(validate_reward(chain, cost), mode)
+
+
+def as_mode(rchain, mode: str):
+    """The same reward chain with its numbers in ``mode``'s arithmetic."""
+    if mode == EXACT:
+        return rchain
+    chain = validate_chain(
+        rchain.states, {(u, v): float(p) for u, v, p in rchain.chain.edges()}, FLOAT
+    )
+    return validate_reward(chain, {(u, v): float(c) for u, v, c in rchain.cost_edges()})
 
 
 def random_query(rng: random.Random, chain):

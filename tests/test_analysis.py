@@ -27,7 +27,9 @@ from exactchain.errors import (
     UnknownStateError,
 )
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
-from _support import random_chain, random_query, random_reward, truncated_until_mass
+from _support import (
+    as_mode, near_one_chain, random_chain, random_query, random_reward, truncated_until_mass,
+)
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
@@ -208,6 +210,30 @@ def test_float_mode_tracks_exact():
         exact = until_probability(chain, phi, psi, start)
         approx = until_probability(fchain, phi, psi, start)
         assert approx == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 6))
+def test_float_mode_solves_near_one_self_loops(seed, n_states):
+    # Self-loops 1 - 10**-k round to 1.0 in float mode; the exit-mass
+    # diagonal still solves, with the exact verdicts and values.
+    rng = random.Random(seed)
+    exact = random_reward(rng, n_states, chain=near_one_chain(rng, n_states))
+    approx = as_mode(exact, FLOAT)
+    phi, psi, _ = random_query(rng, exact.chain)
+    want = until_probabilities(exact.chain, phi, psi)
+    got = until_probabilities(approx.chain, phi, psi)
+    for s in exact.states:
+        assert abs(got[s] - want[s]) <= 1e-9
+        assert (expected_hitting_time(approx.chain, psi, s) == INFINITY) == (
+            expected_hitting_time(exact.chain, psi, s) == INFINITY)
+        assert (expected_cost_until(approx, psi, s) == INFINITY) == (
+            expected_cost_until(exact, psi, s) == INFINITY)
+        first = first_entry_distribution(exact.chain, psi, s)
+        ffirst = first_entry_distribution(approx.chain, psi, s)
+        assert ffirst.mass.keys() == first.mass.keys()
+        for t, m in first.mass.items():
+            assert abs(ffirst.mass[t] - m) <= 1e-9
 
 
 # -------------------------------------------------------------- hitting time

@@ -1,12 +1,16 @@
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from exactchain import cli
+from exactchain import cli, linalg
+from exactchain.errors import SingularSystemError
 from exactchain.modelfile import save_model
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
 
@@ -146,10 +150,47 @@ def test_solve_float_singular_system_exit_code(capsys, tmp_path):
     }))
     report = run_json(capsys, "solve", str(path), "--until", "ALL=>goal", "--start", "a")
     assert report["results"][0]["value"] == "1"
-    code, _, err = run(capsys, "solve", str(path), "--float",
-                       "--until", "ALL=>goal", "--start", "a")
-    assert code == cli.EXIT_SOLVER
+    # The exit-mass diagonal keeps the pivot at 1e-17 instead of 1 - 1.0.
+    report = run_json(capsys, "solve", str(path), "--float",
+                      "--until", "ALL=>goal", "--start", "a")
+    assert report["results"][0]["value"] == "1.0"
+
+
+def test_solver_failure_exit_code(capsys, small_model, monkeypatch):
+    def singular(a, b, mode):
+        raise SingularSystemError("Singular matrix")
+
+    monkeypatch.setattr(linalg, "solve", singular)
+    code, out, err = run(capsys, "solve", small_model, "--float",
+                         "--until", "ALL=>Error", "--start", "Start")
+    assert code == cli.EXIT_SOLVER and out == ""
     assert err.startswith("error: solver failure:")
+
+
+LOOP_MODEL = '{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": %s}]}'
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    # JSON's non-standard constants are parse errors in both modes.
+    (["validate", "FILE", "--exact"], LOOP_MODEL % "NaN", cli.EXIT_PARSE),
+    (["validate", "FILE", "--float"], LOOP_MODEL % "NaN", cli.EXIT_PARSE),
+    (["validate", "FILE", "--exact"], LOOP_MODEL % "Infinity", cli.EXIT_PARSE),
+    (["validate", "FILE", "--float"], LOOP_MODEL % "-Infinity", cli.EXIT_PARSE),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": NaN, "J2": 0.5}', cli.EXIT_PARSE),
+    # Numbers that overflow a float are invalid values, however they are written.
+    (["validate", "FILE", "--float"], LOOP_MODEL % "1e400", cli.EXIT_MODEL),
+    (["validate", "FILE", "--float"], LOOP_MODEL % '"1e400"', cli.EXIT_MODEL),
+    (["validate", "FILE", "--float"], LOOP_MODEL % ("1" + "0" * 400), cli.EXIT_MODEL),
+    (["zeroconf", "--preset", "paper-typical", "--E", "1e400", "--float"], None, cli.EXIT_MODEL),
+], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
+        "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400"])
+def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    got, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
 
 
 # ------------------------------------------------------------------ zeroconf
@@ -262,6 +303,30 @@ def test_crowds_sweep(capsys):
                        "--sweep", "pf=1/4,1/2,3/4")
     assert isinstance(reports, list) and len(reports) == 3
     assert [r["params"]["p_f"] for r in reports] == ["1/4", "1/2", "3/4"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    # A sweep axis replaces the flag; q and hosts are one axis, spelled two ways.
+    (["zeroconf", "--preset", "paper-typical", "--hosts", "10", "--sweep", "q=1/2"],
+     {"q": "1/2"}),
+    (["zeroconf", "--preset", "paper-typical", "--q", "1/2", "--sweep", "hosts=10"],
+     {"q": "5/32512"}),
+    (["zeroconf", "--preset", "paper-typical", "--hosts", "10"], {"q": "5/32512"}),
+    (["crowds", "--preset", "fig3", "--colls", "2", "--sweep", "jondos=5"],
+     {"J": 5, "H": 3, "p_f": "1/2"}),
+    (["zeroconf", "--preset", "paper-typical", "--sweep", "q=1/2;hosts=10"], cli.EXIT_MODEL),
+])
+def test_case_study_parameter_resolution(capsys, argv, want):
+    code, out, err = run(capsys, *argv, "--json")
+    if isinstance(want, int):
+        assert code == want and out == ""
+        assert err.startswith("error: invalid parameters:")
+        return
+    assert code == 0, err
+    reports = json.loads(out)
+    for report in reports if isinstance(reports, list) else [reports]:
+        seen = {**report["params"], **report}
+        assert {key: seen[key] for key in want} == want
 
 
 # ------------------------------------------------------------------ simulate
@@ -380,3 +445,23 @@ def test_rational_values_round_trip(capsys):
 def test_timing_flag_adds_field(capsys, small_model):
     report = run_json(capsys, "validate", small_model, "--timing")
     assert "elapsed_seconds" in report
+
+
+def _readme_commands():
+    """The ``exactchain`` lines of the sh block under "## Command line" in README.md."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("exactchain ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[f"example{i}" for i in range(len(README_COMMANDS))])
+def test_readme_command_examples(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out

@@ -47,6 +47,9 @@ def test_parameter_validation():
     with pytest.raises(InvalidParamsError):
         CrowdsParams(("a", "b", "c"), frozenset({"c"}),
                      F(1, 2), {"a": F(1, 2), "b": F(1, 3)})
+    for mass in (math.nan, math.inf):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            CrowdsParams(("a", "b", "c"), frozenset({"c"}), 0.5, {"a": mass, "b": 0.5})
 
 
 def test_fig3_preset_and_derived_counts():

@@ -47,6 +47,8 @@ def test_singular_system_raises():
     a = [[F(1), F(2)], [F(2), F(4)]]
     with pytest.raises(SingularSystemError):
         solve_exact(a, [[F(1)], [F(1)]])
+    with pytest.raises(SingularSystemError):
+        solve_float([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]])
 
 
 def test_float_solver_matches_exact():

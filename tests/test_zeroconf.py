@@ -38,6 +38,8 @@ def test_parameter_validation():
         ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=-1, E=0)
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=1, p="nonsense", q=F(1, 2), r=0, E=0)
+    with pytest.raises(InvalidParamsError, match="finite"):
+        ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=0, E=float("inf"))
 
 
 def test_paper_typical_preset():
