@@ -32,7 +32,7 @@ from .errors import (
 EXACT = "exact"
 FLOAT = "float"
 
-#: Absolute tolerance on float-mode row sums.
+#: Absolute tolerance on float sums that must be one.
 ROW_SUM_TOL = 1e-9
 
 
@@ -83,6 +83,13 @@ def _with_mode(params, mode):
         except OverflowError:
             raise InvalidParamsError(f"parameter {f.name} overflows a float") from None
     return dataclasses.replace(params, **changes)  # re-runs the record's validation
+
+
+def _sums_to_one(total) -> bool:
+    """Exactly 1 for a rational sum (no float term), within ``ROW_SUM_TOL`` for a float one."""
+    if isinstance(total, float):
+        return abs(total - 1.0) <= ROW_SUM_TOL
+    return total == 1
 
 
 def _triple(closed, solver):
@@ -288,10 +295,7 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
 
     for i, s in enumerate(state_list):
         total = sum(rows[i].values())
-        if mode == EXACT:
-            if total != 1:
-                raise RowSumNotOneError(s, total)
-        elif abs(total - 1.0) > ROW_SUM_TOL:
+        if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
 
     return MarkovChain(state_list, rows, mode)

@@ -25,7 +25,8 @@ from types import MappingProxyType
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
+    EXACT, MarkovChain, _coerce_param, _sums_to_one, _triple, _with_mode, format_scalar,
+    validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError
 from .simulate import SimConfig, estimate_joint_first_last
@@ -87,8 +88,7 @@ class CrowdsParams:
             if v > 0 and j in self.colls:
                 raise InvalidParamsError(f"collaborator {j!r} cannot initiate")
         total = sum(init.values())
-        exact = not any(isinstance(v, float) for v in init.values())
-        if (exact and total != 1) or (not exact and abs(total - 1.0) > 1e-9):
+        if not _sums_to_one(total):
             raise InvalidParamsError(f"init sums to {total}, expected 1")
         init = {j: init.get(j, 0) for j in honest}
         object.__setattr__(self, "init", MappingProxyType(init))

@@ -11,26 +11,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .chain import _sums_to_one
 from .errors import InvalidDistributionError
-
-_SUM_TOL = 1e-9
 
 
 def _check_masses(values, what: str):
     total = 0
-    exact = True
     for v in values:
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                raise InvalidDistributionError(f"{what} has non-finite mass {v!r}")
-            exact = False
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InvalidDistributionError(f"{what} has non-finite mass {v!r}")
         if v < 0:
             raise InvalidDistributionError(f"{what} has negative mass {v}")
         total = total + v
-    if exact:
-        if total != 1:
-            raise InvalidDistributionError(f"{what} sums to {total}, expected 1")
-    elif abs(total - 1.0) > _SUM_TOL:
+    if not _sums_to_one(total):
         raise InvalidDistributionError(f"{what} sums to {total}, expected 1")
 
 

@@ -9,22 +9,23 @@ draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
 and :func:`sample_path` reject ``max_steps > 2**20 + 1``).
 
 Sampling always runs in 64-bit floats, also for exact-mode chains: rows
-are converted once and successors are drawn by inverse CDF over the
-index-sorted sparse row. :class:`PathRng` and :func:`sample_path` are the
-scalar reference; the estimators walk paths in blocks that replay exactly
-their per-path streams and successors. Exactness lives in the analysis
-module; the simulator only corroborates it.
+are converted once into one flat per-edge table, and successors are drawn
+by inverse CDF over the index-sorted row. :class:`PathRng` and
+:func:`sample_path` are the scalar reference; the estimators walk paths
+in blocks that replay exactly their per-path streams and successors.
+Exactness lives in the analysis module; the simulator only corroborates it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import analysis
-from .chain import MarkovChain, RewardChain
+from .chain import FLOAT, MarkovChain, RewardChain, _coerce
 from .errors import InvalidParamsError
 
 _MASK64 = (1 << 64) - 1
@@ -130,26 +131,27 @@ class JointCounts:
 
 
 class ChainSampler:
-    """Float row tables of one chain, reusable across many sampled paths."""
+    """Float successor table of one chain in flat per-edge (CSR) layout.
+
+    Row ``i`` is ``ptr[i]:ptr[i + 1]`` of ``succ`` (its sorted successor
+    indices) and of ``cum`` (their running sums, the last forced to 1.0).
+    """
 
     def __init__(self, chain: MarkovChain):
         self.chain = chain
-        self.cum = []
+        self.ptr = [0]
         self.succ = []
+        self.cum = []
         for i in range(len(chain.states)):
             row = chain.row_by_index(i)
-            succ = tuple(sorted(row))
-            acc = 0.0
-            cum = []
-            for j in succ:
-                acc += float(row[j])
-                cum.append(acc)
-            cum[-1] = 1.0  # guard against float row sums just below 1
-            self.cum.append(tuple(cum))
-            self.succ.append(succ)
+            succ = sorted(row)
+            self.succ += succ
+            self.cum += accumulate(float(row[j]) for j in succ)
+            self.cum[-1] = 1.0  # guard against float row sums just below 1
+            self.ptr.append(len(self.succ))
 
     def step_index(self, i: int, u: float) -> int:
-        return self.succ[i][bisect_right(self.cum[i], u)]
+        return self.succ[bisect_right(self.cum, u, self.ptr[i], self.ptr[i + 1])]
 
 
 def sample_path(
@@ -188,26 +190,31 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     """Walk paths ``0 .. cfg.samples - 1`` from ``start``, ``_BLOCK`` at a time.
 
     Path ``k`` replays ``sample_path`` on ``PathRng(cfg.seed, k)`` with the
-    index set ``stop`` and ``cfg.max_steps``. The successor column is the
-    count of cumulative row entries ``<= u`` (``bisect_right``), searched
-    in rows padded with ``+inf`` to a power-of-two width.
+    index set ``stop`` and ``cfg.max_steps``, on the same flat table: the
+    successor is ``bisect_right`` of ``u`` in its row, found by log2(width)
+    halvings (``width``: the widest row rounded up to a power of two) whose
+    probes past the row's end read its last entry, 1.0 > u, like ``+inf``.
 
     Yields per block, in path order: end states, states entered by the
     first step and left by the last (the start if no step was taken), and
     transition costs under the reward chain ``cost`` summed in step order.
+    A cost that overflows a float raises :class:`InvalidParamsError`.
     """
     sampler = ChainSampler(chain)
     n = len(chain.states)
-    width = 1 << (max(map(len, sampler.succ)) - 1).bit_length()
-    cum = np.full((n, width), np.inf)
-    succ = np.zeros((n, width), dtype=np.intp)
-    price = np.zeros((n, width))
-    for i, row in enumerate(sampler.succ):
-        cum[i, : len(row)] = sampler.cum[i]
-        succ[i, : len(row)] = row
-        if cost is not None:
-            costs = cost.cost_row_by_index(i)
-            price[i, : len(row)] = [float(costs.get(j, 0)) for j in row]
+    ptr = np.array(sampler.ptr)
+    width = 1 << (max(np.diff(ptr).tolist()) - 1).bit_length()
+    cum = np.array(sampler.cum)
+    succ = np.array(sampler.succ, dtype=np.intp)
+    price = []
+    for i in range(n if cost is not None else 0):
+        costs = cost.cost_row_by_index(i)
+        for j in sampler.succ[sampler.ptr[i] : sampler.ptr[i + 1]]:
+            price.append(_coerce(costs.get(j, 0), FLOAT))
+            if price[-1] is None:
+                edge = f"{chain.states[i]!r} -> {chain.states[j]!r}"
+                raise InvalidParamsError(f"cost {edge} overflows a float")
+    price = np.array(price)
     stopped = np.zeros(n, dtype=bool)
     stopped[list(stop)] = True
     s0 = chain.index_of(start)
@@ -228,15 +235,15 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
             z = (z ^ (z >> 27)) * _MIX2
             u = ((z ^ (z >> 31)) >> 11) * _UNIT
             i = end[live]
-            col, half = np.zeros(live.size, dtype=np.intp), width
+            pos, row_last, half = ptr[i], ptr[i + 1] - 1, width
             while half := half >> 1:
-                col += half * (cum[i, col + half - 1] <= u)
-            end[live] = succ[i, col]
+                pos += half * (cum[np.minimum(pos + half - 1, row_last)] <= u)
+            end[live] = succ[pos]
             last[live] = i
             if steps == 1:
                 first[live] = end[live]
             if cost is not None:
-                acc[live] += price[i, col]
+                acc[live] += price[pos]
         yield end, first, last, acc
 
 
@@ -277,8 +284,7 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     outside = set(range(len(chain.states))) - phi_idx
     stop = phi_idx | analysis._prob01(chain, outside, phi_idx)[0]
 
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     decided = 0
     for end, _, _, acc in _walks(chain, start, cfg, stop, rchain):
         # Path-index order, as a path-by-path reference sum would add them.
@@ -291,12 +297,8 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     if decided == 0:
         return Estimate(0.0, 0.0, cfg.samples, censored)
     mean = total / decided
-    if decided > 1:
-        var = max(0.0, (total_sq - decided * mean * mean) / (decided - 1))
-        stderr = (var / decided) ** 0.5
-    else:
-        stderr = 0.0
-    return Estimate(mean, stderr, cfg.samples, censored)
+    var = max(0.0, (total_sq - decided * mean * mean) / (decided - 1)) if decided > 1 else 0.0
+    return Estimate(mean, (var / decided) ** 0.5, cfg.samples, censored)
 
 
 def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
@@ -315,7 +317,6 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
     jondo = [model.jondo_of(label) for label in chain.states]
 
     counts: dict = {}
-    hits = 0
     censored = cfg.samples
     for end, first, last, _ in _walks(chain, model.START, cfg, coll_mix | {end_idx}):
         hit = np.isin(end, list(coll_mix))
@@ -323,6 +324,5 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
         for f, l in zip(first[hit].tolist(), last[hit].tolist()):
             key = (jondo[f], jondo[l])
             counts[key] = counts.get(key, 0) + 1
-            hits += 1
 
-    return JointCounts(counts, hits, cfg.samples, censored)
+    return JointCounts(counts, sum(counts.values()), cfg.samples, censored)

@@ -168,6 +168,11 @@ def test_solver_failure_exit_code(capsys, small_model, monkeypatch):
 
 
 LOOP_MODEL = '{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": %s}]}'
+COST_MODEL = json.dumps({
+    "states": ["a", "b"],
+    "transitions": [{"from": "a", "to": "b", "prob": 1}, {"from": "b", "to": "b", "prob": 1}],
+    "rewards": [{"from": "a", "to": "b", "cost": "1e400"}],
+})
 
 
 @pytest.mark.parametrize("argv, text, code", [
@@ -182,8 +187,14 @@ LOOP_MODEL = '{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob":
     (["validate", "FILE", "--float"], LOOP_MODEL % '"1e400"', cli.EXIT_MODEL),
     (["validate", "FILE", "--float"], LOOP_MODEL % ("1" + "0" * 400), cli.EXIT_MODEL),
     (["zeroconf", "--preset", "paper-typical", "--E", "1e400", "--float"], None, cli.EXIT_MODEL),
+    # Exact costs are sampled as floats, so the sampler rejects one that overflows.
+    (["zeroconf", "--preset", "paper-typical", "--E", "1e400", "--simulate", "--samples", "1000"],
+     None, cli.EXIT_MODEL),
+    (["simulate", "FILE", "--event", "cost:b", "--start", "a", "--seed", "1", "--samples", "10"],
+     COST_MODEL, cli.EXIT_MODEL),
 ], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
-        "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400"])
+        "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400",
+        "zeroconf-E-1e400-simulate", "simulate-cost-1e400"])
 def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     path = tmp_path / "input.json"
     if text is not None:

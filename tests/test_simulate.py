@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,7 @@ from exactchain.simulate import (
 )
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 
-from _support import random_query, random_reward
+from _support import random_chain, random_query, random_reward
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
@@ -35,6 +37,11 @@ SAMPLES = st.sampled_from([1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 MAX_STEPS = st.sampled_from([1, 2, 3, 10, 100])
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -5]), st.integers(-2**70, 2**70))
 MODES = st.sampled_from([EXACT, FLOAT])
+# (states, most successors per row): narrow rows, or rows that may reach
+# every state of up to 30, so the walker's search runs 1 to 5 halvings over
+# rows of every length, powers of two or not.
+SHAPES = st.one_of(st.tuples(st.integers(2, 6), st.just(3)),
+                   st.integers(7, 30).map(lambda n: (n, n)))
 
 
 def chain_of(spec):
@@ -186,22 +193,27 @@ def _reference_paths(chain, start, cfg, stop):
 
 
 @settings(max_examples=40, deadline=None)
-@given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 6), mode=MODES,
+@given(chain_seed=st.integers(0, 2**32 - 1), shape=SHAPES, mode=MODES,
        seed=SEEDS, samples=SAMPLES, max_steps=MAX_STEPS, start_in_psi=st.booleans())
-@example(chain_seed=1, n_states=4, mode=EXACT, seed=2**64 - 1, samples=1,
+@example(chain_seed=1, shape=(4, 3), mode=EXACT, seed=2**64 - 1, samples=1,
          max_steps=1, start_in_psi=False)
-@example(chain_seed=2, n_states=5, mode=FLOAT, seed=-5, samples=_BLOCK - 1,
+@example(chain_seed=2, shape=(5, 3), mode=FLOAT, seed=-5, samples=_BLOCK - 1,
          max_steps=2, start_in_psi=False)
-@example(chain_seed=3, n_states=6, mode=EXACT, seed=-5, samples=_BLOCK,
+@example(chain_seed=3, shape=(6, 3), mode=EXACT, seed=-5, samples=_BLOCK,
          max_steps=3, start_in_psi=True)
-@example(chain_seed=4, n_states=3, mode=FLOAT, seed=2**64 - 1, samples=_BLOCK + 1,
+@example(chain_seed=4, shape=(3, 3), mode=FLOAT, seed=2**64 - 1, samples=_BLOCK + 1,
          max_steps=10, start_in_psi=False)
-def test_estimator_walk_matches_sample_path(chain_seed, n_states, mode, seed, samples,
+@example(chain_seed=5, shape=(30, 30), mode=FLOAT, seed=7, samples=_BLOCK + 1,
+         max_steps=100, start_in_psi=False)
+@example(chain_seed=6, shape=(23, 23), mode=EXACT, seed=-5, samples=_BLOCK - 1,
+         max_steps=10, start_in_psi=False)
+def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, samples,
                                             max_steps, start_in_psi):
     # The block walker behind the estimators must replay exactly the draws
     # and successors that sample_path takes for each (seed, path index).
     rng = random.Random(chain_seed)
-    rchain = random_reward(rng, n_states, mode)
+    n_states, max_out = shape
+    rchain = random_reward(rng, n_states, mode, random_chain(rng, n_states, max_out))
     chain = rchain.chain
     phi, psi, start = random_query(rng, chain)
     if start_in_psi:
@@ -240,6 +252,47 @@ def test_estimator_walk_matches_sample_path(chain_seed, n_states, mode, seed, sa
     else:
         want = Estimate(0.0, 0.0, samples, samples)
     assert estimate_cost(rchain, psi, start, cfg) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 40), mode=MODES)
+@example(chain_seed=0, n_states=40, mode=FLOAT)
+def test_step_index_matches_row_bisect(chain_seed, n_states, mode):
+    # Pins the shared successor table itself, which both samplers read: each
+    # row's own sorted successors and running float sums, the last set to 1.0.
+    rng = random.Random(chain_seed)
+    chain = random_reward(rng, n_states, mode, random_chain(rng, n_states, n_states)).chain
+    sampler = ChainSampler(chain)
+    for i in range(n_states):
+        row = chain.row_by_index(i)
+        succ = sorted(row)
+        cum, acc = [], 0.0
+        for j in succ:
+            acc += float(row[j])
+            cum.append(acc)
+        cum[-1] = 1.0
+        draws = {0.0, 1 - 2**-53}
+        for c in cum:
+            draws |= {c, math.nextafter(c, 0), math.nextafter(c, 1)}
+        for u in sorted(d for d in draws if 0 <= d < 1):
+            assert sampler.step_index(i, u) == succ[bisect_right(cum, u)], (i, u)
+
+
+def test_walker_tables_hold_one_entry_per_edge():
+    # One 1000-successor row that no path from "a" visits must not widen
+    # the walker's tables for every other row.
+    trans = {(f"s{i}", "goal"): F(1) for i in range(1000)}
+    trans.update({("hub", f"s{i}"): F(1, 1000) for i in range(1000)})
+    trans.update({("a", "a"): F(1, 2), ("a", "goal"): F(1, 4), ("a", "trap"): F(1, 4),
+                  ("goal", "goal"): F(1), ("trap", "trap"): F(1)})
+    chain = chain_of(trans)
+    tracemalloc.start()
+    try:
+        estimate_until(chain, set(chain.states), {"goal"}, "a", SimConfig(1, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @settings(max_examples=20, deadline=None)
