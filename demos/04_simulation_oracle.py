@@ -11,12 +11,7 @@ from fractions import Fraction as F
 from exactchain import PathRng, SimConfig, sample_path
 from exactchain.analysis import expected_cost_until, until_probability
 from exactchain.crowds import FIG3, build_crowds, joint_first_last, path_shape_error
-from exactchain.simulate import (
-    ChainSampler,
-    estimate_cost,
-    estimate_joint_first_last,
-    estimate_until,
-)
+from exactchain.simulate import estimate_cost, estimate_joint_first_last, estimate_until
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 
 params = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
@@ -24,9 +19,8 @@ rchain = build_zeroconf(params)
 chain = rchain.chain
 
 print("A few sampled allocation runs (seed 42):")
-sampler = ChainSampler(chain)
 for i in range(4):
-    path = sample_path(chain, "Start", PathRng(42, i), max_steps=12, sampler=sampler)
+    path = sample_path(chain, "Start", PathRng(42, i), max_steps=12)
     print(f"  path {i}: {' -> '.join(path.states)}")
 
 exact = until_probability(chain, chain.states, {"Error"}, "Start")
@@ -53,14 +47,11 @@ for (i, l), n in sorted(counts.counts.items()):
     cell = float(joint_first_last(FIG3, i, l))
     print(f"  ({i}, {l}): {n/counts.hits:.5f} observed vs {cell:.5f} exact")
 
-crowd_sampler = ChainSampler(model.chain)
 bad = sum(
     1
     for i in range(5_000)
     if path_shape_error(
-        model,
-        sample_path(model.chain, "Start", PathRng(7, i), max_steps=64,
-                    sampler=crowd_sampler).states,
+        model, sample_path(model.chain, "Start", PathRng(7, i), max_steps=64).states
     )
 )
 print(f"\nRoute shape violations in 5000 sampled paths: {bad}")

@@ -50,18 +50,12 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class EdgeDistribution:
+class EdgeDistribution(Distribution):
     """Law of the (predecessor, entry-state) pair at first entry of a target.
 
     Keys are ``(predecessor_label, entry_label)`` with the predecessor
     outside the target set and the entry state inside it.
     """
-
-    mass: dict
-    never: object
-
-    def total(self):
-        return sum(self.mass.values(), type(self.never)(0))
 
     def entry_marginal(self) -> Distribution:
         """Sum out the predecessor, recovering the first-entry law."""

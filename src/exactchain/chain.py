@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -134,6 +135,7 @@ class MarkovChain:
         self._rows = tuple(MappingProxyType(dict(r)) for r in rows)
         self._mode = mode
         self._preds = None
+        self._cdf = None
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -178,6 +180,23 @@ class MarkovChain:
                     preds[j].append(i)
             self._preds = tuple(map(tuple, preds))
         return self._preds
+
+    def _cdf_table(self) -> tuple[list[int], list[int], list[float]]:
+        """Float successor table in flat per-edge (CSR) layout, built on first use.
+
+        Row ``i`` is ``ptr[i]:ptr[i + 1]`` of ``succ`` (its sorted successor
+        indices) and of ``cum`` (their running sums, the last forced to 1.0).
+        """
+        if self._cdf is None:
+            ptr, succ, cum = [0], [], []
+            for row in self._rows:
+                order = sorted(row)
+                succ += order
+                cum += accumulate(float(row[j]) for j in order)
+                cum[-1] = 1.0  # guard against float row sums just below 1
+                ptr.append(len(succ))
+            self._cdf = ptr, succ, cum
+        return self._cdf
 
     def row(self, label: str) -> dict:
         """Nonzero outgoing probabilities of a state, keyed by successor label."""

@@ -313,11 +313,8 @@ def solver_joint_first_last(model: CrowdsModel) -> dict:
     numerator = _initiator_joint(
         model, model.collaborator_mix_labels(), model.params.honest
     )
-    hit = sum(numerator.values(), model.chain.zero)
-    return {
-        pair: analysis.conditional_probability(v, hit)
-        for pair, v in numerator.items()
-    }
+    hit = sum(numerator.values(), model.chain.zero)  # > 0: some jondo is a collaborator
+    return {pair: v / hit for pair, v in numerator.items()}
 
 
 def first_last_jondo_joint(model: CrowdsModel) -> dict:

@@ -49,9 +49,9 @@ class NegativeCostError(ExactchainError):
 class SingularSystemError(ExactchainError):
     """A linear system that should be uniquely solvable was singular.
 
-    The graph criteria only hand nonsingular systems to the solver, and
-    float mode builds their pivots without subtraction, so this indicates
-    an internal error rather than a user mistake.
+    The graph criteria only hand nonsingular systems to the solver. In
+    exact mode this is an internal error; in float mode a block left with
+    probability near 1e-16 can still be singular to working precision.
     """
 
 

@@ -8,19 +8,20 @@ seed's state sequence and therefore owns a disjoint block of ``2**20``
 draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
 and :func:`sample_path` reject ``max_steps > 2**20 + 1``).
 
-Sampling always runs in 64-bit floats, also for exact-mode chains: rows
-are converted once into one flat per-edge table, and successors are drawn
-by inverse CDF over the index-sorted row. :class:`PathRng` and
-:func:`sample_path` are the scalar reference; the estimators walk paths
-in blocks that replay exactly their per-path streams and successors.
-Exactness lives in the analysis module; the simulator only corroborates it.
+Sampling always runs in 64-bit floats, also for exact-mode chains: each
+chain converts its rows once, on first use, into one flat per-edge table
+that it keeps, and successors are drawn by inverse CDF over the
+index-sorted row. :class:`PathRng` and :func:`sample_path` are the scalar
+reference; the estimators walk paths in blocks that replay exactly their
+per-path streams and successors. Exactness lives in the analysis module;
+the simulator only corroborates it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -130,37 +131,12 @@ class JointCounts:
         return self.counts.get((first, last), 0) / self.hits
 
 
-class ChainSampler:
-    """Float successor table of one chain in flat per-edge (CSR) layout.
-
-    Row ``i`` is ``ptr[i]:ptr[i + 1]`` of ``succ`` (its sorted successor
-    indices) and of ``cum`` (their running sums, the last forced to 1.0).
-    """
-
-    def __init__(self, chain: MarkovChain):
-        self.chain = chain
-        self.ptr = [0]
-        self.succ = []
-        self.cum = []
-        for i in range(len(chain.states)):
-            row = chain.row_by_index(i)
-            succ = sorted(row)
-            self.succ += succ
-            self.cum += accumulate(float(row[j]) for j in succ)
-            self.cum[-1] = 1.0  # guard against float row sums just below 1
-            self.ptr.append(len(self.succ))
-
-    def step_index(self, i: int, u: float) -> int:
-        return self.succ[bisect_right(self.cum, u, self.ptr[i], self.ptr[i + 1])]
-
-
 def sample_path(
     chain: MarkovChain,
     start: str,
     rng: PathRng,
     stop=None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    sampler: ChainSampler | None = None,
 ) -> PathSample:
     """Sample one path of at most ``max_steps`` states, beginning at ``start``.
 
@@ -175,13 +151,12 @@ def sample_path(
         raise InvalidParamsError(
             f"max_steps must be at most {PATH_STREAM_STRIDE + 1}, got {max_steps}"
         )
-    if sampler is None:
-        sampler = ChainSampler(chain)
+    ptr, succ, cum = chain._cdf_table()
     states = chain.states
     i = chain.index_of(start)
     seq = [states[i]]
     while len(seq) < max_steps and not (stop is not None and stop(states[i])):
-        i = sampler.step_index(i, rng.next_unit())
+        i = succ[bisect_right(cum, rng.next_unit(), ptr[i], ptr[i + 1])]
         seq.append(states[i])
     return PathSample(tuple(seq), rng.seed, rng.path_index)
 
@@ -198,23 +173,22 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     Yields per block, in path order: end states, states entered by the
     first step and left by the last (the start if no step was taken), and
     transition costs under the reward chain ``cost`` summed in step order.
-    A cost that overflows a float raises :class:`InvalidParamsError`.
+    A cost that overflows a float raises :class:`InvalidParamsError`; a sum
+    that overflows is left at ``inf``.
     """
-    sampler = ChainSampler(chain)
+    ptr, succ, cum = chain._cdf_table()
     n = len(chain.states)
-    ptr = np.array(sampler.ptr)
-    width = 1 << (max(np.diff(ptr).tolist()) - 1).bit_length()
-    cum = np.array(sampler.cum)
-    succ = np.array(sampler.succ, dtype=np.intp)
     price = []
     for i in range(n if cost is not None else 0):
         costs = cost.cost_row_by_index(i)
-        for j in sampler.succ[sampler.ptr[i] : sampler.ptr[i + 1]]:
+        for j in succ[ptr[i] : ptr[i + 1]]:
             price.append(_coerce(costs.get(j, 0), FLOAT))
             if price[-1] is None:
                 edge = f"{chain.states[i]!r} -> {chain.states[j]!r}"
                 raise InvalidParamsError(f"cost {edge} overflows a float")
     price = np.array(price)
+    ptr, cum, succ = np.array(ptr), np.array(cum), np.array(succ, dtype=np.intp)
+    width = 1 << (max(np.diff(ptr).tolist()) - 1).bit_length()
     stopped = np.zeros(n, dtype=bool)
     stopped[list(stop)] = True
     s0 = chain.index_of(start)
@@ -243,7 +217,8 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
             if steps == 1:
                 first[live] = end[live]
             if cost is not None:
-                acc[live] += price[pos]
+                with np.errstate(over="ignore"):  # estimate_cost rejects an inf total
+                    acc[live] += price[pos]
         yield end, first, last, acc
 
 
@@ -277,7 +252,8 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     Non-hitting paths carry an infinite cost by definition, so they never
     enter the mean: ``censored`` counts the paths that hit the horizon
     undecided together with those that provably cannot reach ``phi``
-    anymore.
+    anymore. A mean or standard error that overflows a float raises
+    :class:`InvalidParamsError`.
     """
     chain = rchain.chain
     phi_idx = chain.index_set(phi)
@@ -297,8 +273,12 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     if decided == 0:
         return Estimate(0.0, 0.0, cfg.samples, censored)
     mean = total / decided
-    var = max(0.0, (total_sq - decided * mean * mean) / (decided - 1)) if decided > 1 else 0.0
-    return Estimate(mean, (var / decided) ** 0.5, cfg.samples, censored)
+    # NaN first: max keeps it, so an overflowed sum of squares is not read as 0.
+    var = max((total_sq - decided * mean * mean) / (decided - 1), 0.0) if decided > 1 else 0.0
+    std_error = (var / decided) ** 0.5
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise InvalidParamsError("the sampled mean cost or its standard error overflows a float")
+    return Estimate(mean, std_error, cfg.samples, censored)
 
 
 def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:

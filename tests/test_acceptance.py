@@ -40,7 +40,6 @@ from exactchain.crowds import (
     solver_joint_first_last,
 )
 from exactchain.simulate import (
-    ChainSampler,
     PathRng,
     SimConfig,
     estimate_joint_first_last,
@@ -234,11 +233,9 @@ def test_criterion_09_monte_carlo_oracle():
             assert abs(counts.cell_fraction(i, l) - exact) <= 3 * sigma
 
     # Every sampled path follows the route shape within the horizon.
-    sampler = ChainSampler(model.chain)
     checked = 20_000
     for i in range(checked):
-        path = sample_path(model.chain, "Start", PathRng(7, i), max_steps=64,
-                           sampler=sampler)
+        path = sample_path(model.chain, "Start", PathRng(7, i), max_steps=64)
         assert path_shape_error(model, path.states) is None
 
     # Rerunning the CLI with the same seed is byte-identical.

@@ -173,6 +173,13 @@ COST_MODEL = json.dumps({
     "transitions": [{"from": "a", "to": "b", "prob": 1}, {"from": "b", "to": "b", "prob": 1}],
     "rewards": [{"from": "a", "to": "b", "cost": "1e400"}],
 })
+SUM_MODEL = json.dumps({
+    "states": ["a", "b"],
+    "transitions": [{"from": "a", "to": "a", "prob": "1/2"},
+                    {"from": "a", "to": "b", "prob": "1/2"},
+                    {"from": "b", "to": "b", "prob": 1}],
+    "rewards": [{"from": "a", "to": "a", "cost": "1e308"}],
+})
 
 
 @pytest.mark.parametrize("argv, text, code", [
@@ -192,9 +199,12 @@ COST_MODEL = json.dumps({
      None, cli.EXIT_MODEL),
     (["simulate", "FILE", "--event", "cost:b", "--start", "a", "--seed", "1", "--samples", "10"],
      COST_MODEL, cli.EXIT_MODEL),
+    # So is a sampled cost total that overflows, although each cost fits.
+    (["simulate", "FILE", "--event", "cost:b", "--start", "a", "--seed", "1", "--samples", "100",
+      "--json"], SUM_MODEL, cli.EXIT_MODEL),
 ], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
         "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400",
-        "zeroconf-E-1e400-simulate", "simulate-cost-1e400"])
+        "zeroconf-E-1e400-simulate", "simulate-cost-1e400", "simulate-cost-sum-overflow"])
 def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     path = tmp_path / "input.json"
     if text is not None:

@@ -277,3 +277,11 @@ def test_report_float_mode_close_to_exact():
         b = float(approx[key]["solver"])
         assert abs(a - b) <= 1e-9
     assert approx["independence_first_last_jondo"] is True
+
+
+def test_report_float_mode_forwarding_just_below_one():
+    # The float-summed hit mass may exceed 1 by an ulp; conditioning on it
+    # must still give the joint.
+    report = crowds_report(make_params(5, 3, 1 - 10**-16), mode=FLOAT)
+    hit = report["hit_collaborator"]
+    assert abs(float(hit["closed_form"]) - float(hit["solver"])) <= 1e-9

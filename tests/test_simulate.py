@@ -15,7 +15,6 @@ from exactchain.errors import InvalidParamsError
 from exactchain.simulate import (
     _BLOCK,
     PATH_STREAM_STRIDE,
-    ChainSampler,
     Estimate,
     JointCounts,
     PathRng,
@@ -114,10 +113,8 @@ def test_sample_path_stop_predicate():
 
 def test_sampled_steps_are_positive_probability_edges():
     rchain = build_zeroconf(SMALL)
-    sampler = ChainSampler(rchain.chain)
     for i in range(300):
-        path = sample_path(rchain.chain, "Start", PathRng(17, i), max_steps=40,
-                           sampler=sampler)
+        path = sample_path(rchain.chain, "Start", PathRng(17, i), max_steps=40)
         for u, v in zip(path.states, path.states[1:]):
             assert rchain.chain.prob(u, v) > 0
         assert path.seed == 17 and path.path_index == i
@@ -184,10 +181,9 @@ def test_estimates_are_deterministic():
 
 
 def _reference_paths(chain, start, cfg, stop):
-    sampler = ChainSampler(chain)
     return [
         sample_path(chain, start, PathRng(cfg.seed, k), stop=stop.__contains__,
-                    max_steps=cfg.max_steps, sampler=sampler).states
+                    max_steps=cfg.max_steps).states
         for k in range(cfg.samples)
     ]
 
@@ -258,11 +254,12 @@ def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, sampl
 @given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 40), mode=MODES)
 @example(chain_seed=0, n_states=40, mode=FLOAT)
 def test_step_index_matches_row_bisect(chain_seed, n_states, mode):
-    # Pins the shared successor table itself, which both samplers read: each
+    # Pins the chain's successor table itself, which both samplers read: each
     # row's own sorted successors and running float sums, the last set to 1.0.
     rng = random.Random(chain_seed)
     chain = random_reward(rng, n_states, mode, random_chain(rng, n_states, n_states)).chain
-    sampler = ChainSampler(chain)
+    ptr, table_succ, table_cum = chain._cdf_table()
+    assert chain._cdf_table() is chain._cdf_table()
     for i in range(n_states):
         row = chain.row_by_index(i)
         succ = sorted(row)
@@ -275,7 +272,8 @@ def test_step_index_matches_row_bisect(chain_seed, n_states, mode):
         for c in cum:
             draws |= {c, math.nextafter(c, 0), math.nextafter(c, 1)}
         for u in sorted(d for d in draws if 0 <= d < 1):
-            assert sampler.step_index(i, u) == succ[bisect_right(cum, u)], (i, u)
+            got = table_succ[bisect_right(table_cum, u, ptr[i], ptr[i + 1])]
+            assert got == succ[bisect_right(cum, u)], (i, u)
 
 
 def test_walker_tables_hold_one_entry_per_edge():
@@ -327,11 +325,9 @@ def test_prefix_frequencies_match_cylinder_probabilities():
     rchain = build_zeroconf(SMALL)
     chain = rchain.chain
     n = 40_000
-    sampler = ChainSampler(chain)
     counts = {}
     for i in range(n):
-        path = sample_path(chain, "Start", PathRng(31, i), max_steps=3,
-                           sampler=sampler)
+        path = sample_path(chain, "Start", PathRng(31, i), max_steps=3)
         key = path.states[1:]
         counts[key] = counts.get(key, 0) + 1
     for prefix, seen in counts.items():
@@ -375,8 +371,6 @@ def test_joint_counts_no_hit_flagged():
 
 def test_sampled_crowds_paths_have_route_shape():
     model = build_crowds(FIG3)
-    sampler = ChainSampler(model.chain)
     for i in range(2_000):
-        path = sample_path(model.chain, "Start", PathRng(7, i), max_steps=48,
-                           sampler=sampler)
+        path = sample_path(model.chain, "Start", PathRng(7, i), max_steps=48)
         assert path_shape_error(model, path.states) is None
