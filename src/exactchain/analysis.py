@@ -128,7 +128,8 @@ def _solve_block(
 
     Returns the solution row of each block state. The caller picks a block
     from every state of which the path eventually leaves it with positive
-    probability, which makes the system nonsingular.
+    probability, which makes ``I - Q`` a nonsingular M-matrix: exact sparse
+    elimination then never meets a zero diagonal pivot, in any order.
     Float mode sets each diagonal entry to the row's exit mass instead of
     ``1 - p_uu``, so a self-loop of ``1 - 1e-17`` cannot round the pivot to
     zero (Grassmann, Taksar & Heyman 1985); exact rows make the two equal.
@@ -212,7 +213,7 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
 
     States in ``psi`` get 1; states that cannot reach ``psi`` through
     ``phi - psi`` get an exact 0; the rest solve the linear fixed-point
-    system ``x_s = sum_t tau(s,t) x_t`` by Gaussian elimination, which is
+    system ``x_s = sum_t tau(s,t) x_t`` (:func:`linalg.solve`), which is
     nonsingular on exactly those states.
     """
     phi_idx = chain.index_set(phi)

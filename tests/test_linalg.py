@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactchain import analysis, crowds, linalg, zeroconf
 from exactchain.errors import SingularSystemError
-from exactchain.linalg import solve_exact, solve_float
+from exactchain.linalg import solve_exact, solve_float, solve_sparse
+from _support import near_one_chain, random_chain, random_query, random_reward
 
 
 def matmul(a, x):
@@ -111,16 +113,19 @@ def systems(draw):
 @example(([[0, 2, 1], [3, 0, 0], [1, 1, -1]], [[1], [0], [2]]))  # int entries
 @example(([[F(1, 3), F(2, 3)], [F(2, 5), F(1, 7)]], [[F(0)], [F(0)]]))  # zero RHS
 def test_solve_exact_matches_reference_elimination(system):
+    # Bareiss directly, and the exact dispatcher, which sends these small
+    # systems to sparse elimination and back to Bareiss on a zero pivot.
     a, b = system
     expected = reference_solve(a, b)
-    if expected is None:
-        with pytest.raises(SingularSystemError):
-            solve_exact(a, b)
-        return
-    x = solve_exact(a, b)
-    assert matmul(a, x) == [[F(v) for v in row] for row in b]
-    assert x == expected
-    assert all(type(v) is F for row in x for v in row)
+    for solver in (solve_exact, lambda a, b: linalg.solve(a, b, "exact")):
+        if expected is None:
+            with pytest.raises(SingularSystemError):
+                solver(a, b)
+            continue
+        x = solver(a, b)
+        assert matmul(a, x) == [[F(v) for v in row] for row in b]
+        assert x == expected
+        assert all(type(v) is F for row in x for v in row)
 
 
 def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
@@ -143,3 +148,79 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
     monkeypatch.undo()
     assert len(made) == n * k
     assert matmul(a, x) == b
+
+
+def test_exact_dispatch_survives_zero_pivots():
+    # A missing diagonal hands the system to Bareiss, which pivots.
+    x = linalg.solve([[0, 1], [1, 0]], [[4], [7]], "exact")
+    assert x == [[F(7)], [F(4)]]
+    assert all(type(v) is F for row in x for v in row)
+    assert solve_sparse([[0, 1], [1, 0]], [[4], [7]]) is None
+    # A pivot that cancels to zero: Bareiss finds the system singular.
+    with pytest.raises(SingularSystemError):
+        linalg.solve([[1, -1], [-1, 1]], [[1], [0]], "exact")
+
+
+def test_sparse_elimination_gives_fractions_for_integer_input():
+    a = [[2, -1, 0], [0, 3, -1], [-1, 0, 4]]
+    b = [[1, 0], [0, 0], [2, 5]]
+    x = linalg.solve(a, b, "exact")
+    assert x == solve_exact(a, b)
+    assert all(type(v) is F for row in x for v in row)
+
+
+def block_systems(chain, rchain, rng):
+    """The ``(a, b)`` of every solve behind the until, hitting-time, cost
+    and entry-edge queries on ``chain``."""
+    systems = []
+    phi, psi, start = random_query(rng, chain)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "solve", lambda a, b, mode: systems.append((a, b)) or solve_exact(a, b))
+        analysis.until_probabilities(chain, phi, psi)
+        analysis.expected_hitting_time(chain, psi, start)
+        analysis.expected_cost_until(rchain, psi, start)
+        if start not in psi:
+            analysis.entry_edge_distribution(chain, psi, start)
+    return systems
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 20),
+       shape=st.sampled_from(["width2", "width3", "dense", "near_one"]))
+def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, shape):
+    # Every block is I - Q for states that all leave it with positive
+    # probability, a nonsingular M-matrix: no diagonal pivot vanishes.
+    rng = random.Random(seed)
+    if shape == "near_one":
+        chain = near_one_chain(rng, n_states)
+    else:
+        width = {"width2": 2, "width3": 3, "dense": n_states}[shape]
+        chain = random_chain(rng, n_states, max_out=width)
+    rchain = random_reward(rng, n_states, chain=chain)
+    for a, b in block_systems(chain, rchain, rng):
+        x = solve_sparse(a, b)
+        assert x is not None
+        assert repr(x) == repr(solve_exact(a, b))
+
+
+def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypatch):
+    used = []
+    eliminate, bareiss = linalg.eliminate, linalg.solve_exact
+
+    def counted_eliminate(*args):
+        x = eliminate(*args)
+        used.append("sparse" if x is not None else "zero pivot")
+        return x
+
+    def counted_bareiss(a, b):
+        used.append("bareiss")
+        return bareiss(a, b)
+
+    monkeypatch.setattr(linalg, "eliminate", counted_eliminate)
+    monkeypatch.setattr(linalg, "solve_exact", counted_bareiss)
+    base = zeroconf.PAPER_TYPICAL
+    zeroconf.zeroconf_report(zeroconf.ZeroconfParams(50, base.p, base.q, base.r, base.E))
+    assert used == ["sparse", "sparse"]
+    used.clear()
+    crowds.crowds_report(crowds.make_params(20, 4, F(4, 5)))
+    assert used and set(used) == {"bareiss"}

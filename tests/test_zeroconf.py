@@ -127,6 +127,16 @@ def test_closed_forms_match_solver_on_grid():
                 )
 
 
+@pytest.mark.parametrize("n", [50, 200, 400])
+def test_closed_forms_match_solver_at_large_n(n):
+    report = zeroconf_report(ZeroconfParams(N=n, p=F(1, 100), q=F(16, 65024),
+                                            r=F(1, 500), E=3600))
+    triples = [report["p_err_start"], report["expected_cost"],
+               *report["p_err_probe"].values()]
+    assert len(triples) == n + 3
+    assert all(t["difference"] == "0" for t in triples)
+
+
 def test_p_err_monotone_in_p_and_q():
     grid = [F(1, 10), F(3, 10), F(5, 10), F(7, 10), F(9, 10)]
     for n in (0, 2):
