@@ -113,54 +113,36 @@ def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
     return zero, every - zero - _can_reach_idx(chain, within, zero)
 
 
-def _solve_block(
-    chain: MarkovChain, block, width=1, exit_col=None, cost_row=None, base=None
-) -> dict:
-    """Solve ``(I - Q) x = b`` with ``Q`` the transitions inside ``block``.
+def _solve_block(chain: MarkovChain, block, b, transpose=False) -> dict:
+    """Solve ``(I - Q) x = b``, or its transpose, with ``Q`` the transitions inside ``block``.
 
-    ``block`` is a sorted index list and ``b`` has ``width`` columns. One
-    pass over each block row builds both rows of the system. Row ``u`` of
-    ``b`` starts at ``base`` (zero by default) in every column, and then:
-
-    * an edge ``u -> v`` leaving the block adds its probability to column
-      ``exit_col(u, v)``, unless that is None;
-    * with ``cost_row``, every edge adds ``p * cost_row(u)[v]`` to column 0.
-
-    Returns the solution row of each block state. The caller picks a block
-    from every state of which the path eventually leaves it with positive
-    probability, which makes ``I - Q`` a nonsingular M-matrix: exact sparse
-    elimination then never meets a zero diagonal pivot, in any order.
-    Float mode sets each diagonal entry to the row's exit mass instead of
-    ``1 - p_uu``, so a self-loop of ``1 - 1e-17`` cannot round the pivot to
-    zero (Grassmann, Taksar & Heyman 1985); exact rows make the two equal.
+    ``block`` is a sorted index list and ``b`` holds one row per block
+    state, in block order. Returns the solution row of each block state.
+    The caller picks a block from every state of which the path eventually
+    leaves it with positive probability, which makes ``I - Q`` a
+    nonsingular M-matrix, and so is its transpose: exact sparse elimination
+    then never meets a zero diagonal pivot, in any order. Float mode sets
+    each diagonal entry to the row's exit mass instead of ``1 - p_uu``, so
+    a self-loop of ``1 - 1e-17`` cannot round the pivot to zero (Grassmann,
+    Taksar & Heyman 1985); exact rows make the two equal, and the
+    transpose keeps the same diagonal.
     """
     if not block:
         return {}
     pos = {u: r for r, u in enumerate(block)}
     zero, one = chain.zero, chain.one
-    exit_mass = chain.mode != EXACT
-    if base is None:
-        base = zero
-    a, b = [], []
-    for u in block:
-        a_row = [zero] * len(block)
-        a_row[pos[u]] = one
-        b_row = [base] * width
-        costs = cost_row(u) if cost_row is not None else None
+    a = [[zero] * len(block) for _ in block]
+    for i, u in enumerate(block):
+        a[i][i] = one
         for v, p in chain.row_by_index(u).items():
-            r = pos.get(v)
-            if r is not None:
-                a_row[r] -= p
-            elif exit_col is not None:
-                c = exit_col(u, v)
-                if c is not None:
-                    b_row[c] += p
-            if costs is not None:
-                b_row[0] += p * costs.get(v, zero)
-        if exit_mass:
-            a_row[pos[u]] = sum(p for v, p in chain.row_by_index(u).items() if v != u)
-        a.append(a_row)
-        b.append(b_row)
+            j = pos.get(v)
+            if j is not None:
+                if transpose:
+                    a[j][i] -= p
+                else:
+                    a[i][j] -= p
+        if chain.mode != EXACT:
+            a[i][i] = sum(p for v, p in chain.row_by_index(u).items() if v != u)
     x = linalg.solve(a, b, chain.mode)
     return dict(zip(block, x))
 
@@ -220,7 +202,11 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
     psi_idx = chain.index_set(psi)
     zero = chain.zero
     block = sorted(_can_reach_idx(chain, phi_idx - psi_idx, psi_idx))
-    x = _solve_block(chain, block, exit_col=lambda u, v: 0 if v in psi_idx else None)
+    b = [
+        [sum((p for v, p in chain.row_by_index(u).items() if v in psi_idx), zero)]
+        for u in block
+    ]
+    x = _solve_block(chain, block, b)
     return {
         label: chain.one if i in psi_idx else x[i][0] if i in x else zero
         for i, label in enumerate(chain.states)
@@ -250,8 +236,14 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
         return INFINITY
     block = sorted(({s} | _reachable_idx(chain, outside, s)) - phi_idx)
     if cost_row is None:
-        return _solve_block(chain, block, base=chain.one)[s][0]
-    return _solve_block(chain, block, cost_row=cost_row)[s][0]
+        b = [[chain.one] for _ in block]
+    else:
+        zero = chain.zero
+        b = [
+            [sum((p * costs.get(v, zero) for v, p in chain.row_by_index(u).items()), zero)]
+            for u, costs in zip(block, map(cost_row, block))
+        ]
+    return _solve_block(chain, block, b)[s][0]
 
 
 def expected_hitting_time(chain: MarkovChain, phi, start: str):
@@ -278,28 +270,36 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     """Mass of each first-entry outcome ``key(u, c)`` of the target, per start.
 
     ``u`` is the last state outside the target and ``c`` the entry state;
-    ``starts`` lie outside the target. Solves, with one right-hand-side
-    column per outcome,
-    ``f_s(k) = sum_{c in target, key(s,c)=k} tau(s,c) + sum_{t outside} tau(s,t) f_t(k)``
-    once over the union of the starts' blocks: the states that can occupy
-    a path before entry and can still reach the target. Every other state
-    has zero entry mass. Returns ``{start: {outcome: mass}}`` with the
-    strictly positive masses.
+    ``starts`` lie outside the target. From start ``s`` outcome ``k`` has
+    mass ``sum_u y_s(u) exit_u(k)``, where ``exit_u(k)`` is the probability
+    of ``u``'s edges into the target with key ``k`` and ``y_s(u)`` is the
+    expected number of visits to ``u`` before entry (Kemeny & Snell's
+    fundamental matrix, 1960). One solve ``(I - Q)^T y_s = e_s``, a column
+    per start, covers the union of the starts' blocks: the states that can
+    occupy a path before entry and can still reach the target. Every other
+    state has zero entry mass. Returns ``{start: {outcome: mass}}`` with
+    the strictly positive masses, outcomes in sorted order.
     """
     outside = set(range(len(chain.states))) - t_idx
     seen = set()
     for s in starts:
         seen |= {s} | _reachable_idx(chain, outside, s)
     block = sorted(seen & _can_reach_idx(chain, outside, t_idx))
-    keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in t_idx})
-    col = {k: j for j, k in enumerate(keys)}
-    x = _solve_block(
-        chain, block, len(col), lambda u, v: col[key(u, v)] if v in t_idx else None
-    )
-    return {
-        s: {k: x[s][j] for k, j in col.items() if x[s][j] > 0} if s in x else {}
-        for s in starts
-    }
+    zero, one = chain.zero, chain.one
+    exits = {u: {} for u in block}
+    for u, out in exits.items():
+        for v, p in chain.row_by_index(u).items():
+            if v in t_idx:
+                k = key(u, v)
+                out[k] = out.get(k, zero) + p
+    b = [[one if u == s else zero for s in starts] for u in block]
+    y = _solve_block(chain, block, b, transpose=True)
+    keys = sorted({k for out in exits.values() for k in out})
+    mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
+    for u, out in exits.items():
+        for k, p in out.items():
+            mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
+    return {s: {k: mass[k][j] for k in keys if mass[k][j] > 0} for j, s in enumerate(starts)}
 
 
 def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribution:

@@ -285,7 +285,7 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     Weights each honest initiator's entry law into ``target``, keyed by the
     jondo of the state it enters from, by its initiation probability; keys
     run over ``honest x lasts``. One solve covers every initiator with
-    positive weight, with one right-hand-side column per entering jondo.
+    positive weight, with one right-hand-side column per initiator.
     """
     params = model.params
     chain = model.chain

@@ -5,23 +5,22 @@ at most a few hundred unknowns, so direct elimination is enough. Both exact
 solvers take and return dense lists of rows; :func:`solve` picks one by the
 system's shape.
 
-Sparse systems with few right-hand sides, such as ZeroConf's path of probes
-with back edges to its start, go to state elimination (Daws 2004; Hahn,
-Hermanns & Zhang, PARAM 2011). The rows become dicts of their nonzeros and
-each step eliminates the unknown of least Markowitz cost on its diagonal,
-without pivoting, so the fill-in stays near the system's own nonzeros where
-dense elimination fills the whole matrix. No pivot vanishes on the
-nonsingular M-matrices ``I - Q`` that the analyses build; on any other
+Sparse systems, such as ZeroConf's path of probes with back edges to its
+start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
+2011). The rows become dicts of their nonzeros and each step eliminates
+the unknown of least Markowitz cost on its diagonal, without pivoting, so
+the fill-in stays near the system's own nonzeros where dense elimination
+fills the whole matrix. No pivot vanishes on the nonsingular M-matrices
+``I - Q`` (or their transposes) that the analyses build; on any other
 system a zero pivot hands over to Bareiss. The arithmetic is ``+ - * /``
 and a zero test, so the same routine works over any exact field.
 
 Everything else goes to fraction-free (Bareiss) Gaussian elimination over
 integers, after clearing denominators row by row; this keeps intermediate
 values from exploding the way naive rational elimination can, and wins on
-dense blocks and on many right-hand sides. Back-substitution stays in
-integers too: every unknown is an integer over the last Bareiss pivot, the
-determinant (Bareiss 1968), so the only rationals built are the results.
-Float mode delegates to numpy.
+dense blocks. Back-substitution stays in integers too: every unknown is an
+integer over the last Bareiss pivot, the determinant (Bareiss 1968), so
+the only rationals built are the results. Float mode delegates to numpy.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ import numpy as np
 from .errors import SingularSystemError
 
 #: Exact systems go to sparse elimination when ``a`` has at most this many
-#: nonzeros per row on average and ``b`` at most ``SPARSE_MAX_RHS`` columns.
-#: Set from timings of both solvers on absorbing blocks: past either limit
-#: the fill grows faster in Fractions than Bareiss's integer work.
+#: nonzeros per row on average. Set from timings of both solvers on
+#: absorbing blocks: past it the fill grows faster in Fractions than
+#: Bareiss's integer work.
 SPARSE_ROW_NNZ = 4
-SPARSE_MAX_RHS = 2
 
 
 def solve_exact(a, b):
@@ -222,15 +220,15 @@ def solve_sparse(a, b):
 def solve(a, b, mode):
     """Solve ``a @ x = b`` in ``mode``'s arithmetic; shapes as in :func:`solve_exact`.
 
-    Exact systems with at most ``SPARSE_MAX_RHS`` right-hand sides and at
-    most ``SPARSE_ROW_NNZ`` nonzeros per row of ``a`` on average go to
-    :func:`eliminate`; the rest, and those that meet a zero pivot there, go
-    to :func:`solve_exact`.
+    Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros per row of ``a``
+    on average go to :func:`eliminate`, whatever the width of ``b``; the
+    rest, and those that meet a zero pivot there, go to :func:`solve_exact`.
+    The analyses' systems have one column, or one per start state.
     """
     if mode != "exact":
         return solve_float(a, b)
     n = len(a)
-    if n and len(b[0]) <= SPARSE_MAX_RHS:
+    if n:
         rows = _sparse_rows(a, b, SPARSE_ROW_NNZ * n)
         if rows is not None:
             x = eliminate(rows, n, len(b[0]))

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import EXACT, FLOAT, validate_chain, validate_reward
+from exactchain import EXACT, FLOAT, linalg, validate_chain, validate_reward
 from exactchain.analysis import (
     INFINITY,
+    _can_reach_idx,
     _entry_masses,
+    _reachable_idx,
     certify_ae_until,
     conditional_probability,
     entry_edge_distribution,
@@ -234,6 +236,12 @@ def test_float_mode_solves_near_one_self_loops(seed, n_states):
         assert ffirst.mass.keys() == first.mass.keys()
         for t, m in first.mass.items():
             assert abs(ffirst.mass[t] - m) <= 1e-9
+        if s not in psi:
+            edge = entry_edge_distribution(exact.chain, psi, s)
+            fedge = entry_edge_distribution(approx.chain, psi, s)
+            assert fedge.mass.keys() == edge.mass.keys()
+            for uv, m in edge.mass.items():
+                assert abs(fedge.mass[uv] - m) <= 1e-9
 
 
 # -------------------------------------------------------------- hitting time
@@ -360,6 +368,32 @@ def test_entry_edge_marginal_matches_first_entry():
             assert entry in target
 
 
+def per_outcome_entry_masses(chain, target, starts, key):
+    """Entry masses from the forward system, one right-hand-side column per outcome:
+    ``f_s(k) = sum_{c in target, key(s,c)=k} tau(s,c) + sum_{t outside} tau(s,t) f_t(k)``."""
+    outside = set(range(len(chain.states))) - target
+    seen = set()
+    for s in starts:
+        seen |= {s} | _reachable_idx(chain, outside, s)
+    block = sorted(seen & _can_reach_idx(chain, outside, target))
+    keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in target})
+    col = {k: j for j, k in enumerate(keys)}
+    pos = {u: r for r, u in enumerate(block)}
+    a = [[F(int(r == c)) for c in range(len(block))] for r in range(len(block))]
+    b = [[F(0)] * len(keys) for _ in block]
+    for r, u in enumerate(block):
+        for v, p in chain.row_by_index(u).items():
+            if v in pos:
+                a[r][pos[v]] -= p
+            elif v in target:
+                b[r][col[key(u, v)]] += p
+    x = dict(zip(block, linalg.solve_exact(a, b)))
+    return {
+        s: {k: x[s][j] for k, j in col.items() if x[s][j] > 0} if s in x else {}
+        for s in starts
+    }
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 4))
 def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
@@ -372,6 +406,7 @@ def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
     for key in (lambda u, v: v, lambda u, v: (u, v), lambda u, v: u % 2):
         batched = _entry_masses(chain, target, starts, key)
         assert list(batched) == starts
+        assert repr(batched) == repr(per_outcome_entry_masses(chain, target, starts, key))
         for s in starts:
             alone = _entry_masses(chain, target, [s], key)[s]
             assert list(batched[s].items()) == list(alone.items())

@@ -118,17 +118,19 @@ def test_skewed_init_with_a_silent_honest_jondo(mode):
 
 def test_report_solves_once_per_query(monkeypatch):
     # Hit probability, collaborator joint, last-jondo law and the
-    # independence joint: one absorbing solve each, whatever J.
+    # independence joint: one absorbing solve each, whatever J, with at
+    # most one right-hand-side column per honest initiator (H = 16).
     calls = []
     solve = linalg.solve
 
     def counting_solve(a, b, mode):
-        calls.append(len(a))
+        calls.append((len(a), len(b[0])))
         return solve(a, b, mode)
 
     monkeypatch.setattr(linalg, "solve", counting_solve)
     report = crowds_report(make_params(20, 4, F(4, 5)))
     assert len(calls) <= 4
+    assert max(cols for _, cols in calls) <= 16
     assert all(t["difference"] == "0" for t in report["joint_first_last"].values())
 
 

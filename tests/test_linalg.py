@@ -224,3 +224,19 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypat
     used.clear()
     crowds.crowds_report(crowds.make_params(20, 4, F(4, 5)))
     assert used and set(used) == {"bareiss"}
+    used.clear()
+    # An entry-edge law solves for expected visits, one column per start,
+    # however many boundary edges there are: a path-shaped block goes sparse.
+    widths = []
+    solve = linalg.solve
+
+    def counted_solve(a, b, mode):
+        widths.append(len(b[0]))
+        return solve(a, b, mode)
+
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    chain = random_chain(random.Random(7), 20, max_out=2)
+    edge = analysis.entry_edge_distribution(chain, {"s18", "s19"}, "s0")
+    assert len(edge.mass) > 2
+    assert widths == [1]
+    assert used == ["sparse"]
