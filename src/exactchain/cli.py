@@ -472,7 +472,7 @@ def _is_scalar_list(value) -> bool:
 _ERROR_EXITS = (
     (ModelIOError, EXIT_IO, "i/o error"),
     (ModelParseError, EXIT_PARSE, "parse error"),
-    (UnknownStateError, EXIT_QUERY, "unknown state"),
+    (UnknownStateError, EXIT_QUERY, "query error"),
     (InvalidParamsError, EXIT_MODEL, "invalid parameters"),
     (SingularSystemError, EXIT_SOLVER, "solver failure"),
     (ExactchainError, EXIT_MODEL, "validation error"),

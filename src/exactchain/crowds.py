@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -93,8 +94,10 @@ class CrowdsParams:
         init = {j: init.get(j, 0) for j in honest}
         object.__setattr__(self, "init", MappingProxyType(init))
 
-    @property
+    @cached_property
     def honest(self) -> tuple[str, ...]:
+        # Kept in the instance __dict__, outside the fields: ==, hash and
+        # repr do not see it.
         return tuple(j for j in self.jondos if j not in self.colls)
 
     @property
@@ -197,7 +200,7 @@ def joint_first_last(params: CrowdsParams, i: str, l: str):
     was the one who contacted the first collaborator.
     """
     for j in (i, l):
-        if j not in params.honest:
+        if j not in params.init:  # keyed by exactly the honest jondos
             raise NotHonestJondoError(j)
     forward_share = params.p_f / params.J
     direct = 1 - _frac(params.H, params.J, params) * params.p_f

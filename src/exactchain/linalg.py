@@ -20,7 +20,9 @@ integers, after clearing denominators row by row; this keeps intermediate
 values from exploding the way naive rational elimination can, and wins on
 dense blocks. Back-substitution stays in integers too: every unknown is an
 integer over the last Bareiss pivot, the determinant (Bareiss 1968), so
-the only rationals built are the results. Float mode delegates to numpy.
+the only rationals built are the results. Float mode delegates to numpy,
+which is imported on the first non-empty float solve, so exact work never
+loads it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 from operator import is_not
-
-import numpy as np
 
 from .errors import SingularSystemError
 
@@ -103,6 +103,8 @@ def solve_float(a, b):
     n = len(a)
     if n == 0:
         return []
+    import numpy as np
+
     try:
         x = np.linalg.solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     except np.linalg.LinAlgError as exc:

@@ -13,8 +13,9 @@ chain converts its rows once, on first use, into one flat per-edge table
 that it keeps, and successors are drawn by inverse CDF over the
 index-sorted row. :class:`PathRng` and :func:`sample_path` are the scalar
 reference; the estimators walk paths in blocks that replay exactly their
-per-path streams and successors. Exactness lives in the analysis module;
-the simulator only corroborates it.
+per-path streams and successors. The block walker imports numpy when it
+first runs, so importing this module does not load it. Exactness lives in
+the analysis module; the simulator only corroborates it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import analysis
 from .chain import FLOAT, MarkovChain, RewardChain, _coerce
@@ -176,6 +175,8 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     A cost that overflows a float raises :class:`InvalidParamsError`; a sum
     that overflows is left at ``inf``.
     """
+    import numpy as np
+
     ptr, succ, cum = chain._cdf_table()
     n = len(chain.states)
     price = []
@@ -231,6 +232,8 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     decides it as a miss. Paths undecided after ``max_steps`` states are
     censored and excluded from the point estimate.
     """
+    import numpy as np
+
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     stop = psi_idx | analysis._prob01(chain, phi_idx - psi_idx, psi_idx)[0]
@@ -255,6 +258,8 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     anymore. A mean or standard error that overflows a float raises
     :class:`InvalidParamsError`.
     """
+    import numpy as np
+
     chain = rchain.chain
     phi_idx = chain.index_set(phi)
     outside = set(range(len(chain.states))) - phi_idx
@@ -291,6 +296,8 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
     jondo of the state entered by the first step (an ``Init`` state), the
     contact that of the state left by the last step.
     """
+    import numpy as np
+
     chain = model.chain
     end_idx = chain.index_of(model.END)
     coll_mix = chain.index_set(model.collaborator_mix_labels())

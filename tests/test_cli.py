@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -101,6 +104,14 @@ def test_solve_unknown_start_exit_code(capsys, small_model):
                        "--until", "ALL=>Error", "--start", "Nowhere")
     assert code == cli.EXIT_QUERY
     assert "Nowhere" in err
+
+
+def test_unknown_state_error_line(capsys, small_model):
+    code, out, err = run(capsys, "solve", small_model,
+                         "--until", "ALL=>Nope", "--start", "Start")
+    assert code == cli.EXIT_QUERY
+    assert out == ""
+    assert err == "error: query error: unknown state 'Nope'\n"
 
 
 def test_solve_with_cost(capsys, small_model):
@@ -486,3 +497,45 @@ def test_readme_command_examples(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+# ------------------------------------------------------------------ start-up
+
+MODEL = str(ROOT / "bench" / "models" / "zeroconf_small.json")
+
+# Runs ``cli.main`` on its arguments (if any) with stdout discarded, then
+# prints the exit code and whether numpy got imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import exactchain, exactchain.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = exactchain.cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    ([], False),
+    (["zeroconf", "--preset", "paper-typical"], False),
+    (["zeroconf", "--preset", "paper-typical",
+      "--sweep", "p=1/100,1/10;probes=1,2,3", "--csv"], False),
+    (["crowds", "--preset", "fig3"], False),
+    (["validate", MODEL], False),
+    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--cost"], False),
+    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--float"], True),
+    (["simulate", MODEL, "--event", "until:ALL=>Error", "--start", "Start",
+      "--seed", "7", "--samples", "100"], True),
+], ids=["import", "zeroconf", "zeroconf-sweep-csv", "crowds", "validate", "solve",
+        "solve-float", "simulate"])
+def test_numpy_loads_only_for_float_solves_and_sampling(argv, numpy_loaded):
+    # A fresh interpreter: this one has numpy loaded already.
+    env = {k: v for k, v in os.environ.items() if k != cli.ENV_MODE}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == (0 if argv else None), proc.stderr
+    assert loaded is numpy_loaded

@@ -52,6 +52,22 @@ def test_parameter_validation():
             CrowdsParams(("a", "b", "c"), frozenset({"c"}), 0.5, {"a": mass, "b": 0.5})
 
 
+def test_params_cache_honest_outside_eq_hash_and_repr():
+    p = make_params(4, 1, F(1, 2))
+    assert p.honest is p.honest == ("J1", "J2", "J3")
+    assert repr(p) == (
+        "CrowdsParams(jondos=('J1', 'J2', 'J3', 'J4'), colls=frozenset({'J4'}), "
+        "p_f=Fraction(1, 2), init=mappingproxy({'J1': Fraction(1, 3), "
+        "'J2': Fraction(1, 3), 'J3': Fraction(1, 3)}))"
+    )
+    explicit = CrowdsParams(("J1", "J2", "J3", "J4"), {"J4"}, F(1, 2),
+                            {"J1": F(1, 3), "J2": F(1, 3), "J3": F(1, 3)})
+    assert p == explicit
+    assert p != make_params(4, 2, F(1, 2))
+    with pytest.raises(TypeError, match="mappingproxy"):
+        hash(p)  # the init mapping is unhashable
+
+
 def test_fig3_preset_and_derived_counts():
     assert FIG3.jondos == ("J1", "J2", "J3")
     assert FIG3.colls == frozenset({"J3"})
