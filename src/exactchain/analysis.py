@@ -118,33 +118,37 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False) -> dict:
 
     ``block`` is a sorted index list and ``b`` holds one row per block
     state, in block order. Returns the solution row of each block state.
-    The caller picks a block from every state of which the path eventually
-    leaves it with positive probability, which makes ``I - Q`` a
+    Row ``i`` of the system goes to :func:`linalg.solve` as a dict of its
+    nonzeros, ``{j: -q_ij, i: d_i}``; the transpose puts ``-q_ij`` in row
+    ``j``. The caller picks a block from every state of which the path
+    eventually leaves it with positive probability, which makes ``I - Q`` a
     nonsingular M-matrix, and so is its transpose: exact sparse elimination
-    then never meets a zero diagonal pivot, in any order. Float mode sets
-    each diagonal entry to the row's exit mass instead of ``1 - p_uu``, so
-    a self-loop of ``1 - 1e-17`` cannot round the pivot to zero (Grassmann,
-    Taksar & Heyman 1985); exact rows make the two equal, and the
-    transpose keeps the same diagonal.
+    then never meets a zero diagonal pivot, in any order. Exact mode sets
+    ``d_i = 1 - q_ii``. Float mode sets ``d_i`` to the row's exit mass
+    instead, so a self-loop of ``1 - 1e-17`` cannot round the pivot to zero
+    (Grassmann, Taksar & Heyman 1985); exact rows make the two equal, and
+    the transpose keeps the same diagonal.
     """
     if not block:
         return {}
     pos = {u: r for r, u in enumerate(block)}
-    zero, one = chain.zero, chain.one
-    a = [[zero] * len(block) for _ in block]
+    exact = chain.mode == EXACT
+    one = chain.one
+    rows = [{} for _ in block]
     for i, u in enumerate(block):
-        a[i][i] = one
-        for v, p in chain.row_by_index(u).items():
+        out = chain.row_by_index(u)
+        for v, p in out.items():
             j = pos.get(v)
             if j is not None:
                 if transpose:
-                    a[j][i] -= p
+                    rows[j][i] = -p
                 else:
-                    a[i][j] -= p
-        if chain.mode != EXACT:
-            a[i][i] = sum(p for v, p in chain.row_by_index(u).items() if v != u)
-    x = linalg.solve(a, b, chain.mode)
-    return dict(zip(block, x))
+                    rows[i][j] = -p
+        if exact:
+            rows[i][i] = one - out[u] if u in out else one
+        else:
+            rows[i][i] = sum(p for v, p in out.items() if v != u)
+    return dict(zip(block, linalg.solve(rows, b, chain.mode)))
 
 
 def reachable(chain: MarkovChain, phi, start: str) -> set[str]:

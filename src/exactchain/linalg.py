@@ -1,26 +1,28 @@
 """Direct linear solvers backing the chain analyses.
 
 The systems solved here are `(I - Q) x = b` style absorption equations with
-at most a few hundred unknowns, so direct elimination is enough. Both exact
-solvers take and return dense lists of rows; :func:`solve` picks one by the
-system's shape.
+at most a few hundred unknowns, so direct elimination is enough.
+:func:`solve` takes the rows of the matrix as dicts of their nonzeros, the
+right-hand sides as a dense list of rows, and picks a solver by the
+system's shape; every solver returns a dense list of solution rows.
 
 Sparse systems, such as ZeroConf's path of probes with back edges to its
 start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
-2011). The rows become dicts of their nonzeros and each step eliminates
-the unknown of least Markowitz cost on its diagonal, without pivoting, so
-the fill-in stays near the system's own nonzeros where dense elimination
-fills the whole matrix. No pivot vanishes on the nonsingular M-matrices
-``I - Q`` (or their transposes) that the analyses build; on any other
-system a zero pivot hands over to Bareiss. The arithmetic is ``+ - * /``
-and a zero test, so the same routine works over any exact field.
+2011) on those rows: each step eliminates the unknown of least Markowitz
+cost on its diagonal, without pivoting, so the fill-in stays near the
+system's own nonzeros where dense elimination fills the whole matrix. No
+pivot vanishes on the nonsingular M-matrices ``I - Q`` (or their
+transposes) that the analyses build; a zero pivot raises
+:class:`SingularSystemError`. The arithmetic is ``+ - * /`` and a zero
+test, so the same routine works over any exact field.
 
-Everything else goes to fraction-free (Bareiss) Gaussian elimination over
-integers, after clearing denominators row by row; this keeps intermediate
-values from exploding the way naive rational elimination can, and wins on
-dense blocks. Back-substitution stays in integers too: every unknown is an
-integer over the last Bareiss pivot, the determinant (Bareiss 1968), so
-the only rationals built are the results. Float mode delegates to numpy,
+Everything else is made dense once and goes to fraction-free (Bareiss)
+Gaussian elimination over integers, after clearing denominators row by
+row; this keeps intermediate values from exploding the way naive rational
+elimination can, and wins on dense blocks. Back-substitution stays in
+integers too: every unknown is an integer over the last Bareiss pivot, the
+determinant (Bareiss 1968), so the only rationals built are the results.
+Float mode fills a numpy matrix from the rows and delegates to numpy,
 which is imported on the first non-empty float solve, so exact work never
 loads it.
 """
@@ -29,9 +31,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import compress, count, repeat
 from math import lcm
-from operator import is_not
 
 from .errors import SingularSystemError
 
@@ -98,51 +98,26 @@ def solve_exact(a, b):
     return out
 
 
-def solve_float(a, b):
-    """Solve ``a @ x = b`` in 64-bit floats. Shapes as in :func:`solve_exact`."""
-    n = len(a)
+def solve_float(rows, b):
+    """Solve ``a @ x = b`` in 64-bit floats; ``rows`` as in :func:`solve`, ``b`` dense."""
+    n = len(rows)
     if n == 0:
         return []
     import numpy as np
 
+    a = np.zeros((n, n))
+    a.flat[[i * n + j for i, row in enumerate(rows) for j in row]] = [
+        x for row in rows for x in row.values()
+    ]
     try:
-        x = np.linalg.solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        x = np.linalg.solve(a, np.asarray(b, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     return x.tolist()
 
 
-def _sparse_rows(a, b, budget):
-    """The rows of ``[a | b]`` as ``{column: Fraction}`` dicts of their nonzeros.
-
-    Column ``j < n`` is unknown ``j`` and column ``n + c`` is right-hand side
-    ``c``. Returns None once ``a`` has more than ``budget`` nonzeros. The
-    zeros of a dense matrix are mostly one shared object, so the first zero
-    found is skipped by identity, at C speed, and only the other entries
-    are tested.
-    """
-    n = len(a)
-    zero = None
-    rows = []
-    for a_row, b_row in zip(a, b):
-        row = {}
-        for offset, values in ((0, a_row), (n, b_row)):
-            keep = list(map(is_not, values, repeat(zero)))
-            for j, x in zip(compress(count(offset), keep), compress(values, keep)):
-                if x:
-                    row[j] = x if type(x) is Fraction else Fraction(x)
-                elif zero is None:
-                    zero = x
-            if not offset:
-                budget -= len(row)
-                if budget < 0:
-                    return None
-        rows.append(row)
-    return rows
-
-
 def eliminate(rows, n, k):
-    """Solve the sparse system ``rows`` by state elimination, or None.
+    """Solve the sparse system ``rows`` by state elimination.
 
     ``rows[i]`` maps column ``j < n`` to the coefficient of unknown ``j``
     in equation ``i`` and column ``n + c`` to right-hand side ``c``; absent
@@ -150,7 +125,11 @@ def eliminate(rows, n, k):
     is the one of least Markowitz cost ``(row nonzeros - 1) * (column
     nonzeros - 1)``, the lowest index among equals, always on its diagonal;
     back-substitution runs in reverse elimination order. Returns the
-    n-by-k solution, or None when a diagonal pivot is zero.
+    n-by-k solution.
+
+    Raises :class:`SingularSystemError` when a diagonal pivot is zero,
+    which never happens on a nonsingular M-matrix such as the analyses'
+    ``I - Q``, or its transpose, in any order.
 
     Only ``+ - * /`` and a zero test touch the entries, so any exact field
     works. With integer entries ``/`` is float division: load Fractions.
@@ -176,7 +155,7 @@ def eliminate(rows, n, k):
         row = rows[p]
         piv = row.pop(p, 0)
         if not piv:
-            return None
+            raise SingularSystemError(f"zero pivot for unknown {p}")
         done[p] = True
         order.append((p, piv))
         holders[p].discard(p)
@@ -209,31 +188,29 @@ def eliminate(rows, n, k):
     return x
 
 
-def solve_sparse(a, b):
-    """Solve ``a @ x = b`` exactly by sparse state elimination; see :func:`eliminate`.
+def solve(rows, b, mode):
+    """Solve ``a @ x = b`` in ``mode``'s arithmetic.
 
-    Shapes and result as in :func:`solve_exact`, except that a vanishing
-    diagonal pivot returns None.
-    """
-    n = len(a)
-    return eliminate(_sparse_rows(a, b, n * n), n, len(b[0]) if b else 0)
-
-
-def solve(a, b, mode):
-    """Solve ``a @ x = b`` in ``mode``'s arithmetic; shapes as in :func:`solve_exact`.
-
-    Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros per row of ``a``
-    on average go to :func:`eliminate`, whatever the width of ``b``; the
-    rest, and those that meet a zero pivot there, go to :func:`solve_exact`.
-    The analyses' systems have one column, or one per start state.
+    ``rows[i]`` maps column ``j`` to the nonzero ``a[i][j]``; ``b`` is the
+    n-by-k right-hand-side matrix, a list of rows. Returns the n-by-k
+    solution. Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros per
+    row on average take ``b``'s nonzeros into their rows as columns
+    ``n + c`` and go to :func:`eliminate`, whatever the width of ``b``;
+    the rest are made dense once for :func:`solve_exact`. Exact solves
+    consume the dicts. The analyses' systems have one column, or one per
+    start state.
     """
     if mode != "exact":
-        return solve_float(a, b)
-    n = len(a)
-    if n:
-        rows = _sparse_rows(a, b, SPARSE_ROW_NNZ * n)
-        if rows is not None:
-            x = eliminate(rows, n, len(b[0]))
-            if x is not None:
-                return x
-    return solve_exact(a, b)
+        return solve_float(rows, b)
+    n = len(rows)
+    if sum(map(len, rows)) > SPARSE_ROW_NNZ * n:
+        a = [[0] * n for _ in rows]
+        for dense, row in zip(a, rows):
+            for j, x in row.items():
+                dense[j] = x
+        return solve_exact(a, b)
+    for row, b_row in zip(rows, b):
+        for c, x in enumerate(b_row, n):
+            if x:
+                row[c] = x
+    return eliminate(rows, n, len(b[0]) if b else 0)

@@ -38,7 +38,7 @@ def _parse_value(raw, where: str):
     return raw
 
 
-def _parse_edges(obj, key: str, value_key: str):
+def _parse_edges(obj, key: str, value_key: str, declared: set):
     edges = {}
     entries = obj.get(key, [])
     if not isinstance(entries, list):
@@ -52,6 +52,9 @@ def _parse_edges(obj, key: str, value_key: str):
         frm, to = entry["from"], entry["to"]
         if not isinstance(frm, str) or not isinstance(to, str):
             raise ModelParseError(f"{where}: 'from' and 'to' must be state names")
+        for name in (frm, to):
+            if name not in declared:
+                raise ModelParseError(f"{where}: undeclared state {name!r}")
         if (frm, to) in edges:
             raise ModelParseError(f"{where}: duplicate edge {frm!r} -> {to!r}")
         edges[(frm, to)] = _parse_value(entry[value_key], where)
@@ -61,8 +64,9 @@ def _parse_edges(obj, key: str, value_key: str):
 def parse_model(obj: dict, mode: str = EXACT) -> MarkovChain | RewardChain:
     """Validate a decoded model dictionary into a chain.
 
-    Raises :class:`ModelParseError` for schema problems; semantic problems
-    (bad rows, negative costs) raise the chain validation errors.
+    Raises :class:`ModelParseError` for schema problems, among them
+    duplicate state labels and edges naming an undeclared state; semantic
+    problems (bad rows, negative costs) raise the chain validation errors.
     """
     if not isinstance(obj, dict):
         raise ModelParseError("top level must be an object")
@@ -72,12 +76,16 @@ def parse_model(obj: dict, mode: str = EXACT) -> MarkovChain | RewardChain:
     states = obj.get("states")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ModelParseError("'states' must be a list of state names")
+    declared = set(states)
+    if len(declared) != len(states):
+        dupes = sorted({s for s in states if states.count(s) > 1})
+        raise ModelParseError(f"duplicate state labels: {dupes}")
 
-    trans = _parse_edges(obj, "transitions", "prob")
+    trans = _parse_edges(obj, "transitions", "prob", declared)
     chain = validate_chain(states, trans, mode)
     if "rewards" not in obj:
         return chain
-    return validate_reward(chain, _parse_edges(obj, "rewards", "cost"))
+    return validate_reward(chain, _parse_edges(obj, "rewards", "cost", declared))
 
 
 def _reject_constant(name):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from exactchain.analysis import (
     _can_reach_idx,
     _entry_masses,
     _reachable_idx,
+    _solve_block,
     certify_ae_until,
     conditional_probability,
     entry_edge_distribution,
@@ -410,6 +412,43 @@ def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
         for s in starts:
             alone = _entry_masses(chain, target, [s], key)[s]
             assert list(batched[s].items()) == list(alone.items())
+
+
+def dense_exit_mass_system(chain, block, transpose):
+    """``I - Q`` over ``block``, or its transpose, as a dense numpy matrix whose
+    diagonal holds each row's exit mass ``sum_{v != u} tau(u, v)``."""
+    pos = {u: r for r, u in enumerate(block)}
+    a = np.zeros((len(block), len(block)))
+    for r, u in enumerate(block):
+        row = chain.row_by_index(u)
+        for v, p in row.items():
+            if v != u and v in pos:
+                a[(pos[v], r) if transpose else (r, pos[v])] = -p
+        a[r, r] = sum(p for v, p in row.items() if v != u)
+    return a
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
+def test_float_block_solve_is_numpy_on_the_dense_exit_mass_system(transpose):
+    # A self-loop of 1 - 1e-17 reads 1.0 in floats; its exit mass is 1e-17.
+    loop = validate_chain(["a", "b", "goal"], {
+        ("a", "a"): 1 - 1e-17, ("a", "b"): 1e-17,
+        ("b", "a"): 0.5, ("b", "goal"): 0.5, ("goal", "goal"): 1.0,
+    }, FLOAT)
+    assert loop.row_by_index(0)[0] == 1.0
+    rng = random.Random(12)
+    chains = [loop]
+    for n in range(2, 14):
+        chains.append(as_mode(random_reward(rng, n, chain=random_chain(rng, n)), FLOAT).chain)
+        chains.append(as_mode(random_reward(rng, n, chain=near_one_chain(rng, n)), FLOAT).chain)
+    for chain in chains:
+        n = len(chain.states)
+        target = {n - 1}
+        block = sorted(_can_reach_idx(chain, set(range(n - 1)), target))
+        b = [[rng.random(), float(u == block[0])] for u in block]
+        x = _solve_block(chain, block, b, transpose)
+        expected = np.linalg.solve(dense_exit_mass_system(chain, block, transpose), np.array(b))
+        assert repr(x) == repr(dict(zip(block, expected.tolist())))
 
 
 @settings(max_examples=150, deadline=None)

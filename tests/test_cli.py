@@ -81,6 +81,24 @@ def test_validate_io_and_parse_codes(capsys, tmp_path):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"states": ["a"], "transitions": [{"from": "a", "to": "b", "prob": "1"}]},
+     "transitions[0]: undeclared state 'b'"),
+    ({"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": "1"}],
+      "rewards": [{"from": "a", "to": "b", "cost": "1"}]},
+     "rewards[0]: undeclared state 'b'"),
+    ({"states": ["a", "a"], "transitions": [{"from": "a", "to": "a", "prob": "1"}]},
+     "duplicate state labels: ['a']"),
+], ids=["transition-to-undeclared", "reward-to-undeclared", "duplicate-label"])
+def test_model_state_label_errors_are_parse_errors(capsys, tmp_path, model, message):
+    # Not exit 6, which is for a query's unknown state, and no traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == f"error: parse error: {message}\n"
+
+
 # --------------------------------------------------------------------- solve
 
 def test_solve_until_probability(capsys, small_model):

@@ -7,8 +7,18 @@ from hypothesis import strategies as st
 
 from exactchain import analysis, crowds, linalg, zeroconf
 from exactchain.errors import SingularSystemError
-from exactchain.linalg import solve_exact, solve_float, solve_sparse
+from exactchain.linalg import eliminate, solve_exact, solve_float
 from _support import near_one_chain, random_chain, random_query, random_reward
+
+
+def sparse(a):
+    """The rows of the dense matrix ``a`` as dicts of their nonzeros."""
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def dense(rows):
+    """The square matrix whose nonzeros ``rows`` holds."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
 def matmul(a, x):
@@ -50,7 +60,7 @@ def test_singular_system_raises():
     with pytest.raises(SingularSystemError):
         solve_exact(a, [[F(1)], [F(1)]])
     with pytest.raises(SingularSystemError):
-        solve_float([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]])
+        solve_float(sparse([[1.0, 2.0], [2.0, 4.0]]), [[1.0], [1.0]])
 
 
 def test_float_solver_matches_exact():
@@ -64,7 +74,7 @@ def test_float_solver_matches_exact():
             exact = solve_exact(a, b)
         except SingularSystemError:
             continue
-        approx = solve_float([[float(v) for v in row] for row in a],
+        approx = solve_float(sparse([[float(v) for v in row] for row in a]),
                              [[float(v) for v in row] for row in b])
         for i in range(n):
             assert approx[i][0] == pytest.approx(float(exact[i][0]), rel=1e-9, abs=1e-12)
@@ -113,19 +123,18 @@ def systems(draw):
 @example(([[0, 2, 1], [3, 0, 0], [1, 1, -1]], [[1], [0], [2]]))  # int entries
 @example(([[F(1, 3), F(2, 3)], [F(2, 5), F(1, 7)]], [[F(0)], [F(0)]]))  # zero RHS
 def test_solve_exact_matches_reference_elimination(system):
-    # Bareiss directly, and the exact dispatcher, which sends these small
-    # systems to sparse elimination and back to Bareiss on a zero pivot.
+    # Bareiss on arbitrary systems; the dispatcher, which does not pivot on
+    # sparse ones, is checked on absorbing blocks below.
     a, b = system
     expected = reference_solve(a, b)
-    for solver in (solve_exact, lambda a, b: linalg.solve(a, b, "exact")):
-        if expected is None:
-            with pytest.raises(SingularSystemError):
-                solver(a, b)
-            continue
-        x = solver(a, b)
-        assert matmul(a, x) == [[F(v) for v in row] for row in b]
-        assert x == expected
-        assert all(type(v) is F for row in x for v in row)
+    if expected is None:
+        with pytest.raises(SingularSystemError):
+            solve_exact(a, b)
+        return
+    x = solve_exact(a, b)
+    assert matmul(a, x) == [[F(v) for v in row] for row in b]
+    assert x == expected
+    assert all(type(v) is F for row in x for v in row)
 
 
 def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
@@ -151,31 +160,43 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
 
 
 def test_exact_dispatch_survives_zero_pivots():
-    # A missing diagonal hands the system to Bareiss, which pivots.
-    x = linalg.solve([[0, 1], [1, 0]], [[4], [7]], "exact")
+    # Bareiss pivots past a missing diagonal; state elimination, which
+    # never pivots, reports it.
+    x = solve_exact([[0, 1], [1, 0]], [[4], [7]])
     assert x == [[F(7)], [F(4)]]
     assert all(type(v) is F for row in x for v in row)
-    assert solve_sparse([[0, 1], [1, 0]], [[4], [7]]) is None
-    # A pivot that cancels to zero: Bareiss finds the system singular.
     with pytest.raises(SingularSystemError):
-        linalg.solve([[1, -1], [-1, 1]], [[1], [0]], "exact")
+        eliminate([{1: F(1), 2: F(4)}, {0: F(1), 2: F(7)}], 2, 1)
+    # A pivot that cancels to zero: the system is singular.
+    with pytest.raises(SingularSystemError):
+        solve_exact([[1, -1], [-1, 1]], [[1], [0]])
+    with pytest.raises(SingularSystemError):
+        linalg.solve(sparse([[F(1), F(-1)], [F(-1), F(1)]]), [[F(1)], [F(0)]], "exact")
 
 
 def test_sparse_elimination_gives_fractions_for_integer_input():
-    a = [[2, -1, 0], [0, 3, -1], [-1, 0, 4]]
+    # Integer-valued Fractions: with int coefficients ``/`` would divide in floats.
+    a = [[F(2), F(-1), 0], [0, F(3), F(-1)], [F(-1), 0, F(4)]]
     b = [[1, 0], [0, 0], [2, 5]]
-    x = linalg.solve(a, b, "exact")
+    x = linalg.solve(sparse(a), b, "exact")
     assert x == solve_exact(a, b)
     assert all(type(v) is F for row in x for v in row)
 
 
 def block_systems(chain, rchain, rng):
-    """The ``(a, b)`` of every solve behind the until, hitting-time, cost
-    and entry-edge queries on ``chain``."""
+    """The ``(rows, b)`` of every solve behind the until, hitting-time, cost
+    and entry-edge queries on ``chain``; ``rows`` are copies, as the solve
+    consumes them."""
     systems = []
     phi, psi, start = random_query(rng, chain)
+    solve = linalg.solve
+
+    def capture(rows, b, mode):
+        systems.append(([dict(row) for row in rows], b))
+        return solve(rows, b, mode)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "solve", lambda a, b, mode: systems.append((a, b)) or solve_exact(a, b))
+        mp.setattr(linalg, "solve", capture)
         analysis.until_probabilities(chain, phi, psi)
         analysis.expected_hitting_time(chain, psi, start)
         analysis.expected_cost_until(rchain, psi, start)
@@ -197,10 +218,18 @@ def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, s
         width = {"width2": 2, "width3": 3, "dense": n_states}[shape]
         chain = random_chain(rng, n_states, max_out=width)
     rchain = random_reward(rng, n_states, chain=chain)
-    for a, b in block_systems(chain, rchain, rng):
-        x = solve_sparse(a, b)
-        assert x is not None
-        assert repr(x) == repr(solve_exact(a, b))
+    for rows, b in block_systems(chain, rchain, rng):
+        n = len(rows)
+        a = dense(rows)
+        expected = solve_exact(a, b)
+        merged = [{**row, **{n + c: x for c, x in enumerate(b_row) if x}}
+                  for row, b_row in zip(rows, b)]
+        assert repr(eliminate(merged, n, len(b[0]))) == repr(expected)
+        # The dispatcher, whichever solver it picks.
+        x = linalg.solve([dict(row) for row in rows], b, "exact")
+        assert matmul(a, x) == b
+        assert x == reference_solve(a, b)
+        assert all(type(v) is F for row in x for v in row)
 
 
 def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypatch):
@@ -208,9 +237,8 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypat
     eliminate, bareiss = linalg.eliminate, linalg.solve_exact
 
     def counted_eliminate(*args):
-        x = eliminate(*args)
-        used.append("sparse" if x is not None else "zero pivot")
-        return x
+        used.append("sparse")
+        return eliminate(*args)
 
     def counted_bareiss(a, b):
         used.append("bareiss")

@@ -8,7 +8,6 @@ from exactchain.errors import (
     ModelIOError,
     ModelParseError,
     RowSumNotOneError,
-    UnknownStateError,
 )
 from exactchain.modelfile import (
     load_model,
@@ -117,6 +116,10 @@ def test_schema_errors():
     with pytest.raises(ModelParseError, match="cannot parse"):
         parse_model({"states": ["a"],
                      "transitions": [{"from": "a", "to": "a", "prob": "x/y"}]})
+    # Edges must name declared states; an unknown state is a query's error.
+    with pytest.raises(ModelParseError, match="undeclared state 'zz'"):
+        parse_model({"states": ["a"],
+                     "transitions": [{"from": "a", "to": "zz", "prob": 1}]})
 
 
 def test_semantic_errors_pass_through():
@@ -129,6 +132,3 @@ def test_semantic_errors_pass_through():
                 {"from": "b", "to": "b", "prob": 1},
             ],
         })
-    with pytest.raises(UnknownStateError):
-        parse_model({"states": ["a"],
-                     "transitions": [{"from": "a", "to": "zz", "prob": 1}]})
