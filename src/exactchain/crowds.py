@@ -94,6 +94,11 @@ class CrowdsParams:
         init = {j: init.get(j, 0) for j in honest}
         object.__setattr__(self, "init", MappingProxyType(init))
 
+    def __hash__(self):
+        # The generated hash would hash the init mappingproxy, which has none;
+        # equal mappings have equal item sets.
+        return hash((self.jondos, self.colls, self.p_f, frozenset(self.init.items())))
+
     @cached_property
     def honest(self) -> tuple[str, ...]:
         # Kept in the instance __dict__, outside the fields: ==, hash and

@@ -13,9 +13,12 @@ chain converts its rows once, on first use, into one flat per-edge table
 that it keeps, and successors are drawn by inverse CDF over the
 index-sorted row. :class:`PathRng` and :func:`sample_path` are the scalar
 reference; the estimators walk paths in blocks that replay exactly their
-per-path streams and successors. The block walker imports numpy when it
-first runs, so importing this module does not load it. Exactness lives in
-the analysis module; the simulator only corroborates it.
+per-path streams and successors, and add up path costs left to right in
+path-index order, so their estimates equal a path-by-path count bit for
+bit. The block size bounds the walker's memory, not its results. The
+block walker imports numpy when it first runs, so importing this module
+does not load it. Exactness lives in the analysis module; the simulator
+only corroborates it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ PATH_STREAM_STRIDE = 1 << 20
 
 DEFAULT_MAX_STEPS = 10_000
 
-#: Paths the estimators walk together; bounds the walker's working arrays.
-_BLOCK = 4096
+#: Paths the estimators walk together. It bounds the walker's working
+#: arrays; each step costs a fixed overhead plus a share per path still
+#: walking, so larger blocks pay fewer steps of a few stragglers.
+_BLOCK = 16384
 
 
 def _jump(seed: int, steps: int) -> int:
@@ -160,6 +165,15 @@ def sample_path(
     return PathSample(tuple(seq), rng.seed, rng.path_index)
 
 
+def _mask(n: int, idx):
+    """Boolean array over ``n`` state indices, true on ``idx``."""
+    import numpy as np
+
+    mask = np.zeros(n, dtype=bool)
+    mask[list(idx)] = True
+    return mask
+
+
 def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     """Walk paths ``0 .. cfg.samples - 1`` from ``start``, ``_BLOCK`` at a time.
 
@@ -168,12 +182,16 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     successor is ``bisect_right`` of ``u`` in its row, found by log2(width)
     halvings (``width``: the widest row rounded up to a power of two) whose
     probes past the row's end read its last entry, 1.0 > u, like ``+inf``.
+    A path still walking at step ``t`` has drawn at every earlier step, so
+    its stream state is its start state plus ``t`` increments.
 
     Yields per block, in path order: end states, states entered by the
     first step and left by the last (the start if no step was taken), and
     transition costs under the reward chain ``cost`` summed in step order.
-    A cost that overflows a float raises :class:`InvalidParamsError`; a sum
-    that overflows is left at ``inf``.
+    The block size bounds the working arrays; each block's step loop runs
+    until its slowest path stops. A cost that overflows a float raises
+    :class:`InvalidParamsError`; a sum that overflows is left at ``inf``
+    (numpy warns about it unless the caller ignores overflow).
     """
     import numpy as np
 
@@ -190,36 +208,35 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
     price = np.array(price)
     ptr, cum, succ = np.array(ptr), np.array(cum), np.array(succ, dtype=np.intp)
     width = 1 << (max(np.diff(ptr).tolist()) - 1).bit_length()
-    stopped = np.zeros(n, dtype=bool)
-    stopped[list(stop)] = True
+    row_first, row_last = ptr[:-1], ptr[1:] - 1
+    going = ~_mask(n, stop)
     s0 = chain.index_of(start)
 
     for lo in range(0, cfg.samples, _BLOCK):
         paths = np.arange(lo, min(lo + _BLOCK, cfg.samples), dtype=np.uint64)
-        rng = _jump(cfg.seed & _MASK64, paths * PATH_STREAM_STRIDE)
+        rng0 = _jump(cfg.seed & _MASK64, paths * PATH_STREAM_STRIDE)
         end = np.full(paths.size, s0, dtype=np.intp)
         first, last, acc = end.copy(), end.copy(), np.zeros(paths.size)
-        live = np.arange(paths.size)
+        live, nxt = np.arange(paths.size), end
         for steps in range(1, cfg.max_steps):
-            live = live[~stopped[end[live]]]
+            moving = going[nxt]
+            live, i = live[moving], nxt[moving]
             if not live.size:
                 break
-            z = rng[live] + _GAMMA
-            rng[live] = z
+            z = rng0[live] + (steps * _GAMMA & _MASK64)
             z = (z ^ (z >> 30)) * _MIX1
             z = (z ^ (z >> 27)) * _MIX2
             u = ((z ^ (z >> 31)) >> 11) * _UNIT
-            i = end[live]
-            pos, row_last, half = ptr[i], ptr[i + 1] - 1, width
+            pos, bound, half = row_first[i], row_last[i], width
             while half := half >> 1:
-                pos += half * (cum[np.minimum(pos + half - 1, row_last)] <= u)
-            end[live] = succ[pos]
+                pos += half * (cum[np.minimum(pos + (half - 1), bound)] <= u)
+            nxt = succ[pos]
+            end[live] = nxt
             last[live] = i
             if steps == 1:
-                first[live] = end[live]
+                first[live] = nxt
             if cost is not None:
-                with np.errstate(over="ignore"):  # estimate_cost rejects an inf total
-                    acc[live] += price[pos]
+                acc[live] += price[pos]
         yield end, first, last, acc
 
 
@@ -237,10 +254,12 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     stop = psi_idx | analysis._prob01(chain, phi_idx - psi_idx, psi_idx)[0]
+    n = len(chain.states)
+    is_hit, is_decided = _mask(n, psi_idx), _mask(n, stop)
     hits = decided = 0
     for end, _, _, _ in _walks(chain, start, cfg, stop):
-        hits += int(np.isin(end, list(psi_idx)).sum())
-        decided += int(np.isin(end, list(stop)).sum())
+        hits += int(is_hit[end].sum())
+        decided += int(is_decided[end].sum())
 
     censored = cfg.samples - decided
     if decided == 0:
@@ -265,14 +284,19 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     outside = set(range(len(chain.states))) - phi_idx
     stop = phi_idx | analysis._prob01(chain, outside, phi_idx)[0]
 
+    is_hit = _mask(len(chain.states), phi_idx)
     total = total_sq = 0.0
     decided = 0
-    for end, _, _, acc in _walks(chain, start, cfg, stop, rchain):
-        # Path-index order, as a path-by-path reference sum would add them.
-        for c in acc[np.isin(end, list(phi_idx))].tolist():
-            decided += 1
-            total += c
-            total_sq += c * c
+    # An overflowed sum stays inf and is rejected below.
+    with np.errstate(over="ignore"):
+        for end, _, _, acc in _walks(chain, start, cfg, stop, rchain):
+            c = acc[is_hit[end]]
+            decided += c.size
+            # cumsum adds left to right, in path-index order, as a
+            # path-by-path reference sum would; np.sum and 3.12's builtin
+            # sum would not.
+            total = np.cumsum(np.concatenate(([total], c)))[-1].item()
+            total_sq = np.cumsum(np.concatenate(([total_sq], c * c)))[-1].item()
 
     censored = cfg.samples - decided
     if decided == 0:
@@ -303,13 +327,26 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
     coll_mix = chain.index_set(model.collaborator_mix_labels())
     jondo = [model.jondo_of(label) for label in chain.states]
 
+    # Pair codes f * m + l over the distinct jondo values (None included), in
+    # the narrowest unsigned type that holds them: np.unique's stable sort
+    # runs as a radix sort on types of up to 16 bits.
+    names = list(dict.fromkeys(jondo))
+    m = len(names)
+    code = np.array([names.index(j) for j in jondo], dtype=np.min_scalar_type(m * m - 1))
+    stop = coll_mix | {end_idx}
+    is_hit, is_decided = _mask(len(jondo), coll_mix), _mask(len(jondo), stop)
+
     counts: dict = {}
     censored = cfg.samples
-    for end, first, last, _ in _walks(chain, model.START, cfg, coll_mix | {end_idx}):
-        hit = np.isin(end, list(coll_mix))
-        censored -= int(hit.sum()) + int((end == end_idx).sum())
-        for f, l in zip(first[hit].tolist(), last[hit].tolist()):
-            key = (jondo[f], jondo[l])
-            counts[key] = counts.get(key, 0) + 1
+    for end, first, last, _ in _walks(chain, model.START, cfg, stop):
+        hit = is_hit[end]
+        censored -= int(is_decided[end].sum())
+        cells, at, seen = np.unique(code[first[hit]] * m + code[last[hit]],
+                                    return_index=True, return_counts=True)
+        # In order of each cell's first hit, as a path-by-path count inserts them.
+        order = np.argsort(at)
+        for cell, k in zip(cells[order].tolist(), seen[order].tolist()):
+            key = (names[cell // m], names[cell % m])
+            counts[key] = counts.get(key, 0) + k
 
     return JointCounts(counts, sum(counts.values()), cfg.samples, censored)

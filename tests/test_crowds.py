@@ -62,10 +62,11 @@ def test_params_cache_honest_outside_eq_hash_and_repr():
     )
     explicit = CrowdsParams(("J1", "J2", "J3", "J4"), {"J4"}, F(1, 2),
                             {"J1": F(1, 3), "J2": F(1, 3), "J3": F(1, 3)})
-    assert p == explicit
+    assert p == explicit and hash(p) == hash(explicit)
     assert p != make_params(4, 2, F(1, 2))
-    with pytest.raises(TypeError, match="mappingproxy"):
-        hash(p)  # the init mapping is unhashable
+    skewed = make_params(4, 1, F(1, 2), {"J1": F(1, 2), "J2": F(1, 2)})
+    assert skewed != p and skewed == make_params(4, 1, 0.5, {"J2": 0.5, "J1": 0.5})
+    assert hash(skewed) == hash(make_params(4, 1, 0.5, {"J2": 0.5, "J1": 0.5}))
 
 
 def test_fig3_preset_and_derived_counts():

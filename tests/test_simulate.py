@@ -3,12 +3,14 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exactchain import EXACT, FLOAT, validate_chain, validate_reward
+from exactchain import EXACT, FLOAT, simulate, validate_chain, validate_reward
 from exactchain.analysis import until_prob_is_zero, until_probability
 from exactchain.crowds import FIG3, build_crowds, make_params, path_shape_error
 from exactchain.errors import InvalidParamsError
@@ -30,9 +32,12 @@ from _support import random_chain, random_query, random_reward
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
-# Path counts straddling a walker block, short horizons that censor, and
-# seeds that wrap modulo 2**64.
-SAMPLES = st.sampled_from([1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+# The walker tests patch its block down to SMALL_BLOCK, so that path counts
+# straddle one or many blocks cheaply; one example each keeps the real
+# _BLOCK. Short horizons censor, and seeds wrap modulo 2**64.
+SMALL_BLOCK = 8
+SAMPLES = st.sampled_from([1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                           5 * SMALL_BLOCK + 3])
 MAX_STEPS = st.sampled_from([1, 2, 3, 10, 100])
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -5]), st.integers(-2**70, 2**70))
 MODES = st.sampled_from([EXACT, FLOAT])
@@ -168,6 +173,24 @@ def test_estimate_cost_matches_exact_value():
     assert est.censored == 0
 
 
+def test_estimate_cost_adds_path_costs_left_to_right():
+    # Costs 1e16 and 1: left to right, a 1 added after a 1e16 rounds away,
+    # while a pairwise or compensated sum keeps some of them.
+    chain = chain_of({("a", "big"): F(1, 16), ("a", "one"): F(15, 16),
+                      ("big", "big"): F(1), ("one", "one"): F(1)})
+    rchain = validate_reward(chain, {("a", "big"): F(10**16), ("a", "one"): F(1)})
+    cfg = SimConfig(seed=1, samples=64)
+    ends = [sample_path(chain, "a", PathRng(cfg.seed, k), max_steps=2).states[-1]
+            for k in range(cfg.samples)]
+    costs = [1e16 if end == "big" else 1.0 for end in ends]
+    total = 0.0
+    for c in costs:
+        total += c
+    assert total not in (float(np.sum(costs)), math.fsum(costs))
+    est = estimate_cost(rchain, {"big", "one"}, "a", cfg)
+    assert est.mean == total / cfg.samples and est.censored == 0
+
+
 def test_estimates_are_deterministic():
     rchain = build_zeroconf(SMALL)
     chain = rchain.chain
@@ -190,23 +213,25 @@ def _reference_paths(chain, start, cfg, stop):
 
 @settings(max_examples=40, deadline=None)
 @given(chain_seed=st.integers(0, 2**32 - 1), shape=SHAPES, mode=MODES,
-       seed=SEEDS, samples=SAMPLES, max_steps=MAX_STEPS, start_in_psi=st.booleans())
+       seed=SEEDS, samples=SAMPLES, max_steps=MAX_STEPS, start_in_psi=st.booleans(),
+       block=st.just(SMALL_BLOCK))
 @example(chain_seed=1, shape=(4, 3), mode=EXACT, seed=2**64 - 1, samples=1,
-         max_steps=1, start_in_psi=False)
-@example(chain_seed=2, shape=(5, 3), mode=FLOAT, seed=-5, samples=_BLOCK - 1,
-         max_steps=2, start_in_psi=False)
-@example(chain_seed=3, shape=(6, 3), mode=EXACT, seed=-5, samples=_BLOCK,
-         max_steps=3, start_in_psi=True)
+         max_steps=1, start_in_psi=False, block=SMALL_BLOCK)
+@example(chain_seed=2, shape=(5, 3), mode=FLOAT, seed=-5, samples=SMALL_BLOCK - 1,
+         max_steps=2, start_in_psi=False, block=SMALL_BLOCK)
+@example(chain_seed=3, shape=(6, 3), mode=EXACT, seed=-5, samples=SMALL_BLOCK,
+         max_steps=3, start_in_psi=True, block=SMALL_BLOCK)
 @example(chain_seed=4, shape=(3, 3), mode=FLOAT, seed=2**64 - 1, samples=_BLOCK + 1,
-         max_steps=10, start_in_psi=False)
-@example(chain_seed=5, shape=(30, 30), mode=FLOAT, seed=7, samples=_BLOCK + 1,
-         max_steps=100, start_in_psi=False)
-@example(chain_seed=6, shape=(23, 23), mode=EXACT, seed=-5, samples=_BLOCK - 1,
-         max_steps=10, start_in_psi=False)
+         max_steps=10, start_in_psi=False, block=_BLOCK)
+@example(chain_seed=5, shape=(30, 30), mode=FLOAT, seed=7, samples=5 * SMALL_BLOCK + 3,
+         max_steps=100, start_in_psi=False, block=SMALL_BLOCK)
+@example(chain_seed=6, shape=(23, 23), mode=EXACT, seed=-5, samples=SMALL_BLOCK + 1,
+         max_steps=10, start_in_psi=False, block=SMALL_BLOCK)
 def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, samples,
-                                            max_steps, start_in_psi):
+                                            max_steps, start_in_psi, block):
     # The block walker behind the estimators must replay exactly the draws
-    # and successors that sample_path takes for each (seed, path index).
+    # and successors that sample_path takes for each (seed, path index), and
+    # the estimators must add them up in path-index order across blocks.
     rng = random.Random(chain_seed)
     n_states, max_out = shape
     rchain = random_reward(rng, n_states, mode, random_chain(rng, n_states, max_out))
@@ -225,7 +250,9 @@ def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, sampl
         want = Estimate(p, (p * (1.0 - p) / decided) ** 0.5, samples, samples - decided)
     else:
         want = Estimate(0.0, 0.0, samples, samples)
-    assert estimate_until(chain, phi, psi, start, cfg) == want
+    with patch.object(simulate, "_BLOCK", block):
+        got = estimate_until(chain, phi, psi, start, cfg)
+    assert got == want
 
     everything = set(chain.states)
     dead = {s for s in chain.states if until_prob_is_zero(chain, everything, psi, s)}
@@ -247,7 +274,9 @@ def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, sampl
         want = Estimate(mean, (var / n) ** 0.5, samples, samples - n)
     else:
         want = Estimate(0.0, 0.0, samples, samples)
-    assert estimate_cost(rchain, psi, start, cfg) == want
+    with patch.object(simulate, "_BLOCK", block):
+        got = estimate_cost(rchain, psi, start, cfg)
+    assert got == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -296,11 +325,12 @@ def test_walker_tables_hold_one_entry_per_edge():
 @settings(max_examples=20, deadline=None)
 @given(n_jondos=st.integers(3, 9), coll_seed=st.integers(0, 100), skewed=st.booleans(),
        p_f=st.sampled_from([F(1, 2), F(4, 5), F(9, 10)]), mode=MODES, seed=SEEDS,
-       samples=SAMPLES, max_steps=st.sampled_from([1, 2, 3, 5, 10_000]))
+       samples=SAMPLES, max_steps=st.sampled_from([1, 2, 3, 5, 10_000]),
+       block=st.just(SMALL_BLOCK))
 @example(n_jondos=5, coll_seed=1, skewed=True, p_f=F(4, 5), mode=FLOAT, seed=-5,
-         samples=_BLOCK + 1, max_steps=3)
+         samples=_BLOCK + 1, max_steps=3, block=_BLOCK)
 def test_joint_walk_matches_sample_path(n_jondos, coll_seed, skewed, p_f, mode, seed,
-                                        samples, max_steps):
+                                        samples, max_steps, block):
     n_colls = 1 + coll_seed % (n_jondos - 2)
     init = {"J1": F(3, 4), "J2": F(1, 4)} if skewed else None
     model = build_crowds(make_params(n_jondos, n_colls, p_f, init), mode)
@@ -316,7 +346,8 @@ def test_joint_walk_matches_sample_path(n_jondos, coll_seed, skewed, p_f, mode, 
             hits += 1
         elif path[-1] != model.END:
             censored += 1
-    got = estimate_joint_first_last(model, cfg)
+    with patch.object(simulate, "_BLOCK", block):
+        got = estimate_joint_first_last(model, cfg)
     assert got == JointCounts(counts, hits, samples, censored)
     assert list(got.counts) == list(counts)
 
