@@ -7,7 +7,10 @@ searches); no float tolerance decides them. The quantitative answers
 (until probabilities, expected hitting times, expected accumulated
 costs, first-entry laws) each solve one absorbing system
 ``(I - Q) x = b`` over a block of states that the graph criteria pick so
-that the system is nonsingular.
+that the system is nonsingular. One multi-source traversal
+(``_traverse``) answers every reachability question, forward along the
+rows or backward along the predecessor lists; an entry-law block takes
+one forward search from all its starts at once.
 
 Two conventions hold throughout and are easy to trip over:
 
@@ -65,37 +68,28 @@ class EdgeDistribution(Distribution):
         return Distribution(out, self.never)
 
 
-def _reachable_idx(chain: MarkovChain, within: set[int], start: int) -> set[int]:
-    """Indices reachable from ``start`` by >= 1 edges with intermediates in ``within``."""
+def _traverse(neighbours, within: set[int], sources) -> set[int]:
+    """States entered by >= 1 edges from ``sources``, moving on only from states in ``within``.
+
+    ``neighbours(u)`` lists the states one edge away from ``u``: the rows
+    (``chain.row_by_index``) search forward, the predecessor lists
+    backward. Every source is expanded, inside ``within`` or not; a source
+    is in the result only if an edge enters it.
+    """
     seen: set[int] = set()
-    frontier = list(chain.row_by_index(start))
-    seen.update(frontier)
+    frontier = list(sources)
     while frontier:
-        u = frontier.pop()
-        if u in within:
-            for v in chain.row_by_index(u):
-                if v not in seen:
-                    seen.add(v)
+        for v in neighbours(frontier.pop()):
+            if v not in seen:
+                seen.add(v)
+                if v in within:
                     frontier.append(v)
     return seen
 
 
-def _can_reach_idx(chain: MarkovChain, within: set[int], targets: set[int]) -> set[int]:
-    """States in ``within`` with an edge-path to ``targets`` through ``within``.
-
-    Backward closure over the nonzero-edge graph; the returned set excludes
-    the targets themselves.
-    """
-    preds = chain._predecessors()
-    reached: set[int] = set()
-    frontier = list(targets)
-    while frontier:
-        t = frontier.pop()
-        for u in preds[t]:
-            if u in within and u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    return reached
+def _can_reach(chain: MarkovChain, within: set[int], targets: set[int]) -> set[int]:
+    """States in ``within`` with an edge-path to ``targets`` through ``within``."""
+    return _traverse(chain._predecessors().__getitem__, within, targets) & within
 
 
 def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
@@ -109,8 +103,8 @@ def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
     of Model Checking*, 10.1), whatever the arithmetic mode.
     """
     every = set(range(len(chain.states)))
-    zero = every - targets - _can_reach_idx(chain, within, targets)
-    return zero, every - zero - _can_reach_idx(chain, within, zero)
+    zero = every - targets - _can_reach(chain, within, targets)
+    return zero, every - zero - _can_reach(chain, within, zero)
 
 
 def _solve_block(chain: MarkovChain, block, b, transpose=False) -> dict:
@@ -161,7 +155,7 @@ def reachable(chain: MarkovChain, phi, start: str) -> set[str]:
     """
     phi_idx = chain.index_set(phi)
     s = chain.index_of(start)
-    return {chain.states[i] for i in _reachable_idx(chain, phi_idx, s)}
+    return {chain.states[i] for i in _traverse(chain.row_by_index, phi_idx, [s])}
 
 
 def until_prob_is_zero(chain: MarkovChain, phi, psi, start: str) -> bool:
@@ -205,7 +199,7 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     zero = chain.zero
-    block = sorted(_can_reach_idx(chain, phi_idx - psi_idx, psi_idx))
+    block = sorted(_can_reach(chain, phi_idx - psi_idx, psi_idx))
     b = [
         [sum((p for v, p in chain.row_by_index(u).items() if v in psi_idx), zero)]
         for u in block
@@ -238,7 +232,7 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
     outside = set(range(len(chain.states))) - phi_idx
     if s not in _prob01(chain, outside, phi_idx)[1]:
         return INFINITY
-    block = sorted(({s} | _reachable_idx(chain, outside, s)) - phi_idx)
+    block = sorted(({s} | _traverse(chain.row_by_index, outside, [s])) - phi_idx)
     if cost_row is None:
         b = [[chain.one] for _ in block]
     else:
@@ -279,16 +273,15 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     of ``u``'s edges into the target with key ``k`` and ``y_s(u)`` is the
     expected number of visits to ``u`` before entry (Kemeny & Snell's
     fundamental matrix, 1960). One solve ``(I - Q)^T y_s = e_s``, a column
-    per start, covers the union of the starts' blocks: the states that can
-    occupy a path before entry and can still reach the target. Every other
-    state has zero entry mass. Returns ``{start: {outcome: mass}}`` with
-    the strictly positive masses, outcomes in sorted order.
+    per start, covers the union of the starts' blocks, found by one forward
+    search from all starts: the states that can occupy a path before entry
+    and can still reach the target. Every other state has zero entry mass.
+    Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
+    outcomes in sorted order.
     """
     outside = set(range(len(chain.states))) - t_idx
-    seen = set()
-    for s in starts:
-        seen |= {s} | _reachable_idx(chain, outside, s)
-    block = sorted(seen & _can_reach_idx(chain, outside, t_idx))
+    seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
+    block = sorted(seen & _can_reach(chain, outside, t_idx))
     zero, one = chain.zero, chain.one
     exits = {u: {} for u in block}
     for u, out in exits.items():

@@ -423,7 +423,7 @@ def crowds_report(
             "threshold": format_scalar(innocence.threshold),
         },
         "mutual_information_bits": {
-            "exact": mi_exact(params),
+            "exact": info.mutual_information(joint_closed),
             "bound": mi_bound(params),
         },
         "last_jondo": {

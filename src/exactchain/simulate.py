@@ -6,7 +6,7 @@ give identical samples on every platform. Per-path streams are derived by
 the generator's O(1) jump: path ``i`` starts ``i * 2**20`` steps into the
 seed's state sequence and therefore owns a disjoint block of ``2**20``
 draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
-and :func:`sample_path` reject ``max_steps > 2**20 + 1``).
+and :func:`sample_path` reject ``max_steps`` outside ``1..2**20 + 1``).
 
 Sampling always runs in 64-bit floats, also for exact-mode chains: each
 chain converts its rows once, on first use, into one flat per-edge table
@@ -149,11 +149,11 @@ def sample_path(
     it, otherwise at the horizon. One uniform draw is consumed per
     transition taken, so ``max_steps`` above ``PATH_STREAM_STRIDE + 1``
     raises :class:`InvalidParamsError`: the path would draw from the next
-    path's stream.
+    path's stream. So does ``max_steps < 1``, which leaves room for no state.
     """
-    if max_steps > PATH_STREAM_STRIDE + 1:
+    if not 1 <= max_steps <= PATH_STREAM_STRIDE + 1:
         raise InvalidParamsError(
-            f"max_steps must be at most {PATH_STREAM_STRIDE + 1}, got {max_steps}"
+            f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {max_steps}"
         )
     ptr, succ, cum = chain._cdf_table()
     states = chain.states
@@ -249,8 +249,6 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     decides it as a miss. Paths undecided after ``max_steps`` states are
     censored and excluded from the point estimate.
     """
-    import numpy as np
-
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
     stop = psi_idx | analysis._prob01(chain, phi_idx - psi_idx, psi_idx)[0]

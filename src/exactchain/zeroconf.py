@@ -58,7 +58,7 @@ class ZeroconfParams:
     E: object
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 0:
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParamsError(f"N must be a natural number, got {self.N!r}")
         for name in ("p", "q", "r", "E"):
             object.__setattr__(self, name, _coerce_param(getattr(self, name), name))

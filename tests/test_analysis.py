@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import EXACT, FLOAT, linalg, validate_chain, validate_reward
+from exactchain import EXACT, FLOAT, analysis, linalg, validate_chain, validate_reward
 from exactchain.analysis import (
     INFINITY,
-    _can_reach_idx,
+    _can_reach,
     _entry_masses,
-    _reachable_idx,
     _solve_block,
+    _traverse,
     certify_ae_until,
     conditional_probability,
     entry_edge_distribution,
@@ -30,6 +30,7 @@ from exactchain.errors import (
     StartInTargetError,
     UnknownStateError,
 )
+from exactchain.crowds import build_crowds, first_last_jondo_joint, make_params
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 from _support import (
     as_mode, near_one_chain, random_chain, random_query, random_reward, truncated_until_mass,
@@ -89,6 +90,48 @@ def test_reachable_needs_at_least_one_step():
 def test_reachable_unknown_state(zc_chain):
     with pytest.raises(UnknownStateError):
         reachable(zc_chain, set(), "nope")
+
+
+def edge_list(chain, backward=False):
+    """The chain's nonzero edges as ``(u, v)`` index pairs, reversed if ``backward``."""
+    return [
+        (v, u) if backward else (u, v)
+        for u in range(len(chain.states)) for v in chain.row_by_index(u)
+    ]
+
+
+def brute_closure(edges, within, sources):
+    """States entered by >= 1 of ``edges`` from ``sources``, moving on only from
+    states in ``within``: a fixed point over the whole edge list, with no search."""
+    reached = set()
+    while True:
+        grown = {v for u, v in edges if u in sources or (u in reached and u in within)}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    near_one=st.booleans(),
+    k=st.integers(0, 4),
+)
+def test_traverse_is_the_union_of_single_source_closures(seed, n, near_one, k):
+    rng = random.Random(seed)
+    chain = (near_one_chain if near_one else random_chain)(rng, n)
+    within = {u for u in range(n) if rng.random() < 0.6}
+    sources = rng.sample(range(n), min(k, n))
+    for neighbours, backward in (
+        (chain.row_by_index, False), (chain._predecessors().__getitem__, True),
+    ):
+        edges = edge_list(chain, backward)
+        multi = _traverse(neighbours, within, sources)
+        assert multi == set().union(*(_traverse(neighbours, within, [s]) for s in sources))
+        assert multi == brute_closure(edges, within, set(sources))
+        if backward:
+            assert _can_reach(chain, within, set(sources)) == multi & within
 
 
 # ---------------------------------------------------- probability-zero test
@@ -376,8 +419,9 @@ def per_outcome_entry_masses(chain, target, starts, key):
     outside = set(range(len(chain.states))) - target
     seen = set()
     for s in starts:
-        seen |= {s} | _reachable_idx(chain, outside, s)
-    block = sorted(seen & _can_reach_idx(chain, outside, target))
+        seen |= {s} | brute_closure(edge_list(chain), outside, {s})
+    can_reach = brute_closure(edge_list(chain, backward=True), outside, target)
+    block = sorted(seen & outside & can_reach)
     keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in target})
     col = {k: j for j, k in enumerate(keys)}
     pos = {u: r for r, u in enumerate(block)}
@@ -414,6 +458,30 @@ def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
             assert list(batched[s].items()) == list(alone.items())
 
 
+def test_entry_masses_search_forward_once_for_one_start_or_many(monkeypatch):
+    # The entry-law block comes from one forward search from all starts, not
+    # one per start: 1 initiator at J=3 and 11 at J=12 cost the same searches.
+    calls = []
+    traverse = analysis._traverse
+
+    def counted(neighbours, within, sources):
+        calls.append((neighbours.__name__, len(sources)))
+        return traverse(neighbours, within, sources)
+
+    monkeypatch.setattr(analysis, "_traverse", counted)
+
+    def searches(n_jondos, n_colls):
+        calls.clear()
+        model = build_crowds(make_params(n_jondos, n_colls, F(3, 4)))
+        first_last_jondo_joint(model)
+        return list(calls)
+
+    one, many = searches(3, 2), searches(12, 1)
+    assert len(one) == len(many)
+    assert [c for c in one if c[0] == "row_by_index"] == [("row_by_index", 1)]
+    assert [c for c in many if c[0] == "row_by_index"] == [("row_by_index", 11)]
+
+
 def dense_exit_mass_system(chain, block, transpose):
     """``I - Q`` over ``block``, or its transpose, as a dense numpy matrix whose
     diagonal holds each row's exit mass ``sum_{v != u} tau(u, v)``."""
@@ -444,7 +512,8 @@ def test_float_block_solve_is_numpy_on_the_dense_exit_mass_system(transpose):
     for chain in chains:
         n = len(chain.states)
         target = {n - 1}
-        block = sorted(_can_reach_idx(chain, set(range(n - 1)), target))
+        within = set(range(n - 1))
+        block = sorted(brute_closure(edge_list(chain, backward=True), within, target) & within)
         b = [[rng.random(), float(u == block[0])] for u in block]
         x = _solve_block(chain, block, b, transpose)
         expected = np.linalg.solve(dense_exit_mass_system(chain, block, transpose), np.array(b))

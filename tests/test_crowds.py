@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactchain import FLOAT, linalg
+from exactchain import EXACT, FLOAT, crowds, linalg
 from exactchain.analysis import certify_ae_until, entry_edge_distribution
 from exactchain.errors import InvalidParamsError, NotHonestJondoError
 from exactchain.crowds import (
@@ -248,6 +248,22 @@ def test_mi_values():
     assert mi_bound(FIG3) == pytest.approx(5 / 6)
     assert mi_exact(make_params(3, 2, F(1, 2))) == 0.0
     assert mi_bound(make_params(3, 2, F(1, 2))) == 0.0
+
+
+def test_report_mi_reads_the_closed_form_joint_it_built(monkeypatch):
+    calls = []
+    closed = crowds.conditional_joint
+
+    def counted(params):
+        calls.append(params)
+        return closed(params)
+
+    monkeypatch.setattr(crowds, "conditional_joint", counted)
+    for mode in (EXACT, FLOAT):
+        calls.clear()
+        report = crowds_report(FIG3, mode=mode)
+        assert len(calls) == 1
+        assert report["mutual_information_bits"]["exact"] == mi_exact(calls[0])
 
 
 def test_mi_bound_dominates_and_decreases_in_pf():

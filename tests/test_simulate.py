@@ -90,9 +90,12 @@ def test_sample_path_keeps_path_streams_disjoint():
     edge = sample_path(chain, "a", PathRng(3, 0), stop=lambda s: True,
                        max_steps=PATH_STREAM_STRIDE + 1)
     assert edge.states == ("a",)
-    # ... one more state would replay path 1's first draw.
-    for bad in (PATH_STREAM_STRIDE + 2, PATH_STREAM_STRIDE + 40):
-        with pytest.raises(InvalidParamsError):
+    # ... one more state would replay path 1's first draw, and a path of
+    # fewer than one state has no room for its start.
+    assert sample_path(chain, "a", PathRng(3, 0), max_steps=1).states == ("a",)
+    for bad in (PATH_STREAM_STRIDE + 2, PATH_STREAM_STRIDE + 40, 0, -5):
+        message = rf"max_steps must be in 1\.\.{PATH_STREAM_STRIDE + 1}, got {bad}$"
+        with pytest.raises(InvalidParamsError, match=message):
             sample_path(chain, "a", PathRng(3, 0), max_steps=bad)
 
 

@@ -30,6 +30,9 @@ SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 def test_parameter_validation():
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=-1, p=F(1, 2), q=F(1, 2), r=0, E=0)
+    for flag in (True, False):  # bool is an int subclass, but not a probe count
+        with pytest.raises(InvalidParamsError, match="N must be a natural number"):
+            ZeroconfParams(N=flag, p=F(1, 2), q=F(1, 2), r=0, E=0)
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=1, p=F(1), q=F(1, 2), r=0, E=0)
     with pytest.raises(InvalidParamsError):
@@ -174,13 +177,13 @@ def test_report_graph_searches_do_not_grow_with_n(monkeypatch):
     # The verdicts for all states come from one all-states split, not one
     # backward search per state.
     calls = []
-    search = analysis._can_reach_idx
+    search = analysis._traverse
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(analysis, "_can_reach_idx", counted)
+    monkeypatch.setattr(analysis, "_traverse", counted)
 
     def count(n):
         calls.clear()
