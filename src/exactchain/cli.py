@@ -427,6 +427,9 @@ def _print_csv(reports, command: str) -> None:
         command, _flatten_generic
     )
     rows = [flatten(r) for r in reports]
+    for row, report in zip(rows, reports):
+        if "elapsed_seconds" in report:
+            row["elapsed_seconds"] = report["elapsed_seconds"]
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)

@@ -13,8 +13,11 @@ cost on its diagonal, without pivoting, so the fill-in stays near the
 system's own nonzeros where dense elimination fills the whole matrix. No
 pivot vanishes on the nonsingular M-matrices ``I - Q`` (or their
 transposes) that the analyses build; a zero pivot raises
-:class:`SingularSystemError`. The arithmetic is ``+ - * /`` and a zero
-test, so the same routine works over any exact field.
+:class:`SingularSystemError`. Entries are ints or Fractions, read once
+into reduced ``(numerator, denominator)`` int pairs; the elimination and
+back-substitution run on those pairs by Henrici's rule, inline, so no
+``Fraction`` method runs in the loop and only the results are built as
+Fractions.
 
 Everything else is made dense once and goes to fraction-free (Bareiss)
 Gaussian elimination over integers, after clearing denominators row by
@@ -31,13 +34,13 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SingularSystemError
 
 #: Exact systems go to sparse elimination when ``a`` has at most this many
 #: nonzeros per row on average. Set from timings of both solvers on
-#: absorbing blocks: past it the fill grows faster in Fractions than
+#: absorbing blocks: past it the fill grows faster in rationals than
 #: Bareiss's integer work.
 SPARSE_ROW_NNZ = 4
 
@@ -121,19 +124,29 @@ def eliminate(rows, n, k):
 
     ``rows[i]`` maps column ``j < n`` to the coefficient of unknown ``j``
     in equation ``i`` and column ``n + c`` to right-hand side ``c``; absent
-    entries are zero. The dicts are consumed. The unknown eliminated next
-    is the one of least Markowitz cost ``(row nonzeros - 1) * (column
-    nonzeros - 1)``, the lowest index among equals, always on its diagonal;
-    back-substitution runs in reverse elimination order. Returns the
-    n-by-k solution.
+    entries are zero. Entries are ints or Fractions; the dicts are left as
+    they were. The unknown eliminated next is the one of least Markowitz
+    cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the lowest index
+    among equals, always on its diagonal; back-substitution runs in reverse
+    elimination order and skips solution entries that are zero. Returns the
+    n-by-k solution as Fractions.
 
     Raises :class:`SingularSystemError` when a diagonal pivot is zero,
     which never happens on a nonsingular M-matrix such as the analyses'
     ``I - Q``, or its transpose, in any order.
 
-    Only ``+ - * /`` and a zero test touch the entries, so any exact field
-    works. With integer entries ``/`` is float division: load Fractions.
+    Each entry is read once into a reduced ``(numerator, denominator)``
+    pair of ints with a positive denominator, and the arithmetic runs on
+    those pairs inline, by Henrici's rule (JACM 1956) as ``Fraction``
+    itself does: a product cancels each numerator against the other
+    factor's denominator first, and a sum divides by the gcd of the
+    denominators before it multiplies, then reduces by what that gcd still
+    shares with the new numerator. Both keep every pair reduced without a
+    gcd over the full-size result. Only the n-by-k results are built as
+    Fractions; each one's division by its pivot is left to the Fraction
+    constructor, which takes a full gcd in any case.
     """
+    rows = [{j: x.as_integer_ratio() for j, x in row.items()} for row in rows]
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -153,39 +166,95 @@ def eliminate(rows, n, k):
         if done[p] or entry != cost(p):
             continue  # a stale entry: p's cost changed after it was pushed
         row = rows[p]
-        piv = row.pop(p, 0)
-        if not piv:
+        pn, pd = row.pop(p, (0, 1))
+        if not pn:
             raise SingularSystemError(f"zero pivot for unknown {p}")
         done[p] = True
-        order.append((p, piv))
+        order.append((p, pn, pd))
         holders[p].discard(p)
+        items = row.items()
         for r in holders[p]:
             target = rows[r]
-            f = target.pop(p) / piv
-            for j, v in row.items():
-                if j in target:
-                    target[j] -= f * v
-                else:
-                    target[j] = -f * v
+            # target -= (t / pivot) * row, as target += m * row, m = -t / pivot
+            tn, td = target.pop(p)
+            g1 = gcd(tn, pn)
+            g2 = gcd(td, pd)
+            mn = tn // g1 * (pd // g2)
+            md = td // g2 * (pn // g1)
+            if md > 0:
+                mn = -mn
+            else:
+                md = -md
+            for j, (vn, vd) in items:
+                g1 = gcd(mn, vd)
+                g2 = gcd(vn, md)
+                an = mn // g1 * (vn // g2)
+                ad = md // g2 * (vd // g1)
+                old = target.get(j)
+                if old is None:
+                    target[j] = (an, ad)
                     if j < n:
                         holders[j].add(r)
+                    continue
+                bn, bd = old
+                g = gcd(bd, ad)
+                if g == 1:
+                    target[j] = (bn * ad + an * bd, bd * ad)
+                    continue
+                s = bd // g
+                t = bn * (ad // g) + an * s
+                g2 = gcd(t, g)
+                if g2 == 1:
+                    target[j] = (t, s * ad)
+                else:
+                    target[j] = (t // g2, s * (ad // g2))
         for j in row:
             if j < n:
                 holders[j].discard(p)
         for u in holders[p].union(j for j in row if j < n):
             heapq.heappush(heap, cost(u))
+    # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p
     x = [None] * n
-    for p, piv in reversed(order):
+    out = [None] * n
+    for p, pn, pd in reversed(order):
         row = rows[p]
-        sol = []
-        for c in range(n, n + k):
-            acc = row.get(c, 0)
-            for j, v in row.items():
-                if j < n:
-                    acc -= v * x[j][c - n]
-            sol.append(acc / piv)
-        x[p] = sol
-    return x
+        acc = [row.get(c, (0, 1)) for c in range(n, n + k)]
+        for j, (vn, vd) in row.items():
+            if j >= n:
+                continue
+            for c, (xn, xd) in enumerate(x[j]):
+                if not xn:
+                    continue
+                # Solution entries grow to full size, and a big int divided
+                # by 1 is still copied: divide only by a real common factor.
+                an, ad = -vn, vd
+                g = gcd(an, xd)
+                if g != 1:
+                    an //= g
+                    xd //= g
+                g = gcd(xn, ad)
+                if g != 1:
+                    xn //= g
+                    ad //= g
+                an *= xn
+                ad *= xd
+                bn, bd = acc[c]
+                g = gcd(bd, ad)
+                if g == 1:
+                    acc[c] = (bn * ad + an * bd, bd * ad)
+                    continue
+                s = bd // g
+                t = bn * (ad // g) + an * s
+                g2 = gcd(t, g)
+                if g2 == 1:
+                    acc[c] = (t, s * ad)
+                else:
+                    acc[c] = (t // g2, s * (ad // g2))
+        # Fraction(n, d) takes a full gcd even of a reduced pair, so the
+        # quotient by the pivot is left unreduced for that one gcd.
+        out[p] = sol = [Fraction(an * pd, ad * pn) for an, ad in acc]
+        x[p] = [(v.numerator, v.denominator) for v in sol]
+    return out
 
 
 def solve(rows, b, mode):
@@ -196,9 +265,9 @@ def solve(rows, b, mode):
     solution. Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros per
     row on average take ``b``'s nonzeros into their rows as columns
     ``n + c`` and go to :func:`eliminate`, whatever the width of ``b``;
-    the rest are made dense once for :func:`solve_exact`. Exact solves
-    consume the dicts. The analyses' systems have one column, or one per
-    start state.
+    the rest are made dense once for :func:`solve_exact`. A sparse exact
+    solve leaves ``b``'s nonzeros in the dicts. The analyses' systems have
+    one column, or one per start state.
     """
     if mode != "exact":
         return solve_float(rows, b)

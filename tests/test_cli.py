@@ -497,6 +497,25 @@ def test_timing_flag_adds_field(capsys, small_model):
     assert "elapsed_seconds" in report
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeroconf", "--preset", "paper-typical"],
+    ["zeroconf", "--preset", "paper-typical", "--sweep", "p=1/100,1/10"],
+    ["crowds", "--preset", "fig3"],
+], ids=["zeroconf", "zeroconf-sweep", "crowds"])
+def test_csv_timing_appends_elapsed_seconds_as_last_column(capsys, argv):
+    code, plain, _ = run(capsys, *argv, "--csv")
+    assert code == 0
+    code, timed, _ = run(capsys, *argv, "--csv", "--timing")
+    assert code == 0
+    plain_lines, timed_lines = plain.splitlines(), timed.splitlines()
+    assert timed_lines[0] == plain_lines[0] + ",elapsed_seconds"
+    assert len(timed_lines) == len(plain_lines)
+    for plain_row, timed_row in zip(plain_lines[1:], timed_lines[1:]):
+        head, elapsed = timed_row.rsplit(",", 1)
+        assert head == plain_row
+        assert float(elapsed) >= 0
+
+
 def _readme_commands():
     """The ``exactchain`` lines of the sh block under "## Command line" in README.md."""
     text = (ROOT / "README.md").read_text()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,7 +176,7 @@ def test_exact_dispatch_survives_zero_pivots():
 
 
 def test_sparse_elimination_gives_fractions_for_integer_input():
-    # Integer-valued Fractions: with int coefficients ``/`` would divide in floats.
+    # Integer-valued Fractions and ints in, Fractions out.
     a = [[F(2), F(-1), 0], [0, F(3), F(-1)], [F(-1), 0, F(4)]]
     b = [[1, 0], [0, 0], [2, 5]]
     x = linalg.solve(sparse(a), b, "exact")
@@ -183,12 +184,16 @@ def test_sparse_elimination_gives_fractions_for_integer_input():
     assert all(type(v) is F for row in x for v in row)
 
 
-def block_systems(chain, rchain, rng):
-    """The ``(rows, b)`` of every solve behind the until, hitting-time, cost
-    and entry-edge queries on ``chain``; ``rows`` are copies, as the solve
-    consumes them."""
+def with_rhs(rows, b):
+    """Copies of ``rows`` with ``b``'s nonzeros as columns ``n + c``, as :func:`linalg.solve` merges them."""
+    n = len(rows)
+    return [{**row, **{n + c: x for c, x in enumerate(b_row) if x}} for row, b_row in zip(rows, b)]
+
+
+def captured_systems(run):
+    """Call ``run()`` and return the ``(rows, b)`` of every solve in it;
+    ``rows`` are copies, as a sparse solve writes ``b`` into them."""
     systems = []
-    phi, psi, start = random_query(rng, chain)
     solve = linalg.solve
 
     def capture(rows, b, mode):
@@ -197,12 +202,23 @@ def block_systems(chain, rchain, rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "solve", capture)
+        run()
+    return systems
+
+
+def block_systems(chain, rchain, rng):
+    """The ``(rows, b)`` of every solve behind the until, hitting-time, cost
+    and entry-edge queries on ``chain``."""
+    phi, psi, start = random_query(rng, chain)
+
+    def run():
         analysis.until_probabilities(chain, phi, psi)
         analysis.expected_hitting_time(chain, psi, start)
         analysis.expected_cost_until(rchain, psi, start)
         if start not in psi:
             analysis.entry_edge_distribution(chain, psi, start)
-    return systems
+
+    return captured_systems(run)
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,14 +238,82 @@ def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, s
         n = len(rows)
         a = dense(rows)
         expected = solve_exact(a, b)
-        merged = [{**row, **{n + c: x for c, x in enumerate(b_row) if x}}
-                  for row, b_row in zip(rows, b)]
-        assert repr(eliminate(merged, n, len(b[0]))) == repr(expected)
+        assert repr(eliminate(with_rhs(rows, b), n, len(b[0]))) == repr(expected)
         # The dispatcher, whichever solver it picks.
         x = linalg.solve([dict(row) for row in rows], b, "exact")
         assert matmul(a, x) == b
         assert x == reference_solve(a, b)
         assert all(type(v) is F for row in x for v in row)
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__", "__pos__", "__abs__")
+
+
+def test_eliminate_builds_only_the_results_as_fractions(monkeypatch):
+    # Entries are read as int pairs and the kernel runs on ints: no Fraction
+    # arithmetic at all, and the n * k results are the only Fractions built.
+    rng = random.Random(4)
+    chain = random_chain(rng, 30, max_out=2)
+    systems = [(rows, b) for rows, b in block_systems(chain, random_reward(rng, 30, chain=chain), rng)
+               if sum(map(len, rows)) <= linalg.SPARSE_ROW_NNZ * len(rows)]
+    assert len(systems) >= 2
+    for width, (rows, b) in enumerate(systems[:2], 1):
+        n = len(rows)
+        b = [[*row, F(i % 5, 3)][:width] for i, row in enumerate(b)]
+        merged = with_rhs(rows, b)
+        made = []
+        used = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+        for name in FRACTION_ARITHMETIC:
+            def counted(*args, _name=name, _op=getattr(F, name)):
+                used.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(F, name, counted)
+        x = eliminate(merged, n, width)
+        monkeypatch.undo()
+        assert used == []
+        assert len(made) == n * width
+        assert matmul(dense(rows), x) == b
+
+
+def big_int_guard_systems():
+    """``(rows, b)`` behind an exact ZeroConf report at N = 200, p = 1/100
+    (about 2,700-bit solutions), and behind the queries on a near-one chain."""
+    base = zeroconf.PAPER_TYPICAL
+    params = zeroconf.ZeroconfParams(200, F(1, 100), base.q, base.r, base.E)
+    systems = captured_systems(lambda: zeroconf.zeroconf_report(params))
+    rng = random.Random(17)
+    chain = near_one_chain(rng, 16)
+    return systems + block_systems(chain, random_reward(rng, 16, chain=chain), rng)
+
+
+def test_eliminate_equals_bareiss_on_big_integer_blocks():
+    # Each system is also solved as an equivalent one: every row scaled to
+    # integer entries, every other row negated (negative pivots), and the
+    # right-hand side widened by a zero column and one more column.
+    for rows, b in big_int_guard_systems():
+        n = len(rows)
+        b = [[*row, 0, F(i % 7 - 3, 11)] for i, row in enumerate(b)]
+        k = len(b[0])
+        expected = solve_exact(dense(rows), b)
+        assert repr(eliminate(with_rhs(rows, b), n, k)) == repr(expected)
+        scaled_rows, scaled_b = [], []
+        for i, (row, b_row) in enumerate(zip(rows, b)):
+            scale = (-1) ** i * lcm(*(F(v).denominator for v in [*row.values(), *b_row]))
+            scaled_rows.append({j: int(v * scale) for j, v in row.items()})
+            scaled_b.append([int(v * scale) for v in b_row])
+        assert any(row[i] < 0 for i, row in enumerate(scaled_rows))
+        x = eliminate(with_rhs(scaled_rows, scaled_b), n, k)
+        assert repr(x) == repr(expected)
+        assert all(type(v) is F and v.denominator > 0 for row in x for v in row)
+        assert all(row[k - 2] == 0 for row in x)
 
 
 def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypatch):
