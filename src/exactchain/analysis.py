@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chain import EXACT, MarkovChain, RewardChain
-from .errors import ConditionHasZeroProbabilityError, StartInTargetError
+from .errors import ConditionHasZeroProbabilityError, StartInTargetError, _full_str
 
 INFINITY = math.inf
 
@@ -350,7 +350,8 @@ def conditional_probability(p_joint, p_cond):
     """
     if not (0 <= p_joint <= p_cond <= 1):
         raise ValueError(
-            f"need 0 <= joint <= condition <= 1, got joint={p_joint}, condition={p_cond}"
+            f"need 0 <= joint <= condition <= 1, "
+            f"got joint={_full_str(p_joint)}, condition={_full_str(p_cond)}"
         )
     if p_cond == 0:
         raise ConditionHasZeroProbabilityError("conditioning event has probability 0")

@@ -28,6 +28,7 @@ from .errors import (
     NegativeProbabilityError,
     RowSumNotOneError,
     UnknownStateError,
+    _full_str,
 )
 
 EXACT = "exact"
@@ -51,7 +52,7 @@ def parse_scalar(text, mode=EXACT):
 def format_scalar(value):
     """Serialize losslessly: Fractions as ``num/den`` strings, floats via repr."""
     if isinstance(value, Fraction):
-        return str(value)
+        return _full_str(value)
     if value == math.inf:
         return "inf"
     return repr(float(value))

@@ -13,7 +13,10 @@ Closed forms cover the probability that a collaborator joins the route,
 the joint law of (initiator, last honest jondo before a collaborator),
 the probable-innocence criterion, and the mutual-information bound on
 what collaborators learn; each is cross-checkable against the exact
-solver on the built chain.
+solver on the built chain. :func:`crowds_report` reads all its solver
+values off two entry-law solves; :func:`solver_hit_prob`,
+:func:`last_jondo_distribution` and :func:`solver_joint_first_last` each
+solve one query, as independent references.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .chain import (
     EXACT, MarkovChain, _coerce_param, _sums_to_one, _triple, _with_mode, format_scalar,
     validate_chain,
 )
-from .errors import InvalidParamsError, NotHonestJondoError
+from .errors import InvalidParamsError, NotHonestJondoError, _full_str
 from .simulate import SimConfig, estimate_joint_first_last
 
 START = "Start"
@@ -73,7 +76,7 @@ class CrowdsParams:
             )
         object.__setattr__(self, "p_f", _coerce_param(self.p_f, "p_f"))
         if not 0 < self.p_f < 1:
-            raise InvalidParamsError(f"need 0 < p_f < 1, got p_f={self.p_f}")
+            raise InvalidParamsError(f"need 0 < p_f < 1, got p_f={_full_str(self.p_f)}")
 
         honest = self.honest
         if self.init is None:
@@ -90,7 +93,7 @@ class CrowdsParams:
                 raise InvalidParamsError(f"collaborator {j!r} cannot initiate")
         total = sum(init.values())
         if not _sums_to_one(total):
-            raise InvalidParamsError(f"init sums to {total}, expected 1")
+            raise InvalidParamsError(f"init sums to {_full_str(total)}, expected 1")
         init = {j: init.get(j, 0) for j in honest}
         object.__setattr__(self, "init", MappingProxyType(init))
 
@@ -341,13 +344,8 @@ def is_product_joint(joint: dict) -> bool:
     Exact comparison on rational masses; float masses compare with a 1e-12
     absolute tolerance.
     """
-    px: dict = {}
-    py: dict = {}
-    total = 0
-    for (x, y), v in joint.items():
-        px[x] = px.get(x, 0) + v
-        py[y] = py.get(y, 0) + v
-        total += v
+    px, py = info._marginals(joint)
+    total = sum(joint.values())
     if any(isinstance(v, float) for v in joint.values()):
         return all(
             abs(v * total - px[x] * py[y]) <= 1e-12 for (x, y), v in joint.items()
@@ -383,20 +381,29 @@ def path_shape_error(model: CrowdsModel, states) -> str | None:
 def crowds_report(
     params: CrowdsParams, mode: str = EXACT, sim: SimConfig | None = None
 ) -> dict:
-    """Closed forms, solver cross-checks, anonymity verdicts, optional MC block."""
+    """Closed forms, solver cross-checks, anonymity verdicts, optional MC block.
+
+    Solver values come from two entry-law solves. The joint of (initiator,
+    last honest jondo) at the first collaborator gives the hit probability
+    as its total and the conditional joint as its share of that total;
+    :func:`first_last_jondo_joint` gives the last-jondo law as its second
+    marginal, and the independence verdict.
+    """
     params = _with_mode(params, mode)
     model = build_crowds(params, mode)
     chain = model.chain
 
     hit_closed = prob_hit_colls(params)
-    hit_solver = solver_hit_prob(model)
+    hit_joint = _initiator_joint(model, model.collaborator_mix_labels(), params.honest)
+    hit_solver = sum(hit_joint.values(), chain.zero)  # > 0: some jondo is a collaborator
     joint_closed = conditional_joint(params)
-    joint_solver = solver_joint_first_last(model)
+    joint_solver = {pair: v / hit_solver for pair, v in hit_joint.items()}
     diag_closed = prob_first_eq_last(params)
     diag_solver = sum(
         (joint_solver[(i, i)] for i in params.honest), chain.zero
     )
-    last_law = last_jondo_distribution(model)
+    contact_joint = first_last_jondo_joint(model)
+    last_mass = info._marginals(contact_joint)[1]
     uniform = Fraction(1, params.J) if mode == EXACT else 1.0 / params.J
     innocence = probable_innocence(params)
 
@@ -428,13 +435,13 @@ def crowds_report(
         },
         "last_jondo": {
             "expected_uniform": format_scalar(uniform),
-            "solver": {j: format_scalar(m) for j, m in sorted(last_law.mass.items())},
-            "never": format_scalar(last_law.never),
+            "solver": {j: format_scalar(m) for j, m in sorted(last_mass.items())},
+            "never": format_scalar(analysis._residual(last_mass.values(), chain.one, mode)),
             "max_difference": format_scalar(
-                max((abs(m - uniform) for m in last_law.mass.values()), default=0)
+                max((abs(m - uniform) for m in last_mass.values()), default=0)
             ),
         },
-        "independence_first_last_jondo": is_product_joint(first_last_jondo_joint(model)),
+        "independence_first_last_jondo": is_product_joint(contact_joint),
         "ae_route_terminates": analysis.certify_ae_until(
             chain, chain.states, {END}, START
         ),

@@ -1,5 +1,29 @@
 """Exception hierarchy shared across the package."""
 
+import sys
+
+
+def _full_str(value) -> str:
+    """``str(value)``, also past CPython's limit on integer-to-string digits.
+
+    The limit (4,300 digits by default, since CPython 3.10.7) guards the
+    parsing of untrusted text, and parsing keeps it. The values formatted
+    here are the program's own results, so a call that hits the limit is
+    retried with it lifted, then restored; ordinary values pay nothing. The
+    limit is process-wide: a thread parsing during the retry is unguarded.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            raise
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class ExactchainError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,7 +45,7 @@ class NegativeProbabilityError(ExactchainError):
     """A transition entry is negative (or not a finite number)."""
 
     def __init__(self, frm, to, value):
-        super().__init__(f"transition {frm!r} -> {to!r} has invalid probability {value}")
+        super().__init__(f"transition {frm!r} -> {to!r} has invalid probability {_full_str(value)}")
         self.frm = frm
         self.to = to
         self.value = value
@@ -31,7 +55,7 @@ class RowSumNotOneError(ExactchainError):
     """A transition row does not sum to one."""
 
     def __init__(self, state, actual):
-        super().__init__(f"row of state {state!r} sums to {actual}, expected 1")
+        super().__init__(f"row of state {state!r} sums to {_full_str(actual)}, expected 1")
         self.state = state
         self.actual = actual
 
@@ -40,7 +64,7 @@ class NegativeCostError(ExactchainError):
     """A cost entry is negative (or not a finite number)."""
 
     def __init__(self, frm, to, value):
-        super().__init__(f"cost {frm!r} -> {to!r} has invalid value {value}")
+        super().__init__(f"cost {frm!r} -> {to!r} has invalid value {_full_str(value)}")
         self.frm = frm
         self.to = to
         self.value = value

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .chain import _sums_to_one
-from .errors import InvalidDistributionError
+from .errors import InvalidDistributionError, _full_str
 
 
 def _check_masses(values, what: str):
@@ -21,10 +21,10 @@ def _check_masses(values, what: str):
         if isinstance(v, float) and not math.isfinite(v):
             raise InvalidDistributionError(f"{what} has non-finite mass {v!r}")
         if v < 0:
-            raise InvalidDistributionError(f"{what} has negative mass {v}")
+            raise InvalidDistributionError(f"{what} has negative mass {_full_str(v)}")
         total = total + v
     if not _sums_to_one(total):
-        raise InvalidDistributionError(f"{what} sums to {total}, expected 1")
+        raise InvalidDistributionError(f"{what} sums to {_full_str(total)}, expected 1")
 
 
 def _log2(value) -> float:
@@ -48,6 +48,16 @@ def entropy(marginal) -> float:
     return h
 
 
+def _marginals(joint) -> tuple[dict, dict]:
+    """The two marginals ``(px, py)`` of a joint keyed by ``(x, y)`` pairs."""
+    px: dict = {}
+    py: dict = {}
+    for (x, y), p in joint.items():
+        px[x] = px.get(x, 0) + p
+        py[y] = py.get(y, 0) + p
+    return px, py
+
+
 def mutual_information(joint) -> float:
     """Mutual information of a joint distribution, in bits.
 
@@ -57,12 +67,7 @@ def mutual_information(joint) -> float:
     is always well defined.
     """
     _check_masses(joint.values(), "joint")
-    px: dict = {}
-    py: dict = {}
-    for (x, y), p in joint.items():
-        px[x] = px.get(x, 0) + p
-        py[y] = py.get(y, 0) + p
-
+    px, py = _marginals(joint)
     mi = 0.0
     for (x, y), p in joint.items():
         if p > 0:

@@ -22,7 +22,7 @@ from .chain import (
     EXACT, RewardChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
     validate_reward,
 )
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, _full_str
 from .simulate import SimConfig, estimate_cost, estimate_until
 
 START = "Start"
@@ -63,13 +63,13 @@ class ZeroconfParams:
         for name in ("p", "q", "r", "E"):
             object.__setattr__(self, name, _coerce_param(getattr(self, name), name))
         if not 0 < self.p < 1:
-            raise InvalidParamsError(f"need 0 < p < 1, got p={self.p}")
+            raise InvalidParamsError(f"need 0 < p < 1, got p={_full_str(self.p)}")
         if not 0 < self.q < 1:
-            raise InvalidParamsError(f"need 0 < q < 1, got q={self.q}")
+            raise InvalidParamsError(f"need 0 < q < 1, got q={_full_str(self.q)}")
         if self.r < 0:
-            raise InvalidParamsError(f"need r >= 0, got r={self.r}")
+            raise InvalidParamsError(f"need r >= 0, got r={_full_str(self.r)}")
         if self.E < 0:
-            raise InvalidParamsError(f"need E >= 0, got E={self.E}")
+            raise InvalidParamsError(f"need E >= 0, got E={_full_str(self.E)}")
 
 
 #: 16 hosts on the network, 3 probe rounds, 1% packet loss, 2 ms round

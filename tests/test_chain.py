@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +174,23 @@ def test_parse_and_format_scalars():
     assert format_scalar(F(1, 3)) == "1/3"
     assert format_scalar(F(2)) == "2"
     assert F(format_scalar(F(123456789, 987654321))) == F(123456789, 987654321)
+
+    # CPython (3.10.7+) limits integer-to-string conversion to 4,300 digits
+    # by default. Formatting writes the program's own results in full;
+    # parsing keeps the limit, so reading back lifts it here.
+    value = F(10**4999 + 7, 3**5000)
+    text = format_scalar(value)
+    assert len(text) == 5000 + 1 + len(str(3**5000))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 5000:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        sys.set_int_max_str_digits(0)
+    try:
+        assert parse_scalar(text) == value
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_chain_mode_flag_and_arithmetic_types():

@@ -210,6 +210,9 @@ SUM_MODEL = json.dumps({
     "rewards": [{"from": "a", "to": "a", "cost": "1e308"}],
 })
 
+BIG_MODEL = ('{"states": ["a", "b"], "transitions": [{"from": "a", "to": "b", "prob": "%s"}, '
+             '{"from": "a", "to": "a", "prob": 1}, {"from": "b", "to": "b", "prob": 1}]}')
+
 
 @pytest.mark.parametrize("argv, text, code", [
     # JSON's non-standard constants are parse errors in both modes.
@@ -231,9 +234,19 @@ SUM_MODEL = json.dumps({
     # So is a sampled cost total that overflows, although each cost fits.
     (["simulate", "FILE", "--event", "cost:b", "--start", "a", "--seed", "1", "--samples", "100",
       "--json"], SUM_MODEL, cli.EXIT_MODEL),
+    # Messages spell out exact values past CPython's 4,300-digit limit on
+    # integer-to-string conversion.
+    (["validate", "FILE"], BIG_MODEL % "1e-5000", cli.EXIT_MODEL),
+    (["validate", "FILE"], BIG_MODEL % "-1e-5000", cli.EXIT_MODEL),
+    (["crowds", "--preset", "fig3", "--pf", "1e5000"], None, cli.EXIT_MODEL),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": "1e5000", "J2": 0}',
+     cli.EXIT_MODEL),
+    (["zeroconf", "--preset", "paper-typical", "--p", "1e5000"], None, cli.EXIT_MODEL),
 ], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
         "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400",
-        "zeroconf-E-1e400-simulate", "simulate-cost-1e400", "simulate-cost-sum-overflow"])
+        "zeroconf-E-1e400-simulate", "simulate-cost-1e400", "simulate-cost-sum-overflow",
+        "row-sum-1e-5000", "negative-1e-5000", "crowds-pf-1e5000", "init-1e5000",
+        "zeroconf-p-1e5000"])
 def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     path = tmp_path / "input.json"
     if text is not None:

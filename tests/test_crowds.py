@@ -2,8 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exactchain import EXACT, FLOAT, crowds, linalg
+from exactchain import EXACT, FLOAT, crowds, format_scalar, linalg
 from exactchain.analysis import certify_ae_until, entry_edge_distribution
 from exactchain.errors import InvalidParamsError, NotHonestJondoError
 from exactchain.crowds import (
@@ -134,9 +136,10 @@ def test_skewed_init_with_a_silent_honest_jondo(mode):
 
 
 def test_report_solves_once_per_query(monkeypatch):
-    # Hit probability, collaborator joint, last-jondo law and the
-    # independence joint: one absorbing solve each, whatever J, with at
-    # most one right-hand-side column per honest initiator (H = 16).
+    # Two entry-law solves, whatever J, with at most one right-hand-side
+    # column per honest initiator (H = 16): into the collaborators' Mix
+    # states (hit probability and collaborator joint) and into End
+    # (last-jondo law and the independence joint).
     calls = []
     solve = linalg.solve
 
@@ -146,7 +149,7 @@ def test_report_solves_once_per_query(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve", counting_solve)
     report = crowds_report(make_params(20, 4, F(4, 5)))
-    assert len(calls) <= 4
+    assert len(calls) == 2
     assert max(cols for _, cols in calls) <= 16
     assert all(t["difference"] == "0" for t in report["joint_first_last"].values())
 
@@ -292,6 +295,39 @@ def test_path_shape_checker():
     assert path_shape_error(model, ("Init J1", "Mix J1")) is not None
 
 
+# The report reads its solver values off two joint solves; these crowds
+# compare them with the single-query solves. In the skewed one, honest J2,
+# J4 and J5 never initiate.
+REPORT_CROWDS = (
+    make_params(3, 1, F(4, 5)),
+    make_params(8, 2, F(4, 5)),
+    make_params(12, 3, F(4, 5)),
+    make_params(8, 2, F(2, 3), {"J1": F(1, 2), "J2": 0, "J3": F(1, 3), "J6": F(1, 6)}),
+)
+
+
+def assert_report_matches_single_solves(params, mode):
+    report = crowds_report(params, mode=mode)
+    model = build_crowds(params, mode)
+    hit = solver_hit_prob(model)
+    last = last_jondo_distribution(model)
+    if mode == EXACT:
+        assert report["hit_collaborator"]["solver"] == format_scalar(hit)
+        assert report["last_jondo"]["solver"] == {
+            j: format_scalar(m) for j, m in sorted(last.mass.items())
+        }
+        assert report["last_jondo"]["never"] == format_scalar(last.never)
+        return
+
+    def close(text, value):
+        return float(text) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+    assert close(report["hit_collaborator"]["solver"], hit)
+    assert sorted(report["last_jondo"]["solver"]) == sorted(last.mass)
+    assert all(close(report["last_jondo"]["solver"][j], m) for j, m in last.mass.items())
+    assert close(report["last_jondo"]["never"], last.never)
+
+
 def test_report_exact_mode():
     report = crowds_report(FIG3)
     assert report["hit_collaborator"]["difference"] == "0"
@@ -302,6 +338,8 @@ def test_report_exact_mode():
     assert report["ae_route_terminates"] is True
     assert report["last_jondo"]["max_difference"] == "0"
     assert report["probable_innocence"]["holds"] is False
+    for params in REPORT_CROWDS:
+        assert_report_matches_single_solves(params, EXACT)
 
 
 def test_report_float_mode_close_to_exact():
@@ -312,6 +350,30 @@ def test_report_float_mode_close_to_exact():
         b = float(approx[key]["solver"])
         assert abs(a - b) <= 1e-9
     assert approx["independence_first_last_jondo"] is True
+    for params in REPORT_CROWDS:
+        assert_report_matches_single_solves(params, FLOAT)
+
+
+@st.composite
+def crowds_params(draw):
+    j = draw(st.integers(2, 7))
+    colls = draw(st.integers(1, j - 1))
+    den = draw(st.integers(2, 1000))
+    p_f = F(draw(st.integers(1, den - 1)), den)
+    weights = draw(st.lists(st.integers(0, 4), min_size=j - colls, max_size=j - colls)
+                   .filter(any))
+    init = {f"J{i}": F(w, sum(weights)) for i, w in enumerate(weights, 1)}
+    return make_params(j, colls, p_f, init)
+
+
+@settings(max_examples=30, deadline=None)
+@given(crowds_params())
+def test_exact_report_has_zero_differences_for_any_crowd(params):
+    report = crowds_report(params)
+    triples = [report["hit_collaborator"], report["first_equals_last"],
+               *report["joint_first_last"].values()]
+    assert all(t["difference"] == "0" for t in triples)
+    assert report["last_jondo"]["max_difference"] == "0"
 
 
 def test_report_float_mode_forwarding_just_below_one():
