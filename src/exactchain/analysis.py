@@ -107,11 +107,12 @@ def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
     return zero, every - zero - _can_reach(chain, within, zero)
 
 
-def _solve_block(chain: MarkovChain, block, b, transpose=False) -> dict:
+def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> dict:
     """Solve ``(I - Q) x = b``, or its transpose, with ``Q`` the transitions inside ``block``.
 
     ``block`` is a sorted index list and ``b`` holds one row per block
-    state, in block order. Returns the solution row of each block state.
+    state, in block order. Returns the solution row of each block state,
+    or with ``keep``, a set of block states, of those states alone.
     Row ``i`` of the system goes to :func:`linalg.solve` as a dict of its
     nonzeros, ``{j: -q_ij, i: d_i}``; the transpose puts ``-q_ij`` in row
     ``j``. The caller picks a block from every state of which the path
@@ -142,7 +143,10 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False) -> dict:
             rows[i][i] = one - out[u] if u in out else one
         else:
             rows[i][i] = sum(p for v, p in out.items() if v != u)
-    return dict(zip(block, linalg.solve(rows, b, chain.mode)))
+    if keep is None:
+        return dict(zip(block, linalg.solve(rows, b, chain.mode)))
+    kept = sorted(keep)
+    return dict(zip(kept, linalg.solve(rows, b, chain.mode, keep={pos[u] for u in kept})))
 
 
 def reachable(chain: MarkovChain, phi, start: str) -> set[str]:
@@ -188,13 +192,12 @@ def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
     return s in _prob01(chain, phi_idx - psi_idx, psi_idx)[1]
 
 
-def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
-    """Probability of the until event from every state, as a label-keyed dict.
+def _until_system(chain: MarkovChain, phi, psi):
+    """``psi``'s indices, the until block and its right-hand side.
 
-    States in ``psi`` get 1; states that cannot reach ``psi`` through
-    ``phi - psi`` get an exact 0; the rest solve the linear fixed-point
-    system ``x_s = sum_t tau(s,t) x_t`` (:func:`linalg.solve`), which is
-    nonsingular on exactly those states.
+    The block holds the states that can reach ``psi`` through
+    ``phi - psi``, sorted; the one column of ``b`` is each one's mass of
+    edges into ``psi``.
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
@@ -204,7 +207,20 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
         [sum((p for v, p in chain.row_by_index(u).items() if v in psi_idx), zero)]
         for u in block
     ]
+    return psi_idx, block, b
+
+
+def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
+    """Probability of the until event from every state, as a label-keyed dict.
+
+    States in ``psi`` get 1; states that cannot reach ``psi`` through
+    ``phi - psi`` get an exact 0; the rest solve the linear fixed-point
+    system ``x_s = sum_t tau(s,t) x_t`` (:func:`linalg.solve`), which is
+    nonsingular on exactly those states.
+    """
+    psi_idx, block, b = _until_system(chain, phi, psi)
     x = _solve_block(chain, block, b)
+    zero = chain.zero
     return {
         label: chain.one if i in psi_idx else x[i][0] if i in x else zero
         for i, label in enumerate(chain.states)
@@ -212,9 +228,18 @@ def until_probabilities(chain: MarkovChain, phi, psi) -> dict:
 
 
 def until_probability(chain: MarkovChain, phi, psi, start: str):
-    """Probability that ``start . omega`` stays in ``phi`` until hitting ``psi``."""
-    chain.index_of(start)
-    return until_probabilities(chain, phi, psi)[start]
+    """Probability that ``start . omega`` stays in ``phi`` until hitting ``psi``.
+
+    Equal to ``until_probabilities(chain, phi, psi)[start]``, from the same
+    system; the solve back-substitutes the start's unknown alone.
+    """
+    s = chain.index_of(start)
+    psi_idx, block, b = _until_system(chain, phi, psi)
+    if s in psi_idx:
+        return chain.one
+    if s not in block:
+        return chain.zero
+    return _solve_block(chain, block, b, keep={s})[s][0]
 
 
 def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
@@ -241,7 +266,7 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
             [sum((p * costs.get(v, zero) for v, p in chain.row_by_index(u).items()), zero)]
             for u, costs in zip(block, map(cost_row, block))
         ]
-    return _solve_block(chain, block, b)[s][0]
+    return _solve_block(chain, block, b, keep={s})[s][0]
 
 
 def expected_hitting_time(chain: MarkovChain, phi, start: str):
@@ -268,20 +293,29 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     """Mass of each first-entry outcome ``key(u, c)`` of the target, per start.
 
     ``u`` is the last state outside the target and ``c`` the entry state;
-    ``starts`` lie outside the target. From start ``s`` outcome ``k`` has
-    mass ``sum_u y_s(u) exit_u(k)``, where ``exit_u(k)`` is the probability
-    of ``u``'s edges into the target with key ``k`` and ``y_s(u)`` is the
-    expected number of visits to ``u`` before entry (Kemeny & Snell's
-    fundamental matrix, 1960). One solve ``(I - Q)^T y_s = e_s``, a column
-    per start, covers the union of the starts' blocks, found by one forward
-    search from all starts: the states that can occupy a path before entry
-    and can still reach the target. Every other state has zero entry mass.
+    ``starts`` lie outside the target. ``exit_u(k)`` is the probability of
+    ``u``'s edges into the target with key ``k``. One solve covers the
+    union of the starts' blocks, found by one forward search from all
+    starts: the states that can occupy a path before entry and can still
+    reach the target. Every other state, a start among them, has zero
+    entry mass. The solve takes whichever orientation has fewer
+    right-hand-side columns, ``K`` outcome keys or ``S`` starts:
+
+    * ``K <= S``: the absorption probabilities ``(I - Q) X = exits``, one
+      column per outcome, of which only the start rows are
+      back-substituted (and so a tie goes this way);
+    * ``K > S``: the expected visits ``y_s(u)`` to each ``u`` before entry
+      (Kemeny & Snell's fundamental matrix, 1960), from
+      ``(I - Q)^T y_s = e_s`` with one column per start; outcome ``k``
+      from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``.
+
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order.
     """
     outside = set(range(len(chain.states))) - t_idx
     seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
-    block = sorted(seen & _can_reach(chain, outside, t_idx))
+    inside = seen & _can_reach(chain, outside, t_idx)
+    block = sorted(inside)
     zero, one = chain.zero, chain.one
     exits = {u: {} for u in block}
     for u, out in exits.items():
@@ -289,9 +323,19 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             if v in t_idx:
                 k = key(u, v)
                 out[k] = out.get(k, zero) + p
+    keys = sorted({k for out in exits.values() for k in out})
+    if len(keys) <= len(starts):
+        col = {k: c for c, k in enumerate(keys)}
+        b = [[zero] * len(keys) for _ in block]
+        for b_row, out in zip(b, exits.values()):
+            for k, p in out.items():
+                b_row[col[k]] = p
+        x = _solve_block(chain, block, b, keep=inside.intersection(starts))
+        return {
+            s: {k: m for k, m in zip(keys, x[s]) if m > 0} if s in x else {} for s in starts
+        }
     b = [[one if u == s else zero for s in starts] for u in block]
     y = _solve_block(chain, block, b, transpose=True)
-    keys = sorted({k for out in exits.values() for k in out})
     mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
     for u, out in exits.items():
         for k, p in out.items():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
@@ -24,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     EmptyStateSpaceError,
     InvalidParamsError,
+    LiteralRangeError,
     NegativeCostError,
     NegativeProbabilityError,
     RowSumNotOneError,
@@ -37,15 +39,48 @@ FLOAT = "float"
 #: Absolute tolerance on float sums that must be one.
 ROW_SUM_TOL = 1e-9
 
+#: Largest decimal exponent, in absolute value, that a numeric literal may
+#: carry. ``Fraction("1e-1000000")`` builds a million-digit integer, and a
+#: message spelling the value out takes seconds per conversion; past this
+#: bound a literal is a parse error. ``1e5000`` is still read, so values
+#: past CPython's 4,300-digit string limit reach validation.
+MAX_DECIMAL_EXPONENT = 10_000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
+def _read_literal(text: str, number=Fraction):
+    """``number(text)`` for a numeric literal, once its decimal exponent is checked.
+
+    Every numeric literal the package reads from text comes through here:
+    model and ``--init`` file values (JSON numbers and strings), numeric
+    CLI flags and parameter strings. ``number`` is ``Fraction`` or
+    ``float``. Raises :class:`LiteralRangeError` for an exponent beyond
+    ``MAX_DECIMAL_EXPONENT``, before any digit is expanded, and lets
+    ``number``'s own ``ValueError`` or ``ZeroDivisionError`` through for
+    malformed text.
+    """
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match[1].lstrip("+-").replace("_", "").lstrip("0")
+        bound = MAX_DECIMAL_EXPONENT
+        if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+            shown = text if len(text) <= 40 else f"{text[:20]}...{text[-12:]}"
+            raise LiteralRangeError(
+                f"number {shown!r}: decimal exponent out of range (over {bound} in magnitude)"
+            )
+    return number(text)
+
 
 def parse_scalar(text, mode=EXACT):
     """Parse a numeric literal: ``"1/3"``, ``"0.01"``, ``"3600"``.
 
     In exact mode decimals are read as exact decimal fractions
     (``"0.01"`` becomes ``1/100``); in float mode the value is converted
-    to the nearest 64-bit float.
+    to the nearest 64-bit float. Exponents are bounded as in
+    :func:`_read_literal`.
     """
-    value = Fraction(str(text))
+    value = _read_literal(str(text))
     return value if mode == EXACT else float(value)
 
 
@@ -65,7 +100,7 @@ def _coerce_param(value, name):
             raise InvalidParamsError(f"parameter {name} must be finite, got {value}")
         return value
     try:
-        return Fraction(str(value)) if isinstance(value, str) else Fraction(value)
+        return _read_literal(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
 
@@ -113,9 +148,9 @@ def _coerce(value, mode):
                 f"exact mode rejects float {value!r}; pass a Fraction, an int, "
                 f"or a string literal like '1/100'"
             )
-        return Fraction(value)
+        return _read_literal(value) if isinstance(value, str) else Fraction(value)
     try:
-        out = float(Fraction(str(value))) if isinstance(value, str) else float(value)
+        out = float(_read_literal(value)) if isinstance(value, str) else float(value)
     except OverflowError:
         return None
     if not math.isfinite(out):

@@ -12,7 +12,8 @@ Exit codes::
     0  success
     2  usage error (bad flags, malformed flag values)
     3  model file I/O failure
-    4  model file parse failure (JSON or schema)
+    4  parse failure: model or --init file JSON or schema, or a numeric
+       literal whose decimal exponent is out of range (files and flags)
     5  semantic validation failure (bad rows, bad parameters)
     6  unknown state label in a query
     7  solver failure (a linear system found singular)
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import analysis, crowds, modelfile, zeroconf
-from .chain import EXACT, FLOAT, RewardChain, format_scalar
+from .chain import EXACT, FLOAT, RewardChain, format_scalar, _read_literal
 from .errors import (
     ExactchainError,
     InvalidParamsError,
@@ -71,8 +72,10 @@ def _positive_int(text: str) -> int:
 
 def _rational_flag(text: str) -> str:
     # Validated at parse time, converted once the arithmetic mode is known.
+    # An exponent out of range raises LiteralRangeError, which argparse
+    # lets through to main as a parse error.
     try:
-        Fraction(text)
+        _read_literal(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
     return text
@@ -484,10 +487,9 @@ _ERROR_EXITS = (
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
-
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         mode = _resolve_mode(args)
         report = args.handler(args, argv, mode)
     except ExactchainError as exc:

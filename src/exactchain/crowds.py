@@ -210,18 +210,26 @@ def joint_first_last(params: CrowdsParams, i: str, l: str):
     for j in (i, l):
         if j not in params.init:  # keyed by exactly the honest jondos
             raise NotHonestJondoError(j)
-    forward_share = params.p_f / params.J
-    direct = 1 - _frac(params.H, params.J, params) * params.p_f
+    forward_share, direct = _joint_terms(params)
     return params.init[i] * (forward_share + (direct if i == l else 0))
+
+
+def _joint_terms(params: CrowdsParams):
+    """``p_f / J`` and ``1 - (H/J) p_f``, the two terms of :func:`joint_first_last`."""
+    return params.p_f / params.J, 1 - _frac(params.H, params.J, params) * params.p_f
 
 
 def conditional_joint(params: CrowdsParams) -> dict:
     """The full (initiator, last honest) conditional joint as a dict."""
-    return {
-        (i, l): joint_first_last(params, i, l)
-        for i in params.honest
-        for l in params.honest
-    }
+    forward_share, direct = _joint_terms(params)
+    same = forward_share + direct
+    joint = {}
+    for i in params.honest:
+        weight = params.init[i]
+        off, on = weight * forward_share, weight * same
+        for l in params.honest:
+            joint[(i, l)] = on if i == l else off
+    return joint
 
 
 def prob_first_eq_last(params: CrowdsParams):
@@ -296,7 +304,9 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     Weights each honest initiator's entry law into ``target``, keyed by the
     jondo of the state it enters from, by its initiation probability; keys
     run over ``honest x lasts``. One solve covers every initiator with
-    positive weight, with one right-hand-side column per initiator.
+    positive weight: one right-hand-side column per jondo left when those
+    are no more than the initiators, else one per initiator
+    (:func:`analysis._entry_masses`).
     """
     params = model.params
     chain = model.chain

@@ -113,3 +113,11 @@ class ModelIOError(ModelFileError):
 
 class ModelParseError(ModelFileError):
     """Model file is not valid JSON or does not match the schema."""
+
+
+class LiteralRangeError(ModelParseError):
+    """A numeric literal's decimal exponent lies beyond ``chain.MAX_DECIMAL_EXPONENT``.
+
+    Raised wherever a literal is read: model and ``--init`` files, numeric
+    CLI flags and parameter strings. The CLI reports it as a parse error.
+    """

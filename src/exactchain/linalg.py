@@ -28,6 +28,14 @@ determinant (Bareiss 1968), so the only rationals built are the results.
 Float mode fills a numpy matrix from the rows and delegates to numpy,
 which is imported on the first non-empty float solve, so exact work never
 loads it.
+
+A caller that reads only some unknowns, such as the one start state of a
+query, names them in ``keep``: both exact solvers then order the kept
+unknowns last, eliminate everything else first, and back-substitute only
+the kept rows, which depend on nothing eliminated before them (PARAM reads
+the initial state's value off this way). Only the kept rows are returned.
+Float mode solves in full and returns the same rows, so its bits do not
+depend on ``keep``.
 """
 
 from __future__ import annotations
@@ -45,11 +53,14 @@ from .errors import SingularSystemError
 SPARSE_ROW_NNZ = 4
 
 
-def solve_exact(a, b):
+def solve_exact(a, b, keep=None):
     """Solve ``a @ x = b`` exactly; entries are Fractions or ints.
 
     ``a`` is an n-by-n matrix (list of rows), ``b`` an n-by-k right-hand-side
-    matrix. Returns the n-by-k solution with Fraction entries.
+    matrix. Returns the n-by-k solution with Fraction entries; with ``keep``,
+    a set of unknowns, only their rows, in ascending order. The kept columns
+    go last, so the last ``len(keep)`` rows of the triangular system hold
+    them alone and only those rows are back-substituted.
 
     Raises :class:`SingularSystemError` when no pivot can be found.
     """
@@ -58,6 +69,11 @@ def solve_exact(a, b):
         return []
     k = len(b[0]) if b else 0
     width = n + k
+    first = 0  # the first row back-substituted
+    if keep is not None:
+        cols = [j for j in range(n) if j not in keep] + sorted(keep)
+        a = [[row[j] for j in cols] for row in a]
+        first = n - len(keep)
 
     # Clear denominators row by row: the augmented matrix becomes integral,
     # which is what makes the Bareiss divisions exact.
@@ -87,17 +103,17 @@ def solve_exact(a, b):
     # Back-substitution in integers. By Cramer's rule x_i = X_i / det with
     # X_i an integer and det the last pivot, so each division is exact.
     det = prev
-    out = [[None] * k for _ in range(n)]
+    out = [[None] * k for _ in range(first, n)]
     for c in range(k):
         col_idx = n + c
         xs = [0] * n
-        for i in range(n - 1, -1, -1):
+        for i in range(n - 1, first - 1, -1):
             row = m[i]
             acc = det * row[col_idx]
             for j in range(i + 1, n):
                 acc -= row[j] * xs[j]
             xs[i] = acc // row[i]
-            out[i][c] = Fraction(xs[i], det)
+            out[i - first][c] = Fraction(xs[i], det)
     return out
 
 
@@ -119,7 +135,7 @@ def solve_float(rows, b):
     return x.tolist()
 
 
-def eliminate(rows, n, k):
+def eliminate(rows, n, k, keep=None):
     """Solve the sparse system ``rows`` by state elimination.
 
     ``rows[i]`` maps column ``j < n`` to the coefficient of unknown ``j``
@@ -127,9 +143,12 @@ def eliminate(rows, n, k):
     entries are zero. Entries are ints or Fractions; the dicts are left as
     they were. The unknown eliminated next is the one of least Markowitz
     cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the lowest index
-    among equals, always on its diagonal; back-substitution runs in reverse
-    elimination order and skips solution entries that are zero. Returns the
-    n-by-k solution as Fractions.
+    among equals, always on its diagonal; the unknowns in the set ``keep``
+    are pinned last, after every other one. Back-substitution runs in
+    reverse elimination order and skips solution entries that are zero.
+    Returns the n-by-k solution as Fractions; with ``keep``, only the kept
+    rows, in ascending order, and only they are back-substituted: an
+    unknown's reduced row holds only unknowns eliminated after it.
 
     Raises :class:`SingularSystemError` when a diagonal pivot is zero,
     which never happens on a nonsingular M-matrix such as the analyses'
@@ -142,11 +161,12 @@ def eliminate(rows, n, k):
     factor's denominator first, and a sum divides by the gcd of the
     denominators before it multiplies, then reduces by what that gcd still
     shares with the new numerator. Both keep every pair reduced without a
-    gcd over the full-size result. Only the n-by-k results are built as
+    gcd over the full-size result. Only the returned results are built as
     Fractions; each one's division by its pivot is left to the Fraction
     constructor, which takes a full gcd in any case.
     """
     rows = [{j: x.as_integer_ratio() for j, x in row.items()} for row in rows]
+    pinned = () if keep is None else keep  # eliminated last
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -154,7 +174,7 @@ def eliminate(rows, n, k):
                 holders[j].add(i)
 
     def cost(u):
-        return ((len(rows[u]) - 1) * (len(holders[u]) - 1), u)
+        return (u in pinned, (len(rows[u]) - 1) * (len(holders[u]) - 1), u)
 
     heap = [cost(u) for u in range(n)]
     heapq.heapify(heap)
@@ -162,7 +182,7 @@ def eliminate(rows, n, k):
     order = []
     while heap:
         entry = heapq.heappop(heap)
-        p = entry[1]
+        p = entry[-1]
         if done[p] or entry != cost(p):
             continue  # a stale entry: p's cost changed after it was pushed
         row = rows[p]
@@ -216,7 +236,7 @@ def eliminate(rows, n, k):
     # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p
     x = [None] * n
     out = [None] * n
-    for p, pn, pd in reversed(order):
+    for p, pn, pd in reversed(order if keep is None else order[n - len(keep):]):
         row = rows[p]
         acc = [row.get(c, (0, 1)) for c in range(n, n + k)]
         for j, (vn, vd) in row.items():
@@ -254,32 +274,35 @@ def eliminate(rows, n, k):
         # quotient by the pivot is left unreduced for that one gcd.
         out[p] = sol = [Fraction(an * pd, ad * pn) for an, ad in acc]
         x[p] = [(v.numerator, v.denominator) for v in sol]
-    return out
+    return out if keep is None else [out[p] for p in sorted(keep)]
 
 
-def solve(rows, b, mode):
+def solve(rows, b, mode, keep=None):
     """Solve ``a @ x = b`` in ``mode``'s arithmetic.
 
     ``rows[i]`` maps column ``j`` to the nonzero ``a[i][j]``; ``b`` is the
     n-by-k right-hand-side matrix, a list of rows. Returns the n-by-k
-    solution. Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros per
-    row on average take ``b``'s nonzeros into their rows as columns
+    solution as a list of rows; with ``keep``, a set of unknowns, only
+    their rows, in ascending order, which the exact solvers alone
+    back-substitute. Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros
+    per row on average take ``b``'s nonzeros into their rows as columns
     ``n + c`` and go to :func:`eliminate`, whatever the width of ``b``;
     the rest are made dense once for :func:`solve_exact`. A sparse exact
     solve leaves ``b``'s nonzeros in the dicts. The analyses' systems have
-    one column, or one per start state.
+    one column, or one per start state or per outcome.
     """
     if mode != "exact":
-        return solve_float(rows, b)
+        x = solve_float(rows, b)
+        return x if keep is None else [x[i] for i in sorted(keep)]
     n = len(rows)
     if sum(map(len, rows)) > SPARSE_ROW_NNZ * n:
         a = [[0] * n for _ in rows]
         for dense, row in zip(a, rows):
             for j, x in row.items():
                 dense[j] = x
-        return solve_exact(a, b)
+        return solve_exact(a, b, keep)
     for row, b_row in zip(rows, b):
         for c, x in enumerate(b_row, n):
             if x:
                 row[c] = x
-    return eliminate(rows, n, len(b[0]) if b else 0)
+    return eliminate(rows, n, len(b[0]) if b else 0, keep)

@@ -12,16 +12,20 @@ Schema::
 :class:`MarkovChain`. ``prob`` and ``cost`` accept JSON numbers, decimal
 strings, or rational strings like ``"16/65024"``. In exact mode decimal
 literals are read as exact decimal fractions (``0.01`` means ``1/100``),
-so a model file round-trips losslessly.
+so a model file round-trips losslessly. A decimal exponent beyond
+``chain.MAX_DECIMAL_EXPONENT`` is a parse error, in either mode.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from .chain import EXACT, MarkovChain, RewardChain, format_scalar, validate_chain, validate_reward
+from .chain import (
+    EXACT, MarkovChain, RewardChain, format_scalar, _read_literal, validate_chain, validate_reward,
+)
 from .errors import ModelIOError, ModelParseError
 
 _TOP_KEYS = {"states", "transitions", "rewards"}
@@ -30,7 +34,7 @@ _TOP_KEYS = {"states", "transitions", "rewards"}
 def _parse_value(raw, where: str):
     if isinstance(raw, str):
         try:
-            return Fraction(raw)  # converted to the chain's arithmetic on validation
+            return _read_literal(raw)  # converted to the chain's arithmetic on validation
         except (ValueError, ZeroDivisionError):
             raise ModelParseError(f"{where}: cannot parse number {raw!r}") from None
     if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction)):
@@ -93,11 +97,15 @@ def _reject_constant(name):
 
 
 def _decode(text: str, mode: str = EXACT):
-    """Decode JSON, numbers in ``mode``'s arithmetic; ``NaN`` and ``Infinity`` are errors."""
-    parse_number = Fraction if mode == EXACT else float
+    """Decode JSON, numbers in ``mode``'s arithmetic; ``NaN`` and ``Infinity`` are errors.
+
+    So is an integer longer than CPython's limit on string-to-integer
+    digits, whose ``ValueError`` ``json`` passes through undecorated.
+    """
+    parse_number = _read_literal if mode == EXACT else partial(_read_literal, number=float)
     try:
         return json.loads(text, parse_float=parse_number, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ModelParseError(f"invalid JSON: {exc}") from exc
 
 

@@ -130,8 +130,13 @@ def p_err_probe_closed(params: ZeroconfParams, n: int):
     """
     if not 0 <= n <= params.N:
         raise ValueError(f"probe index must lie in 0..{params.N}, got {n}")
+    return _p_err_probe(params, n, p_err_closed(params))
+
+
+def _p_err_probe(params: ZeroconfParams, n: int, p_err):
+    """:func:`p_err_probe_closed` given ``p_err = p_err_closed(params)``."""
     tail = params.p ** (params.N - n + 1)
-    return tail + (1 - tail) * p_err_closed(params)
+    return tail + (1 - tail) * p_err
 
 
 def expected_cost_closed(params: ZeroconfParams):
@@ -186,7 +191,7 @@ def zeroconf_report(
         "states": list(states),
         "p_err_start": _triple(p_err_value, p_err[START]),
         "p_err_probe": {
-            probe_label(n): _triple(p_err_probe_closed(params, n), p_err[probe_label(n)])
+            probe_label(n): _triple(_p_err_probe(params, n, p_err_value), p_err[probe_label(n)])
             for n in range(params.N + 1)
         },
         "expected_cost": _triple(expected_cost_closed(params), cost_solver),

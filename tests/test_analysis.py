@@ -30,7 +30,7 @@ from exactchain.errors import (
     StartInTargetError,
     UnknownStateError,
 )
-from exactchain.crowds import build_crowds, first_last_jondo_joint, make_params
+from exactchain.crowds import END, build_crowds, first_last_jondo_joint, init_label, make_params
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 from _support import (
     as_mode, near_one_chain, random_chain, random_query, random_reward, truncated_until_mass,
@@ -198,6 +198,28 @@ def test_until_probability_absorbing_states(zc_chain):
 def test_until_probability_small_zeroconf(zc_small):
     chain = zc_small.chain
     assert until_probability(chain, set(chain.states), {"Error"}, "Start") == F(1, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 10),
+       mode=st.sampled_from([EXACT, FLOAT]))
+def test_until_probability_is_one_kept_row_of_until_probabilities(seed, n_states, mode):
+    rng = random.Random(seed)
+    chain = as_mode(random_reward(rng, n_states), mode).chain
+    phi, psi, _ = random_query(rng, chain)
+    every = until_probabilities(chain, phi, psi)
+    kept = []
+    solve = linalg.solve
+
+    def capture(rows, b, solve_mode, keep=None):
+        kept.append(keep)
+        return solve(rows, b, solve_mode, keep=keep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "solve", capture)
+        for start in chain.states:
+            assert repr(until_probability(chain, phi, psi, start)) == repr(every[start])
+    assert all(keep is not None and len(keep) == 1 for keep in kept)
 
 
 def test_bellman_identity_exact():
@@ -480,6 +502,50 @@ def test_entry_masses_search_forward_once_for_one_start_or_many(monkeypatch):
     assert len(one) == len(many)
     assert [c for c in one if c[0] == "row_by_index"] == [("row_by_index", 1)]
     assert [c for c in many if c[0] == "row_by_index"] == [("row_by_index", 11)]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_entry_masses_direct_and_visit_orientations_agree(mode):
+    # The orientation follows K outcome keys against S starts. Into the
+    # collaborators' Mix states, keyed by the jondo left, K = H = 6 here.
+    # Batched over S = 7 starts (every honest Init state, J2's of zero init
+    # mass among them, and End, which cannot reach the target) the solve is
+    # direct, one column per key; one start alone solves expected visits,
+    # one column. Both give the same masses, and End gets none.
+    init = {"J1": F(1, 2), "J2": 0, "J3": F(1, 4), "J4": F(1, 12), "J5": F(1, 12), "J6": F(1, 12)}
+    model = build_crowds(make_params(8, 2, F(4, 5), init), mode)
+    chain = model.chain
+    target = chain.index_set(model.collaborator_mix_labels())
+    starts = [chain.index_of(init_label(j)) for j in model.params.honest] + [chain.index_of(END)]
+
+    def key(u, v):
+        return model.jondo_of(chain.states[u])
+
+    widths = []
+    solve = linalg.solve
+
+    def counted(rows, b, solve_mode, keep=None):
+        widths.append(len(b[0]))
+        return solve(rows, b, solve_mode, keep=keep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "solve", counted)
+        batched = _entry_masses(chain, target, starts, key)
+        assert widths == [6]
+        widths.clear()
+        alone = {s: _entry_masses(chain, target, [s], key)[s] for s in starts}
+        assert widths == [1] * 6  # End's block is empty: no solve
+    assert list(batched) == starts
+    assert batched[starts[-1]] == alone[starts[-1]] == {}
+    assert len(batched[starts[1]]) == 6  # J2 never initiates, but its Init state reaches
+    for s in starts:
+        assert list(batched[s]) == list(alone[s])
+        if mode == EXACT:
+            assert repr(batched[s]) == repr(alone[s])
+        else:
+            assert all(math.isclose(batched[s][k], alone[s][k], rel_tol=1e-12) for k in alone[s])
+    if mode == EXACT:
+        assert repr(batched) == repr(per_outcome_entry_masses(chain, target, starts, key))
 
 
 def dense_exit_mass_system(chain, block, transpose):

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from exactchain import EXACT, FLOAT, parse_scalar, validate_chain, validate_reward
+from exactchain.chain import MAX_DECIMAL_EXPONENT
 from exactchain.errors import (
     EmptyStateSpaceError,
+    LiteralRangeError,
     NegativeCostError,
     NegativeProbabilityError,
     RowSumNotOneError,
@@ -169,6 +171,13 @@ def test_parse_and_format_scalars():
     assert parse_scalar("0.01") == F(1, 100)
     assert parse_scalar("3600") == 3600
     assert parse_scalar("1/3", mode=FLOAT) == pytest.approx(1 / 3)
+    # Decimal exponents are bounded, before any digit is expanded.
+    bound = MAX_DECIMAL_EXPONENT
+    assert parse_scalar(f"1e-{bound}") == F(1, 10**bound)
+    assert parse_scalar(f"2.5E+00{bound} ") == F(25, 10) * 10**bound
+    for text in (f"1e{bound + 1}", f"-1e-{bound + 1}", "1e1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(LiteralRangeError):
+            parse_scalar(text)
     from exactchain import format_scalar
 
     assert format_scalar(F(1, 3)) == "1/3"

@@ -186,7 +186,7 @@ def test_solve_float_singular_system_exit_code(capsys, tmp_path):
 
 
 def test_solver_failure_exit_code(capsys, small_model, monkeypatch):
-    def singular(a, b, mode):
+    def singular(a, b, mode, keep=None):
         raise SingularSystemError("Singular matrix")
 
     monkeypatch.setattr(linalg, "solve", singular)
@@ -242,11 +242,22 @@ BIG_MODEL = ('{"states": ["a", "b"], "transitions": [{"from": "a", "to": "b", "p
     (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": "1e5000", "J2": 0}',
      cli.EXIT_MODEL),
     (["zeroconf", "--preset", "paper-typical", "--p", "1e5000"], None, cli.EXIT_MODEL),
+    # A decimal exponent past chain.MAX_DECIMAL_EXPONENT is a parse error,
+    # caught before its digits are expanded, wherever the literal is read.
+    (["validate", "FILE"], LOOP_MODEL % "1e-1000000", cli.EXIT_PARSE),
+    (["validate", "FILE", "--float"], LOOP_MODEL % "1e1000000", cli.EXIT_PARSE),
+    (["validate", "FILE"], BIG_MODEL % "1e-1000000", cli.EXIT_PARSE),
+    (["crowds", "--preset", "fig3", "--pf", "1e-1000000"], None, cli.EXIT_PARSE),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": "1e1000000", "J2": 0}',
+     cli.EXIT_PARSE),
+    # So is a JSON integer past CPython's 4,300-digit limit on parsing.
+    (["validate", "FILE"], LOOP_MODEL % ("1" + "0" * 5000), cli.EXIT_PARSE),
 ], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
         "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400",
         "zeroconf-E-1e400-simulate", "simulate-cost-1e400", "simulate-cost-sum-overflow",
         "row-sum-1e-5000", "negative-1e-5000", "crowds-pf-1e5000", "init-1e5000",
-        "zeroconf-p-1e5000"])
+        "zeroconf-p-1e5000", "number-1e-1000000", "float-number-1e1000000",
+        "string-1e-1000000", "flag-1e-1000000", "init-1e1000000", "int-5001-digits"])
 def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     path = tmp_path / "input.json"
     if text is not None:

@@ -143,9 +143,9 @@ def test_report_solves_once_per_query(monkeypatch):
     calls = []
     solve = linalg.solve
 
-    def counting_solve(a, b, mode):
+    def counting_solve(a, b, mode, keep=None):
         calls.append((len(a), len(b[0])))
-        return solve(a, b, mode)
+        return solve(a, b, mode, keep=keep)
 
     monkeypatch.setattr(linalg, "solve", counting_solve)
     report = crowds_report(make_params(20, 4, F(4, 5)))

@@ -196,9 +196,9 @@ def captured_systems(run):
     systems = []
     solve = linalg.solve
 
-    def capture(rows, b, mode):
+    def capture(rows, b, mode, keep=None):
         systems.append(([dict(row) for row in rows], b))
-        return solve(rows, b, mode)
+        return solve(rows, b, mode, keep=keep)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "solve", capture)
@@ -244,6 +244,56 @@ def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, s
         assert matmul(a, x) == b
         assert x == reference_solve(a, b)
         assert all(type(v) is F for row in x for v in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 16),
+       shape=st.sampled_from(["width2", "dense", "near_one"]), data=st.data())
+def test_kept_rows_equal_the_full_solution_on_absorbing_blocks(seed, n_states, shape, data):
+    # keep pins the kept unknowns last and back-substitutes them alone; the
+    # rows returned are those of the full solve, on both exact paths and in
+    # floats, where the full system is solved whatever keep says.
+    rng = random.Random(seed)
+    if shape == "near_one":
+        chain = near_one_chain(rng, n_states)
+    else:
+        chain = random_chain(rng, n_states, max_out={"width2": 2, "dense": n_states}[shape])
+    rchain = random_reward(rng, n_states, chain=chain)
+    for rows, b in block_systems(chain, rchain, rng):
+        n, k = len(rows), len(b[0])
+        keep = data.draw(st.sets(st.integers(0, n - 1)))
+        full = solve_exact(dense(rows), b)
+        want = repr([full[i] for i in sorted(keep)])
+        assert repr(solve_exact(dense(rows), b, keep)) == want
+        assert repr(eliminate(with_rhs(rows, b), n, k, keep)) == want
+        assert repr(linalg.solve([dict(row) for row in rows], b, "exact", keep=keep)) == want
+        float_rows = [{j: float(v) for j, v in row.items()} for row in rows]
+        float_b = [[float(v) for v in row] for row in b]
+        full = linalg.solve(float_rows, float_b, "float")
+        kept = linalg.solve(float_rows, float_b, "float", keep=keep)
+        assert repr(kept) == repr([full[i] for i in sorted(keep)])
+
+
+def test_kept_rows_are_the_only_ones_back_substituted(monkeypatch):
+    # One kept unknown of a path-shaped block: each exact solver builds only
+    # that row's k Fractions, so no other row is back-substituted.
+    n, k = 12, 2
+    rows = [{i: F(1), (i + 1) % n: F(-1, 2)} for i in range(n)]
+    b = [[F(1, 2), F(i % 3, 5)] for i in range(n)]
+    full = solve_exact(dense(rows), b)
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    sparse_x = eliminate(with_rhs(rows, b), n, k, {5})
+    dense_x = solve_exact(dense(rows), b, {5})
+    monkeypatch.undo()
+    assert sparse_x == dense_x == [full[5]]
+    assert len(made) == 2 * k
 
 
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -324,9 +374,9 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypat
         used.append("sparse")
         return eliminate(*args)
 
-    def counted_bareiss(a, b):
+    def counted_bareiss(a, b, keep=None):
         used.append("bareiss")
-        return bareiss(a, b)
+        return bareiss(a, b, keep)
 
     monkeypatch.setattr(linalg, "eliminate", counted_eliminate)
     monkeypatch.setattr(linalg, "solve_exact", counted_bareiss)
@@ -342,9 +392,9 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypat
     widths = []
     solve = linalg.solve
 
-    def counted_solve(a, b, mode):
+    def counted_solve(a, b, mode, keep=None):
         widths.append(len(b[0]))
-        return solve(a, b, mode)
+        return solve(a, b, mode, keep=keep)
 
     monkeypatch.setattr(linalg, "solve", counted_solve)
     chain = random_chain(random.Random(7), 20, max_out=2)
