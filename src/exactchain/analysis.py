@@ -307,7 +307,8 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     * ``K > S``: the expected visits ``y_s(u)`` to each ``u`` before entry
       (Kemeny & Snell's fundamental matrix, 1960), from
       ``(I - Q)^T y_s = e_s`` with one column per start; outcome ``k``
-      from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``.
+      from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``, so only the
+      rows of states with an edge into the target are back-substituted.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order.
@@ -335,7 +336,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             s: {k: m for k, m in zip(keys, x[s]) if m > 0} if s in x else {} for s in starts
         }
     b = [[one if u == s else zero for s in starts] for u in block]
-    y = _solve_block(chain, block, b, transpose=True)
+    y = _solve_block(chain, block, b, transpose=True, keep={u for u, out in exits.items() if out})
     mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
     for u, out in exits.items():
         for k, p in out.items():

@@ -30,6 +30,7 @@ from .errors import (
     NegativeProbabilityError,
     RowSumNotOneError,
     UnknownStateError,
+    _excerpt,
     _full_str,
 )
 
@@ -65,9 +66,9 @@ def _read_literal(text: str, number=Fraction):
         digits = match[1].lstrip("+-").replace("_", "").lstrip("0")
         bound = MAX_DECIMAL_EXPONENT
         if len(digits) > len(str(bound)) or int(digits or "0") > bound:
-            shown = text if len(text) <= 40 else f"{text[:20]}...{text[-12:]}"
             raise LiteralRangeError(
-                f"number {shown!r}: decimal exponent out of range (over {bound} in magnitude)"
+                f"number {_excerpt(text)}: decimal exponent out of range"
+                f" (over {bound} in magnitude)"
             )
     return number(text)
 
@@ -102,7 +103,7 @@ def _coerce_param(value, name):
     try:
         return _read_literal(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise InvalidParamsError(f"cannot parse parameter {name}={value!r}") from None
+        raise InvalidParamsError(f"cannot parse parameter {name}={_excerpt(value)}") from None
 
 
 def _with_mode(params, mode):

@@ -43,6 +43,7 @@ from .errors import (
     ModelParseError,
     SingularSystemError,
     UnknownStateError,
+    _excerpt,
 )
 from .simulate import DEFAULT_MAX_STEPS, SimConfig, estimate_cost, estimate_until
 
@@ -77,7 +78,7 @@ def _rational_flag(text: str) -> str:
     try:
         _read_literal(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse number {_excerpt(text)}") from None
     return text
 
 
@@ -195,7 +196,7 @@ def _as_int(name: str, value) -> int:
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+        raise InvalidParamsError(f"{name} must be an integer, got {_excerpt(value)}") from None
 
 
 def _with_chain(model):

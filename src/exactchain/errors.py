@@ -25,6 +25,19 @@ def _full_str(value) -> str:
             sys.set_int_max_str_digits(limit)
 
 
+def _excerpt(value) -> str:
+    """``repr(value)`` for an error message, with the middle of a long literal cut out.
+
+    A literal read from a file or a flag can be megabytes long. Past 40
+    characters only its first 20 and last 12 are shown: a string is cut
+    and then quoted, any other value is cut in its repr.
+    """
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) > 40:
+        text = f"{text[:20]}...{text[-12:]}"
+    return repr(text) if isinstance(value, str) else text
+
+
 class ExactchainError(Exception):
     """Base class for all errors raised by this package."""
 

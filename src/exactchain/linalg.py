@@ -1,10 +1,12 @@
 """Direct linear solvers backing the chain analyses.
 
 The systems solved here are `(I - Q) x = b` style absorption equations with
-at most a few hundred unknowns, so direct elimination is enough.
-:func:`solve` takes the rows of the matrix as dicts of their nonzeros, the
-right-hand sides as a dense list of rows, and picks a solver by the
-system's shape; every solver returns a dense list of solution rows.
+at most a few hundred unknowns, so direct elimination is enough. Every
+solver takes the same inputs: the rows of the matrix as dicts of their
+nonzeros, the right-hand sides as a dense list of rows, and optionally the
+set ``keep`` of unknowns the caller reads. Each reads its inputs into its
+own working form, writes nothing back, and returns a dense list of
+solution rows. :func:`solve` only picks a solver by mode and density.
 
 Sparse systems, such as ZeroConf's path of probes with back edges to its
 start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
@@ -19,29 +21,30 @@ back-substitution run on those pairs by Henrici's rule, inline, so no
 ``Fraction`` method runs in the loop and only the results are built as
 Fractions.
 
-Everything else is made dense once and goes to fraction-free (Bareiss)
-Gaussian elimination over integers, after clearing denominators row by
-row; this keeps intermediate values from exploding the way naive rational
-elimination can, and wins on dense blocks. Back-substitution stays in
-integers too: every unknown is an integer over the last Bareiss pivot, the
-determinant (Bareiss 1968), so the only rationals built are the results.
-Float mode fills a numpy matrix from the rows and delegates to numpy,
-which is imported on the first non-empty float solve, so exact work never
-loads it.
+Every other exact system goes to fraction-free (Bareiss) Gaussian
+elimination over integers: each dict row is read straight into a dense
+integer row with its denominators cleared, which keeps intermediate
+values from exploding the way naive rational elimination can, and wins
+on dense blocks. Back-substitution stays in integers too: every unknown
+is an integer over the last Bareiss pivot, the determinant (Bareiss
+1968), so the only rationals built are the results. Float mode fills a
+numpy matrix from the rows and delegates to numpy, which is imported on
+the first non-empty float solve, so exact work never loads it.
 
 A caller that reads only some unknowns, such as the one start state of a
 query, names them in ``keep``: both exact solvers then order the kept
 unknowns last, eliminate everything else first, and back-substitute only
 the kept rows, which depend on nothing eliminated before them (PARAM reads
-the initial state's value off this way). Only the kept rows are returned.
-Float mode solves in full and returns the same rows, so its bits do not
-depend on ``keep``.
+the initial state's value off this way). Only the kept rows are returned,
+in ascending order. Float mode solves in full and returns the same rows,
+so its bits do not depend on ``keep``.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import SingularSystemError
@@ -53,35 +56,35 @@ from .errors import SingularSystemError
 SPARSE_ROW_NNZ = 4
 
 
-def solve_exact(a, b, keep=None):
-    """Solve ``a @ x = b`` exactly; entries are Fractions or ints.
+def solve_exact(rows, b, keep=None):
+    """Solve ``a @ x = b`` exactly by Bareiss elimination; entries are Fractions or ints.
 
-    ``a`` is an n-by-n matrix (list of rows), ``b`` an n-by-k right-hand-side
-    matrix. Returns the n-by-k solution with Fraction entries; with ``keep``,
-    a set of unknowns, only their rows, in ascending order. The kept columns
-    go last, so the last ``len(keep)`` rows of the triangular system hold
-    them alone and only those rows are back-substituted.
+    ``rows``, ``b`` and ``keep`` are as in :func:`solve`, and so is the
+    result. The kept columns go last, so the last ``len(keep)`` rows of the
+    triangular system hold them alone and only those rows are
+    back-substituted.
 
     Raises :class:`SingularSystemError` when no pivot can be found.
     """
-    n = len(a)
+    n = len(rows)
     if n == 0:
         return []
     k = len(b[0]) if b else 0
     width = n + k
-    first = 0  # the first row back-substituted
-    if keep is not None:
-        cols = [j for j in range(n) if j not in keep] + sorted(keep)
-        a = [[row[j] for j in cols] for row in a]
-        first = n - len(keep)
+    first = 0 if keep is None else n - len(keep)  # the first row back-substituted
+    cols = range(n) if keep is None else sorted(range(n), key=lambda j: j in keep)
+    at = {j: c for c, j in enumerate(cols)}  # the kept columns go last
 
     # Clear denominators row by row: the augmented matrix becomes integral,
     # which is what makes the Bareiss divisions exact.
     m = []
-    for i in range(n):
-        row = [*a[i], *b[i]]
-        scale = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
+    for row, b_row in zip(rows, b):
+        scale = lcm(*(x.denominator for x in row.values()), *(x.denominator for x in b_row))
+        m_row = [0] * n
+        for j, x in row.items():
+            m_row[at[j]] = x.numerator * (scale // x.denominator)
+        m_row += [x.numerator * (scale // x.denominator) for x in b_row]
+        m.append(m_row)
 
     prev = 1
     for col in range(n):
@@ -105,11 +108,10 @@ def solve_exact(a, b, keep=None):
     det = prev
     out = [[None] * k for _ in range(first, n)]
     for c in range(k):
-        col_idx = n + c
         xs = [0] * n
         for i in range(n - 1, first - 1, -1):
             row = m[i]
-            acc = det * row[col_idx]
+            acc = det * row[n + c]
             for j in range(i + 1, n):
                 acc -= row[j] * xs[j]
             xs[i] = acc // row[i]
@@ -117,8 +119,12 @@ def solve_exact(a, b, keep=None):
     return out
 
 
-def solve_float(rows, b):
-    """Solve ``a @ x = b`` in 64-bit floats; ``rows`` as in :func:`solve`, ``b`` dense."""
+def solve_float(rows, b, keep=None):
+    """Solve ``a @ x = b`` in 64-bit floats; arguments and result as in :func:`solve`.
+
+    The full system is solved whatever ``keep`` says, so the kept rows are
+    bit for bit those of the full solution.
+    """
     n = len(rows)
     if n == 0:
         return []
@@ -132,22 +138,23 @@ def solve_float(rows, b):
         x = np.linalg.solve(a, np.asarray(b, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    return x.tolist()
+    x = x.tolist()
+    return x if keep is None else [x[i] for i in sorted(keep)]
 
 
-def eliminate(rows, n, k, keep=None):
+def eliminate(rows, b, keep=None):
     """Solve the sparse system ``rows`` by state elimination.
 
-    ``rows[i]`` maps column ``j < n`` to the coefficient of unknown ``j``
-    in equation ``i`` and column ``n + c`` to right-hand side ``c``; absent
-    entries are zero. Entries are ints or Fractions; the dicts are left as
-    they were. The unknown eliminated next is the one of least Markowitz
-    cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the lowest index
-    among equals, always on its diagonal; the unknowns in the set ``keep``
-    are pinned last, after every other one. Back-substitution runs in
-    reverse elimination order and skips solution entries that are zero.
-    Returns the n-by-k solution as Fractions; with ``keep``, only the kept
-    rows, in ascending order, and only they are back-substituted: an
+    ``rows``, ``b`` and ``keep`` are as in :func:`solve`, and so is the
+    result; entries are ints or Fractions. Each row is read into its own
+    dict, with right-hand side ``c`` as column ``n + c`` after the
+    unknowns, so ``b`` is eliminated with the matrix and its nonzeros count
+    in a row's cost. The unknown eliminated next is the one of least
+    Markowitz cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the
+    lowest index among equals, always on its diagonal; the unknowns in the
+    set ``keep`` are pinned last, after every other one. Back-substitution
+    runs in reverse elimination order and skips solution entries that are
+    zero; with ``keep``, only the kept rows are back-substituted: an
     unknown's reduced row holds only unknowns eliminated after it.
 
     Raises :class:`SingularSystemError` when a diagonal pivot is zero,
@@ -165,7 +172,12 @@ def eliminate(rows, n, k, keep=None):
     Fractions; each one's division by its pivot is left to the Fraction
     constructor, which takes a full gcd in any case.
     """
-    rows = [{j: x.as_integer_ratio() for j, x in row.items()} for row in rows]
+    n = len(rows)
+    k = len(b[0]) if b else 0
+    rows = [
+        {j: x.as_integer_ratio() for j, x in chain(row.items(), enumerate(b_row, n)) if j < n or x}
+        for row, b_row in zip(rows, b)
+    ]
     pinned = () if keep is None else keep  # eliminated last
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
@@ -284,25 +296,15 @@ def solve(rows, b, mode, keep=None):
     n-by-k right-hand-side matrix, a list of rows. Returns the n-by-k
     solution as a list of rows; with ``keep``, a set of unknowns, only
     their rows, in ascending order, which the exact solvers alone
-    back-substitute. Exact systems with at most ``SPARSE_ROW_NNZ`` nonzeros
-    per row on average take ``b``'s nonzeros into their rows as columns
-    ``n + c`` and go to :func:`eliminate`, whatever the width of ``b``;
-    the rest are made dense once for :func:`solve_exact`. A sparse exact
-    solve leaves ``b``'s nonzeros in the dicts. The analyses' systems have
-    one column, or one per start state or per outcome.
+    back-substitute. Neither ``rows`` nor ``b`` is changed. Exact systems
+    with at most ``SPARSE_ROW_NNZ`` nonzeros per row on average go to
+    :func:`eliminate`, whatever the width of ``b``, the rest to
+    :func:`solve_exact`; float systems to :func:`solve_float`. The
+    analyses' systems have one column, or one per start state or per
+    outcome.
     """
     if mode != "exact":
-        x = solve_float(rows, b)
-        return x if keep is None else [x[i] for i in sorted(keep)]
-    n = len(rows)
-    if sum(map(len, rows)) > SPARSE_ROW_NNZ * n:
-        a = [[0] * n for _ in rows]
-        for dense, row in zip(a, rows):
-            for j, x in row.items():
-                dense[j] = x
-        return solve_exact(a, b, keep)
-    for row, b_row in zip(rows, b):
-        for c, x in enumerate(b_row, n):
-            if x:
-                row[c] = x
-    return eliminate(rows, n, len(b[0]) if b else 0, keep)
+        return solve_float(rows, b, keep)
+    if sum(map(len, rows)) > SPARSE_ROW_NNZ * len(rows):
+        return solve_exact(rows, b, keep)
+    return eliminate(rows, b, keep)

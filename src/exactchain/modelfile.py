@@ -26,7 +26,7 @@ from pathlib import Path
 from .chain import (
     EXACT, MarkovChain, RewardChain, format_scalar, _read_literal, validate_chain, validate_reward,
 )
-from .errors import ModelIOError, ModelParseError
+from .errors import ModelIOError, ModelParseError, _excerpt
 
 _TOP_KEYS = {"states", "transitions", "rewards"}
 
@@ -36,9 +36,9 @@ def _parse_value(raw, where: str):
         try:
             return _read_literal(raw)  # converted to the chain's arithmetic on validation
         except (ValueError, ZeroDivisionError):
-            raise ModelParseError(f"{where}: cannot parse number {raw!r}") from None
+            raise ModelParseError(f"{where}: cannot parse number {_excerpt(raw)}") from None
     if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction)):
-        raise ModelParseError(f"{where}: expected a number or string, got {raw!r}")
+        raise ModelParseError(f"{where}: expected a number or string, got {_excerpt(raw)}")
     return raw
 
 

@@ -447,12 +447,12 @@ def per_outcome_entry_masses(chain, target, starts, key):
     keys = sorted({key(u, v) for u in block for v in chain.row_by_index(u) if v in target})
     col = {k: j for j, k in enumerate(keys)}
     pos = {u: r for r, u in enumerate(block)}
-    a = [[F(int(r == c)) for c in range(len(block))] for r in range(len(block))]
+    a = [{r: F(1)} for r in range(len(block))]
     b = [[F(0)] * len(keys) for _ in block]
     for r, u in enumerate(block):
         for v, p in chain.row_by_index(u).items():
             if v in pos:
-                a[r][pos[v]] -= p
+                a[r][pos[v]] = a[r].get(pos[v], 0) - p
             elif v in target:
                 b[r][col[key(u, v)]] += p
     x = dict(zip(block, linalg.solve_exact(a, b)))
@@ -546,6 +546,34 @@ def test_entry_masses_direct_and_visit_orientations_agree(mode):
             assert all(math.isclose(batched[s][k], alone[s][k], rel_tol=1e-12) for k in alone[s])
     if mode == EXACT:
         assert repr(batched) == repr(per_outcome_entry_masses(chain, target, starts, key))
+
+
+def test_visit_orientation_back_substitutes_only_states_with_an_exit():
+    # The first-last joint at J = 20 enters End, keyed by 20 jondos, from 16
+    # initiators: the expected visits are solved over 16 Init and 20 Mix
+    # states, and y(u) is read only for the Mix states, which enter End.
+    model = build_crowds(make_params(20, 4, F(4, 5)))
+    chain = model.chain
+    target = chain.index_set({END})
+    starts = [chain.index_of(init_label(j)) for j in model.params.honest]
+
+    def key(u, v):
+        return model.jondo_of(chain.states[u])
+
+    calls = []
+    solve_block = analysis._solve_block
+
+    def counted(chain, block, b, transpose=False, keep=None):
+        calls.append((transpose, len(block), keep))
+        return solve_block(chain, block, b, transpose, keep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_solve_block", counted)
+        masses = _entry_masses(chain, target, starts, key)
+    [(transpose, n, keep)] = calls
+    assert transpose and n == 36 and len(keep) == 20
+    assert {model.kind(chain.states[u]) for u in keep} == {"mix"}
+    assert repr(masses) == repr(per_outcome_entry_masses(chain, target, starts, key))
 
 
 def dense_exit_mass_system(chain, block, transpose):

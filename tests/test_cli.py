@@ -267,6 +267,49 @@ def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     assert err.startswith("error: ")
 
 
+MALFORMED = "1/" + "7" * 50 + "x" * 100_000
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, also through argparse's exit on a bad flag."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["validate", "FILE"], LOOP_MODEL % json.dumps(MALFORMED), cli.EXIT_PARSE),
+    (["validate", "FILE"], LOOP_MODEL % json.dumps(list(range(20_000))), cli.EXIT_PARSE),
+    (["crowds", "--preset", "fig3", "--pf", MALFORMED], None, cli.EXIT_USAGE),
+    (["zeroconf", "--preset", "paper-typical", "--sweep", "p=" + MALFORMED], None, cli.EXIT_MODEL),
+    (["zeroconf", "--preset", "paper-typical", "--sweep", "probes=" + MALFORMED], None,
+     cli.EXIT_MODEL),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], json.dumps({"J1": MALFORMED, "J2": 0}),
+     cli.EXIT_MODEL),
+], ids=["model-string", "model-list", "flag", "sweep-p", "sweep-probes", "init"])
+def test_malformed_literals_are_shown_cut_short(capsys, tmp_path, argv, text, code):
+    # A message quotes only the first 20 and last 12 characters of a long
+    # literal, and the exit code is that of any malformed literal.
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    got, out, err = run_to_exit(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (got, out) == (code, "")
+    assert len(err) < 500
+    assert any(cut in err for cut in ("'1/777777777777777777...xxxxxxxxxxxx'",
+                                      "[0, 1, 2, 3, 4, 5, 6...9998, 19999]"))
+
+
+@pytest.mark.parametrize("literal", ["abc", "1/" + "7" * 37 + "x"])
+def test_malformed_literals_of_40_characters_are_shown_whole(capsys, literal):
+    code, out, err = run_to_exit(capsys, "crowds", "--preset", "fig3", "--pf", literal)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.rstrip().endswith(f"cannot parse number {literal!r}")
+
+
 # ------------------------------------------------------------------ zeroconf
 
 def test_zeroconf_preset_report(capsys):

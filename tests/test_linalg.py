@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -32,7 +33,7 @@ def matmul(a, x):
 def test_hand_solved_system():
     a = [[F(2), F(1)], [F(1), F(3)]]
     b = [[F(5)], [F(10)]]
-    x = solve_exact(a, b)
+    x = solve_exact(sparse(a), b)
     assert x == [[F(1)], [F(3)]]
 
 
@@ -44,7 +45,7 @@ def test_exact_solutions_verify_on_random_systems():
         a = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
         b = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)] for _ in range(n)]
         try:
-            x = solve_exact(a, b)
+            x = solve_exact(sparse(a), b)
         except SingularSystemError:
             continue
         assert matmul(a, x) == b
@@ -53,13 +54,13 @@ def test_exact_solutions_verify_on_random_systems():
 def test_pivoting_handles_leading_zero():
     a = [[F(0), F(1)], [F(1), F(0)]]
     b = [[F(4)], [F(7)]]
-    assert solve_exact(a, b) == [[F(7)], [F(4)]]
+    assert solve_exact(sparse(a), b) == [[F(7)], [F(4)]]
 
 
 def test_singular_system_raises():
     a = [[F(1), F(2)], [F(2), F(4)]]
     with pytest.raises(SingularSystemError):
-        solve_exact(a, [[F(1)], [F(1)]])
+        solve_exact(sparse(a), [[F(1)], [F(1)]])
     with pytest.raises(SingularSystemError):
         solve_float(sparse([[1.0, 2.0], [2.0, 4.0]]), [[1.0], [1.0]])
 
@@ -72,7 +73,7 @@ def test_float_solver_matches_exact():
               for j in range(n)] for i in range(n)]
         b = [[F(rng.randint(-9, 9))] for _ in range(n)]
         try:
-            exact = solve_exact(a, b)
+            exact = solve_exact(sparse(a), b)
         except SingularSystemError:
             continue
         approx = solve_float(sparse([[float(v) for v in row] for row in a]),
@@ -130,9 +131,9 @@ def test_solve_exact_matches_reference_elimination(system):
     expected = reference_solve(a, b)
     if expected is None:
         with pytest.raises(SingularSystemError):
-            solve_exact(a, b)
+            solve_exact(sparse(a), b)
         return
-    x = solve_exact(a, b)
+    x = solve_exact(sparse(a), b)
     assert matmul(a, x) == [[F(v) for v in row] for row in b]
     assert x == expected
     assert all(type(v) is F for row in x for v in row)
@@ -146,6 +147,7 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
     a = [[F(rng.randint(-9, 9), rng.randint(1, 9)) + 10 * (i == j) for j in range(n)]
          for i in range(n)]
     b = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)] for _ in range(n)]
+    rows = sparse(a)
     made = []
     new = F.__new__
 
@@ -154,7 +156,7 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
-    x = solve_exact(a, b)
+    x = solve_exact(rows, b)
     monkeypatch.undo()
     assert len(made) == n * k
     assert matmul(a, x) == b
@@ -163,14 +165,14 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
 def test_exact_dispatch_survives_zero_pivots():
     # Bareiss pivots past a missing diagonal; state elimination, which
     # never pivots, reports it.
-    x = solve_exact([[0, 1], [1, 0]], [[4], [7]])
+    x = solve_exact([{1: 1}, {0: 1}], [[4], [7]])
     assert x == [[F(7)], [F(4)]]
     assert all(type(v) is F for row in x for v in row)
     with pytest.raises(SingularSystemError):
-        eliminate([{1: F(1), 2: F(4)}, {0: F(1), 2: F(7)}], 2, 1)
+        eliminate([{1: F(1)}, {0: F(1)}], [[F(4)], [F(7)]])
     # A pivot that cancels to zero: the system is singular.
     with pytest.raises(SingularSystemError):
-        solve_exact([[1, -1], [-1, 1]], [[1], [0]])
+        solve_exact([{0: 1, 1: -1}, {0: -1, 1: 1}], [[1], [0]])
     with pytest.raises(SingularSystemError):
         linalg.solve(sparse([[F(1), F(-1)], [F(-1), F(1)]]), [[F(1)], [F(0)]], "exact")
 
@@ -180,24 +182,17 @@ def test_sparse_elimination_gives_fractions_for_integer_input():
     a = [[F(2), F(-1), 0], [0, F(3), F(-1)], [F(-1), 0, F(4)]]
     b = [[1, 0], [0, 0], [2, 5]]
     x = linalg.solve(sparse(a), b, "exact")
-    assert x == solve_exact(a, b)
+    assert x == solve_exact(sparse(a), b)
     assert all(type(v) is F for row in x for v in row)
 
 
-def with_rhs(rows, b):
-    """Copies of ``rows`` with ``b``'s nonzeros as columns ``n + c``, as :func:`linalg.solve` merges them."""
-    n = len(rows)
-    return [{**row, **{n + c: x for c, x in enumerate(b_row) if x}} for row, b_row in zip(rows, b)]
-
-
 def captured_systems(run):
-    """Call ``run()`` and return the ``(rows, b)`` of every solve in it;
-    ``rows`` are copies, as a sparse solve writes ``b`` into them."""
+    """Call ``run()`` and return the ``(rows, b)`` of every solve in it."""
     systems = []
     solve = linalg.solve
 
     def capture(rows, b, mode, keep=None):
-        systems.append(([dict(row) for row in rows], b))
+        systems.append((rows, b))
         return solve(rows, b, mode, keep=keep)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -235,12 +230,11 @@ def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, s
         chain = random_chain(rng, n_states, max_out=width)
     rchain = random_reward(rng, n_states, chain=chain)
     for rows, b in block_systems(chain, rchain, rng):
-        n = len(rows)
         a = dense(rows)
-        expected = solve_exact(a, b)
-        assert repr(eliminate(with_rhs(rows, b), n, len(b[0]))) == repr(expected)
+        expected = solve_exact(rows, b)
+        assert repr(eliminate(rows, b)) == repr(expected)
         # The dispatcher, whichever solver it picks.
-        x = linalg.solve([dict(row) for row in rows], b, "exact")
+        x = linalg.solve(rows, b, "exact")
         assert matmul(a, x) == b
         assert x == reference_solve(a, b)
         assert all(type(v) is F for row in x for v in row)
@@ -260,18 +254,39 @@ def test_kept_rows_equal_the_full_solution_on_absorbing_blocks(seed, n_states, s
         chain = random_chain(rng, n_states, max_out={"width2": 2, "dense": n_states}[shape])
     rchain = random_reward(rng, n_states, chain=chain)
     for rows, b in block_systems(chain, rchain, rng):
-        n, k = len(rows), len(b[0])
-        keep = data.draw(st.sets(st.integers(0, n - 1)))
-        full = solve_exact(dense(rows), b)
+        keep = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+        full = solve_exact(rows, b)
         want = repr([full[i] for i in sorted(keep)])
-        assert repr(solve_exact(dense(rows), b, keep)) == want
-        assert repr(eliminate(with_rhs(rows, b), n, k, keep)) == want
-        assert repr(linalg.solve([dict(row) for row in rows], b, "exact", keep=keep)) == want
+        assert repr(solve_exact(rows, b, keep)) == want
+        assert repr(eliminate(rows, b, keep)) == want
+        assert repr(linalg.solve(rows, b, "exact", keep=keep)) == want
         float_rows = [{j: float(v) for j, v in row.items()} for row in rows]
         float_b = [[float(v) for v in row] for row in b]
         full = linalg.solve(float_rows, float_b, "float")
         kept = linalg.solve(float_rows, float_b, "float", keep=keep)
         assert repr(kept) == repr([full[i] for i in sorted(keep)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 16),
+       shape=st.sampled_from(["width2", "dense", "near_one"]), data=st.data())
+def test_solve_leaves_its_inputs_unchanged(seed, n_states, shape, data):
+    # Each solver reads rows and b into its own working form: on the sparse
+    # and the Bareiss path and in floats, with and without keep.
+    rng = random.Random(seed)
+    if shape == "near_one":
+        chain = near_one_chain(rng, n_states)
+    else:
+        chain = random_chain(rng, n_states, max_out={"width2": 2, "dense": n_states}[shape])
+    rchain = random_reward(rng, n_states, chain=chain)
+    for rows, b in block_systems(chain, rchain, rng):
+        keep = data.draw(st.none() | st.sets(st.integers(0, len(rows) - 1)))
+        float_rows = [{j: float(v) for j, v in row.items()} for row in rows]
+        float_b = [[float(v) for v in row] for row in b]
+        for mode, system in (("exact", (rows, b)), ("float", (float_rows, float_b))):
+            before = copy.deepcopy(system)
+            linalg.solve(*system, mode, keep=keep)
+            assert system == before
 
 
 def test_kept_rows_are_the_only_ones_back_substituted(monkeypatch):
@@ -280,7 +295,7 @@ def test_kept_rows_are_the_only_ones_back_substituted(monkeypatch):
     n, k = 12, 2
     rows = [{i: F(1), (i + 1) % n: F(-1, 2)} for i in range(n)]
     b = [[F(1, 2), F(i % 3, 5)] for i in range(n)]
-    full = solve_exact(dense(rows), b)
+    full = solve_exact(rows, b)
     made = []
     new = F.__new__
 
@@ -289,8 +304,8 @@ def test_kept_rows_are_the_only_ones_back_substituted(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
-    sparse_x = eliminate(with_rhs(rows, b), n, k, {5})
-    dense_x = solve_exact(dense(rows), b, {5})
+    sparse_x = eliminate(rows, b, {5})
+    dense_x = solve_exact(rows, b, {5})
     monkeypatch.undo()
     assert sparse_x == dense_x == [full[5]]
     assert len(made) == 2 * k
@@ -311,7 +326,6 @@ def test_eliminate_builds_only_the_results_as_fractions(monkeypatch):
     for width, (rows, b) in enumerate(systems[:2], 1):
         n = len(rows)
         b = [[*row, F(i % 5, 3)][:width] for i, row in enumerate(b)]
-        merged = with_rhs(rows, b)
         made = []
         used = []
         new = F.__new__
@@ -326,7 +340,7 @@ def test_eliminate_builds_only_the_results_as_fractions(monkeypatch):
                 used.append(_name)
                 return _op(*args)
             monkeypatch.setattr(F, name, counted)
-        x = eliminate(merged, n, width)
+        x = eliminate(rows, b)
         monkeypatch.undo()
         assert used == []
         assert len(made) == n * width
@@ -349,18 +363,17 @@ def test_eliminate_equals_bareiss_on_big_integer_blocks():
     # integer entries, every other row negated (negative pivots), and the
     # right-hand side widened by a zero column and one more column.
     for rows, b in big_int_guard_systems():
-        n = len(rows)
         b = [[*row, 0, F(i % 7 - 3, 11)] for i, row in enumerate(b)]
         k = len(b[0])
-        expected = solve_exact(dense(rows), b)
-        assert repr(eliminate(with_rhs(rows, b), n, k)) == repr(expected)
+        expected = solve_exact(rows, b)
+        assert repr(eliminate(rows, b)) == repr(expected)
         scaled_rows, scaled_b = [], []
         for i, (row, b_row) in enumerate(zip(rows, b)):
             scale = (-1) ** i * lcm(*(F(v).denominator for v in [*row.values(), *b_row]))
             scaled_rows.append({j: int(v * scale) for j, v in row.items()})
             scaled_b.append([int(v * scale) for v in b_row])
         assert any(row[i] < 0 for i, row in enumerate(scaled_rows))
-        x = eliminate(with_rhs(scaled_rows, scaled_b), n, k)
+        x = eliminate(scaled_rows, scaled_b)
         assert repr(x) == repr(expected)
         assert all(type(v) is F and v.denominator > 0 for row in x for v in row)
         assert all(row[k - 2] == 0 for row in x)
@@ -374,9 +387,9 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypat
         used.append("sparse")
         return eliminate(*args)
 
-    def counted_bareiss(a, b, keep=None):
+    def counted_bareiss(rows, b, keep=None):
         used.append("bareiss")
-        return bareiss(a, b, keep)
+        return bareiss(rows, b, keep)
 
     monkeypatch.setattr(linalg, "eliminate", counted_eliminate)
     monkeypatch.setattr(linalg, "solve_exact", counted_bareiss)
