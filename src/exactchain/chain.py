@@ -140,23 +140,25 @@ def _triple(closed, solver):
 
 
 def _coerce(value, mode):
-    """Convert an input number to the chain's arithmetic; None if unusable."""
-    if mode == EXACT:
-        if isinstance(value, float):
-            # Silent float->Fraction conversion would smuggle binary rounding
-            # into supposedly exact results.
-            raise TypeError(
-                f"exact mode rejects float {value!r}; pass a Fraction, an int, "
-                f"or a string literal like '1/100'"
-            )
-        return _read_literal(value) if isinstance(value, str) else Fraction(value)
+    """Convert an input number to the chain's arithmetic; None if unusable.
+
+    A string is read as a numeric literal. Malformed text, a zero
+    denominator, NaN and, in float mode, a value past the float range are
+    unusable; a decimal exponent out of range raises LiteralRangeError.
+    """
+    if mode == EXACT and isinstance(value, float):
+        # Silent float->Fraction conversion would smuggle binary rounding
+        # into supposedly exact results.
+        raise TypeError(
+            f"exact mode rejects float {value!r}; pass a Fraction, an int, "
+            f"or a string literal like '1/100'"
+        )
     try:
-        out = float(_read_literal(value)) if isinstance(value, str) else float(value)
-    except OverflowError:
+        number = _read_literal(value) if isinstance(value, str) else value
+        number = Fraction(number) if mode == EXACT else float(number)
+    except (ValueError, ZeroDivisionError, OverflowError):
         return None
-    if not math.isfinite(out):
-        return None
-    return out
+    return number if mode == EXACT or math.isfinite(number) else None
 
 
 class MarkovChain:

@@ -57,13 +57,6 @@ EXIT_SOLVER = 7
 
 ENV_MODE = "EXACTCHAIN_MODE"
 
-# The case studies' presets: argparse choices, the parameter resolvers and
-# simulate's ``command:preset`` model specs all read this one table.
-_PRESETS = {
-    "zeroconf": {"paper-typical": zeroconf.PAPER_TYPICAL},
-    "crowds": {"fig3": crowds.FIG3},
-}
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -71,15 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _rational_flag(text: str) -> str:
-    # Validated at parse time, converted once the arithmetic mode is known.
+def _rational_flag(text: str) -> Fraction:
     # An exponent out of range raises LiteralRangeError, which argparse
     # lets through to main as a parse error.
     try:
-        _read_literal(text)
+        return _read_literal(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse number {_excerpt(text)}") from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,16 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, study in _CASE_STUDIES.items():
         p = sub.add_parser(command, help=study.help)
-        p.set_defaults(handler=_cmd_case_study)
-        p.add_argument("--preset", choices=list(_PRESETS[command]), help=study.preset_help)
-        study.add_flags(p)
+        p.add_argument("--preset", choices=list(study.presets), help=study.preset_help)
+        axes = study.add_flags(p)
+        p.set_defaults(handler=_cmd_case_study, sweep_axes=axes)
         p.add_argument("--sweep", metavar="SPEC", help="grid sweep 'name=v1,v2;name=...' "
-                       f"over {','.join(study.axes)}")
+                       f"over {','.join(axes)}")
         p.add_argument("--simulate", action="store_true", help="attach Monte Carlo estimates")
         add_sampling(p)
         add_common(p)
 
-    presets = " / ".join(f"'{c}:{name}'" for c, names in _PRESETS.items() for name in names)
+    presets = " / ".join(f"'{c}:{n}'" for c, study in _CASE_STUDIES.items() for n in study.presets)
     p = sub.add_parser("simulate", help="seeded Monte Carlo estimation")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("model", help=f"model file path, or preset {presets}")
@@ -168,20 +159,29 @@ def _until_sets(spec: str, chain) -> tuple[set[str], set[str]]:
     return _resolve_set(phi.strip(), chain), _resolve_set(psi.strip(), chain)
 
 
-def _parse_sweep(spec: str, allowed: tuple) -> list[dict]:
-    """Expand 'name=v1,v2;name=...' into the grid of override dicts."""
+def _parse_sweep(spec: str, allowed: dict) -> list[dict]:
+    """Expand 'name=v1,v2;name=...' into the grid of override dicts.
+
+    ``allowed`` maps each axis to the argparse action of the flag it
+    replaces: a value is read by that flag's type and keyed by its dest,
+    so ``hosts`` sets ``q`` as ``--hosts`` does.
+    """
     axes = {}
     for part in filter(None, (part.strip() for part in spec.split(";"))):
         name, eq, values = part.partition("=")
         name = name.strip()
         if not eq or name not in allowed:
-            raise InvalidParamsError(
-                f"sweep axis {name!r} not in {sorted(allowed)}"
-            )
-        if name in axes:
-            raise InvalidParamsError(f"sweep axis {name!r} given twice")
-        axes[name] = [v.strip() for v in values.split(",") if v.strip()]
-        if not axes[name]:
+            raise InvalidParamsError(f"sweep axis {name!r} not in {sorted(allowed)}")
+        flag = allowed[name]
+        if flag.dest in axes:
+            raise InvalidParamsError(f"sweep axis {flag.dest!r} given twice")
+        axes[flag.dest] = []
+        for text in filter(None, (v.strip() for v in values.split(","))):
+            try:
+                axes[flag.dest].append(flag.type(text))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise InvalidParamsError(f"cannot parse sweep {name}={_excerpt(text)}") from None
+        if not axes[flag.dest]:
             raise InvalidParamsError(f"sweep axis {name!r} has no values")
     if not axes:
         raise InvalidParamsError("empty sweep specification")
@@ -190,13 +190,6 @@ def _parse_sweep(spec: str, allowed: tuple) -> list[dict]:
 
 def _echo(argv) -> str:
     return "exactchain " + " ".join(argv)
-
-
-def _as_int(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidParamsError(f"{name} must be an integer, got {_excerpt(value)}") from None
 
 
 def _with_chain(model):
@@ -256,15 +249,22 @@ def _layer(kind: str, names, sources) -> dict:
     return values
 
 
-def _zeroconf_flags(p) -> None:
-    p.add_argument("--probes", type=int, metavar="N", help="last probe index N (N+1 probes)")
-    p.add_argument("--p", type=_rational_flag, help="probe/response loss probability")
+def _axes(*flags) -> dict:
+    """The sweep axes these flags stand for: each is named after its flag."""
+    return {flag.option_strings[0].lstrip("-"): flag for flag in flags}
+
+
+def _zeroconf_flags(p) -> dict:
     q = p.add_mutually_exclusive_group()
-    q.add_argument("--q", type=_rational_flag, help="address-collision probability")
-    q.add_argument("--hosts", type=_hosts_flag, dest="q", metavar="HOSTS",
-                   help=f"hosts on the network; sets q = hosts/{zeroconf.ADDRESS_POOL}")
-    p.add_argument("--r", type=_rational_flag, help="probe round time in seconds")
-    p.add_argument("--E", type=_rational_flag, help="error penalty in seconds")
+    return _axes(
+        p.add_argument("--probes", type=int, metavar="N", help="last probe index N (N+1 probes)"),
+        p.add_argument("--p", type=_rational_flag, help="probe/response loss probability"),
+        q.add_argument("--q", type=_rational_flag, help="address-collision probability"),
+        q.add_argument("--hosts", type=_hosts_flag, dest="q", metavar="HOSTS",
+                       help=f"hosts on the network; sets q = hosts/{zeroconf.ADDRESS_POOL}"),
+        p.add_argument("--r", type=_rational_flag, help="probe round time in seconds"),
+        p.add_argument("--E", type=_rational_flag, help="error penalty in seconds"),
+    )
 
 
 def _hosts_flag(text: str) -> Fraction:
@@ -272,22 +272,40 @@ def _hosts_flag(text: str) -> Fraction:
 
 
 def _zeroconf_params(args, point: dict, preset) -> zeroconf.ZeroconfParams:
-    if "hosts" in point:  # the other spelling of q, as for the flags
-        if "q" in point:
-            raise InvalidParamsError("a sweep may name q or hosts, not both")
-        point = {**point, "q": zeroconf.hosts_to_q(_as_int("hosts", point["hosts"]))}
     base = ({"probes": preset.N, "p": preset.p, "q": preset.q, "r": preset.r, "E": preset.E}
             if preset else {})
     v = _layer("zeroconf", ("probes", "p", "q", "r", "E"), (point, vars(args), base))
-    return zeroconf.ZeroconfParams(_as_int("probes", v["probes"]), v["p"], v["q"], v["r"], v["E"])
+    return zeroconf.ZeroconfParams(v["probes"], v["p"], v["q"], v["r"], v["E"])
 
 
-def _crowds_flags(p) -> None:
-    p.add_argument("--jondos", type=int, help="crowd size J")
-    p.add_argument("--colls", type=int, help="number of collaborators (the last labels)")
-    p.add_argument("--pf", type=_rational_flag, help="forwarding probability")
+def _flatten_zeroconf(report: dict) -> dict:
+    return {
+        "mode": report["mode"],
+        "N": report["params"]["N"],
+        "p": report["params"]["p"],
+        "q": report["params"]["q"],
+        "r": report["params"]["r"],
+        "E": report["params"]["E"],
+        "p_err_closed": report["p_err_start"]["closed_form"],
+        "p_err_solver": report["p_err_start"]["solver"],
+        "p_err_diff": report["p_err_start"]["difference"],
+        "cost_closed": report["expected_cost"]["closed_form"],
+        "cost_solver": report["expected_cost"]["solver"],
+        "cost_diff": report["expected_cost"]["difference"],
+        "ae_all_states": all(report["ae_termination"].values()),
+        "within_claimed_bound": report["bound_audit"]["within_claimed_bound"],
+    }
+
+
+def _crowds_flags(p) -> dict:
+    axes = _axes(
+        p.add_argument("--jondos", type=int, help="crowd size J"),
+        p.add_argument("--colls", type=int, help="number of collaborators (the last labels)"),
+        p.add_argument("--pf", type=_rational_flag, help="forwarding probability"),
+    )
     p.add_argument("--init", metavar="FILE",
                    help="JSON file mapping jondo labels (J1..Jn) to initiator masses")
+    return axes
 
 
 def _crowds_params(args, point: dict, preset) -> crowds.CrowdsParams:
@@ -296,40 +314,65 @@ def _crowds_params(args, point: dict, preset) -> crowds.CrowdsParams:
     init = modelfile._read_json(args.init) if args.init else None
     if init is not None and not isinstance(init, dict):
         raise ModelParseError(f"init file {args.init} must hold an object")
-    return crowds.make_params(
-        _as_int("jondos", v["jondos"]), _as_int("colls", v["colls"]), v["pf"], init)
+    return crowds.make_params(v["jondos"], v["colls"], v["pf"], init)
+
+
+def _flatten_crowds(report: dict) -> dict:
+    return {
+        "mode": report["mode"],
+        "jondos": " ".join(report["params"]["jondos"]),
+        "colls": " ".join(report["params"]["colls"]),
+        "J": report["J"],
+        "H": report["H"],
+        "p_f": report["params"]["p_f"],
+        "hit_closed": report["hit_collaborator"]["closed_form"],
+        "hit_solver": report["hit_collaborator"]["solver"],
+        "hit_diff": report["hit_collaborator"]["difference"],
+        "first_eq_last_closed": report["first_equals_last"]["closed_form"],
+        "first_eq_last_solver": report["first_equals_last"]["solver"],
+        "first_eq_last_diff": report["first_equals_last"]["difference"],
+        "innocence_holds": report["probable_innocence"]["holds"],
+        "innocence_threshold": report["probable_innocence"]["threshold"],
+        "mi_exact_bits": report["mutual_information_bits"]["exact"],
+        "mi_bound_bits": report["mutual_information_bits"]["bound"],
+        "independence_first_last_jondo": report["independence_first_last_jondo"],
+        "ae_route_terminates": report["ae_route_terminates"],
+    }
 
 
 class _CaseStudy(NamedTuple):
+    """Everything the CLI knows of one case study: its subcommand's row."""
+
     help: str
+    presets: dict  # preset name -> parameter record
     preset_help: str
-    add_flags: Callable  # (parser): the flags a preset or sweep point stands in for
-    axes: tuple  # the sweep axes
+    add_flags: Callable  # (parser) -> {sweep axis: the action of the flag it replaces}
     params: Callable  # (args, sweep point, preset or None) -> parameter record
     report: Callable  # (params, mode, sim) -> report
     model: Callable  # (preset, mode) -> the model that simulate samples
+    flatten: Callable  # report -> its CSV row
 
 
 _CASE_STUDIES = {
     "zeroconf": _CaseStudy(
-        "ZeroConf address-allocation case study", "start from the bundled typical parameters",
-        _zeroconf_flags, ("probes", "p", "q", "hosts", "r", "E"),
-        _zeroconf_params, zeroconf.zeroconf_report, zeroconf.build_zeroconf,
+        "ZeroConf address-allocation case study", {"paper-typical": zeroconf.PAPER_TYPICAL},
+        "start from the bundled typical parameters", _zeroconf_flags, _zeroconf_params,
+        zeroconf.zeroconf_report, zeroconf.build_zeroconf, _flatten_zeroconf,
     ),
     "crowds": _CaseStudy(
-        "Crowds anonymity case study", "3 jondos, 1 collaborator, p_f=1/2",
-        _crowds_flags, ("jondos", "colls", "pf"),
-        _crowds_params, crowds.crowds_report, crowds.build_crowds,
+        "Crowds anonymity case study", {"fig3": crowds.FIG3},
+        "3 jondos, 1 collaborator, p_f=1/2", _crowds_flags, _crowds_params,
+        crowds.crowds_report, crowds.build_crowds, _flatten_crowds,
     ),
 }
 
 
 def _cmd_case_study(args, argv, mode) -> dict | list:
     study = _CASE_STUDIES[args.command]
-    preset = _PRESETS[args.command].get(args.preset)
+    preset = study.presets.get(args.preset)
     sim = SimConfig(args.seed, args.samples, args.max_steps) if args.simulate else None
     if args.sweep:
-        grid = _parse_sweep(args.sweep, study.axes)
+        grid = _parse_sweep(args.sweep, args.sweep_axes)
         return [study.report(study.params(args, point, preset), mode, sim) for point in grid]
     report = study.report(study.params(args, {}, preset), mode, sim)
     report["command"] = _echo(argv)
@@ -338,7 +381,7 @@ def _cmd_case_study(args, argv, mode) -> dict | list:
 
 def cmd_simulate(args, argv, mode) -> dict:
     command, _, name = args.model.partition(":")
-    preset = _PRESETS.get(command, {}).get(name)
+    preset = _CASE_STUDIES[command].presets.get(name) if command in _CASE_STUDIES else None
     if preset is None:
         model, chain = _with_chain(modelfile.load_model(args.model, mode))
     else:
@@ -384,53 +427,9 @@ def cmd_simulate(args, argv, mode) -> dict:
     }
 
 
-def _flatten_zeroconf(report: dict) -> dict:
-    return {
-        "mode": report["mode"],
-        "N": report["params"]["N"],
-        "p": report["params"]["p"],
-        "q": report["params"]["q"],
-        "r": report["params"]["r"],
-        "E": report["params"]["E"],
-        "p_err_closed": report["p_err_start"]["closed_form"],
-        "p_err_solver": report["p_err_start"]["solver"],
-        "p_err_diff": report["p_err_start"]["difference"],
-        "cost_closed": report["expected_cost"]["closed_form"],
-        "cost_solver": report["expected_cost"]["solver"],
-        "cost_diff": report["expected_cost"]["difference"],
-        "ae_all_states": all(report["ae_termination"].values()),
-        "within_claimed_bound": report["bound_audit"]["within_claimed_bound"],
-    }
-
-
-def _flatten_crowds(report: dict) -> dict:
-    return {
-        "mode": report["mode"],
-        "jondos": " ".join(report["params"]["jondos"]),
-        "colls": " ".join(report["params"]["colls"]),
-        "J": report["J"],
-        "H": report["H"],
-        "p_f": report["params"]["p_f"],
-        "hit_closed": report["hit_collaborator"]["closed_form"],
-        "hit_solver": report["hit_collaborator"]["solver"],
-        "hit_diff": report["hit_collaborator"]["difference"],
-        "first_eq_last_closed": report["first_equals_last"]["closed_form"],
-        "first_eq_last_solver": report["first_equals_last"]["solver"],
-        "first_eq_last_diff": report["first_equals_last"]["difference"],
-        "innocence_holds": report["probable_innocence"]["holds"],
-        "innocence_threshold": report["probable_innocence"]["threshold"],
-        "mi_exact_bits": report["mutual_information_bits"]["exact"],
-        "mi_bound_bits": report["mutual_information_bits"]["bound"],
-        "independence_first_last_jondo": report["independence_first_last_jondo"],
-        "ae_route_terminates": report["ae_route_terminates"],
-    }
-
-
 def _print_csv(reports, command: str) -> None:
-    flatten = {"zeroconf": _flatten_zeroconf, "crowds": _flatten_crowds}.get(
-        command, _flatten_generic
-    )
-    rows = [flatten(r) for r in reports]
+    study = _CASE_STUDIES.get(command)
+    rows = [study.flatten(r) if study else _flatten_generic(r) for r in reports]
     for row, report in zip(rows, reports):
         if "elapsed_seconds" in report:
             row["elapsed_seconds"] = report["elapsed_seconds"]

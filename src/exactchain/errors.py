@@ -38,6 +38,11 @@ def _excerpt(value) -> str:
     return repr(text) if isinstance(value, str) else text
 
 
+def _shown(value) -> str:
+    """An input value for an error message: a string as by ``_excerpt``, a number in full."""
+    return _excerpt(value) if isinstance(value, str) else _full_str(value)
+
+
 class ExactchainError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -58,7 +63,7 @@ class NegativeProbabilityError(ExactchainError):
     """A transition entry is negative (or not a finite number)."""
 
     def __init__(self, frm, to, value):
-        super().__init__(f"transition {frm!r} -> {to!r} has invalid probability {_full_str(value)}")
+        super().__init__(f"transition {frm!r} -> {to!r} has invalid probability {_shown(value)}")
         self.frm = frm
         self.to = to
         self.value = value
@@ -77,7 +82,7 @@ class NegativeCostError(ExactchainError):
     """A cost entry is negative (or not a finite number)."""
 
     def __init__(self, frm, to, value):
-        super().__init__(f"cost {frm!r} -> {to!r} has invalid value {_full_str(value)}")
+        super().__init__(f"cost {frm!r} -> {to!r} has invalid value {_shown(value)}")
         self.frm = frm
         self.to = to
         self.value = value

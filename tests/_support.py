@@ -1,9 +1,36 @@
-"""Shared test helpers: seeded random chains and query sets."""
+"""Shared test helpers: seeded random chains, query sets and call recording."""
 
+import contextlib
+import inspect
 import random
 from fractions import Fraction
 
+import pytest
+
 from exactchain import EXACT, FLOAT, validate_chain, validate_reward
+
+
+@contextlib.contextmanager
+def recording(owner, name):
+    """Record the calls to ``owner.name`` while the block runs, and still make them.
+
+    Yields the list of calls, each a dict of the function's arguments by
+    parameter name, defaults filled in. The forwarder takes ``*args,
+    **kwargs``, so it does not restate the function's parameter list.
+    """
+    function = getattr(owner, name)
+    signature = inspect.signature(function)
+    calls = []
+
+    def forward(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return function(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, forward)
+        yield calls
 
 
 def random_chain(rng: random.Random, n_states: int, max_out: int = 3):

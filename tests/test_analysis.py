@@ -33,7 +33,8 @@ from exactchain.errors import (
 from exactchain.crowds import END, build_crowds, first_last_jondo_joint, init_label, make_params
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
 from _support import (
-    as_mode, near_one_chain, random_chain, random_query, random_reward, truncated_until_mass,
+    as_mode, near_one_chain, random_chain, random_query, random_reward, recording,
+    truncated_until_mass,
 )
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
@@ -208,17 +209,10 @@ def test_until_probability_is_one_kept_row_of_until_probabilities(seed, n_states
     chain = as_mode(random_reward(rng, n_states), mode).chain
     phi, psi, _ = random_query(rng, chain)
     every = until_probabilities(chain, phi, psi)
-    kept = []
-    solve = linalg.solve
-
-    def capture(rows, b, solve_mode, keep=None):
-        kept.append(keep)
-        return solve(rows, b, solve_mode, keep=keep)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "solve", capture)
+    with recording(linalg, "solve") as calls:
         for start in chain.states:
             assert repr(until_probability(chain, phi, psi, start)) == repr(every[start])
+    kept = [call["keep"] for call in calls]
     assert all(keep is not None and len(keep) == 1 for keep in kept)
 
 
@@ -480,23 +474,14 @@ def test_entry_masses_batched_over_starts_equal_one_solve_per_start(seed, n, k):
             assert list(batched[s].items()) == list(alone.items())
 
 
-def test_entry_masses_search_forward_once_for_one_start_or_many(monkeypatch):
+def test_entry_masses_search_forward_once_for_one_start_or_many():
     # The entry-law block comes from one forward search from all starts, not
     # one per start: 1 initiator at J=3 and 11 at J=12 cost the same searches.
-    calls = []
-    traverse = analysis._traverse
-
-    def counted(neighbours, within, sources):
-        calls.append((neighbours.__name__, len(sources)))
-        return traverse(neighbours, within, sources)
-
-    monkeypatch.setattr(analysis, "_traverse", counted)
-
     def searches(n_jondos, n_colls):
-        calls.clear()
-        model = build_crowds(make_params(n_jondos, n_colls, F(3, 4)))
-        first_last_jondo_joint(model)
-        return list(calls)
+        with recording(analysis, "_traverse") as calls:
+            model = build_crowds(make_params(n_jondos, n_colls, F(3, 4)))
+            first_last_jondo_joint(model)
+        return [(call["neighbours"].__name__, len(call["sources"])) for call in calls]
 
     one, many = searches(3, 2), searches(12, 1)
     assert len(one) == len(many)
@@ -521,20 +506,14 @@ def test_entry_masses_direct_and_visit_orientations_agree(mode):
     def key(u, v):
         return model.jondo_of(chain.states[u])
 
-    widths = []
-    solve = linalg.solve
-
-    def counted(rows, b, solve_mode, keep=None):
-        widths.append(len(b[0]))
-        return solve(rows, b, solve_mode, keep=keep)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "solve", counted)
+    with recording(linalg, "solve") as calls:
         batched = _entry_masses(chain, target, starts, key)
-        assert widths == [6]
-        widths.clear()
+    widths = [len(call["b"][0]) for call in calls]
+    assert widths == [6]
+    with recording(linalg, "solve") as calls:
         alone = {s: _entry_masses(chain, target, [s], key)[s] for s in starts}
-        assert widths == [1] * 6  # End's block is empty: no solve
+    widths = [len(call["b"][0]) for call in calls]
+    assert widths == [1] * 6  # End's block is empty: no solve
     assert list(batched) == starts
     assert batched[starts[-1]] == alone[starts[-1]] == {}
     assert len(batched[starts[1]]) == 6  # J2 never initiates, but its Init state reaches
@@ -560,17 +539,9 @@ def test_visit_orientation_back_substitutes_only_states_with_an_exit():
     def key(u, v):
         return model.jondo_of(chain.states[u])
 
-    calls = []
-    solve_block = analysis._solve_block
-
-    def counted(chain, block, b, transpose=False, keep=None):
-        calls.append((transpose, len(block), keep))
-        return solve_block(chain, block, b, transpose, keep)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_solve_block", counted)
+    with recording(analysis, "_solve_block") as calls:
         masses = _entry_masses(chain, target, starts, key)
-    [(transpose, n, keep)] = calls
+    [(transpose, n, keep)] = [(c["transpose"], len(c["block"]), c["keep"]) for c in calls]
     assert transpose and n == 36 and len(keep) == 20
     assert {model.kind(chain.states[u]) for u in keep} == {"mix"}
     assert repr(masses) == repr(per_outcome_entry_masses(chain, target, starts, key))

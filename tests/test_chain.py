@@ -106,6 +106,21 @@ def test_float_mode_rejects_nan_and_inf():
         validate_chain(["a"], {("a", "a"): math.inf}, mode=FLOAT)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("text", ["zz", "1/0", "nan", "1/" + "7" * 50 + "x" * 1_000_000],
+                         ids=["zz", "1/0", "nan", "1MB"])
+def test_malformed_strings_are_invalid_entries(mode, text):
+    # A string that is no number is an invalid entry, in a message that
+    # quotes it cut short, not a ValueError or ZeroDivisionError.
+    with pytest.raises(NegativeProbabilityError) as err:
+        validate_chain(["a"], {("a", "a"): text}, mode=mode)
+    assert len(str(err.value)) < 500
+    chain = validate_chain(["a"], {("a", "a"): "1"}, mode=mode)
+    with pytest.raises(NegativeCostError) as err:
+        validate_reward(chain, {("a", "a"): text})
+    assert len(str(err.value)) < 500
+
+
 def test_reward_validation():
     states, trans, cost = zeroconf_tables()
     chain = validate_chain(states, trans)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -7,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactchain import cli, linalg
 from exactchain.errors import SingularSystemError
@@ -186,7 +190,7 @@ def test_solve_float_singular_system_exit_code(capsys, tmp_path):
 
 
 def test_solver_failure_exit_code(capsys, small_model, monkeypatch):
-    def singular(a, b, mode, keep=None):
+    def singular(*args, **kwargs):
         raise SingularSystemError("Singular matrix")
 
     monkeypatch.setattr(linalg, "solve", singular)
@@ -308,6 +312,58 @@ def test_malformed_literals_of_40_characters_are_shown_whole(capsys, literal):
     code, out, err = run_to_exit(capsys, "crowds", "--preset", "fig3", "--pf", literal)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.rstrip().endswith(f"cannot parse number {literal!r}")
+
+
+# Model-file values, as JSON text: near-one pairs, float extremes, negatives,
+# exponents at and past the bound, 4,000-digit rationals, a 100 KB malformed
+# string, and values that are no numbers.
+HOSTILE = [
+    "1", '"1/2"', "0.5", '"0.9999999999999999"', '"1e-16"', "5e-324", "1e400", "-1", '"-1/2"',
+    '"1e-10000"', "1e10000", '"1e1000000"', "1e-1000000", '"3/0"', '"nan"',
+    json.dumps("7" * 4000 + "/" + "7" * 4000), json.dumps("1/" + "3" * 4000),
+    json.dumps("1/" + "x" * 100_000), "true", "null", "[]",
+]
+README_EXITS = {int(line[2]) for line in (ROOT / "README.md").read_text().splitlines()
+                if line[:2] == "| " and line[2:3].isdigit()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_hostile_model_files_exit_by_the_table(tmp_path_factory, n, data):
+    # Whatever the literals, every command ends with a code from README's
+    # table (argparse's SystemExit counted as its code), raises nothing
+    # else, writes a bounded message, and writes one exactly when it fails.
+    value = st.one_of(st.just("1"), st.sampled_from(HOSTILE))
+    # Each row is one that sums to one, so that some files reach the
+    # solver and the sampler, or one or two values from the pool.
+    row = st.sampled_from([["1"], ['"1/2"', "0.5"], ['"0.9999999999999999"', '"1e-16"']])
+    row |= st.lists(value, min_size=1, max_size=2)
+    transitions = [(u, v, x) for u in range(n)
+                   for v, x in zip(data.draw(st.permutations(range(n))), data.draw(row))]
+    rewards = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), value),
+                                 max_size=2))
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text('{"states": [%s], "transitions": [%s], "rewards": [%s]}' % (
+        ", ".join(f'"s{i}"' for i in range(n)),
+        ", ".join(f'{{"from": "s{u}", "to": "s{v}", "prob": {x}}}' for u, v, x in transitions),
+        ", ".join(f'{{"from": "s{u}", "to": "s{v}", "cost": {x}}}' for u, v, x in rewards)))
+    start, sampling = f"s{n - 1}", ["--seed", "1", "--samples", "50", "--max-steps", "50"]
+    for mode in ("--exact", "--float"):
+        for argv in (["validate", str(path)],
+                     ["solve", str(path), "--until", "ALL=>s0", "--start", start],
+                     ["solve", str(path), "--until", "ALL=>s0", "--start", start, "--cost"],
+                     ["simulate", str(path), "--event", "until:ALL=>s0", "--start", start,
+                      *sampling],
+                     ["simulate", str(path), "--event", "cost:s0", "--start", start, *sampling]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([*argv, mode])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in README_EXITS, (argv, code)
+            assert len(err.getvalue()) < 256 * 1024
+            assert (err.getvalue() == "") == (code == 0), (argv, code, err.getvalue()[:300])
 
 
 # ------------------------------------------------------------------ zeroconf

@@ -29,6 +29,7 @@ from exactchain.crowds import (
     solver_hit_prob,
     solver_joint_first_last,
 )
+from _support import recording
 
 
 def test_parameter_validation():
@@ -135,20 +136,14 @@ def test_skewed_init_with_a_silent_honest_jondo(mode):
     assert is_product_joint(joint)
 
 
-def test_report_solves_once_per_query(monkeypatch):
+def test_report_solves_once_per_query():
     # Two entry-law solves, whatever J, with at most one right-hand-side
     # column per honest initiator (H = 16): into the collaborators' Mix
     # states (hit probability and collaborator joint) and into End
     # (last-jondo law and the independence joint).
-    calls = []
-    solve = linalg.solve
-
-    def counting_solve(a, b, mode, keep=None):
-        calls.append((len(a), len(b[0])))
-        return solve(a, b, mode, keep=keep)
-
-    monkeypatch.setattr(linalg, "solve", counting_solve)
-    report = crowds_report(make_params(20, 4, F(4, 5)))
+    with recording(linalg, "solve") as solves:
+        report = crowds_report(make_params(20, 4, F(4, 5)))
+    calls = [(len(solve["rows"]), len(solve["b"][0])) for solve in solves]
     assert len(calls) == 2
     assert max(cols for _, cols in calls) <= 16
     assert all(t["difference"] == "0" for t in report["joint_first_last"].values())
@@ -253,18 +248,11 @@ def test_mi_values():
     assert mi_bound(make_params(3, 2, F(1, 2))) == 0.0
 
 
-def test_report_mi_reads_the_closed_form_joint_it_built(monkeypatch):
-    calls = []
-    closed = crowds.conditional_joint
-
-    def counted(params):
-        calls.append(params)
-        return closed(params)
-
-    monkeypatch.setattr(crowds, "conditional_joint", counted)
+def test_report_mi_reads_the_closed_form_joint_it_built():
     for mode in (EXACT, FLOAT):
-        calls.clear()
-        report = crowds_report(FIG3, mode=mode)
+        with recording(crowds, "conditional_joint") as joints:
+            report = crowds_report(FIG3, mode=mode)
+        calls = [joint["params"] for joint in joints]
         assert len(calls) == 1
         assert report["mutual_information_bits"]["exact"] == mi_exact(calls[0])
 

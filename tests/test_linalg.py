@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from exactchain import analysis, crowds, linalg, zeroconf
 from exactchain.errors import SingularSystemError
 from exactchain.linalg import eliminate, solve_exact, solve_float
-from _support import near_one_chain, random_chain, random_query, random_reward
+from _support import near_one_chain, random_chain, random_query, random_reward, recording
 
 
 def sparse(a):
@@ -188,17 +189,9 @@ def test_sparse_elimination_gives_fractions_for_integer_input():
 
 def captured_systems(run):
     """Call ``run()`` and return the ``(rows, b)`` of every solve in it."""
-    systems = []
-    solve = linalg.solve
-
-    def capture(rows, b, mode, keep=None):
-        systems.append((rows, b))
-        return solve(rows, b, mode, keep=keep)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "solve", capture)
+    with recording(linalg, "solve") as calls:
         run()
-    return systems
+    return [(call["rows"], call["b"]) for call in calls]
 
 
 def block_systems(chain, rchain, rng):
@@ -379,39 +372,31 @@ def test_eliminate_equals_bareiss_on_big_integer_blocks():
         assert all(row[k - 2] == 0 for row in x)
 
 
-def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss(monkeypatch):
+@contextlib.contextmanager
+def kernels_used():
+    """Yield a list that, after the block, names the exact kernel of each
+    solve in it: "sparse" for each ``eliminate`` call, then "bareiss" for
+    each ``solve_exact`` call."""
     used = []
-    eliminate, bareiss = linalg.eliminate, linalg.solve_exact
+    with recording(linalg, "eliminate") as sparse, recording(linalg, "solve_exact") as bareiss:
+        yield used
+    used += ["sparse"] * len(sparse) + ["bareiss"] * len(bareiss)
 
-    def counted_eliminate(*args):
-        used.append("sparse")
-        return eliminate(*args)
 
-    def counted_bareiss(rows, b, keep=None):
-        used.append("bareiss")
-        return bareiss(rows, b, keep)
-
-    monkeypatch.setattr(linalg, "eliminate", counted_eliminate)
-    monkeypatch.setattr(linalg, "solve_exact", counted_bareiss)
+def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss():
     base = zeroconf.PAPER_TYPICAL
-    zeroconf.zeroconf_report(zeroconf.ZeroconfParams(50, base.p, base.q, base.r, base.E))
+    with kernels_used() as used:
+        zeroconf.zeroconf_report(zeroconf.ZeroconfParams(50, base.p, base.q, base.r, base.E))
     assert used == ["sparse", "sparse"]
-    used.clear()
-    crowds.crowds_report(crowds.make_params(20, 4, F(4, 5)))
+    with kernels_used() as used:
+        crowds.crowds_report(crowds.make_params(20, 4, F(4, 5)))
     assert used and set(used) == {"bareiss"}
-    used.clear()
     # An entry-edge law solves for expected visits, one column per start,
     # however many boundary edges there are: a path-shaped block goes sparse.
-    widths = []
-    solve = linalg.solve
-
-    def counted_solve(a, b, mode, keep=None):
-        widths.append(len(b[0]))
-        return solve(a, b, mode, keep=keep)
-
-    monkeypatch.setattr(linalg, "solve", counted_solve)
     chain = random_chain(random.Random(7), 20, max_out=2)
-    edge = analysis.entry_edge_distribution(chain, {"s18", "s19"}, "s0")
+    with kernels_used() as used, recording(linalg, "solve") as calls:
+        edge = analysis.entry_edge_distribution(chain, {"s18", "s19"}, "s0")
+    widths = [len(call["b"][0]) for call in calls]
     assert len(edge.mass) > 2
     assert widths == [1]
     assert used == ["sparse"]

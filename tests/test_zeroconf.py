@@ -23,6 +23,7 @@ from exactchain.zeroconf import (
     state_labels,
     zeroconf_report,
 )
+from _support import recording
 
 SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
@@ -173,21 +174,12 @@ def test_ae_termination_from_every_state():
         assert certify_ae_until(chain, chain.states, {"Ok", "Error"}, s)
 
 
-def test_report_graph_searches_do_not_grow_with_n(monkeypatch):
+def test_report_graph_searches_do_not_grow_with_n():
     # The verdicts for all states come from one all-states split, not one
     # backward search per state.
-    calls = []
-    search = analysis._traverse
-
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(analysis, "_traverse", counted)
-
     def count(n):
-        calls.clear()
-        report = zeroconf_report(ZeroconfParams(N=n, p=F(1, 10), q=F(1, 2), r=1, E=1))
+        with recording(analysis, "_traverse") as calls:
+            report = zeroconf_report(ZeroconfParams(N=n, p=F(1, 10), q=F(1, 2), r=1, E=1))
         assert all(report["ae_termination"].values())
         return len(calls)
 
