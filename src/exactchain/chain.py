@@ -50,16 +50,15 @@ MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
-def _read_literal(text: str, number=Fraction):
-    """``number(text)`` for a numeric literal, once its decimal exponent is checked.
+def _read_literal(text: str) -> Fraction:
+    """``Fraction(text)`` for a numeric literal, once its decimal exponent is checked.
 
     Every numeric literal the package reads from text comes through here:
     model and ``--init`` file values (JSON numbers and strings), numeric
-    CLI flags and parameter strings. ``number`` is ``Fraction`` or
-    ``float``. Raises :class:`LiteralRangeError` for an exponent beyond
-    ``MAX_DECIMAL_EXPONENT``, before any digit is expanded, and lets
-    ``number``'s own ``ValueError`` or ``ZeroDivisionError`` through for
-    malformed text.
+    CLI flags and parameter strings. Raises :class:`LiteralRangeError` for
+    an exponent beyond ``MAX_DECIMAL_EXPONENT``, before any digit is
+    expanded, and lets ``Fraction``'s own ``ValueError`` or
+    ``ZeroDivisionError`` through for malformed text.
     """
     match = _EXPONENT.search(text)
     if match:
@@ -70,19 +69,23 @@ def _read_literal(text: str, number=Fraction):
                 f"number {_excerpt(text)}: decimal exponent out of range"
                 f" (over {bound} in magnitude)"
             )
-    return number(text)
+    return Fraction(text)
 
 
 def parse_scalar(text, mode=EXACT):
     """Parse a numeric literal: ``"1/3"``, ``"0.01"``, ``"3600"``.
 
-    In exact mode decimals are read as exact decimal fractions
-    (``"0.01"`` becomes ``1/100``); in float mode the value is converted
-    to the nearest 64-bit float. Exponents are bounded as in
-    :func:`_read_literal`.
+    The literal is read by :func:`_coerce`: in exact mode decimals are
+    exact decimal fractions (``"0.01"`` becomes ``1/100``); in float mode
+    the value is the nearest 64-bit float. Malformed text, a zero
+    denominator and, in float mode, a value past the float range raise
+    ``ValueError``; an exponent out of range raises ``LiteralRangeError``.
     """
-    value = _read_literal(str(text))
-    return value if mode == EXACT else float(value)
+    text = str(text)
+    value = _coerce(text, mode)
+    if value is None:
+        raise ValueError(f"cannot parse number {_excerpt(text)}")
+    return value
 
 
 def format_scalar(value):
@@ -95,15 +98,11 @@ def format_scalar(value):
 
 
 def _coerce_param(value, name):
-    """Read a case-study parameter: finite floats pass through, the rest become Fractions."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise InvalidParamsError(f"parameter {name} must be finite, got {value}")
-        return value
-    try:
-        return _read_literal(value) if isinstance(value, str) else Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise InvalidParamsError(f"cannot parse parameter {name}={_excerpt(value)}") from None
+    """Read a case-study parameter: finite floats stay floats, the rest become Fractions."""
+    number = _coerce(value, FLOAT if isinstance(value, float) else EXACT)
+    if number is None:
+        raise InvalidParamsError(f"parameter {name} must be a finite number, got {_excerpt(value)}")
+    return number
 
 
 def _with_mode(params, mode):
@@ -140,11 +139,15 @@ def _triple(closed, solver):
 
 
 def _coerce(value, mode):
-    """Convert an input number to the chain's arithmetic; None if unusable.
+    """Convert an input number to ``mode``'s arithmetic; None if it is unusable.
 
-    A string is read as a numeric literal. Malformed text, a zero
-    denominator, NaN and, in float mode, a value past the float range are
-    unusable; a decimal exponent out of range raises LiteralRangeError.
+    This is the one reader of input numbers: chain and cost entries,
+    model-file strings, case-study parameters, rational CLI flags and
+    :func:`parse_scalar`. A string is read as a numeric literal by
+    :func:`_read_literal`, whose exponent check raises
+    ``LiteralRangeError``. Unusable are bools and other non-numbers,
+    malformed text, a zero denominator, NaN and, in float mode, a value
+    past the float range. Exact mode rejects floats with ``TypeError``.
     """
     if mode == EXACT and isinstance(value, float):
         # Silent float->Fraction conversion would smuggle binary rounding
@@ -153,12 +156,35 @@ def _coerce(value, mode):
             f"exact mode rejects float {value!r}; pass a Fraction, an int, "
             f"or a string literal like '1/100'"
         )
+    if isinstance(value, bool):
+        return None
     try:
         number = _read_literal(value) if isinstance(value, str) else value
         number = Fraction(number) if mode == EXACT else float(number)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
         return None
     return number if mode == EXACT or math.isfinite(number) else None
+
+
+def _entry_rows(index, entries: Mapping, mode: str, invalid) -> tuple:
+    """Read a sparse ``(from, to) -> value`` map into read-only rows of nonzeros.
+
+    Each value goes through :func:`_coerce`; an unusable or negative one
+    raises ``invalid(frm, to, value)``, and zeros are dropped.
+    """
+    rows = [{} for _ in index]
+    for (frm, to), raw in entries.items():
+        if frm not in index:
+            raise UnknownStateError(frm)
+        if to not in index:
+            raise UnknownStateError(to)
+        value = _coerce(raw, mode)
+        if value is None or value < 0:
+            raise invalid(frm, to, raw)
+        if value:
+            rows[index[frm]][index[to]] = value
+    # Read-only row views: chains are shared freely across analyses.
+    return tuple(map(MappingProxyType, rows))
 
 
 class MarkovChain:
@@ -167,11 +193,10 @@ class MarkovChain:
     Do not instantiate directly; use :func:`validate_chain`.
     """
 
-    def __init__(self, states: Sequence[str], rows, mode: str):
-        self._states = tuple(states)
-        self._index = {s: i for i, s in enumerate(self._states)}
-        # Read-only row views: chains are shared freely across analyses.
-        self._rows = tuple(MappingProxyType(dict(r)) for r in rows)
+    def __init__(self, states: tuple, index: dict, rows: tuple, mode: str):
+        self._states = states
+        self._index = index
+        self._rows = rows
         self._mode = mode
         self._preds = None
         self._cdf = None
@@ -285,9 +310,9 @@ class RewardChain:
     expectation. Use :func:`validate_reward` to construct.
     """
 
-    def __init__(self, chain: MarkovChain, cost_rows):
+    def __init__(self, chain: MarkovChain, cost_rows: tuple):
         self.chain = chain
-        self._cost_rows = tuple(MappingProxyType(dict(r)) for r in cost_rows)
+        self._cost_rows = cost_rows
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -330,33 +355,19 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
-    state_list = list(states)
-    if not state_list:
+    states = tuple(states)
+    if not states:
         raise EmptyStateSpaceError("a chain needs at least one state")
-    if len(set(state_list)) != len(state_list):
-        dupes = sorted({s for s in state_list if state_list.count(s) > 1})
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
+        dupes = sorted({s for s in states if states.count(s) > 1})
         raise ValueError(f"duplicate state labels: {dupes}")
-    index = {s: i for i, s in enumerate(state_list)}
-
-    rows = [dict() for _ in state_list]
-    for (frm, to), raw in trans.items():
-        if frm not in index:
-            raise UnknownStateError(frm)
-        if to not in index:
-            raise UnknownStateError(to)
-        p = _coerce(raw, mode)
-        if p is None or p < 0:
-            raise NegativeProbabilityError(frm, to, raw)
-        if p == 0:
-            continue
-        rows[index[frm]][index[to]] = p
-
-    for i, s in enumerate(state_list):
-        total = sum(rows[i].values())
+    rows = _entry_rows(index, trans, mode, NegativeProbabilityError)
+    for s, row in zip(states, rows):
+        total = sum(row.values())
         if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
-
-    return MarkovChain(state_list, rows, mode)
+    return MarkovChain(states, index, rows, mode)
 
 
 def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:
@@ -366,14 +377,4 @@ def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:
     ------
     UnknownStateError, NegativeCostError
     """
-    cost_rows = [dict() for _ in chain.states]
-    for (frm, to), raw in cost.items():
-        i = chain.index_of(frm)
-        j = chain.index_of(to)
-        c = _coerce(raw, chain.mode)
-        if c is None or c < 0:
-            raise NegativeCostError(frm, to, raw)
-        if c == 0:
-            continue
-        cost_rows[i][j] = c
-    return RewardChain(chain, cost_rows)
+    return RewardChain(chain, _entry_rows(chain._index, cost, chain.mode, NegativeCostError))

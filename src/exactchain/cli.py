@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import analysis, crowds, modelfile, zeroconf
-from .chain import EXACT, FLOAT, RewardChain, format_scalar, _read_literal
+from .chain import EXACT, FLOAT, RewardChain, format_scalar, _coerce
 from .errors import (
     ExactchainError,
     InvalidParamsError,
@@ -67,10 +67,10 @@ def _positive_int(text: str) -> int:
 def _rational_flag(text: str) -> Fraction:
     # An exponent out of range raises LiteralRangeError, which argparse
     # lets through to main as a parse error.
-    try:
-        return _read_literal(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse number {_excerpt(text)}") from None
+    value = _coerce(text, EXACT)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"cannot parse number {_excerpt(text)}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

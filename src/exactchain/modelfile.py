@@ -10,9 +10,11 @@ Schema::
 
 ``rewards`` is optional; a file without it loads as a plain
 :class:`MarkovChain`. ``prob`` and ``cost`` accept JSON numbers, decimal
-strings, or rational strings like ``"16/65024"``. In exact mode decimal
-literals are read as exact decimal fractions (``0.01`` means ``1/100``),
-so a model file round-trips losslessly. A decimal exponent beyond
+strings, or rational strings like ``"16/65024"``. Every value, JSON
+numbers included, is read exactly (``0.01`` means ``1/100``) in both
+modes, and validation converts it to the chain's arithmetic, so an exact
+model file round-trips losslessly and a float one gets the nearest float
+to each written value. A decimal exponent beyond
 ``chain.MAX_DECIMAL_EXPONENT`` is a parse error, in either mode.
 """
 
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from .chain import (
-    EXACT, MarkovChain, RewardChain, format_scalar, _read_literal, validate_chain, validate_reward,
+    EXACT, MarkovChain, RewardChain, format_scalar, _coerce, _read_literal, validate_chain,
+    validate_reward,
 )
 from .errors import ModelIOError, ModelParseError, _excerpt
 
@@ -32,14 +34,12 @@ _TOP_KEYS = {"states", "transitions", "rewards"}
 
 
 def _parse_value(raw, where: str):
-    if isinstance(raw, str):
-        try:
-            return _read_literal(raw)  # converted to the chain's arithmetic on validation
-        except (ValueError, ZeroDivisionError):
-            raise ModelParseError(f"{where}: cannot parse number {_excerpt(raw)}") from None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction)):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float, Fraction)):
         raise ModelParseError(f"{where}: expected a number or string, got {_excerpt(raw)}")
-    return raw
+    value = _coerce(raw, EXACT) if isinstance(raw, str) else raw  # exact until validation
+    if value is None:
+        raise ModelParseError(f"{where}: cannot parse number {_excerpt(raw)}")
+    return value
 
 
 def _parse_edges(obj, key: str, value_key: str, declared: set):
@@ -96,29 +96,31 @@ def _reject_constant(name):
     raise ModelParseError(f"invalid JSON: non-finite number {name}")
 
 
-def _decode(text: str, mode: str = EXACT):
-    """Decode JSON, numbers in ``mode``'s arithmetic; ``NaN`` and ``Infinity`` are errors.
+def _decode(text: str):
+    """Decode JSON, reading every number exactly; ``NaN`` and ``Infinity`` are errors.
 
-    So is an integer longer than CPython's limit on string-to-integer
-    digits, whose ``ValueError`` ``json`` passes through undecorated.
+    A number with a fraction or an exponent becomes a ``Fraction`` through
+    ``_read_literal`` and an integer an ``int``, in both modes; validation
+    converts them to the chain's arithmetic as it converts strings. An
+    integer longer than CPython's limit on string-to-integer digits is an
+    error too, whose ``ValueError`` ``json`` passes through undecorated.
     """
-    parse_number = _read_literal if mode == EXACT else partial(_read_literal, number=float)
     try:
-        return json.loads(text, parse_float=parse_number, parse_constant=_reject_constant)
+        return json.loads(text, parse_float=_read_literal, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ModelParseError(f"invalid JSON: {exc}") from exc
 
 
-def _read_json(path, mode: str = EXACT):
+def _read_json(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ModelIOError(f"cannot read {path}: {exc}") from exc
-    return _decode(text, mode)
+    return _decode(text)
 
 
 def loads_model(text: str, mode: str = EXACT) -> MarkovChain | RewardChain:
-    return parse_model(_decode(text, mode), mode)
+    return parse_model(_decode(text), mode)
 
 
 def load_model(path, mode: str = EXACT) -> MarkovChain | RewardChain:
@@ -128,7 +130,7 @@ def load_model(path, mode: str = EXACT) -> MarkovChain | RewardChain:
     :class:`ModelParseError` for JSON/schema problems, and the chain
     validation errors for semantic ones.
     """
-    return parse_model(_read_json(path, mode), mode)
+    return parse_model(_read_json(path), mode)
 
 
 def model_to_dict(model: MarkovChain | RewardChain) -> dict:

@@ -107,11 +107,13 @@ def test_float_mode_rejects_nan_and_inf():
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-@pytest.mark.parametrize("text", ["zz", "1/0", "nan", "1/" + "7" * 50 + "x" * 1_000_000],
-                         ids=["zz", "1/0", "nan", "1MB"])
+@pytest.mark.parametrize("text", ["zz", "1/0", "nan", "1/" + "7" * 50 + "x" * 1_000_000,
+                                  True, False, None, []],
+                         ids=["zz", "1/0", "nan", "1MB", "True", "False", "None", "list"])
 def test_malformed_strings_are_invalid_entries(mode, text):
     # A string that is no number is an invalid entry, in a message that
-    # quotes it cut short, not a ValueError or ZeroDivisionError.
+    # quotes it cut short, not a ValueError or ZeroDivisionError. So is a
+    # bool, although it is an int, and any other value that is no number.
     with pytest.raises(NegativeProbabilityError) as err:
         validate_chain(["a"], {("a", "a"): text}, mode=mode)
     assert len(str(err.value)) < 500
@@ -193,6 +195,13 @@ def test_parse_and_format_scalars():
     for text in (f"1e{bound + 1}", f"-1e-{bound + 1}", "1e1_000_000", "1e" + "9" * 5000):
         with pytest.raises(LiteralRangeError):
             parse_scalar(text)
+    # Text that is no number, and in float mode a value past the float
+    # range, is a ValueError.
+    for text, mode in (("zz", EXACT), ("1/0", EXACT), ("1/0", FLOAT), ("nan", FLOAT),
+                       ("1e400", FLOAT), ("-1e400", FLOAT)):
+        with pytest.raises(ValueError, match="cannot parse number"):
+            parse_scalar(text, mode)
+    assert parse_scalar("1e400") == 10**400
     from exactchain import format_scalar
 
     assert format_scalar(F(1, 3)) == "1/3"

@@ -225,6 +225,9 @@ BIG_MODEL = ('{"states": ["a", "b"], "transitions": [{"from": "a", "to": "b", "p
     (["validate", "FILE", "--exact"], LOOP_MODEL % "Infinity", cli.EXIT_PARSE),
     (["validate", "FILE", "--float"], LOOP_MODEL % "-Infinity", cli.EXIT_PARSE),
     (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": NaN, "J2": 0.5}', cli.EXIT_PARSE),
+    # JSON's true and false are no masses, although they sum to one.
+    (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": true, "J2": false}',
+     cli.EXIT_MODEL),
     # Numbers that overflow a float are invalid values, however they are written.
     (["validate", "FILE", "--float"], LOOP_MODEL % "1e400", cli.EXIT_MODEL),
     (["validate", "FILE", "--float"], LOOP_MODEL % '"1e400"', cli.EXIT_MODEL),
@@ -254,14 +257,17 @@ BIG_MODEL = ('{"states": ["a", "b"], "transitions": [{"from": "a", "to": "b", "p
     (["crowds", "--preset", "fig3", "--pf", "1e-1000000"], None, cli.EXIT_PARSE),
     (["crowds", "--preset", "fig3", "--init", "FILE"], '{"J1": "1e1000000", "J2": 0}',
      cli.EXIT_PARSE),
-    # So is a JSON integer past CPython's 4,300-digit limit on parsing.
+    # So is a JSON integer past CPython's 4,300-digit limit on parsing, and
+    # in both modes a JSON decimal, which is read exactly.
     (["validate", "FILE"], LOOP_MODEL % ("1" + "0" * 5000), cli.EXIT_PARSE),
-], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan",
+    (["validate", "FILE", "--float"], LOOP_MODEL % ("0." + "9" * 5000), cli.EXIT_PARSE),
+], ids=["nan-exact", "nan-float", "inf-exact", "minus-inf-float", "init-nan", "init-bools",
         "number-1e400", "string-1e400", "int-1e400", "zeroconf-E-1e400",
         "zeroconf-E-1e400-simulate", "simulate-cost-1e400", "simulate-cost-sum-overflow",
         "row-sum-1e-5000", "negative-1e-5000", "crowds-pf-1e5000", "init-1e5000",
         "zeroconf-p-1e5000", "number-1e-1000000", "float-number-1e1000000",
-        "string-1e-1000000", "flag-1e-1000000", "init-1e1000000", "int-5001-digits"])
+        "string-1e-1000000", "flag-1e-1000000", "init-1e1000000", "int-5001-digits",
+        "float-decimal-5000-digits"])
 def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     path = tmp_path / "input.json"
     if text is not None:

@@ -53,6 +53,9 @@ def test_parameter_validation():
     for mass in (math.nan, math.inf):
         with pytest.raises(InvalidParamsError, match="finite"):
             CrowdsParams(("a", "b", "c"), frozenset({"c"}), 0.5, {"a": mass, "b": 0.5})
+    # Bools are no masses, although True and False sum to one.
+    with pytest.raises(InvalidParamsError, match=r"init\[J1\] must be a finite number"):
+        make_params(3, 1, F(1, 2), init={"J1": True, "J2": False})
 
 
 def test_params_cache_honest_outside_eq_hash_and_repr():

@@ -1,12 +1,17 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactchain import FLOAT, MarkovChain, RewardChain
 from exactchain.errors import (
     ModelIOError,
     ModelParseError,
+    NegativeCostError,
+    NegativeProbabilityError,
     RowSumNotOneError,
 )
 from exactchain.modelfile import (
@@ -84,6 +89,43 @@ def test_float_mode_load():
     chain = parse_model(SIMPLE, mode=FLOAT)
     assert chain.mode == FLOAT
     assert chain.prob("a", "b") == 0.5
+
+
+# A JSON number: a sign, up to 25 significant digits, and an exponent
+# from -400 to 400, written in each of JSON's forms.
+JSON_NUMBER = st.builds(
+    "{}{}{}".format,
+    st.from_regex(r"-?(0|[1-9][0-9]{0,12})", fullmatch=True),
+    st.from_regex(r"(\.[0-9]{1,12})?", fullmatch=True),
+    st.one_of(st.just(""), st.builds("{}{:+d}".format, st.sampled_from("eE"),
+                                     st.integers(-400, 400))),
+)
+ONE_STATE = ('{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": 1}],'
+             ' "rewards": [{"from": "a", "to": "a", "cost": %s}]}')
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=JSON_NUMBER)
+def test_float_model_costs_are_the_nearest_float_to_their_json_text(text):
+    # JSON numbers are read exactly in both modes and converted on
+    # validation, so a float model holds float(text), bit for bit.
+    value = float(text)
+    if math.isinf(value) or value < 0:
+        with pytest.raises(NegativeCostError):
+            loads_model(ONE_STATE % text, mode=FLOAT)
+        return
+    costs = loads_model(ONE_STATE % text, mode=FLOAT).cost_row_by_index(0)
+    if value == 0:
+        assert dict(costs) == {}
+    else:
+        assert costs[0].hex() == value.hex()
+
+
+def test_float_overflow_message_quotes_the_exact_value():
+    # As in exact mode: the value is read exactly before it overflows.
+    with pytest.raises(NegativeProbabilityError, match=f"probability 1{'0' * 400}$"):
+        loads_model('{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": 1e400}]}',
+                    mode=FLOAT)
 
 
 def test_missing_file():

@@ -44,6 +44,10 @@ def test_parameter_validation():
         ZeroconfParams(N=1, p="nonsense", q=F(1, 2), r=0, E=0)
     with pytest.raises(InvalidParamsError, match="finite"):
         ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=0, E=float("inf"))
+    # A bool is no number of seconds.
+    for params in ({"r": True, "E": 0}, {"r": 0, "E": False}):
+        with pytest.raises(InvalidParamsError, match="must be a finite number, got"):
+            ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), **params)
 
 
 def test_paper_typical_preset():
