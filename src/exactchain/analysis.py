@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .chain import EXACT, MarkovChain, RewardChain
-from .errors import ConditionHasZeroProbabilityError, StartInTargetError, _full_str
+from .chain import ROW_SUM_TOL, MarkovChain, RewardChain, arithmetic_of
+from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
+from .errors import _full_str
 
 INFINITY = math.inf
 
@@ -118,17 +118,16 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
     ``j``. The caller picks a block from every state of which the path
     eventually leaves it with positive probability, which makes ``I - Q`` a
     nonsingular M-matrix, and so is its transpose: exact sparse elimination
-    then never meets a zero diagonal pivot, in any order. Exact mode sets
-    ``d_i = 1 - q_ii``. Float mode sets ``d_i`` to the row's exit mass
-    instead, so a self-loop of ``1 - 1e-17`` cannot round the pivot to zero
-    (Grassmann, Taksar & Heyman 1985); exact rows make the two equal, and
-    the transpose keeps the same diagonal.
+    then never meets a zero diagonal pivot, in any order. The chain's
+    arithmetic sets ``d_i``: ``1 - q_ii`` in exact mode, and in float mode
+    the row's exit mass instead, so a self-loop of ``1 - 1e-17`` cannot
+    round the pivot to zero (Grassmann, Taksar & Heyman 1985); exact rows
+    make the two equal, and the transpose keeps the same diagonal.
     """
     if not block:
         return {}
     pos = {u: r for r, u in enumerate(block)}
-    exact = chain.mode == EXACT
-    one = chain.one
+    diagonal = chain.arith.diagonal
     rows = [{} for _ in block]
     for i, u in enumerate(block):
         out = chain.row_by_index(u)
@@ -139,10 +138,7 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
                     rows[j][i] = -p
                 else:
                     rows[i][j] = -p
-        if exact:
-            rows[i][i] = one - out[u] if u in out else one
-        else:
-            rows[i][i] = sum(p for v, p in out.items() if v != u)
+        rows[i][i] = diagonal(out, u)
     if keep is None:
         return dict(zip(block, linalg.solve(rows, b, chain.mode)))
     kept = sorted(keep)
@@ -311,7 +307,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       rows of states with an edge into the target are back-substituted.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
-    outcomes in sorted order.
+    outcomes in sorted order (:func:`_positive`).
     """
     outside = set(range(len(chain.states))) - t_idx
     seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
@@ -332,16 +328,32 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             for k, p in out.items():
                 b_row[col[k]] = p
         x = _solve_block(chain, block, b, keep=inside.intersection(starts))
-        return {
-            s: {k: m for k, m in zip(keys, x[s]) if m > 0} if s in x else {} for s in starts
-        }
+        return {s: _positive(zip(keys, x[s])) if s in x else {} for s in starts}
     b = [[one if u == s else zero for s in starts] for u in block]
     y = _solve_block(chain, block, b, transpose=True, keep={u for u, out in exits.items() if out})
     mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
     for u, out in exits.items():
         for k, p in out.items():
             mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-    return {s: {k: mass[k][j] for k in keys if mass[k][j] > 0} for j, s in enumerate(starts)}
+    return {s: _positive((k, mass[k][j]) for k in keys) for j, s in enumerate(starts)}
+
+
+def _positive(masses) -> dict:
+    """The ``(outcome, mass)`` pairs of positive mass, as a dict.
+
+    The masses solve an M-matrix system with a non-negative right-hand
+    side, so none is negative; a float solve that returns one below
+    ``-ROW_SUM_TOL`` has lost its accuracy, and raises
+    :class:`SingularSystemError` rather than drop it. Only masses already
+    bound to be dropped are compared, so exact mode pays nothing.
+    """
+    positive = {}
+    for k, m in masses:
+        if m > 0:
+            positive[k] = m
+        elif m < -ROW_SUM_TOL:
+            raise SingularSystemError(f"the solve returned a negative entry mass {_full_str(m)}")
+    return positive
 
 
 def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribution:
@@ -359,7 +371,7 @@ def first_entry_distribution(chain: MarkovChain, target, start: str) -> Distribu
         chain.states[v]: m
         for v, m in _entry_masses(chain, t_idx, [s], lambda u, v: v)[s].items()
     }
-    return Distribution(mass, _residual(mass.values(), chain.one, chain.mode))
+    return Distribution(mass, _residual(mass.values(), chain.one))
 
 
 def entry_edge_distribution(chain: MarkovChain, target, start: str) -> EdgeDistribution:
@@ -377,14 +389,20 @@ def entry_edge_distribution(chain: MarkovChain, target, start: str) -> EdgeDistr
         (chain.states[u], chain.states[v]): m
         for (u, v), m in _entry_masses(chain, t_idx, [s], lambda u, v: (u, v))[s].items()
     }
-    return EdgeDistribution(mass, _residual(mass.values(), chain.one, chain.mode))
+    return EdgeDistribution(mass, _residual(mass.values(), chain.one))
 
 
-def _residual(masses, one, mode):
+def _residual(masses, one):
+    """The mass of never entering: ``one`` less the entry masses, which sum to at most one.
+
+    A float sum may pass one by rounding, and that excess reads as 0; an
+    excess over ``ROW_SUM_TOL`` means the solve failed. Exact masses never
+    pass one.
+    """
     never = one - sum(masses, one - one)
-    if mode != EXACT and never < 0:
-        never = 0.0
-    return never
+    if never < -ROW_SUM_TOL:
+        raise SingularSystemError(f"entry masses sum to {_full_str(one - never)}, over 1")
+    return never if never >= 0 else one - one
 
 
 def conditional_probability(p_joint, p_cond):
@@ -400,9 +418,7 @@ def conditional_probability(p_joint, p_cond):
         )
     if p_cond == 0:
         raise ConditionHasZeroProbabilityError("conditioning event has probability 0")
-    if isinstance(p_joint, float) or isinstance(p_cond, float):
-        return p_joint / p_cond
-    return Fraction(p_joint) / Fraction(p_cond)
+    return arithmetic_of(p_joint + p_cond).frac(p_joint, p_cond)
 
 
 __all__ = [

@@ -8,6 +8,12 @@ types. Two arithmetic modes exist, fixed per chain at construction:
   values, rows must sum to exactly 1.
 * ``"float"``: 64-bit floats, rows must sum to 1 within ``1e-9`` absolute.
 
+Each mode name stands for one :class:`Arithmetic` record, and the records
+are the one place that tells the modes apart: :func:`arithmetic` looks up
+a mode name, :func:`arithmetic_of` the arithmetic of values that carry no
+mode (case-study parameters, joints). The rest of the package asks a record
+for its zero, one, fractions, reader, tolerance and pivot rule.
+
 State labels are the canonical external identity; integer indices are an
 internal detail of the sparse representation.
 """
@@ -18,9 +24,11 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyStateSpaceError,
@@ -78,11 +86,12 @@ def parse_scalar(text, mode=EXACT):
     The literal is read by :func:`_coerce`: in exact mode decimals are
     exact decimal fractions (``"0.01"`` becomes ``1/100``); in float mode
     the value is the nearest 64-bit float. Malformed text, a zero
-    denominator and, in float mode, a value past the float range raise
-    ``ValueError``; an exponent out of range raises ``LiteralRangeError``.
+    denominator, in float mode a value past the float range, and a mode
+    name other than ``"exact"`` or ``"float"`` raise ``ValueError``; an
+    exponent out of range raises ``LiteralRangeError``.
     """
     text = str(text)
-    value = _coerce(text, mode)
+    value = arithmetic(mode).read(text)
     if value is None:
         raise ValueError(f"cannot parse number {_excerpt(text)}")
     return value
@@ -99,34 +108,38 @@ def format_scalar(value):
 
 def _coerce_param(value, name):
     """Read a case-study parameter: finite floats stay floats, the rest become Fractions."""
-    number = _coerce(value, FLOAT if isinstance(value, float) else EXACT)
+    number = arithmetic_of(value).read(value)
     if number is None:
         raise InvalidParamsError(f"parameter {name} must be a finite number, got {_excerpt(value)}")
     return number
 
 
 def _with_mode(params, mode):
-    """Copy a case-study parameter record with its rational fields as floats."""
-    if mode == EXACT:
-        return params
+    """A case-study parameter record with its rational fields in ``mode``'s arithmetic.
+
+    A field whose values are all in it already is kept, so a record that
+    needs no change (any rational record in exact mode) is returned as it is.
+    """
+    arith = arithmetic(mode)
     changes = {}
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        try:
-            if isinstance(value, Fraction):
-                changes[f.name] = float(value)
-            elif isinstance(value, Mapping):  # an initiator law
-                changes[f.name] = {k: float(v) for k, v in value.items()}
-        except OverflowError:
-            raise InvalidParamsError(f"parameter {f.name} overflows a float") from None
-    return dataclasses.replace(params, **changes)  # re-runs the record's validation
+        if not isinstance(value, (Fraction, Mapping)):  # a Mapping is an initiator law
+            continue
+        numbers = value if isinstance(value, Mapping) else {f.name: value}
+        if all(arithmetic_of(v) is arith for v in numbers.values()):
+            continue
+        numbers = {k: arith.read(v) for k, v in numbers.items()}
+        if None in numbers.values():
+            raise InvalidParamsError(f"parameter {f.name} overflows a float")
+        changes[f.name] = numbers if isinstance(value, Mapping) else numbers[f.name]
+    # replace re-runs the record's validation
+    return dataclasses.replace(params, **changes) if changes else params
 
 
 def _sums_to_one(total) -> bool:
     """Exactly 1 for a rational sum (no float term), within ``ROW_SUM_TOL`` for a float one."""
-    if isinstance(total, float):
-        return abs(total - 1.0) <= ROW_SUM_TOL
-    return total == 1
+    return total == 1 or abs(total - 1) <= arithmetic_of(total).tol
 
 
 def _triple(closed, solver):
@@ -138,18 +151,19 @@ def _triple(closed, solver):
     }
 
 
-def _coerce(value, mode):
-    """Convert an input number to ``mode``'s arithmetic; None if it is unusable.
+def _coerce(exact: bool, value):
+    """Convert an input number to exact or float arithmetic; None if it is unusable.
 
-    This is the one reader of input numbers: chain and cost entries,
-    model-file strings, case-study parameters, rational CLI flags and
-    :func:`parse_scalar`. A string is read as a numeric literal by
-    :func:`_read_literal`, whose exponent check raises
-    ``LiteralRangeError``. Unusable are bools and other non-numbers,
-    malformed text, a zero denominator, NaN and, in float mode, a value
-    past the float range. Exact mode rejects floats with ``TypeError``.
+    This is the one reader of input numbers, as each :class:`Arithmetic`
+    record's ``read``: chain and cost entries, model-file strings,
+    case-study parameters, rational CLI flags and :func:`parse_scalar`. A
+    string is read as a numeric literal by :func:`_read_literal`, whose
+    exponent check raises ``LiteralRangeError``. Unusable are bools and
+    other non-numbers, malformed text, a zero denominator, NaN and, in
+    float mode, a value past the float range. Exact mode rejects floats
+    with ``TypeError``.
     """
-    if mode == EXACT and isinstance(value, float):
+    if exact and isinstance(value, float):
         # Silent float->Fraction conversion would smuggle binary rounding
         # into supposedly exact results.
         raise TypeError(
@@ -160,17 +174,59 @@ def _coerce(value, mode):
         return None
     try:
         number = _read_literal(value) if isinstance(value, str) else value
-        number = Fraction(number) if mode == EXACT else float(number)
+        number = Fraction(number) if exact else float(number)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError):
         return None
-    return number if mode == EXACT or math.isfinite(number) else None
+    return number if exact or math.isfinite(number) else None
 
 
-def _entry_rows(index, entries: Mapping, mode: str, invalid) -> tuple:
+@dataclasses.dataclass(frozen=True)
+class Arithmetic:
+    """The numbers one mode computes with: what every mode-dependent step reads.
+
+    ``frac(n, d)`` is ``n / d``, ``read`` is :func:`_coerce` in this
+    arithmetic, ``tol`` the absolute tolerance on a sum that must be one,
+    and ``diagonal(row, u)`` the pivot ``d_u`` of ``u``'s row of ``I - Q``
+    (``analysis._solve_block``): ``1 - q_uu`` exactly, and in float mode
+    the row's exit mass, which no self-loop rounds to zero.
+    """
+
+    name: str
+    zero: object
+    one: object
+    frac: Callable
+    read: Callable
+    tol: object
+    diagonal: Callable
+
+
+# Fields in order: name, zero, one, frac, read, tol, diagonal.
+_ARITHMETIC = {
+    EXACT: Arithmetic(EXACT, Fraction(0), Fraction(1), Fraction, partial(_coerce, True), 0,
+                      lambda row, u: 1 - row[u] if u in row else Fraction(1)),
+    FLOAT: Arithmetic(FLOAT, 0.0, 1.0, lambda n, d: n / d, partial(_coerce, False), ROW_SUM_TOL,
+                      lambda row, u: sum(p for v, p in row.items() if v != u)),
+}
+
+
+def arithmetic(mode) -> Arithmetic:
+    """The record of a mode name, ``"exact"`` or ``"float"``; ``ValueError`` for any other."""
+    if mode in (EXACT, FLOAT):
+        return _ARITHMETIC[mode]
+    raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
+
+
+def arithmetic_of(value) -> Arithmetic:
+    """The arithmetic of a value that carries no mode: float for a float, else exact."""
+    return _ARITHMETIC[FLOAT if isinstance(value, float) else EXACT]
+
+
+def _entry_rows(index, entries: Mapping, read, invalid) -> tuple:
     """Read a sparse ``(from, to) -> value`` map into read-only rows of nonzeros.
 
-    Each value goes through :func:`_coerce`; an unusable or negative one
-    raises ``invalid(frm, to, value)``, and zeros are dropped.
+    Each value goes through ``read``, an :class:`Arithmetic` record's; an
+    unusable or negative one raises ``invalid(frm, to, value)``, and zeros
+    are dropped.
     """
     rows = [{} for _ in index]
     for (frm, to), raw in entries.items():
@@ -178,7 +234,7 @@ def _entry_rows(index, entries: Mapping, mode: str, invalid) -> tuple:
             raise UnknownStateError(frm)
         if to not in index:
             raise UnknownStateError(to)
-        value = _coerce(raw, mode)
+        value = read(raw)
         if value is None or value < 0:
             raise invalid(frm, to, raw)
         if value:
@@ -190,32 +246,26 @@ def _entry_rows(index, entries: Mapping, mode: str, invalid) -> tuple:
 class MarkovChain:
     """Finite state set with a validated row-stochastic sparse matrix.
 
-    Do not instantiate directly; use :func:`validate_chain`.
+    ``arith`` is the :class:`Arithmetic` record of the chain's mode. Do not
+    instantiate directly; use :func:`validate_chain`.
     """
 
-    def __init__(self, states: tuple, index: dict, rows: tuple, mode: str):
+    def __init__(self, states: tuple, index: dict, rows: tuple, arith: Arithmetic):
         self._states = states
         self._index = index
         self._rows = rows
-        self._mode = mode
+        self.arith = arith
         self._preds = None
         self._cdf = None
+
+    # The mode's name, zero and one, read off the chain's arithmetic record.
+    mode = property(attrgetter("arith.name"))
+    zero = property(attrgetter("arith.zero"))
+    one = property(attrgetter("arith.one"))
 
     @property
     def states(self) -> tuple[str, ...]:
         return self._states
-
-    @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
-    def zero(self):
-        return Fraction(0) if self._mode == EXACT else 0.0
-
-    @property
-    def one(self):
-        return Fraction(1) if self._mode == EXACT else 1.0
 
     def __len__(self) -> int:
         return len(self._states)
@@ -300,7 +350,7 @@ class MarkovChain:
 
     def __repr__(self) -> str:
         edges = sum(len(r) for r in self._rows)
-        return f"MarkovChain({len(self._states)} states, {edges} edges, mode={self._mode!r})"
+        return f"MarkovChain({len(self._states)} states, {edges} edges, mode={self.mode!r})"
 
 
 class RewardChain:
@@ -353,8 +403,7 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     EmptyStateSpaceError, UnknownStateError, NegativeProbabilityError,
     RowSumNotOneError
     """
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, got {mode!r}")
+    arith = arithmetic(mode)
     states = tuple(states)
     if not states:
         raise EmptyStateSpaceError("a chain needs at least one state")
@@ -362,12 +411,12 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     if len(index) != len(states):
         dupes = sorted({s for s in states if states.count(s) > 1})
         raise ValueError(f"duplicate state labels: {dupes}")
-    rows = _entry_rows(index, trans, mode, NegativeProbabilityError)
+    rows = _entry_rows(index, trans, arith.read, NegativeProbabilityError)
     for s, row in zip(states, rows):
         total = sum(row.values())
         if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
-    return MarkovChain(states, index, rows, mode)
+    return MarkovChain(states, index, rows, arith)
 
 
 def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:
@@ -377,4 +426,4 @@ def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:
     ------
     UnknownStateError, NegativeCostError
     """
-    return RewardChain(chain, _entry_rows(chain._index, cost, chain.mode, NegativeCostError))
+    return RewardChain(chain, _entry_rows(chain._index, cost, chain.arith.read, NegativeCostError))

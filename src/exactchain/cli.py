@@ -16,7 +16,8 @@ Exit codes::
        literal whose decimal exponent is out of range (files and flags)
     5  semantic validation failure (bad rows, bad parameters)
     6  unknown state label in a query
-    7  solver failure (a linear system found singular)
+    7  solver failure (a linear system found singular, or a float solve
+       that returned negative entry masses or masses summing past one)
 
 The default arithmetic mode is exact; set ``EXACTCHAIN_MODE=float`` or
 pass ``--float`` to switch.
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import analysis, crowds, modelfile, zeroconf
-from .chain import EXACT, FLOAT, RewardChain, format_scalar, _coerce
+from .chain import _ARITHMETIC, EXACT, FLOAT, RewardChain, arithmetic, format_scalar
 from .errors import (
     ExactchainError,
     InvalidParamsError,
@@ -67,7 +68,7 @@ def _positive_int(text: str) -> int:
 def _rational_flag(text: str) -> Fraction:
     # An exponent out of range raises LiteralRangeError, which argparse
     # lets through to main as a parse error.
-    value = _coerce(text, EXACT)
+    value = arithmetic(EXACT).read(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"cannot parse number {_excerpt(text)}")
     return value
@@ -139,7 +140,7 @@ def _resolve_mode(args) -> str:
     if getattr(args, "exact", False):
         return EXACT
     env = os.environ.get(ENV_MODE, EXACT).lower()
-    if env not in (EXACT, FLOAT):
+    if env not in _ARITHMETIC:
         raise InvalidParamsError(f"{ENV_MODE} must be 'exact' or 'float', got {env!r}")
     return env
 

@@ -29,8 +29,8 @@ from types import MappingProxyType
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _sums_to_one, _triple, _with_mode, format_scalar,
-    validate_chain,
+    EXACT, MarkovChain, _coerce_param, _sums_to_one, _triple, _with_mode, arithmetic_of,
+    format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
 from .simulate import SimConfig, estimate_joint_first_last
@@ -162,8 +162,7 @@ class CrowdsModel:
 def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     """Build and validate the route-establishment chain."""
     params = _with_mode(params, mode)
-    one = Fraction(1) if mode == EXACT else 1.0
-    uniform = one / params.J
+    uniform = _frac(1, params.J, params)
     p_f = params.p_f
 
     states = (
@@ -172,7 +171,7 @@ def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
         + [mix_label(j) for j in params.jondos]
         + [END]
     )
-    trans = {(END, END): one}
+    trans = {(END, END): 1}
     for j, weight in params.init.items():
         if weight > 0:
             trans[(START, init_label(j))] = weight
@@ -182,16 +181,14 @@ def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     for i in params.jondos:
         for j in params.jondos:
             trans[(mix_label(i), mix_label(j))] = p_f * uniform
-        trans[(mix_label(i), END)] = one - p_f
+        trans[(mix_label(i), END)] = 1 - p_f
 
     return CrowdsModel(params, validate_chain(states, trans, mode))
 
 
 def _frac(num: int, den: int, params: CrowdsParams):
     """``num / den`` in the params' arithmetic mode."""
-    if isinstance(params.p_f, float):
-        return num / den
-    return Fraction(num, den)
+    return arithmetic_of(params.p_f).frac(num, den)
 
 
 def prob_hit_colls(params: CrowdsParams):
@@ -255,9 +252,7 @@ class ProbableInnocence:
 def probable_innocence(params: CrowdsParams) -> ProbableInnocence:
     if params.H <= 1:
         return ProbableInnocence(False, math.inf)
-    threshold = Fraction(params.J, 2 * (params.H - 1))
-    if isinstance(params.p_f, float):
-        threshold = float(threshold)
+    threshold = _frac(params.J, 2 * (params.H - 1), params)
     return ProbableInnocence(params.p_f >= threshold, threshold)
 
 
@@ -352,15 +347,15 @@ def is_product_joint(joint: dict) -> bool:
     """Check that a joint equals the product of its marginals.
 
     Exact comparison on rational masses; float masses compare with a 1e-12
-    absolute tolerance.
+    absolute tolerance, a thousandth of the row-sum tolerance.
     """
     px, py = info._marginals(joint)
     total = sum(joint.values())
-    if any(isinstance(v, float) for v in joint.values()):
-        return all(
-            abs(v * total - px[x] * py[y]) <= 1e-12 for (x, y), v in joint.items()
-        )
-    return all(v * total == px[x] * py[y] for (x, y), v in joint.items())
+    tol = arithmetic_of(total).tol / 1000
+    return all(
+        v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= tol
+        for (x, y), v in joint.items()
+    )
 
 
 def path_shape_error(model: CrowdsModel, states) -> str | None:
@@ -399,9 +394,8 @@ def crowds_report(
     :func:`first_last_jondo_joint` gives the last-jondo law as its second
     marginal, and the independence verdict.
     """
-    params = _with_mode(params, mode)
     model = build_crowds(params, mode)
-    chain = model.chain
+    params, chain = model.params, model.chain
 
     hit_closed = prob_hit_colls(params)
     hit_joint = _initiator_joint(model, model.collaborator_mix_labels(), params.honest)
@@ -414,7 +408,7 @@ def crowds_report(
     )
     contact_joint = first_last_jondo_joint(model)
     last_mass = info._marginals(contact_joint)[1]
-    uniform = Fraction(1, params.J) if mode == EXACT else 1.0 / params.J
+    uniform = _frac(1, params.J, params)
     innocence = probable_innocence(params)
 
     report = {
@@ -446,7 +440,7 @@ def crowds_report(
         "last_jondo": {
             "expected_uniform": format_scalar(uniform),
             "solver": {j: format_scalar(m) for j, m in sorted(last_mass.items())},
-            "never": format_scalar(analysis._residual(last_mass.values(), chain.one, mode)),
+            "never": format_scalar(analysis._residual(last_mass.values(), chain.one)),
             "max_difference": format_scalar(
                 max((abs(m - uniform) for m in last_mass.values()), default=0)
             ),

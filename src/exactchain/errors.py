@@ -93,7 +93,10 @@ class SingularSystemError(ExactchainError):
 
     The graph criteria only hand nonsingular systems to the solver. In
     exact mode this is an internal error; in float mode a block left with
-    probability near 1e-16 can still be singular to working precision.
+    probability near 1e-16 can still be singular to working precision. A
+    float solve that returns a negative entry mass, or entry masses summing
+    past one, beyond ``ROW_SUM_TOL`` raises it too: such a solve has lost
+    its accuracy.
     """
 
 

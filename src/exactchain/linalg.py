@@ -301,10 +301,12 @@ def solve(rows, b, mode, keep=None):
     :func:`eliminate`, whatever the width of ``b``, the rest to
     :func:`solve_exact`; float systems to :func:`solve_float`. The
     analyses' systems have one column, or one per start state or per
-    outcome.
+    outcome. A mode other than ``"exact"`` or ``"float"`` raises ``ValueError``.
     """
-    if mode != "exact":
+    if mode == "float":
         return solve_float(rows, b, keep)
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if sum(map(len, rows)) > SPARSE_ROW_NNZ * len(rows):
         return solve_exact(rows, b, keep)
     return eliminate(rows, b, keep)

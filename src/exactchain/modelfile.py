@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .chain import (
-    EXACT, MarkovChain, RewardChain, format_scalar, _coerce, _read_literal, validate_chain,
+    EXACT, MarkovChain, RewardChain, arithmetic, format_scalar, _read_literal, validate_chain,
     validate_reward,
 )
 from .errors import ModelIOError, ModelParseError, _excerpt
@@ -36,7 +36,7 @@ _TOP_KEYS = {"states", "transitions", "rewards"}
 def _parse_value(raw, where: str):
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float, Fraction)):
         raise ModelParseError(f"{where}: expected a number or string, got {_excerpt(raw)}")
-    value = _coerce(raw, EXACT) if isinstance(raw, str) else raw  # exact until validation
+    value = arithmetic(EXACT).read(raw) if isinstance(raw, str) else raw  # exact until validation
     if value is None:
         raise ModelParseError(f"{where}: cannot parse number {_excerpt(raw)}")
     return value

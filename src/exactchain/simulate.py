@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import analysis
-from .chain import FLOAT, MarkovChain, RewardChain, _coerce
+from .chain import FLOAT, MarkovChain, RewardChain, arithmetic
 from .errors import InvalidParamsError
 
 _MASK64 = (1 << 64) - 1
@@ -197,11 +197,11 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
 
     ptr, succ, cum = chain._cdf_table()
     n = len(chain.states)
-    price = []
+    price, read = [], arithmetic(FLOAT).read
     for i in range(n if cost is not None else 0):
         costs = cost.cost_row_by_index(i)
         for j in succ[ptr[i] : ptr[i + 1]]:
-            price.append(_coerce(costs.get(j, 0), FLOAT))
+            price.append(read(costs.get(j, 0)))
             if price[-1] is None:
                 edge = f"{chain.states[i]!r} -> {chain.states[j]!r}"
                 raise InvalidParamsError(f"cost {edge} overflows a float")

@@ -92,13 +92,12 @@ def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
     """Build the validated allocation chain with its cost matrix."""
     params = _with_mode(params, mode)
     n, p, q, r, e = params.N, params.p, params.q, params.r, params.E
-    one = Fraction(1) if mode == EXACT else 1.0
 
     trans = {
         (START, probe_label(0)): q,
-        (START, OK): one - q,
-        (OK, OK): one,
-        (ERROR, ERROR): one,
+        (START, OK): 1 - q,
+        (OK, OK): 1,
+        (ERROR, ERROR): 1,
     }
     cost = {
         (START, probe_label(0)): r,
@@ -108,7 +107,7 @@ def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
         probe = probe_label(i)
         nxt = probe_label(i + 1) if i < n else ERROR
         trans[(probe, nxt)] = p
-        trans[(probe, START)] = one - p
+        trans[(probe, START)] = 1 - p
         cost[(probe, nxt)] = r if i < n else e
 
     chain = validate_chain(state_labels(params), trans, mode)

@@ -27,6 +27,7 @@ from exactchain.analysis import (
 )
 from exactchain.errors import (
     ConditionHasZeroProbabilityError,
+    SingularSystemError,
     StartInTargetError,
     UnknownStateError,
 )
@@ -545,6 +546,31 @@ def test_visit_orientation_back_substitutes_only_states_with_an_exit():
     assert transpose and n == 36 and len(keep) == 20
     assert {model.kind(chain.states[u]) for u in keep} == {"mix"}
     assert repr(masses) == repr(per_outcome_entry_masses(chain, target, starts, key))
+
+
+def test_negative_float_masses_are_solver_failures(monkeypatch):
+    # Entry masses and visits solve M-matrix systems with non-negative
+    # right-hand sides; a float solve that returns a negative one, or masses
+    # summing past one, has failed, and its law must not be printed.
+    chain = validate_chain(["s", "a", "t"], {
+        ("s", "a"): 0.5, ("s", "t"): 0.5, ("a", "s"): 0.5, ("a", "t"): 0.5, ("t", "t"): 1.0,
+    }, FLOAT)
+    assert entry_edge_distribution(chain, {"t"}, "s").never == 0.0
+    solve = linalg.solve
+
+    def negative_visit(rows, b, mode, keep=None):
+        x = solve(rows, b, mode, keep)
+        x[-1] = [-v for v in x[-1]]
+        return x
+
+    monkeypatch.setattr(linalg, "solve", negative_visit)
+    with pytest.raises(SingularSystemError, match="negative entry mass"):
+        entry_edge_distribution(chain, {"t"}, "s")  # two entry edges, one start: visits
+    # Rounding may carry a float sum of masses past one; beyond ROW_SUM_TOL
+    # the solve failed.
+    assert analysis._residual([0.5, 0.5 + 1e-12], 1.0) == 0.0
+    with pytest.raises(SingularSystemError, match="over 1"):
+        analysis._residual([0.5, 0.5 + 1e-6], 1.0)
 
 
 def dense_exit_mass_system(chain, block, transpose):

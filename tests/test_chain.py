@@ -1,13 +1,18 @@
+import ast
 import itertools
 import math
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from exactchain import EXACT, FLOAT, parse_scalar, validate_chain, validate_reward
+import exactchain
+from exactchain import EXACT, FLOAT, linalg, parse_scalar, validate_chain, validate_reward
 from exactchain.chain import MAX_DECIMAL_EXPONENT
+from exactchain.crowds import FIG3, build_crowds, crowds_report
+from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
 from exactchain.errors import (
     EmptyStateSpaceError,
     LiteralRangeError,
@@ -248,3 +253,53 @@ def test_predecessor_lists_match_edges_and_are_built_once():
         assert sorted((i, j) for j, ps in enumerate(preds) for i in ps) == sorted(
             (idx(u), idx(v)) for u, v, _ in chain.edges()
         )
+
+
+@pytest.mark.parametrize("call", [
+    lambda mode: parse_scalar("1/3", mode=mode),
+    lambda mode: validate_chain(["a"], {("a", "a"): F(1)}, mode),
+    lambda mode: linalg.solve([{0: F(1, 2)}], [[F(1)]], mode),
+    lambda mode: build_zeroconf(PAPER_TYPICAL, mode),
+    lambda mode: zeroconf_report(PAPER_TYPICAL, mode),
+    lambda mode: build_crowds(FIG3, mode),
+    lambda mode: crowds_report(FIG3, mode),
+], ids=["parse_scalar", "validate_chain", "linalg.solve", "build_zeroconf", "zeroconf_report",
+        "build_crowds", "crowds_report"])
+def test_unknown_mode_names_fail_fast(call):
+    for mode in ("Exact", "FLOAT", "", None):
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'float'"):
+            call(mode)
+
+
+#: The functions that may tell the modes apart: the arithmetic records'
+#: reader and lookups, the choice of linear-system kernel, and the check of
+#: plain-dict masses, which carry no mode.
+MODE_DECIDERS = {
+    ("chain.py", "_coerce"), ("chain.py", "arithmetic"), ("chain.py", "arithmetic_of"),
+    ("linalg.py", "solve"), ("info.py", "_check_masses"),
+}
+
+
+def mode_decisions(node, where):
+    """``(where, line)`` of each comparison with a mode name and each ``isinstance(_, float)``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = (where[0], node.name)
+    if isinstance(node, ast.Compare):
+        names = [n for n in ast.walk(node) if getattr(n, "id", None) in ("EXACT", "FLOAT")
+                 or getattr(n, "value", None) in ("exact", "float")]
+        if names:
+            yield where, node.lineno
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        if getattr(node.args[1], "id", None) == "float":
+            yield where, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from mode_decisions(child, where)
+
+
+def test_only_the_arithmetic_records_tell_the_modes_apart():
+    found = []
+    for path in sorted(Path(exactchain.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(where, line) for where, line in mode_decisions(tree, (path.name, None))
+                  if where not in MODE_DECIDERS]
+    assert found == []

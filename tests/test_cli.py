@@ -200,6 +200,15 @@ def test_solver_failure_exit_code(capsys, small_model, monkeypatch):
     assert err.startswith("error: solver failure:")
 
 
+def test_float_near_one_crowd_is_a_solver_failure(capsys):
+    # numpy's LU returns expected visits near -1.33e15 here, where the
+    # exact value is 2.5e15/3: negative entry masses, not a law to print.
+    code, out, err = run(capsys, "crowds", "--jondos", "12", "--colls", "9",
+                         "--pf", "0.9999999999999999", "--float")
+    assert code == cli.EXIT_SOLVER and out == ""
+    assert err.startswith("error: solver failure:")
+
+
 LOOP_MODEL = '{"states": ["a"], "transitions": [{"from": "a", "to": "a", "prob": %s}]}'
 COST_MODEL = json.dumps({
     "states": ["a", "b"],
@@ -612,6 +621,10 @@ def test_mode_env_variable(capsys, small_model, monkeypatch):
     report = run_json(capsys, "solve", small_model,
                       "--until", "ALL=>Error", "--start", "Start")
     assert report["mode"] == "exact"
+    monkeypatch.setenv(cli.ENV_MODE, "bogus")
+    code, out, err = run(capsys, "solve", small_model, "--until", "ALL=>Error", "--start", "Start")
+    assert code == cli.EXIT_MODEL and out == ""
+    assert f"{cli.ENV_MODE} must be 'exact' or 'float'" in err
 
 
 def test_rational_values_round_trip(capsys):

@@ -114,6 +114,10 @@ def test_honest_jondo_with_zero_init_mass():
     assert solver_joint_first_last(model) == conditional_joint(params)
     assert sum(conditional_joint(params).values()) == 1
     assert is_product_joint(first_last_jondo_joint(model))
+    # Exact mode rejects a float mass, a zero one included.
+    with pytest.raises(TypeError, match="exact mode rejects float 0.0"):
+        build_crowds(CrowdsParams(("a", "b", "c"), frozenset({"c"}), F(1, 2),
+                                  {"a": F(1), "b": 0.0}))
 
 
 @pytest.mark.parametrize("mode", ["exact", FLOAT])
