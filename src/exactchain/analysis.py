@@ -307,7 +307,11 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       rows of states with an edge into the target are back-substituted.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
-    outcomes in sorted order (:func:`_positive`).
+    outcomes in sorted order (:func:`_positive`). Where the forward search
+    finds no state outside the block and the target, the target is entered
+    almost surely; there a float solve whose masses for some start miss one
+    by more than the row-sum tolerance raises :class:`SingularSystemError`.
+    Exact masses sum to one there, and are not summed.
     """
     outside = set(range(len(chain.states))) - t_idx
     seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
@@ -328,14 +332,26 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             for k, p in out.items():
                 b_row[col[k]] = p
         x = _solve_block(chain, block, b, keep=inside.intersection(starts))
-        return {s: _positive(zip(keys, x[s])) if s in x else {} for s in starts}
-    b = [[one if u == s else zero for s in starts] for u in block]
-    y = _solve_block(chain, block, b, transpose=True, keep={u for u, out in exits.items() if out})
-    mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
-    for u, out in exits.items():
-        for k, p in out.items():
-            mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-    return {s: _positive((k, mass[k][j]) for k in keys) for j, s in enumerate(starts)}
+        masses = {s: _positive(zip(keys, x[s])) if s in x else {} for s in starts}
+    else:
+        b = [[one if u == s else zero for s in starts] for u in block]
+        y = _solve_block(chain, block, b, transpose=True,
+                         keep={u for u, out in exits.items() if out})
+        mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
+        for u, out in exits.items():
+            for k, p in out.items():
+                mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
+        masses = {s: _positive((k, mass[k][j]) for k in keys) for j, s in enumerate(starts)}
+    tol = chain.arith.tol
+    if tol and seen - t_idx <= inside:
+        # Every state met before entry can still reach the target.
+        for s, out in masses.items():
+            total = sum(out.values(), zero)
+            if abs(total - one) > tol:
+                raise SingularSystemError(
+                    f"entry masses sum to {_full_str(total)}, not 1, where entry is almost sure"
+                )
+    return masses
 
 
 def _positive(masses) -> dict:

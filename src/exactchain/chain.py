@@ -226,19 +226,33 @@ def _entry_rows(index, entries: Mapping, read, invalid) -> tuple:
 
     Each value goes through ``read``, an :class:`Arithmetic` record's; an
     unusable or negative one raises ``invalid(frm, to, value)``, and zeros
-    are dropped.
+    are dropped. A map repeats few distinct values (a Crowds chain has
+    thousands of entries and three values), so each positive value read is
+    kept under ``(type(raw), raw)``: the type keeps apart raws that compare
+    equal but read differently (``True`` and ``1``, or in exact mode ``0.5``
+    and ``Fraction(1, 2)``), and an unhashable raw is read every time.
     """
     rows = [{} for _ in index]
+    usable = {}
     for (frm, to), raw in entries.items():
         if frm not in index:
             raise UnknownStateError(frm)
         if to not in index:
             raise UnknownStateError(to)
-        value = read(raw)
-        if value is None or value < 0:
-            raise invalid(frm, to, raw)
-        if value:
-            rows[index[frm]][index[to]] = value
+        key = (type(raw), raw)
+        try:
+            value = usable.get(key)
+        except TypeError:  # an unhashable raw
+            key = value = None
+        if value is None:
+            value = read(raw)
+            if value is None or value < 0:
+                raise invalid(frm, to, raw)
+            if not value:
+                continue
+            if key is not None:
+                usable[key] = value
+        rows[index[frm]][index[to]] = value
     # Read-only row views: chains are shared freely across analyses.
     return tuple(map(MappingProxyType, rows))
 

@@ -165,23 +165,21 @@ def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     uniform = _frac(1, params.J, params)
     p_f = params.p_f
 
-    states = (
-        [START]
-        + [init_label(j) for j in params.honest]
-        + [mix_label(j) for j in params.jondos]
-        + [END]
-    )
+    inits = [init_label(j) for j in params.honest]
+    mixes = [mix_label(j) for j in params.jondos]
+    states = [START, *inits, *mixes, END]
     trans = {(END, END): 1}
-    for j, weight in params.init.items():
+    for label, weight in zip(inits, params.init.values()):  # init is keyed by honest
         if weight > 0:
-            trans[(START, init_label(j))] = weight
-    for i in params.honest:
-        for j in params.jondos:
-            trans[(init_label(i), mix_label(j))] = uniform
-    for i in params.jondos:
-        for j in params.jondos:
-            trans[(mix_label(i), mix_label(j))] = p_f * uniform
-        trans[(mix_label(i), END)] = 1 - p_f
+            trans[(START, label)] = weight
+    for i in inits:
+        for j in mixes:
+            trans[(i, j)] = uniform
+    forward, stop = p_f * uniform, 1 - p_f
+    for i in mixes:
+        for j in mixes:
+            trans[(i, j)] = forward
+        trans[(i, END)] = stop
 
     return CrowdsModel(params, validate_chain(states, trans, mode))
 
@@ -347,15 +345,44 @@ def is_product_joint(joint: dict) -> bool:
     """Check that a joint equals the product of its marginals.
 
     Exact comparison on rational masses; float masses compare with a 1e-12
-    absolute tolerance, a thousandth of the row-sum tolerance.
+    absolute tolerance, a thousandth of the row-sum tolerance. The marginals
+    are summed here; :func:`crowds_report`, which reads them too, sums them
+    once and calls the private check behind this one.
     """
-    px, py = info._marginals(joint)
+    return _is_product(joint, *info._marginals(joint))
+
+
+def _is_product(joint: dict, px: dict, py: dict) -> bool:
+    """:func:`is_product_joint` on marginals ``px`` and ``py`` already summed."""
     total = sum(joint.values())
     tol = arithmetic_of(total).tol / 1000
     return all(
         v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= tol
         for (x, y), v in joint.items()
     )
+
+
+def _triples(cells) -> dict:
+    """``{name: _triple(closed, solver)}`` for ``(name, closed, solver)`` cells.
+
+    The H^2 cells of a joint hold few distinct values, so each distinct pair
+    is formatted once and each cell gets its own copy. The memo keys on type
+    and value, which keeps apart values that compare equal but print
+    differently (``1``, ``1.0`` and ``Fraction(1)``); a pair with a zero
+    skips it, since ``0.0 == -0.0``.
+    """
+    formatted = {}
+    triples = {}
+    for name, closed, solver in cells:
+        if not (closed and solver):
+            triples[name] = _triple(closed, solver)
+            continue
+        key = (type(closed), closed, type(solver), solver)
+        triple = formatted.get(key)
+        if triple is None:
+            triple = formatted[key] = _triple(closed, solver)
+        triples[name] = dict(triple)
+    return triples
 
 
 def path_shape_error(model: CrowdsModel, states) -> str | None:
@@ -407,7 +434,7 @@ def crowds_report(
         (joint_solver[(i, i)] for i in params.honest), chain.zero
     )
     contact_joint = first_last_jondo_joint(model)
-    last_mass = info._marginals(contact_joint)[1]
+    initiator_mass, last_mass = info._marginals(contact_joint)
     uniform = _frac(1, params.J, params)
     innocence = probable_innocence(params)
 
@@ -424,11 +451,11 @@ def crowds_report(
         "H": params.H,
         "hit_collaborator": _triple(hit_closed, hit_solver),
         "first_equals_last": _triple(diag_closed, diag_solver),
-        "joint_first_last": {
-            f"{i}|{l}": _triple(joint_closed[(i, l)], joint_solver[(i, l)])
+        "joint_first_last": _triples(
+            (f"{i}|{l}", joint_closed[(i, l)], joint_solver[(i, l)])
             for i in params.honest
             for l in params.honest
-        },
+        ),
         "probable_innocence": {
             "holds": innocence.holds,
             "threshold": format_scalar(innocence.threshold),
@@ -445,7 +472,7 @@ def crowds_report(
                 max((abs(m - uniform) for m in last_mass.values()), default=0)
             ),
         },
-        "independence_first_last_jondo": is_product_joint(contact_joint),
+        "independence_first_last_jondo": _is_product(contact_joint, initiator_mass, last_mass),
         "ae_route_terminates": analysis.certify_ae_until(
             chain, chain.states, {END}, START
         ),

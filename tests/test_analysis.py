@@ -573,6 +573,35 @@ def test_negative_float_masses_are_solver_failures(monkeypatch):
         analysis._residual([0.5, 0.5 + 1e-6], 1.0)
 
 
+def test_float_entry_masses_must_sum_to_one_only_where_entry_is_almost_sure(monkeypatch):
+    # From s every path enters t, so a float law must sum to one. From a,
+    # which leaves its near-one self-loop for t or the trap c, never is half
+    # the mass, and the law is returned.
+    sure = validate_chain(["s", "a", "t"], {
+        ("s", "a"): 0.5, ("s", "t"): 0.5, ("a", "s"): 0.5, ("a", "t"): 0.5, ("t", "t"): 1.0,
+    }, FLOAT)
+    spec = {("a", "a"): 1 - F(1, 10**12), ("a", "t"): F(1, 2 * 10**12),
+            ("a", "c"): F(1, 2 * 10**12), ("t", "t"): F(1), ("c", "c"): F(1)}
+    exact = chain_of(spec)
+    avoidable = chain_of({edge: float(p) for edge, p in spec.items()}, FLOAT)
+    assert first_entry_distribution(exact, {"t"}, "a") == analysis.Distribution(
+        {"t": F(1, 2)}, F(1, 2))
+    law = first_entry_distribution(avoidable, {"t"}, "a")
+    assert law.mass["t"] == pytest.approx(0.5, rel=1e-12)
+    assert law.never == pytest.approx(0.5, rel=1e-12)
+    solve = linalg.solve
+
+    def short(rows, b, mode, keep=None):
+        return [[v * (1 - 1e-6) for v in row] for row in solve(rows, b, mode, keep)]
+
+    monkeypatch.setattr(linalg, "solve", short)
+    for target in ({"t"}, {"s", "t"}):  # absorption probabilities, then visits
+        start = "a" if "s" in target else "s"
+        with pytest.raises(SingularSystemError, match="not 1, where entry is almost sure"):
+            first_entry_distribution(sure, target, start)
+    assert first_entry_distribution(avoidable, {"t"}, "a").never > 0.5
+
+
 def dense_exit_mass_system(chain, block, transpose):
     """``I - Q`` over ``block``, or its transpose, as a dense numpy matrix whose
     diagonal holds each row's exit mass ``sum_{v != u} tau(u, v)``."""

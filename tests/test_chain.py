@@ -10,7 +10,7 @@ import pytest
 
 import exactchain
 from exactchain import EXACT, FLOAT, linalg, parse_scalar, validate_chain, validate_reward
-from exactchain.chain import MAX_DECIMAL_EXPONENT
+from exactchain.chain import MAX_DECIMAL_EXPONENT, _entry_rows, arithmetic
 from exactchain.crowds import FIG3, build_crowds, crowds_report
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
 from exactchain.errors import (
@@ -126,6 +126,34 @@ def test_malformed_strings_are_invalid_entries(mode, text):
     with pytest.raises(NegativeCostError) as err:
         validate_reward(chain, {("a", "a"): text})
     assert len(str(err.value)) < 500
+
+
+def test_entry_rows_read_each_distinct_raw_once():
+    reads = []
+
+    def read(raw):
+        reads.append(raw)
+        return arithmetic(EXACT).read(raw)
+
+    entries = {("a", "a"): F(1, 2), ("a", "b"): F(1, 2), ("b", "a"): "1/2", ("b", "b"): "1/2",
+               ("c", "a"): 0, ("c", "b"): 0, ("c", "c"): 1}
+    rows = _entry_rows({"a": 0, "b": 1, "c": 2}, entries, read, NegativeProbabilityError)
+    assert reads == [F(1, 2), "1/2", 0, 0, 1]  # zeros are dropped, and read again
+    assert [dict(row) for row in rows] == [{0: F(1, 2), 1: F(1, 2)}] * 2 + [{2: F(1)}]
+
+
+@pytest.mark.parametrize("first, raw, error", [
+    (F(1, 2), 0.5, TypeError),  # exact mode rejects a float equal to a Fraction it read
+    (1, True, NegativeProbabilityError),  # a bool is no number, although True == 1
+    (1, [1], NegativeProbabilityError),  # unhashable: read, not looked up
+], ids=["float-after-Fraction", "True-after-1", "unhashable"])
+def test_entry_rows_reject_a_raw_equal_to_one_read_before(first, raw, error):
+    with pytest.raises(error) as err:
+        validate_chain(["a", "b"], {("a", "b"): first, ("b", "a"): raw}, EXACT)
+    with pytest.raises(error) as fresh:
+        validate_chain(["a", "b"], {("b", "a"): raw}, EXACT)
+    assert (type(err.value), str(err.value)) == (type(fresh.value), str(fresh.value))
+    assert err.value.__context__ is None
 
 
 def test_reward_validation():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from exactchain import EXACT, FLOAT, crowds, format_scalar, linalg
 from exactchain.analysis import certify_ae_until, entry_edge_distribution
-from exactchain.errors import InvalidParamsError, NotHonestJondoError
+from exactchain.chain import _triple
+from exactchain.errors import InvalidParamsError, NotHonestJondoError, SingularSystemError
 from exactchain.crowds import (
     FIG3,
     CrowdsParams,
@@ -377,3 +380,50 @@ def test_report_float_mode_forwarding_just_below_one():
     report = crowds_report(make_params(5, 3, 1 - 10**-16), mode=FLOAT)
     hit = report["hit_collaborator"]
     assert abs(float(hit["closed_form"]) - float(hit["solver"])) <= 1e-9
+
+
+# Exact reports hashed before the report's formatting, the Crowds build and
+# the entry reads were memoised; no memo may move a byte. Float reports are
+# left out: their bits may differ between Python and numpy versions.
+GOLDEN_REPORTS = [
+    (make_params(3, 1, F(4, 5), {"J1": F(2, 3), "J2": F(1, 3)}),
+     "314355687e1274ae0db92173746e65a9e0763330e2c885b7a96a4aabd0d8ebd4"),
+    (make_params(8, 2, F(2, 3), {"J1": F(1, 2), "J2": 0, "J3": F(1, 3), "J6": F(1, 6)}),
+     "4fee746435a26eafa526c4cf1976d09e32f66a77a3746cf0524b38c696c4da25"),
+    (make_params(12, 3, F(4, 5), {f"J{i}": F(i, 45) for i in range(1, 10)}),
+     "45dacb8b5ea1c14a9b509d896ce19c8b20b90ae684ba8a815a33ea0b30353f68"),
+]
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN_REPORTS, ids=["J3", "J8", "J12"])
+def test_exact_report_bytes_are_unchanged(params, digest):
+    text = json.dumps(crowds_report(params), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_triples_keep_equal_values_that_print_differently_apart():
+    half = F(1, 2)
+    cells = [("0.0", 0.0, 0.5), ("-0.0", -0.0, 0.5), ("solver 0.0", 0.5, 0.0),
+             ("solver -0.0", 0.5, -0.0), ("int", 1, half), ("float", 1.0, half),
+             ("Fraction", F(1), half), ("float again", 1.0, half)]
+    triples = crowds._triples(cells)
+    assert triples == {name: _triple(closed, solver) for name, closed, solver in cells}
+    assert [triples[n]["closed_form"] for n in ("0.0", "-0.0")] == ["0.0", "-0.0"]
+    assert [triples[n]["solver"] for n in ("solver 0.0", "solver -0.0")] == ["0.0", "-0.0"]
+    assert [triples[n]["difference"] for n in ("int", "float", "Fraction")] == [
+        "1/2", "0.5", "1/2"]
+    assert [triples[n]["closed_form"] for n in ("int", "float", "Fraction")] == [
+        "1.0", "1.0", "1"]
+    # Every cell has its own dict, a repeated pair's too.
+    assert len({id(t) for t in triples.values()}) == len(cells)
+
+
+# Near-one crowds: (J, collaborators) by p_f = 1 - 10**-k.
+# Entry into End is almost sure, but numpy's LU on the expected-visits
+# system, whose condition number grows like 1 / (1 - p_f), returns a law that
+# does not sum to one (or has a negative mass); each is a solver failure.
+@pytest.mark.parametrize("k", [9, 12, 15, 16])
+@pytest.mark.parametrize("jondos, colls", [(12, 9), (20, 4), (60, 12)])
+def test_float_report_near_one_is_a_solver_failure(jondos, colls, k):
+    with pytest.raises(SingularSystemError):
+        crowds_report(make_params(jondos, colls, 1 - F(1, 10**k)), mode=FLOAT)
