@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .chain import ROW_SUM_TOL, MarkovChain, RewardChain, arithmetic_of
+from .chain import MarkovChain, RewardChain, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
 from .errors import _full_str
 
@@ -317,7 +317,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
     inside = seen & _can_reach(chain, outside, t_idx)
     block = sorted(inside)
-    zero, one = chain.zero, chain.one
+    zero, one, tol = chain.zero, chain.one, chain.arith.tol
     exits = {u: {} for u in block}
     for u, out in exits.items():
         for v, p in chain.row_by_index(u).items():
@@ -332,7 +332,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             for k, p in out.items():
                 b_row[col[k]] = p
         x = _solve_block(chain, block, b, keep=inside.intersection(starts))
-        masses = {s: _positive(zip(keys, x[s])) if s in x else {} for s in starts}
+        masses = {s: _positive(zip(keys, x[s]), tol) if s in x else {} for s in starts}
     else:
         b = [[one if u == s else zero for s in starts] for u in block]
         y = _solve_block(chain, block, b, transpose=True,
@@ -341,8 +341,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
         for u, out in exits.items():
             for k, p in out.items():
                 mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-        masses = {s: _positive((k, mass[k][j]) for k in keys) for j, s in enumerate(starts)}
-    tol = chain.arith.tol
+        masses = {s: _positive(((k, mass[k][j]) for k in keys), tol) for j, s in enumerate(starts)}
     if tol and seen - t_idx <= inside:
         # Every state met before entry can still reach the target.
         for s, out in masses.items():
@@ -354,12 +353,12 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     return masses
 
 
-def _positive(masses) -> dict:
+def _positive(masses, tol) -> dict:
     """The ``(outcome, mass)`` pairs of positive mass, as a dict.
 
     The masses solve an M-matrix system with a non-negative right-hand
     side, so none is negative; a float solve that returns one below
-    ``-ROW_SUM_TOL`` has lost its accuracy, and raises
+    ``-tol``, the arithmetic's tolerance, has lost its accuracy, and raises
     :class:`SingularSystemError` rather than drop it. Only masses already
     bound to be dropped are compared, so exact mode pays nothing.
     """
@@ -367,7 +366,7 @@ def _positive(masses) -> dict:
     for k, m in masses:
         if m > 0:
             positive[k] = m
-        elif m < -ROW_SUM_TOL:
+        elif m < -tol:
             raise SingularSystemError(f"the solve returned a negative entry mass {_full_str(m)}")
     return positive
 
@@ -412,13 +411,14 @@ def _residual(masses, one):
     """The mass of never entering: ``one`` less the entry masses, which sum to at most one.
 
     A float sum may pass one by rounding, and that excess reads as 0; an
-    excess over ``ROW_SUM_TOL`` means the solve failed. Exact masses never
-    pass one.
+    excess over the arithmetic's ``tol`` means the solve failed. Exact
+    masses never pass one.
     """
-    never = one - sum(masses, one - one)
-    if never < -ROW_SUM_TOL:
+    arith = arithmetic_of(one)
+    never = one - sum(masses, arith.zero)
+    if never < -arith.tol:
         raise SingularSystemError(f"entry masses sum to {_full_str(one - never)}, over 1")
-    return never if never >= 0 else one - one
+    return never if never >= 0 else arith.zero
 
 
 def conditional_probability(p_joint, p_cond):

@@ -10,6 +10,7 @@ are two spellings of one parameter; a sweep may name only one of them.
 Exit codes::
 
     0  success
+    1  stdout closed before the whole report was written (``| head``)
     2  usage error (bad flags, malformed flag values)
     3  model file I/O failure
     4  parse failure: model or --init file JSON or schema, or a numeric
@@ -505,15 +506,24 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - started
         for entry in reports:
             entry["elapsed_seconds"] = elapsed
-    if args.csv:
-        _print_csv(reports, args.command)
-    elif args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for i, entry in enumerate(reports):
-            if i:
-                print()
-            _print_human(entry)
+    try:
+        if args.csv:
+            _print_csv(reports, args.command)
+        elif args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            for i, entry in enumerate(reports):
+                if i:
+                    print()
+                _print_human(entry)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``). Point it at devnull, so that
+        # the flush at exit cannot fail again, and exit 1 as Python does on
+        # EPIPE: a cut report is no success.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return EXIT_OK
 
 

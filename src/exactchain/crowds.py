@@ -140,20 +140,21 @@ class CrowdsModel:
     def __init__(self, params: CrowdsParams, chain: MarkovChain):
         self.params = params
         self.chain = chain
+        # label -> (role, jondo) for every state; no code parses a label.
+        self._roles = {
+            START: ("start", None),
+            **{init_label(j): ("init", j) for j in params.honest},
+            **{mix_label(j): ("mix", j) for j in params.jondos},
+            END: ("end", None),
+        }
 
     def jondo_of(self, label: str):
-        """Jondo referenced by an ``Init``/``Mix`` state; None otherwise."""
-        for prefix in ("Init ", "Mix "):
-            if label.startswith(prefix):
-                return label[len(prefix):]
-        return None
+        """Jondo of an ``Init``/``Mix`` state; None for any other label."""
+        return self._roles.get(label, (None, None))[1]
 
-    def kind(self, label: str) -> str:
-        if label == START:
-            return "start"
-        if label == END:
-            return "end"
-        return "init" if label.startswith("Init ") else "mix"
+    def kind(self, label: str) -> str | None:
+        """``"start"``, ``"init"``, ``"mix"`` or ``"end"``; None for a label that is no state."""
+        return self._roles.get(label, (None, None))[0]
 
     def collaborator_mix_labels(self) -> set[str]:
         return {mix_label(c) for c in self.params.colls}
@@ -390,13 +391,14 @@ def path_shape_error(model: CrowdsModel, states) -> str | None:
 
     A conforming path is ``Start``, one ``Init`` state of an honest jondo,
     a run of ``Mix`` states, and once ``End`` appears, ``End`` forever
-    (the tail may be cut off by the sampling horizon).
+    (the tail may be cut off by the sampling horizon). A label that is no
+    state of the model breaks the shape.
     """
     if not states or states[0] != START:
         return f"path must begin at {START}, got {states[:1]}"
     if len(states) == 1:
         return None
-    if model.kind(states[1]) != "init" or model.jondo_of(states[1]) in model.params.colls:
+    if model.kind(states[1]) != "init":  # the chain has Init states for honest jondos only
         return f"second state must be an honest Init state, got {states[1]!r}"
     ended = False
     for label in states[2:]:

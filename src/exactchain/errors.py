@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package."""
 
-import sys
+from decimal import Decimal
 
 
 def _full_str(value) -> str:
@@ -8,21 +8,16 @@ def _full_str(value) -> str:
 
     The limit (4,300 digits by default, since CPython 3.10.7) guards the
     parsing of untrusted text, and parsing keeps it. The values formatted
-    here are the program's own results, so a call that hits the limit is
-    retried with it lifted, then restored; ordinary values pay nothing. The
-    limit is process-wide: a thread parsing during the retry is unguarded.
+    here are the program's own results: an int, or a Fraction of ints, that
+    ``str`` refuses has its integers written through ``decimal``, whose C
+    implementation converts an int without the limit. Ordinary values pay
+    nothing, and no process-wide setting changes.
     """
     try:
         return str(value)
     except ValueError:
-        if not hasattr(sys, "set_int_max_str_digits"):
-            raise
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        num, den = (str(Decimal(n)) for n in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def _excerpt(value) -> str:
@@ -95,8 +90,8 @@ class SingularSystemError(ExactchainError):
     exact mode this is an internal error; in float mode a block left with
     probability near 1e-16 can still be singular to working precision. A
     float solve that returns a negative entry mass, or entry masses summing
-    past one, beyond ``ROW_SUM_TOL`` raises it too: such a solve has lost
-    its accuracy.
+    past one, beyond the arithmetic's tolerance (``Arithmetic.tol``) raises
+    it too: such a solve has lost its accuracy.
     """
 
 

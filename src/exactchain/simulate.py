@@ -85,11 +85,15 @@ class SimConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InvalidParamsError(f"samples must be >= 1, got {self.samples}")
-        if not 1 <= self.max_steps <= PATH_STREAM_STRIDE + 1:
-            # A longer path would draw into the next path's stream.
-            raise InvalidParamsError(
-                f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {self.max_steps}"
-            )
+        _check_max_steps(self.max_steps)
+
+
+def _check_max_steps(max_steps: int) -> None:
+    """Reject a horizon with room for no state, or whose path draws from the next path's stream."""
+    if not 1 <= max_steps <= PATH_STREAM_STRIDE + 1:
+        raise InvalidParamsError(
+            f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {max_steps}"
+        )
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,7 @@ def sample_path(
     raises :class:`InvalidParamsError`: the path would draw from the next
     path's stream. So does ``max_steps < 1``, which leaves room for no state.
     """
-    if not 1 <= max_steps <= PATH_STREAM_STRIDE + 1:
-        raise InvalidParamsError(
-            f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {max_steps}"
-        )
+    _check_max_steps(max_steps)
     ptr, succ, cum = chain._cdf_table()
     states = chain.states
     i = chain.index_of(start)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import exactchain
-from exactchain import EXACT, FLOAT, linalg, parse_scalar, validate_chain, validate_reward
+from exactchain import (
+    EXACT, FLOAT, format_scalar, linalg, parse_scalar, validate_chain, validate_reward,
+)
 from exactchain.chain import MAX_DECIMAL_EXPONENT, _entry_rows, arithmetic
 from exactchain.crowds import FIG3, build_crowds, crowds_report
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
@@ -254,6 +256,25 @@ def test_parse_and_format_scalars():
         sys.set_int_max_str_digits(0)
     try:
         assert parse_scalar(text) == value
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_format_past_the_digit_limit_leaves_the_limit_alone(monkeypatch):
+    # Lifting the process-wide limit, even for a moment, would leave a
+    # parse in another thread unguarded.
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda *a: calls.append(a), raising=False)
+    value = F(10**4999 + 7, 3**5000)
+    text = format_scalar(value)
+    assert calls == []
+    monkeypatch.undo()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(value) and parse_scalar(text) == value
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

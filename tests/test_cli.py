@@ -718,3 +718,17 @@ def test_numpy_loads_only_for_float_solves_and_sampling(argv, numpy_loaded):
     code, loaded = json.loads(proc.stdout)
     assert code == (0 if argv else None), proc.stderr
     assert loaded is numpy_loaded
+
+
+def test_closed_stdout_ends_the_run_without_a_traceback():
+    # The report (about 360 kB) outgrows the pipe buffer, so the writer is
+    # still writing when the reader closes the pipe.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["crowds", "--jondos", "60", "--colls", "12", "--pf", "4/5", "--float", "--json"]
+    proc = subprocess.Popen([sys.executable, "-m", "exactchain.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "model'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    # 1, as Python exits on EPIPE: a cut report is no success.
+    assert (proc.returncode, err) == (1, b"")

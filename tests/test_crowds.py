@@ -293,6 +293,20 @@ def test_path_shape_checker():
     assert path_shape_error(model, ("Init J1", "Mix J1")) is not None
 
 
+def test_states_keep_their_roles_and_other_labels_have_none():
+    for params in (FIG3, make_params(8, 2, F(2, 3))):
+        model = build_crowds(params)
+        for label in model.chain.states:
+            role, _, jondo = label.partition(" ")
+            assert (model.kind(label), model.jondo_of(label)) == (role.lower(), jondo or None)
+    model = build_crowds(FIG3)
+    # J9 is no jondo of FIG3, and the collaborator J3 initiates nothing.
+    for label in ("Mix J9", "Init J9", "Init J3", "Mix", "start", ""):
+        assert model.kind(label) is None and model.jondo_of(label) is None
+    assert "'Mix J9'" in path_shape_error(model, ("Start", "Init J1", "Mix J9"))
+    assert "'Init J3'" in path_shape_error(model, ("Start", "Init J3", "Mix J1"))
+
+
 # The report reads its solver values off two joint solves; these crowds
 # compare them with the single-query solves. In the skewed one, honest J2,
 # J4 and J5 never initiate.
