@@ -22,12 +22,19 @@ Exit codes::
 
 The default arithmetic mode is exact; set ``EXACTCHAIN_MODE=float`` or
 pass ``--float`` to switch.
+
+Each command imports the package modules it runs when it runs, and
+building the parser imports none of them: ``validate`` loads no solver,
+``zeroconf`` and ``crowds`` load neither the other case study nor, without
+``--simulate``, the sampler, so a one-shot process compiles little that
+it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import itertools
 import json
 import os
@@ -36,7 +43,6 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import analysis, crowds, modelfile, zeroconf
 from .chain import _ARITHMETIC, EXACT, FLOAT, RewardChain, arithmetic, format_scalar
 from .errors import (
     ExactchainError,
@@ -47,7 +53,6 @@ from .errors import (
     UnknownStateError,
     _excerpt,
 )
-from .simulate import DEFAULT_MAX_STEPS, SimConfig, estimate_cost, estimate_until
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sampling(p, required=False):
         p.add_argument("--seed", type=int, default=0, required=required)
         p.add_argument("--samples", type=_positive_int, default=100_000, required=required)
-        p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
+        p.add_argument("--max-steps", type=_positive_int)  # None: simulate's default
 
     for command, study in _CASE_STUDIES.items():
         p = sub.add_parser(command, help=study.help)
@@ -199,6 +204,8 @@ def _with_chain(model):
 
 
 def cmd_validate(args, argv, mode) -> dict:
+    from . import modelfile
+
     model, chain = _with_chain(modelfile.load_model(args.model, mode))
     return {
         "command": _echo(argv),
@@ -212,6 +219,8 @@ def cmd_validate(args, argv, mode) -> dict:
 
 
 def cmd_solve(args, argv, mode) -> dict:
+    from . import analysis, modelfile
+
     model, chain = _with_chain(modelfile.load_model(args.model, mode))
     phi, psi = _until_sets(args.until, chain)
     chain.index_of(args.start)
@@ -263,21 +272,25 @@ def _zeroconf_flags(p) -> dict:
         p.add_argument("--p", type=_rational_flag, help="probe/response loss probability"),
         q.add_argument("--q", type=_rational_flag, help="address-collision probability"),
         q.add_argument("--hosts", type=_hosts_flag, dest="q", metavar="HOSTS",
-                       help=f"hosts on the network; sets q = hosts/{zeroconf.ADDRESS_POOL}"),
+                       help="hosts on the network; sets q = hosts/pool size"),
         p.add_argument("--r", type=_rational_flag, help="probe round time in seconds"),
         p.add_argument("--E", type=_rational_flag, help="error penalty in seconds"),
     )
 
 
 def _hosts_flag(text: str) -> Fraction:
-    return zeroconf.hosts_to_q(int(text))
+    from .zeroconf import hosts_to_q
+
+    return hosts_to_q(int(text))
 
 
-def _zeroconf_params(args, point: dict, preset) -> zeroconf.ZeroconfParams:
+def _zeroconf_params(args, point: dict, preset):
+    from .zeroconf import ZeroconfParams
+
     base = ({"probes": preset.N, "p": preset.p, "q": preset.q, "r": preset.r, "E": preset.E}
             if preset else {})
     v = _layer("zeroconf", ("probes", "p", "q", "r", "E"), (point, vars(args), base))
-    return zeroconf.ZeroconfParams(v["probes"], v["p"], v["q"], v["r"], v["E"])
+    return ZeroconfParams(v["probes"], v["p"], v["q"], v["r"], v["E"])
 
 
 def _flatten_zeroconf(report: dict) -> dict:
@@ -310,13 +323,24 @@ def _crowds_flags(p) -> dict:
     return axes
 
 
-def _crowds_params(args, point: dict, preset) -> crowds.CrowdsParams:
+def _crowds_params(args, point: dict, preset):
+    from .crowds import make_params
+
     base = {"jondos": preset.J, "colls": len(preset.colls), "pf": preset.p_f} if preset else {}
     v = _layer("crowds", ("jondos", "colls", "pf"), (point, vars(args), base))
-    init = modelfile._read_json(args.init) if args.init else None
-    if init is not None and not isinstance(init, dict):
-        raise ModelParseError(f"init file {args.init} must hold an object")
-    return crowds.make_params(v["jondos"], v["colls"], v["pf"], init)
+    return make_params(v["jondos"], v["colls"], v["pf"], _init_masses(args))
+
+
+def _init_masses(args) -> dict | None:
+    """The ``--init`` file's object: read at the first sweep point, kept for the rest."""
+    if args.init and "init_masses" not in vars(args):
+        from .modelfile import _read_json
+
+        init = _read_json(args.init)
+        if not isinstance(init, dict):
+            raise ModelParseError(f"init file {args.init} must hold an object")
+        args.init_masses = init
+    return getattr(args, "init_masses", None)
 
 
 def _flatten_crowds(report: dict) -> dict:
@@ -343,53 +367,77 @@ def _flatten_crowds(report: dict) -> dict:
 
 
 class _CaseStudy(NamedTuple):
-    """Everything the CLI knows of one case study: its subcommand's row."""
+    """Everything the CLI knows of one case study: its subcommand's row.
+
+    The row names its module's presets, report and builder instead of
+    holding them, so that building the parser imports no case study.
+    """
 
     help: str
-    presets: dict  # preset name -> parameter record
+    module: str  # the case study's module in this package
+    presets: dict  # preset name -> the module attribute holding its parameter record
     preset_help: str
     add_flags: Callable  # (parser) -> {sweep axis: the action of the flag it replaces}
     params: Callable  # (args, sweep point, preset or None) -> parameter record
-    report: Callable  # (params, mode, sim) -> report
-    model: Callable  # (preset, mode) -> the model that simulate samples
+    report: str  # module function: (params, mode, sim) -> report
+    model: str  # module function: (preset, mode) -> the model that simulate samples
     flatten: Callable  # report -> its CSV row
+
+    def member(self, name: str):
+        return getattr(importlib.import_module(f".{self.module}", __package__), name)
+
+    def preset(self, name):
+        """The named preset's parameter record, or None when ``name`` names none."""
+        return self.member(self.presets[name]) if name in self.presets else None
 
 
 _CASE_STUDIES = {
     "zeroconf": _CaseStudy(
-        "ZeroConf address-allocation case study", {"paper-typical": zeroconf.PAPER_TYPICAL},
+        "ZeroConf address-allocation case study", "zeroconf", {"paper-typical": "PAPER_TYPICAL"},
         "start from the bundled typical parameters", _zeroconf_flags, _zeroconf_params,
-        zeroconf.zeroconf_report, zeroconf.build_zeroconf, _flatten_zeroconf,
+        "zeroconf_report", "build_zeroconf", _flatten_zeroconf,
     ),
     "crowds": _CaseStudy(
-        "Crowds anonymity case study", {"fig3": crowds.FIG3},
+        "Crowds anonymity case study", "crowds", {"fig3": "FIG3"},
         "3 jondos, 1 collaborator, p_f=1/2", _crowds_flags, _crowds_params,
-        crowds.crowds_report, crowds.build_crowds, _flatten_crowds,
+        "crowds_report", "build_crowds", _flatten_crowds,
     ),
 }
 
 
+def _sim_config(args):
+    from .simulate import DEFAULT_MAX_STEPS, SimConfig
+
+    return SimConfig(args.seed, args.samples, args.max_steps or DEFAULT_MAX_STEPS)
+
+
 def _cmd_case_study(args, argv, mode) -> dict | list:
     study = _CASE_STUDIES[args.command]
-    preset = study.presets.get(args.preset)
-    sim = SimConfig(args.seed, args.samples, args.max_steps) if args.simulate else None
+    preset = study.preset(args.preset)
+    sim = _sim_config(args) if args.simulate else None
+    make_report = study.member(study.report)
     if args.sweep:
         grid = _parse_sweep(args.sweep, args.sweep_axes)
-        return [study.report(study.params(args, point, preset), mode, sim) for point in grid]
-    report = study.report(study.params(args, {}, preset), mode, sim)
+        return [make_report(study.params(args, point, preset), mode, sim) for point in grid]
+    report = make_report(study.params(args, {}, preset), mode, sim)
     report["command"] = _echo(argv)
     return report
 
 
 def cmd_simulate(args, argv, mode) -> dict:
+    from .simulate import estimate_cost, estimate_until
+
     command, _, name = args.model.partition(":")
-    preset = _CASE_STUDIES[command].presets.get(name) if command in _CASE_STUDIES else None
+    study = _CASE_STUDIES.get(command)
+    preset = study.preset(name) if study else None
     if preset is None:
+        from . import modelfile
+
         model, chain = _with_chain(modelfile.load_model(args.model, mode))
     else:
-        model, chain = _with_chain(_CASE_STUDIES[command].model(preset, mode))
+        model, chain = _with_chain(study.member(study.model)(preset, mode))
     chain.index_of(args.start)
-    cfg = SimConfig(args.seed, args.samples, args.max_steps)
+    cfg = _sim_config(args)
 
     kind, _, spec = args.event.partition(":")
     if kind == "until":

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from . import analysis, info
 from .chain import (
@@ -33,7 +34,9 @@ from .chain import (
     format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
-from .simulate import SimConfig, estimate_joint_first_last
+
+if TYPE_CHECKING:  # sampling is imported only when a report asks for it
+    from .simulate import SimConfig
 
 START = "Start"
 END = "End"
@@ -481,6 +484,8 @@ def crowds_report(
     }
 
     if sim is not None:
+        from .simulate import estimate_joint_first_last
+
         counts = estimate_joint_first_last(model, sim)
         cells = {}
         for i in params.honest:

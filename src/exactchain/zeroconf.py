@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import analysis
 from .chain import (
@@ -23,7 +24,9 @@ from .chain import (
     validate_reward,
 )
 from .errors import InvalidParamsError, _full_str
-from .simulate import SimConfig, estimate_cost, estimate_until
+
+if TYPE_CHECKING:  # sampling is imported only when a report asks for it
+    from .simulate import SimConfig
 
 START = "Start"
 OK = "Ok"
@@ -204,6 +207,8 @@ def zeroconf_report(
     }
 
     if sim is not None:
+        from .simulate import estimate_cost, estimate_until
+
         est_err = estimate_until(chain, states, {ERROR}, START, sim)
         est_cost = estimate_cost(rchain, goal, START, sim)
         report["simulation"] = {

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import cli, linalg
+from _support import recording
+import exactchain
+from exactchain import cli, linalg, modelfile
 from exactchain.errors import SingularSystemError
 from exactchain.modelfile import save_model
 from exactchain.zeroconf import ZeroconfParams, build_zeroconf
@@ -486,6 +489,19 @@ def test_crowds_init_file(capsys, tmp_path):
     assert report["independence_first_last_jondo"] is True
 
 
+def test_crowds_init_file_is_read_once_per_run(capsys, tmp_path):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"J1": "2/3", "J2": "1/3"}))
+    argv = ["crowds", "--preset", "fig3", "--init", str(init), "--csv"]
+    with recording(modelfile, "_read_json") as calls:
+        code, swept, err = run(capsys, *argv, "--sweep", "pf=1/2,3/4")
+    assert (code, err, len(calls)) == (0, "", 1)
+    # Each sweep row is the row of a one-point run at that p_f.
+    header, *rows = swept.splitlines()
+    for pf, row in zip(("1/2", "3/4"), rows, strict=True):
+        assert run(capsys, *argv, "--pf", pf)[1].splitlines() == [header, row]
+
+
 def test_crowds_sweep(capsys):
     reports = run_json(capsys, "crowds", "--jondos", "4", "--colls", "1",
                        "--sweep", "pf=1/4,1/2,3/4")
@@ -683,7 +699,8 @@ def test_readme_command_examples(capsys, monkeypatch, argv):
 MODEL = str(ROOT / "bench" / "models" / "zeroconf_small.json")
 
 # Runs ``cli.main`` on its arguments (if any) with stdout discarded, then
-# prints the exit code and whether numpy got imported.
+# prints the exit code, whether numpy got imported, and the package modules
+# that did.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import exactchain, exactchain.cli
@@ -691,33 +708,68 @@ code = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = exactchain.cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("exactchain."))]))
 """
 
+# Package modules each kind of run must not load, by short name.
+_NO_SOLVER = "analysis linalg simulate crowds zeroconf info"
+_NO_SAMPLER = "simulate crowds zeroconf info"
 
-@pytest.mark.parametrize("argv, numpy_loaded", [
-    ([], False),
-    (["zeroconf", "--preset", "paper-typical"], False),
+
+@pytest.mark.parametrize("argv, numpy_loaded, not_loaded", [
+    ([], False, "modelfile " + _NO_SOLVER),
+    (["zeroconf", "--preset", "paper-typical"], False, "crowds modelfile simulate info"),
     (["zeroconf", "--preset", "paper-typical",
-      "--sweep", "p=1/100,1/10;probes=1,2,3", "--csv"], False),
-    (["crowds", "--preset", "fig3"], False),
-    (["validate", MODEL], False),
-    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--cost"], False),
-    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--float"], True),
+      "--sweep", "p=1/100,1/10;probes=1,2,3", "--csv"], False, "crowds modelfile simulate info"),
+    (["crowds", "--preset", "fig3"], False, "zeroconf modelfile simulate"),
+    (["validate", MODEL], False, _NO_SOLVER),
+    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--cost"], False, _NO_SAMPLER),
+    (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--float"], True, _NO_SAMPLER),
     (["simulate", MODEL, "--event", "until:ALL=>Error", "--start", "Start",
-      "--seed", "7", "--samples", "100"], True),
+      "--seed", "7", "--samples", "100"], True, "crowds zeroconf info"),
+    (["zeroconf", "--preset", "paper-typical", "--simulate", "--samples", "100"], True,
+     "crowds modelfile info"),
+    (["crowds", "--preset", "fig3", "--simulate", "--samples", "100"], True,
+     "zeroconf modelfile"),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], False, "zeroconf simulate"),
+    (["simulate", "zeroconf:paper-typical", "--event", "until:ALL=>Error",
+      "--seed", "7", "--samples", "100"], True, "crowds modelfile info"),
 ], ids=["import", "zeroconf", "zeroconf-sweep-csv", "crowds", "validate", "solve",
-        "solve-float", "simulate"])
-def test_numpy_loads_only_for_float_solves_and_sampling(argv, numpy_loaded):
-    # A fresh interpreter: this one has numpy loaded already.
+        "solve-float", "simulate", "zeroconf-simulate", "crowds-simulate", "crowds-init",
+        "simulate-preset"])
+def test_numpy_loads_only_for_float_solves_and_sampling(tmp_path, argv, numpy_loaded, not_loaded):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"J1": "2/3", "J2": "1/3"}))
+    argv = [str(init) if arg == "FILE" else arg for arg in argv]
+    # A fresh interpreter: this one has numpy and every package module loaded already.
     env = {k: v for k, v in os.environ.items() if k != cli.ENV_MODE}
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, modules = json.loads(proc.stdout)
     assert code == (0 if argv else None), proc.stderr
     assert loaded is numpy_loaded
+    assert sorted({f"exactchain.{name}" for name in not_loaded.split()} & set(modules)) == []
+
+
+def test_package_loads_each_name_from_its_home_module_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import json, sys, exactchain; "
+             "print(json.dumps([m for m in sys.modules if m.startswith('exactchain.')]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+    for name in exactchain.__all__:
+        home = importlib.import_module(f"exactchain.{exactchain._HOME[name]}")
+        assert getattr(exactchain, name) is getattr(home, name), name
+    star = {}
+    exec("from exactchain import *", star)
+    assert set(exactchain.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(exactchain, "no_such_name")
 
 
 def test_closed_stdout_ends_the_run_without_a_traceback():
