@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linalg
 from .chain import MarkovChain, RewardChain, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
 from .errors import _full_str
@@ -126,6 +125,8 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
     """
     if not block:
         return {}
+    from . import linalg  # here, so that a sampling run loads no elimination kernel
+
     pos = {u: r for r, u in enumerate(block)}
     diagonal = chain.arith.diagonal
     rows = [{} for _ in block]

@@ -12,7 +12,9 @@ Each mode name stands for one :class:`Arithmetic` record, and the records
 are the one place that tells the modes apart: :func:`arithmetic` looks up
 a mode name, :func:`arithmetic_of` the arithmetic of values that carry no
 mode (case-study parameters, joints). The rest of the package asks a record
-for its zero, one, fractions, reader, tolerance and pivot rule.
+for its zero, one, fractions, reader, tolerance and pivot rule. The reader,
+``read``, turns any input number into the mode's arithmetic, or ``None`` if
+it is unusable; a number already in it passes through as it is.
 
 State labels are the canonical external identity; integer indices are an
 internal detail of the sparse representation.
@@ -161,7 +163,9 @@ def _coerce(exact: bool, value):
     exponent check raises ``LiteralRangeError``. Unusable are bools and
     other non-numbers, malformed text, a zero denominator, NaN and, in
     float mode, a value past the float range. Exact mode rejects floats
-    with ``TypeError``.
+    with ``TypeError``. A value already in the arithmetic (a ``Fraction``
+    in exact mode, a finite ``float`` in float mode) is returned as the same
+    object, not copied.
     """
     if exact and isinstance(value, float):
         # Silent float->Fraction conversion would smuggle binary rounding
@@ -170,6 +174,8 @@ def _coerce(exact: bool, value):
             f"exact mode rejects float {value!r}; pass a Fraction, an int, "
             f"or a string literal like '1/100'"
         )
+    if type(value) is (Fraction if exact else float):
+        return value if exact or math.isfinite(value) else None
     if isinstance(value, bool):
         return None
     try:
@@ -224,35 +230,21 @@ def arithmetic_of(value) -> Arithmetic:
 def _entry_rows(index, entries: Mapping, read, invalid) -> tuple:
     """Read a sparse ``(from, to) -> value`` map into read-only rows of nonzeros.
 
-    Each value goes through ``read``, an :class:`Arithmetic` record's; an
-    unusable or negative one raises ``invalid(frm, to, value)``, and zeros
-    are dropped. A map repeats few distinct values (a Crowds chain has
-    thousands of entries and three values), so each positive value read is
-    kept under ``(type(raw), raw)``: the type keeps apart raws that compare
-    equal but read differently (``True`` and ``1``, or in exact mode ``0.5``
-    and ``Fraction(1, 2)``), and an unhashable raw is read every time.
+    Each value goes through ``read``, an :class:`Arithmetic` record's, once
+    and in order; an unusable or negative one raises
+    ``invalid(frm, to, value)``, and zeros are dropped.
     """
     rows = [{} for _ in index]
-    usable = {}
     for (frm, to), raw in entries.items():
         if frm not in index:
             raise UnknownStateError(frm)
         if to not in index:
             raise UnknownStateError(to)
-        key = (type(raw), raw)
-        try:
-            value = usable.get(key)
-        except TypeError:  # an unhashable raw
-            key = value = None
-        if value is None:
-            value = read(raw)
-            if value is None or value < 0:
-                raise invalid(frm, to, raw)
-            if not value:
-                continue
-            if key is not None:
-                usable[key] = value
-        rows[index[frm]][index[to]] = value
+        value = read(raw)
+        if value is None or value < 0:
+            raise invalid(frm, to, raw)
+        if value:
+            rows[index[frm]][index[to]] = value
     # Read-only row views: chains are shared freely across analyses.
     return tuple(map(MappingProxyType, rows))
 

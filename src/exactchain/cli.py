@@ -40,6 +40,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -64,8 +65,15 @@ EXIT_SOLVER = 7
 
 ENV_MODE = "EXACTCHAIN_MODE"
 
+def _int_flag(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_excerpt(text)}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -281,7 +289,7 @@ def _zeroconf_flags(p) -> dict:
 def _hosts_flag(text: str) -> Fraction:
     from .zeroconf import hosts_to_q
 
-    return hosts_to_q(int(text))
+    return hosts_to_q(_int_flag(text))
 
 
 def _zeroconf_params(args, point: dict, preset):
@@ -461,19 +469,8 @@ def cmd_simulate(args, argv, mode) -> dict:
         "model": args.model,
         "start": args.start,
         "event": args.event,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "max_steps": cfg.max_steps,
-        "results": [
-            {
-                "name": name,
-                "provenance": "simulation",
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "samples_used": est.samples_used,
-                "censored": est.censored,
-            }
-        ],
+        **asdict(cfg),
+        "results": [{"name": name, "provenance": "simulation", **asdict(est)}],
     }
 
 

@@ -22,7 +22,7 @@ solve one query, as independent references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
@@ -497,9 +497,7 @@ def crowds_report(
                     "exact": float(joint_closed[(i, l)]),
                 }
         report["simulation"] = {
-            "seed": sim.seed,
-            "samples": sim.samples,
-            "max_steps": sim.max_steps,
+            **asdict(sim),
             "collaborator_hits": counts.hits,
             "censored": counts.censored,
             "hit_fraction": counts.hits / (sim.samples - counts.censored)

@@ -103,19 +103,25 @@ def _decode(text: str):
     ``_read_literal`` and an integer an ``int``, in both modes; validation
     converts them to the chain's arithmetic as it converts strings. An
     integer longer than CPython's limit on string-to-integer digits is an
-    error too, whose ``ValueError`` ``json`` passes through undecorated.
+    error too, whose ``ValueError`` ``json`` passes through undecorated, and
+    so is nesting deeper than the recursion limit lets ``json`` descend.
     """
     try:
         return json.loads(text, parse_float=_read_literal, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ModelParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelParseError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _read_json(path):
+    """Decode a model or ``--init`` file, read as UTF-8 whatever the locale (RFC 8259)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"invalid JSON: {path} is not UTF-8: {exc}") from exc
     return _decode(text)
 
 

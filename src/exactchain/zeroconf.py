@@ -14,7 +14,7 @@ both cross-checkable against the generic exact solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -212,9 +212,7 @@ def zeroconf_report(
         est_err = estimate_until(chain, states, {ERROR}, START, sim)
         est_cost = estimate_cost(rchain, goal, START, sim)
         report["simulation"] = {
-            "seed": sim.seed,
-            "samples": sim.samples,
-            "max_steps": sim.max_steps,
+            **asdict(sim),
             "p_err_start": {
                 "provenance": "simulation",
                 "mean": est_err.mean,

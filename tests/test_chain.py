@@ -130,7 +130,7 @@ def test_malformed_strings_are_invalid_entries(mode, text):
     assert len(str(err.value)) < 500
 
 
-def test_entry_rows_read_each_distinct_raw_once():
+def test_entry_rows_read_each_entry_once_through_the_reader():
     reads = []
 
     def read(raw):
@@ -140,8 +140,20 @@ def test_entry_rows_read_each_distinct_raw_once():
     entries = {("a", "a"): F(1, 2), ("a", "b"): F(1, 2), ("b", "a"): "1/2", ("b", "b"): "1/2",
                ("c", "a"): 0, ("c", "b"): 0, ("c", "c"): 1}
     rows = _entry_rows({"a": 0, "b": 1, "c": 2}, entries, read, NegativeProbabilityError)
-    assert reads == [F(1, 2), "1/2", 0, 0, 1]  # zeros are dropped, and read again
+    assert reads == list(entries.values())  # every entry, in order; zeros are dropped
     assert [dict(row) for row in rows] == [{0: F(1, 2), 1: F(1, 2)}] * 2 + [{2: F(1)}]
+
+    # A value already in the arithmetic is passed through as the same object.
+    half, quarter = F(1, 2), 0.25
+    assert arithmetic(EXACT).read(half) is half
+    assert arithmetic(FLOAT).read(quarter) is quarter
+    with pytest.raises(TypeError):
+        arithmetic(EXACT).read(0.5)
+    for mode in (EXACT, FLOAT):
+        assert arithmetic(mode).read(True) is None
+    assert arithmetic(FLOAT).read(math.nan) is None
+    assert arithmetic(FLOAT).read(math.inf) is None
+    assert arithmetic(FLOAT).read(-math.inf) is None
 
 
 @pytest.mark.parametrize("first, raw, error", [

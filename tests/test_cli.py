@@ -289,6 +289,26 @@ def test_non_finite_and_overflowing_numbers(capsys, tmp_path, argv, text, code):
     assert err.startswith("error: ")
 
 
+UTF16_MODEL = b"\xff\xfe" + (LOOP_MODEL % 1).encode("utf-16-le")
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["validate", "FILE"], UTF16_MODEL),
+    (["validate", "FILE"], NESTED),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], UTF16_MODEL),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], NESTED),
+    # Read as UTF-8, a byte order mark is still no JSON.
+    (["validate", "FILE"], b"\xef\xbb\xbf" + (LOOP_MODEL % 1).encode()),
+], ids=["utf16", "nested", "init-utf16", "init-nested", "utf8-bom"])
+def test_undecodable_and_deeply_nested_files_are_parse_errors(capsys, tmp_path, argv, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: parse error: invalid JSON: ") and err.count("\n") == 1
+
+
 MALFORMED = "1/" + "7" * 50 + "x" * 100_000
 
 
@@ -330,6 +350,21 @@ def test_malformed_literals_of_40_characters_are_shown_whole(capsys, literal):
     code, out, err = run_to_exit(capsys, "crowds", "--preset", "fig3", "--pf", literal)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.rstrip().endswith(f"cannot parse number {literal!r}")
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--simulate", "--samples", "x"], cli.EXIT_USAGE,
+     "argument --samples: expected an integer, got 'x'"),
+    (["--simulate", "--max-steps", "x"], cli.EXIT_USAGE,
+     "argument --max-steps: expected an integer, got 'x'"),
+    (["--hosts", "abc"], cli.EXIT_USAGE, "argument --hosts: expected an integer, got 'abc'"),
+    (["--sweep", "hosts=abc"], cli.EXIT_MODEL, "cannot parse sweep hosts='abc'"),
+], ids=["samples", "max-steps", "hosts", "sweep-hosts"])
+def test_malformed_integer_flags_name_no_private_helper(capsys, flags, code, message):
+    got, out, err = run_to_exit(capsys, "zeroconf", "--preset", "paper-typical", *flags)
+    assert (got, out) == (code, "")
+    assert err.rstrip().endswith(message)
+    assert "_" not in err.splitlines()[-1]
 
 
 # Model-file values, as JSON text: near-one pairs, float extremes, negatives,
@@ -727,17 +762,19 @@ _NO_SAMPLER = "simulate crowds zeroconf info"
     (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--cost"], False, _NO_SAMPLER),
     (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--float"], True, _NO_SAMPLER),
     (["simulate", MODEL, "--event", "until:ALL=>Error", "--start", "Start",
-      "--seed", "7", "--samples", "100"], True, "crowds zeroconf info"),
+      "--seed", "7", "--samples", "100"], True, "linalg crowds zeroconf info"),
     (["zeroconf", "--preset", "paper-typical", "--simulate", "--samples", "100"], True,
      "crowds modelfile info"),
     (["crowds", "--preset", "fig3", "--simulate", "--samples", "100"], True,
      "zeroconf modelfile"),
     (["crowds", "--preset", "fig3", "--init", "FILE"], False, "zeroconf simulate"),
     (["simulate", "zeroconf:paper-typical", "--event", "until:ALL=>Error",
-      "--seed", "7", "--samples", "100"], True, "crowds modelfile info"),
+      "--seed", "7", "--samples", "100"], True, "linalg crowds modelfile info"),
+    (["simulate", "crowds:fig3", "--event", "until:ALL=>End", "--seed", "1", "--samples", "100"],
+     True, "linalg zeroconf modelfile"),
 ], ids=["import", "zeroconf", "zeroconf-sweep-csv", "crowds", "validate", "solve",
         "solve-float", "simulate", "zeroconf-simulate", "crowds-simulate", "crowds-init",
-        "simulate-preset"])
+        "simulate-preset", "simulate-crowds"])
 def test_numpy_loads_only_for_float_solves_and_sampling(tmp_path, argv, numpy_loaded, not_loaded):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"J1": "2/3", "J2": "1/3"}))
