@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .chain import MarkovChain, RewardChain, arithmetic_of
+from .chain import MarkovChain, RewardChain, _over_lcm, _total, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
 from .errors import _full_str
 
@@ -306,6 +307,9 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       ``(I - Q)^T y_s = e_s`` with one column per start; outcome ``k``
       from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``, so only the
       rows of states with an edge into the target are back-substituted.
+      Exact sums run in integers (:func:`_visit_masses`): the exits over
+      their lcm, each start's visits over one lcm per start column, and
+      each mass is reduced once.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order (:func:`_positive`). Where the forward search
@@ -324,7 +328,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
         for v, p in chain.row_by_index(u).items():
             if v in t_idx:
                 k = key(u, v)
-                out[k] = out.get(k, zero) + p
+                out[k] = out[k] + p if k in out else p
     keys = sorted({k for out in exits.values() for k in out})
     if len(keys) <= len(starts):
         col = {k: c for c, k in enumerate(keys)}
@@ -338,11 +342,16 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
         b = [[one if u == s else zero for s in starts] for u in block]
         y = _solve_block(chain, block, b, transpose=True,
                          keep={u for u, out in exits.items() if out})
-        mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
-        for u, out in exits.items():
-            for k, p in out.items():
-                mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-        masses = {s: _positive(((k, mass[k][j]) for k in keys), tol) for j, s in enumerate(starts)}
+        if tol:
+            mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
+            for u, out in exits.items():
+                for k, p in out.items():
+                    mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
+            masses = {s: _positive(((k, mass[k][j]) for k in keys), tol)
+                      for j, s in enumerate(starts)}
+        else:
+            columns = _visit_masses(exits, y, keys, len(starts))
+            masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
     if tol and seen - t_idx <= inside:
         # Every state met before entry can still reach the target.
         for s, out in masses.items():
@@ -352,6 +361,27 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
                     f"entry masses sum to {_full_str(total)}, not 1, where entry is almost sure"
                 )
     return masses
+
+
+def _visit_masses(exits, y, keys, n) -> list:
+    """Exact ``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts: ``[(k, mass), ...]`` per start.
+
+    The exits go over one denominator and each start's visit column over
+    another, so each mass is an integer sum, reduced once.
+    """
+    edges = [(u, k) for u, out in exits.items() for k in out]
+    e_nums, e_den = _over_lcm([p for out in exits.values() for p in out.values()])
+    visited = list(y)
+    columns = []
+    for j in range(n):
+        y_nums, y_den = _over_lcm([y[u][j] for u in visited])
+        y_num = dict(zip(visited, y_nums))
+        acc = dict.fromkeys(keys, 0)
+        for (u, k), e in zip(edges, e_nums):
+            acc[k] += y_num[u] * e
+        den = y_den * e_den
+        columns.append([(k, Fraction(a, den)) for k, a in acc.items() if a])
+    return columns
 
 
 def _positive(masses, tol) -> dict:
@@ -416,7 +446,7 @@ def _residual(masses, one):
     masses never pass one.
     """
     arith = arithmetic_of(one)
-    never = one - sum(masses, arith.zero)
+    never = one - _total(masses, arith)
     if never < -arith.tol:
         raise SingularSystemError(f"entry masses sum to {_full_str(one - never)}, over 1")
     return never if never >= 0 else arith.zero

@@ -60,15 +60,10 @@ MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
-def _read_literal(text: str) -> Fraction:
-    """``Fraction(text)`` for a numeric literal, once its decimal exponent is checked.
+def _check_exponent(text: str) -> None:
+    """Raise :class:`LiteralRangeError` for a decimal exponent beyond ``MAX_DECIMAL_EXPONENT``.
 
-    Every numeric literal the package reads from text comes through here:
-    model and ``--init`` file values (JSON numbers and strings), numeric
-    CLI flags and parameter strings. Raises :class:`LiteralRangeError` for
-    an exponent beyond ``MAX_DECIMAL_EXPONENT``, before any digit is
-    expanded, and lets ``Fraction``'s own ``ValueError`` or
-    ``ZeroDivisionError`` through for malformed text.
+    Only the exponent's digits are looked at, so no digit is expanded.
     """
     match = _EXPONENT.search(text)
     if match:
@@ -79,6 +74,20 @@ def _read_literal(text: str) -> Fraction:
                 f"number {_excerpt(text)}: decimal exponent out of range"
                 f" (over {bound} in magnitude)"
             )
+
+
+def _read_literal(text: str) -> Fraction:
+    """``Fraction(text)`` for a numeric literal, once its decimal exponent is checked.
+
+    Every numeric literal the package reads from text comes through here:
+    model and ``--init`` file values (strings, and JSON numbers through
+    ``modelfile._read_json_number``), numeric CLI flags and parameter
+    strings. Raises :class:`LiteralRangeError` for an exponent beyond
+    ``MAX_DECIMAL_EXPONENT``, before any digit is expanded, and lets
+    ``Fraction``'s own ``ValueError`` or ``ZeroDivisionError`` through for
+    malformed text.
+    """
+    _check_exponent(text)
     return Fraction(text)
 
 
@@ -142,6 +151,30 @@ def _with_mode(params, mode):
 def _sums_to_one(total) -> bool:
     """Exactly 1 for a rational sum (no float term), within ``ROW_SUM_TOL`` for a float one."""
     return total == 1 or abs(total - 1) <= arithmetic_of(total).tol
+
+
+def _over_lcm(values) -> tuple[list, int]:
+    """Exact ``values`` (Fractions or ints) as integer numerators over their lcm: ``(nums, den)``.
+
+    Exact report work adds and compares these integers and reduces once at
+    the end, ``Fraction(sum(nums), den)``, with one gcd; a ``Fraction`` sum
+    takes one per term.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _total(values, arith):
+    """The sum of ``values`` in ``arith``: floats added in order, exact values reduced once.
+
+    Exact values are added as integer numerators over their lcm
+    (:func:`_over_lcm`), and the sum is reduced with one gcd.
+    """
+    if arith.tol:
+        return sum(values)
+    nums, den = _over_lcm(values)
+    return Fraction(sum(nums), den)
 
 
 def _triple(closed, solver):
@@ -402,7 +435,9 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
 
     ``trans`` maps ``(from_label, to_label)`` to a probability; absent pairs
     mean zero. Exact zero entries are dropped. Validation checks and never
-    repairs: a bad row raises rather than being renormalized.
+    repairs: a bad row raises rather than being renormalized. An exact row
+    is added as integer numerators over its lcm and reduced once
+    (:func:`_total`); a float row is added in order.
 
     Raises
     ------
@@ -419,7 +454,7 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
         raise ValueError(f"duplicate state labels: {dupes}")
     rows = _entry_rows(index, trans, arith.read, NegativeProbabilityError)
     for s, row in zip(states, rows):
-        total = sum(row.values())
+        total = _total(row.values(), arith)
         if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
     return MarkovChain(states, index, rows, arith)

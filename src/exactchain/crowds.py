@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _sums_to_one, _triple, _with_mode, arithmetic_of,
-    format_scalar, validate_chain,
+    EXACT, MarkovChain, _coerce_param, _over_lcm, _sums_to_one, _total, _triple, _with_mode,
+    arithmetic_of, format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
 
@@ -303,7 +303,10 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     run over ``honest x lasts``. One solve covers every initiator with
     positive weight: one right-hand-side column per jondo left when those
     are no more than the initiators, else one per initiator
-    (:func:`analysis._entry_masses`).
+    (:func:`analysis._entry_masses`). Each cell holds one product, or the
+    zero of the chain's arithmetic; no cell is a sum. The callers that
+    total the cells, :func:`_conditioned` and ``info``'s marginals, add
+    exact cells as integers over one denominator.
     """
     params = model.params
     chain = model.chain
@@ -316,9 +319,23 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     )
     joint = {(i, l): chain.zero for i in params.honest for l in lasts}
     for s, i in starts.items():
-        for l, m in masses[s].items():
-            joint[(i, l)] += params.init[i] * m
+        for l, m in masses[s].items():  # one mass per (initiator, jondo) cell
+            joint[(i, l)] = params.init[i] * m
     return joint
+
+
+def _conditioned(joint: dict, arith) -> tuple:
+    """``(total, {cell: mass / total})``: a joint's total and its conditional joint.
+
+    Exact masses go over one denominator, so each share is the ratio of two
+    integers, reduced once.
+    """
+    if arith.tol:
+        total = sum(joint.values(), arith.zero)
+        return total, {pair: v / total for pair, v in joint.items()}
+    nums, den = _over_lcm(joint.values())
+    total = sum(nums)
+    return Fraction(total, den), {pair: Fraction(n, total) for pair, n in zip(joint, nums)}
 
 
 def solver_joint_first_last(model: CrowdsModel) -> dict:
@@ -331,8 +348,7 @@ def solver_joint_first_last(model: CrowdsModel) -> dict:
     numerator = _initiator_joint(
         model, model.collaborator_mix_labels(), model.params.honest
     )
-    hit = sum(numerator.values(), model.chain.zero)  # > 0: some jondo is a collaborator
-    return {pair: v / hit for pair, v in numerator.items()}
+    return _conditioned(numerator, model.chain.arith)[1]  # hit > 0: some jondo is a collaborator
 
 
 def first_last_jondo_joint(model: CrowdsModel) -> dict:
@@ -348,22 +364,13 @@ def first_last_jondo_joint(model: CrowdsModel) -> dict:
 def is_product_joint(joint: dict) -> bool:
     """Check that a joint equals the product of its marginals.
 
-    Exact comparison on rational masses; float masses compare with a 1e-12
-    absolute tolerance, a thousandth of the row-sum tolerance. The marginals
-    are summed here; :func:`crowds_report`, which reads them too, sums them
-    once and calls the private check behind this one.
+    Exact comparison on rational masses, in integers over one denominator;
+    float masses compare with a 1e-12 absolute tolerance, a thousandth of
+    the row-sum tolerance. The marginals are summed here;
+    :func:`crowds_report`, which reads them too, sums them once and calls
+    the check in ``info`` behind this one.
     """
-    return _is_product(joint, *info._marginals(joint))
-
-
-def _is_product(joint: dict, px: dict, py: dict) -> bool:
-    """:func:`is_product_joint` on marginals ``px`` and ``py`` already summed."""
-    total = sum(joint.values())
-    tol = arithmetic_of(total).tol / 1000
-    return all(
-        v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= tol
-        for (x, y), v in joint.items()
-    )
+    return info._is_product(joint, *info._marginals(joint))
 
 
 def _triples(cells) -> dict:
@@ -431,13 +438,11 @@ def crowds_report(
 
     hit_closed = prob_hit_colls(params)
     hit_joint = _initiator_joint(model, model.collaborator_mix_labels(), params.honest)
-    hit_solver = sum(hit_joint.values(), chain.zero)  # > 0: some jondo is a collaborator
+    # hit_solver > 0: some jondo is a collaborator
+    hit_solver, joint_solver = _conditioned(hit_joint, chain.arith)
     joint_closed = conditional_joint(params)
-    joint_solver = {pair: v / hit_solver for pair, v in hit_joint.items()}
     diag_closed = prob_first_eq_last(params)
-    diag_solver = sum(
-        (joint_solver[(i, i)] for i in params.honest), chain.zero
-    )
+    diag_solver = _total([joint_solver[(i, i)] for i in params.honest], chain.arith)
     contact_joint = first_last_jondo_joint(model)
     initiator_mass, last_mass = info._marginals(contact_joint)
     uniform = _frac(1, params.J, params)
@@ -477,7 +482,9 @@ def crowds_report(
                 max((abs(m - uniform) for m in last_mass.values()), default=0)
             ),
         },
-        "independence_first_last_jondo": _is_product(contact_joint, initiator_mass, last_mass),
+        "independence_first_last_jondo": info._is_product(
+            contact_joint, initiator_mass, last_mass
+        ),
         "ae_route_terminates": analysis.certify_ae_until(
             chain, chain.states, {END}, START
         ),

@@ -1,9 +1,12 @@
 """Entropy and mutual information of finite discrete distributions.
 
-Joints and marginals may carry exact rational masses; all mass arithmetic
-(marginals, probability ratios) stays exact and the conversion to float
-happens only inside the final logarithm, so the returned bits lose nothing
-beyond the unavoidable transcendental rounding.
+Joints and marginals may carry exact rational masses. Their arithmetic
+(totals, marginals, probability ratios, the product check) runs on
+integer numerators over one common denominator, the masses' lcm, and
+each value is reduced once, with one gcd, where it is returned; the
+conversion to float happens only inside the final logarithm, so the
+returned bits lose nothing beyond the unavoidable transcendental
+rounding. Float masses keep float arithmetic.
 """
 
 from __future__ import annotations
@@ -11,11 +14,37 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chain import _sums_to_one
+from .chain import _over_lcm, _sums_to_one, arithmetic_of
 from .errors import InvalidDistributionError, _full_str
 
 
+def _rational(values):
+    """Exact masses as ``(nums, den)``, over their lcm (:func:`chain._over_lcm`); None for floats.
+
+    One float mass is enough for None: a mixed joint keeps float arithmetic.
+    """
+    values = list(values)
+    if any(arithmetic_of(v).tol for v in values):
+        return None
+    return _over_lcm(values)
+
+
 def _check_masses(values, what: str):
+    """Raise unless ``values`` are finite, non-negative masses summing to one.
+
+    Returns the :func:`_rational` form of exact masses, None for float ones.
+    """
+    values = list(values)
+    exact = _rational(values)
+    if exact is not None:
+        nums, den = exact
+        for v, n in zip(values, nums):
+            if n < 0:
+                raise InvalidDistributionError(f"{what} has negative mass {_full_str(v)}")
+        if sum(nums) != den:
+            total = Fraction(sum(nums), den)
+            raise InvalidDistributionError(f"{what} sums to {_full_str(total)}, expected 1")
+        return exact
     total = 0
     for v in values:
         if isinstance(v, float) and not math.isfinite(v):
@@ -25,6 +54,7 @@ def _check_masses(values, what: str):
         total = total + v
     if not _sums_to_one(total):
         raise InvalidDistributionError(f"{what} sums to {_full_str(total)}, expected 1")
+    return None
 
 
 def _log2(value) -> float:
@@ -48,14 +78,49 @@ def entropy(marginal) -> float:
     return h
 
 
-def _marginals(joint) -> tuple[dict, dict]:
-    """The two marginals ``(px, py)`` of a joint keyed by ``(x, y)`` pairs."""
+def _sums_by_coordinate(joint, masses) -> tuple[dict, dict]:
+    """``(px, py)``: ``masses``, one per cell of ``joint`` in order, summed by ``x``, by ``y``."""
     px: dict = {}
     py: dict = {}
-    for (x, y), p in joint.items():
+    for (x, y), p in zip(joint, masses):
         px[x] = px.get(x, 0) + p
         py[y] = py.get(y, 0) + p
     return px, py
+
+
+def _marginals(joint) -> tuple[dict, dict]:
+    """The two marginals ``(px, py)`` of a joint keyed by ``(x, y)`` pairs."""
+    exact = _rational(joint.values())
+    if exact is None:
+        return _sums_by_coordinate(joint, joint.values())
+    nums, den = exact
+    return tuple(
+        {k: Fraction(n, den) for k, n in sums.items()}
+        for sums in _sums_by_coordinate(joint, nums)
+    )
+
+
+def _is_product(joint, px, py) -> bool:
+    """Whether each cell of ``joint`` times its total is ``px[x] * py[y]``, its marginals'.
+
+    Exact masses compare exactly, as integers over their common
+    denominator; float ones within a 1e-12 absolute tolerance, a thousandth
+    of the row-sum tolerance.
+    """
+    exact = _rational([*joint.values(), *px.values(), *py.values()])
+    if exact is None:
+        total = sum(joint.values())
+        tol = arithmetic_of(total).tol / 1000
+        return all(
+            v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= tol
+            for (x, y), v in joint.items()
+        )
+    nums, _ = exact
+    cells = len(joint)
+    nx = dict(zip(px, nums[cells:cells + len(px)]))
+    ny = dict(zip(py, nums[cells + len(px):]))
+    total = sum(nums[:cells])
+    return all(n * total == nx[x] * ny[y] for (x, y), n in zip(joint, nums))
 
 
 def mutual_information(joint) -> float:
@@ -64,13 +129,27 @@ def mutual_information(joint) -> float:
     ``joint`` maps ``(x, y)`` label pairs to masses. Marginals are computed
     from the joint; zero-mass cells contribute nothing. A positive cell
     forces both its marginals positive, so the ratio inside the logarithm
-    is always well defined.
+    is always well defined. Exact masses give the float that exact
+    ``Fraction`` arithmetic gives: each cell's ratio
+    ``p / (px * py)`` is ``n * den / (nx * ny)`` on the numerators over
+    the common denominator ``den``, reduced by one gcd, and the terms are
+    added in the joint's order.
     """
-    _check_masses(joint.values(), "joint")
-    px, py = _marginals(joint)
+    exact = _check_masses(joint.values(), "joint")
+    if exact is None:
+        px, py = _marginals(joint)
+        mi = 0.0
+        for (x, y), p in joint.items():
+            if p > 0:
+                ratio = p / (px[x] * py[y])
+                mi += float(p) * _log2(ratio)
+        return mi
+    nums, den = exact
+    nx, ny = _sums_by_coordinate(joint, nums)
     mi = 0.0
-    for (x, y), p in joint.items():
-        if p > 0:
-            ratio = p / (px[x] * py[y])
-            mi += float(p) * _log2(ratio)
+    for (x, y), n in zip(joint, nums):
+        if n > 0:
+            a, b = n * den, nx[x] * ny[y]
+            g = math.gcd(a, b)
+            mi += n / den * (math.log2(a // g) - math.log2(b // g))
     return mi

@@ -528,6 +528,60 @@ def test_entry_masses_direct_and_visit_orientations_agree(mode):
         assert repr(batched) == repr(per_outcome_entry_masses(chain, target, starts, key))
 
 
+def fraction_entry_law(chain, target, start, key, call):
+    """Entry masses of ``start`` from one recorded ``_solve_block`` call, added up in Fractions.
+
+    The call is solved again. Solved directly, the start's row holds one
+    mass per outcome column; solved for expected visits, the mass of
+    outcome ``k`` is ``sum_u y(u) exit_u(k)``, added term by term.
+    """
+    exits = {}
+    for u in call["block"]:
+        for v, p in chain.row_by_index(u).items():
+            if v in target:
+                k = key(u, v)
+                exits.setdefault(u, {})
+                exits[u][k] = exits[u].get(k, F(0)) + p
+    keys = sorted({k for out in exits.values() for k in out})
+    x = _solve_block(**call)
+    if call["transpose"]:
+        mass = dict.fromkeys(keys, F(0))
+        for u, out in exits.items():
+            for k, p in out.items():
+                mass[k] += x[u][0] * p
+    else:
+        mass = dict(zip(keys, x.get(start, ())))  # a start in no block has none
+    return {k: m for k, m in mass.items() if m > 0}
+
+
+def test_exact_entry_laws_are_the_fraction_sums_of_their_solve_rows():
+    # The report arithmetic after the solve runs on integers over one
+    # denominator; it must give what plain Fraction sums of the same
+    # solution rows give, in both orientations.
+    rng = random.Random(14)
+    orientations = set()
+    for _ in range(60):
+        chain = random_chain(rng, rng.randint(2, 9), max_out=4)
+        target = set(rng.sample(range(len(chain)), rng.randint(1, 2)))
+        start = rng.choice([s for s in range(len(chain)) if s not in target] or [None])
+        if start is None:
+            continue
+        labels = {chain.states[t] for t in target}
+        for law, key, label in (
+            (first_entry_distribution, lambda u, v: v, lambda k: chain.states[k]),
+            (entry_edge_distribution, lambda u, v: (u, v),
+             lambda k: (chain.states[k[0]], chain.states[k[1]])),
+        ):
+            with recording(analysis, "_solve_block") as calls:
+                got = law(chain, labels, chain.states[start])
+            [call] = calls
+            orientations.add(call["transpose"])
+            want = fraction_entry_law(chain, target, start, key, call)
+            assert repr(got.mass) == repr({label(k): m for k, m in want.items()})
+            assert got.never == 1 - sum(want.values(), F(0))
+    assert orientations == {False, True}
+
+
 def test_visit_orientation_back_substitutes_only_states_with_an_exit():
     # The first-last joint at J = 20 enters End, keyed by 20 jondos, from 16
     # initiators: the expected visits are solved over 16 Init and 20 Mix

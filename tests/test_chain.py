@@ -62,6 +62,14 @@ def test_row_sum_not_one_rejected():
                                     ("b", "b"): F(1)})
     assert err.value.state == "a"
     assert err.value.actual == F(5, 6)
+    # A row off by 1/10**40 either way, its total in full.
+    for off in (F(1, 10**40), -F(1, 10**40)):
+        with pytest.raises(RowSumNotOneError) as err:
+            validate_chain(["a", "b"], {("a", "a"): F(1, 3), ("a", "b"): F(2, 3),
+                                        ("b", "a"): F(1, 7), ("b", "b"): F(6, 7) + off})
+        assert err.value.state == "b"
+        assert err.value.actual == 1 + off
+        assert str(err.value) == f"row of state 'b' sums to {1 + off}, expected 1"
 
 
 def test_empty_state_space_rejected():

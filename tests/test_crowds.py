@@ -406,10 +406,14 @@ GOLDEN_REPORTS = [
      "4fee746435a26eafa526c4cf1976d09e32f66a77a3746cf0524b38c696c4da25"),
     (make_params(12, 3, F(4, 5), {f"J{i}": F(i, 45) for i in range(1, 10)}),
      "45dacb8b5ea1c14a9b509d896ce19c8b20b90ae684ba8a815a33ea0b30353f68"),
+    # Hashed before the report arithmetic after the solves ran on integers
+    # over one denominator.
+    (make_params(20, 4, F(4, 5), {f"J{i}": F(i, 136) for i in range(1, 17)}),
+     "fa2eb45d544bc6f40a91865a7609b8f31eee810e0944901ff5b5a51ebcf5a161"),
 ]
 
 
-@pytest.mark.parametrize("params, digest", GOLDEN_REPORTS, ids=["J3", "J8", "J12"])
+@pytest.mark.parametrize("params, digest", GOLDEN_REPORTS, ids=["J3", "J8", "J12", "J20"])
 def test_exact_report_bytes_are_unchanged(params, digest):
     text = json.dumps(crowds_report(params), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

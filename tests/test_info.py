@@ -3,9 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exactchain.errors import InvalidDistributionError
-from exactchain.info import entropy, mutual_information
+from exactchain.crowds import is_product_joint
+from exactchain.errors import InvalidDistributionError, _full_str
+from exactchain.info import _marginals, entropy, mutual_information
 
 
 def test_entropy_point_mass():
@@ -99,3 +102,80 @@ def test_float_masses_accepted_with_tolerance():
     assert entropy({"a": 0.5, "b": 0.5 + 1e-12}) == pytest.approx(1.0)
     with pytest.raises(InvalidDistributionError):
         entropy({"a": 0.5, "b": 0.4})
+
+
+def fraction_mutual_information(joint):
+    """Mutual information as summed in Fractions, cell by cell: the reference for exact joints."""
+    px: dict = {}
+    py: dict = {}
+    for (x, y), p in joint.items():
+        px[x] = px.get(x, 0) + p
+        py[y] = py.get(y, 0) + p
+    mi = 0.0
+    for (x, y), p in joint.items():
+        if p > 0:
+            ratio = p / (px[x] * py[y])
+            if isinstance(ratio, F):
+                mi += float(p) * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
+            else:
+                mi += float(p) * math.log2(ratio)
+    return mi, px, py
+
+
+def fraction_check(values):
+    """The message of the first fault in exact ``values``, checked in Fractions; None if none."""
+    total = 0
+    for v in values:
+        if v < 0:
+            return f"joint has negative mass {_full_str(v)}"
+        total = total + v
+    return None if total == 1 else f"joint sums to {_full_str(total)}, expected 1"
+
+
+masses = st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.integers(1, 9),
+    st.builds(F, st.integers(0, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def exact_joints(draw):
+    """Exact joints, products of marginals or not, some with a negative cell or a total off one."""
+    xs, ys = range(draw(st.integers(1, 4))), range(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        wx = [draw(masses) for _ in xs]
+        wy = [draw(masses) for _ in ys]
+        weights = {(x, y): wx[x] * wy[y] for x in xs for y in ys}
+    else:
+        weights = {(x, y): draw(masses) for x in xs for y in ys}
+    total = sum(weights.values())
+    if total == 0:  # a point mass held by an int
+        weights[(0, 0)] = 1
+        total = 1
+    joint = {k: v if v == 0 or total == 1 else F(v) / total for k, v in weights.items()}
+    fault = draw(st.sampled_from(["none", "none", "negative", "scaled"]))
+    cell = draw(st.sampled_from(sorted(joint)))
+    if fault == "negative":
+        joint[cell] = -draw(st.builds(F, st.integers(1, 10**40), st.integers(1, 10**40)))
+    elif fault == "scaled":
+        joint[cell] = joint[cell] + F(draw(st.sampled_from([-1, 1])), 10**draw(st.integers(1, 40)))
+    return joint
+
+
+@settings(max_examples=400, deadline=None)
+@given(joint=exact_joints())
+def test_exact_mutual_information_and_product_verdicts_match_fraction_arithmetic(joint):
+    fault = fraction_check(joint.values())
+    if fault is not None:
+        with pytest.raises(InvalidDistributionError) as raised:
+            mutual_information(joint)
+        assert str(raised.value) == fault
+        return
+    want, px, py = fraction_mutual_information(joint)
+    assert mutual_information(joint).hex() == want.hex()
+    total = sum(joint.values())
+    product = all(v * total == px[x] * py[y] for (x, y), v in joint.items())
+    assert is_product_joint(joint) is product
+    assert _marginals(joint) == (px, py)

@@ -1,13 +1,16 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import FLOAT, MarkovChain, RewardChain
+from exactchain import EXACT, FLOAT, MarkovChain, RewardChain
+from exactchain.chain import MAX_DECIMAL_EXPONENT, arithmetic
 from exactchain.errors import (
+    LiteralRangeError,
     ModelIOError,
     ModelParseError,
     NegativeCostError,
@@ -15,6 +18,7 @@ from exactchain.errors import (
     RowSumNotOneError,
 )
 from exactchain.modelfile import (
+    _decode,
     load_model,
     loads_model,
     model_to_dict,
@@ -119,6 +123,48 @@ def test_float_model_costs_are_the_nearest_float_to_their_json_text(text):
         assert dict(costs) == {}
     else:
         assert costs[0].hex() == value.hex()
+
+
+def json_numbers(exponents):
+    """JSON number texts: a sign, up to 41 integer and 700 fraction digits, then ``exponents``."""
+    return st.builds(
+        "{}{}{}".format,
+        st.from_regex(r"-?(0|[1-9][0-9]{0,40})", fullmatch=True),
+        st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=700).map(".".__add__)),
+        exponents,
+    )
+
+
+def exponents(magnitudes):
+    return st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                     magnitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.just("-0.0"), json_numbers(st.one_of(
+    st.just(""), exponents(st.integers(0, MAX_DECIMAL_EXPONENT))))))
+def test_json_numbers_load_as_the_fraction_of_their_text(text):
+    # Decimal reads the short numbers and Fraction the long ones; in both
+    # modes the model holds what Fraction(text) reads, converted.
+    value = _decode(text)
+    assert value == F(text)
+    assert type(value) is (int if re.fullmatch(r"-?[0-9]+", text) else F)
+    cost = text.lstrip("-")
+    for mode in (EXACT, FLOAT):
+        want = arithmetic(mode).read(F(cost))
+        if want is None:  # past the float range
+            with pytest.raises(NegativeCostError):
+                loads_model(ONE_STATE % cost, mode=mode)
+            continue
+        got = loads_model(ONE_STATE % cost, mode=mode).cost("a", "a")
+        assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=json_numbers(exponents(st.integers(MAX_DECIMAL_EXPONENT + 1, 10**30))))
+def test_json_numbers_past_the_exponent_bound_are_range_errors(text):
+    with pytest.raises(LiteralRangeError):
+        _decode(text)
 
 
 def test_float_overflow_message_quotes_the_exact_value():

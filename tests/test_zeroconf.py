@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -216,3 +218,20 @@ def test_float_mode_chain_matches_exact_solver():
     fchain = build_zeroconf(PAPER_TYPICAL, mode=FLOAT).chain
     value = until_probability(fchain, fchain.states, {"Error"}, "Start")
     assert value == pytest.approx(float(F(1, 4063000001)), rel=1e-6)
+
+
+# Exact reports hashed before the per-probe closed forms were built from
+# integer tails over one denominator; no byte may move.
+GOLDEN_REPORTS = {
+    2: "004b08fdd480a59903840175d491acb85538659583690af9599a5e0fc43ffbac",
+    25: "0bf04ccc875f6d2a66398413d317d3e5ab2c955c613a0bf48532b9295e2e4dcb",
+    100: "51262de1fdea48d59940034cc626b4299e16d47cce8bda0b749773054b8759db",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_REPORTS))
+def test_exact_report_bytes_are_unchanged(n):
+    base = PAPER_TYPICAL
+    params = ZeroconfParams(n, base.p, base.q, base.r, base.E)
+    text = json.dumps(zeroconf_report(params), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[n]
