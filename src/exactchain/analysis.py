@@ -309,7 +309,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       rows of states with an edge into the target are back-substituted.
       Exact sums run in integers (:func:`_visit_masses`): the exits over
       their lcm, each start's visits over one lcm per start column, and
-      each mass is reduced once.
+      each mass is reduced once; float masses are added in order.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order (:func:`_positive`). Where the forward search
@@ -342,16 +342,8 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
         b = [[one if u == s else zero for s in starts] for u in block]
         y = _solve_block(chain, block, b, transpose=True,
                          keep={u for u, out in exits.items() if out})
-        if tol:
-            mass = {k: [zero] * len(starts) for k in keys}  # mass[k][j]: outcome k from starts[j]
-            for u, out in exits.items():
-                for k, p in out.items():
-                    mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-            masses = {s: _positive(((k, mass[k][j]) for k in keys), tol)
-                      for j, s in enumerate(starts)}
-        else:
-            columns = _visit_masses(exits, y, keys, len(starts))
-            masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
+        columns = _visit_masses(exits, y, keys, len(starts), chain.arith)
+        masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
     if tol and seen - t_idx <= inside:
         # Every state met before entry can still reach the target.
         for s, out in masses.items():
@@ -363,25 +355,30 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     return masses
 
 
-def _visit_masses(exits, y, keys, n) -> list:
-    """Exact ``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts: ``[(k, mass), ...]`` per start.
+def _visit_masses(exits, y, keys, n, arith) -> list:
+    """``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts: ``[(k, mass), ...]`` per start.
 
-    The exits go over one denominator and each start's visit column over
-    another, so each mass is an integer sum, reduced once.
+    Exact exits go over one denominator and each start's visit column over
+    another (:func:`chain._over_lcm`), so an exact mass is an integer sum,
+    reduced once. Float masses are the same sums of float products. Either
+    way the terms are added in the order of ``exits``.
     """
     edges = [(u, k) for u, out in exits.items() for k in out]
-    e_nums, e_den = _over_lcm([p for out in exits.values() for p in out.values()])
+    probs = [p for out in exits.values() for p in out.values()]
+    mass = {k: [0] * n for k in keys}  # mass[k][j]: outcome k from start j
+    exact = _over_lcm(probs, arith)
+    if exact is None:
+        for (u, k), p in zip(edges, probs):
+            mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
+        return [[(k, mass[k][j]) for k in keys] for j in range(n)]
+    e_nums, e_den = exact
     visited = list(y)
-    columns = []
-    for j in range(n):
-        y_nums, y_den = _over_lcm([y[u][j] for u in visited])
-        y_num = dict(zip(visited, y_nums))
-        acc = dict.fromkeys(keys, 0)
-        for (u, k), e in zip(edges, e_nums):
-            acc[k] += y_num[u] * e
-        den = y_den * e_den
-        columns.append([(k, Fraction(a, den)) for k, a in acc.items() if a])
-    return columns
+    columns = [_over_lcm(column, arith) for column in zip(*(y[u] for u in visited))]
+    y_nums = dict(zip(visited, zip(*[nums for nums, _ in columns])))
+    for (u, k), e in zip(edges, e_nums):
+        mass[k] = [m + y_u * e for m, y_u in zip(mass[k], y_nums[u])]
+    return [[(k, Fraction(mass[k][j], y_den * e_den)) for k in keys if mass[k][j]]
+            for j, (_, y_den) in enumerate(columns)]
 
 
 def _positive(masses, tol) -> dict:

@@ -60,10 +60,15 @@ MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
-def _check_exponent(text: str) -> None:
-    """Raise :class:`LiteralRangeError` for a decimal exponent beyond ``MAX_DECIMAL_EXPONENT``.
+def _read_literal(text: str) -> Fraction:
+    """``Fraction(text)`` for a numeric literal, once its decimal exponent is checked.
 
-    Only the exponent's digits are looked at, so no digit is expanded.
+    Every numeric literal the package reads from text comes through here:
+    model and ``--init`` file values (JSON numbers and strings), numeric
+    CLI flags and parameter strings. Raises :class:`LiteralRangeError` for
+    an exponent beyond ``MAX_DECIMAL_EXPONENT``, before any digit is
+    expanded, and lets ``Fraction``'s own ``ValueError`` or
+    ``ZeroDivisionError`` through for malformed text.
     """
     match = _EXPONENT.search(text)
     if match:
@@ -74,20 +79,6 @@ def _check_exponent(text: str) -> None:
                 f"number {_excerpt(text)}: decimal exponent out of range"
                 f" (over {bound} in magnitude)"
             )
-
-
-def _read_literal(text: str) -> Fraction:
-    """``Fraction(text)`` for a numeric literal, once its decimal exponent is checked.
-
-    Every numeric literal the package reads from text comes through here:
-    model and ``--init`` file values (strings, and JSON numbers through
-    ``modelfile._read_json_number``), numeric CLI flags and parameter
-    strings. Raises :class:`LiteralRangeError` for an exponent beyond
-    ``MAX_DECIMAL_EXPONENT``, before any digit is expanded, and lets
-    ``Fraction``'s own ``ValueError`` or ``ZeroDivisionError`` through for
-    malformed text.
-    """
-    _check_exponent(text)
     return Fraction(text)
 
 
@@ -153,27 +144,28 @@ def _sums_to_one(total) -> bool:
     return total == 1 or abs(total - 1) <= arithmetic_of(total).tol
 
 
-def _over_lcm(values) -> tuple[list, int]:
-    """Exact ``values`` (Fractions or ints) as integer numerators over their lcm: ``(nums, den)``.
+def _over_lcm(values, arith) -> tuple[list, int] | None:
+    """Exact ``values`` as integer numerators over their lcm, ``(nums, den)``; None for floats.
 
     Exact report work adds and compares these integers and reduces once at
-    the end, ``Fraction(sum(nums), den)``, with one gcd; a ``Fraction`` sum
-    takes one per term.
+    the end, ``Fraction(sum(nums), den)``, with one gcd, where a
+    ``Fraction`` sum takes one per term. In float arithmetic (``arith``'s
+    tolerance is not zero) there is nothing to split, and the caller keeps
+    its float code: this is the one test that picks the integer path.
     """
+    if arith.tol:
+        return None
     pairs = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
 
 def _total(values, arith):
-    """The sum of ``values`` in ``arith``: floats added in order, exact values reduced once.
-
-    Exact values are added as integer numerators over their lcm
-    (:func:`_over_lcm`), and the sum is reduced with one gcd.
-    """
-    if arith.tol:
+    """The sum of ``values`` in ``arith``: exact values over their lcm, reduced once; floats in order."""
+    exact = _over_lcm(values, arith)
+    if exact is None:
         return sum(values)
-    nums, den = _over_lcm(values)
+    nums, den = exact
     return Fraction(sum(nums), den)
 
 
@@ -435,9 +427,9 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
 
     ``trans`` maps ``(from_label, to_label)`` to a probability; absent pairs
     mean zero. Exact zero entries are dropped. Validation checks and never
-    repairs: a bad row raises rather than being renormalized. An exact row
-    is added as integer numerators over its lcm and reduced once
-    (:func:`_total`); a float row is added in order.
+    repairs: a bad row raises rather than being renormalized. A row is
+    added by :func:`_total`: exact entries as integer numerators over
+    their lcm, reduced once, and float entries in order.
 
     Raises
     ------

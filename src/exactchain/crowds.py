@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _over_lcm, _sums_to_one, _total, _triple, _with_mode,
+    EXACT, MarkovChain, _coerce_param, _sums_to_one, _total, _triple, _with_mode,
     arithmetic_of, format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
@@ -304,9 +304,9 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     positive weight: one right-hand-side column per jondo left when those
     are no more than the initiators, else one per initiator
     (:func:`analysis._entry_masses`). Each cell holds one product, or the
-    zero of the chain's arithmetic; no cell is a sum. The callers that
-    total the cells, :func:`_conditioned` and ``info``'s marginals, add
-    exact cells as integers over one denominator.
+    zero of the chain's arithmetic; no cell is a sum. Where the cells are
+    totalled (``chain._total`` and ``info``), exact ones are added as
+    integers over one denominator.
     """
     params = model.params
     chain = model.chain
@@ -324,20 +324,6 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     return joint
 
 
-def _conditioned(joint: dict, arith) -> tuple:
-    """``(total, {cell: mass / total})``: a joint's total and its conditional joint.
-
-    Exact masses go over one denominator, so each share is the ratio of two
-    integers, reduced once.
-    """
-    if arith.tol:
-        total = sum(joint.values(), arith.zero)
-        return total, {pair: v / total for pair, v in joint.items()}
-    nums, den = _over_lcm(joint.values())
-    total = sum(nums)
-    return Fraction(total, den), {pair: Fraction(n, total) for pair, n in zip(joint, nums)}
-
-
 def solver_joint_first_last(model: CrowdsModel) -> dict:
     """The (initiator, last honest) conditional joint from the solver.
 
@@ -348,7 +334,9 @@ def solver_joint_first_last(model: CrowdsModel) -> dict:
     numerator = _initiator_joint(
         model, model.collaborator_mix_labels(), model.params.honest
     )
-    return _conditioned(numerator, model.chain.arith)[1]  # hit > 0: some jondo is a collaborator
+    # > 0: some jondo is a collaborator
+    hit = _total(numerator.values(), model.chain.arith)
+    return {pair: v / hit for pair, v in numerator.items()}
 
 
 def first_last_jondo_joint(model: CrowdsModel) -> dict:
@@ -366,11 +354,9 @@ def is_product_joint(joint: dict) -> bool:
 
     Exact comparison on rational masses, in integers over one denominator;
     float masses compare with a 1e-12 absolute tolerance, a thousandth of
-    the row-sum tolerance. The marginals are summed here;
-    :func:`crowds_report`, which reads them too, sums them once and calls
-    the check in ``info`` behind this one.
+    the row-sum tolerance (``info._marginals_and_product``).
     """
-    return info._is_product(joint, *info._marginals(joint))
+    return info._marginals_and_product(joint)[2]
 
 
 def _triples(cells) -> dict:
@@ -438,13 +424,14 @@ def crowds_report(
 
     hit_closed = prob_hit_colls(params)
     hit_joint = _initiator_joint(model, model.collaborator_mix_labels(), params.honest)
-    # hit_solver > 0: some jondo is a collaborator
-    hit_solver, joint_solver = _conditioned(hit_joint, chain.arith)
+    # > 0: some jondo is a collaborator
+    hit_solver = _total(hit_joint.values(), chain.arith)
     joint_closed = conditional_joint(params)
+    joint_solver = {pair: v / hit_solver for pair, v in hit_joint.items()}
     diag_closed = prob_first_eq_last(params)
     diag_solver = _total([joint_solver[(i, i)] for i in params.honest], chain.arith)
     contact_joint = first_last_jondo_joint(model)
-    initiator_mass, last_mass = info._marginals(contact_joint)
+    _, last_mass, independent = info._marginals_and_product(contact_joint)
     uniform = _frac(1, params.J, params)
     innocence = probable_innocence(params)
 
@@ -482,9 +469,7 @@ def crowds_report(
                 max((abs(m - uniform) for m in last_mass.values()), default=0)
             ),
         },
-        "independence_first_last_jondo": info._is_product(
-            contact_joint, initiator_mass, last_mass
-        ),
+        "independence_first_last_jondo": independent,
         "ae_route_terminates": analysis.certify_ae_until(
             chain, chain.states, {END}, START
         ),

@@ -18,24 +18,24 @@ from .chain import _over_lcm, _sums_to_one, arithmetic_of
 from .errors import InvalidDistributionError, _full_str
 
 
-def _rational(values):
-    """Exact masses as ``(nums, den)``, over their lcm (:func:`chain._over_lcm`); None for floats.
+def _split(masses):
+    """Masses that carry no mode as integer numerators over their lcm, ``(nums, den)``.
 
-    One float mass is enough for None: a mixed joint keeps float arithmetic.
+    None if one of them is a float (:func:`chain._over_lcm`): a joint with
+    a float mass keeps float arithmetic.
     """
-    values = list(values)
-    if any(arithmetic_of(v).tol for v in values):
-        return None
-    return _over_lcm(values)
+    masses = list(masses)
+    float_arith = (a for a in map(arithmetic_of, masses) if a.tol)
+    return _over_lcm(masses, next(float_arith, arithmetic_of(0)))
 
 
 def _check_masses(values, what: str):
     """Raise unless ``values`` are finite, non-negative masses summing to one.
 
-    Returns the :func:`_rational` form of exact masses, None for float ones.
+    Returns the :func:`_split` form of exact masses, None for float ones.
     """
     values = list(values)
-    exact = _rational(values)
+    exact = _split(values)
     if exact is not None:
         nums, den = exact
         for v, n in zip(values, nums):
@@ -88,39 +88,30 @@ def _sums_by_coordinate(joint, masses) -> tuple[dict, dict]:
     return px, py
 
 
-def _marginals(joint) -> tuple[dict, dict]:
-    """The two marginals ``(px, py)`` of a joint keyed by ``(x, y)`` pairs."""
-    exact = _rational(joint.values())
-    if exact is None:
-        return _sums_by_coordinate(joint, joint.values())
-    nums, den = exact
-    return tuple(
-        {k: Fraction(n, den) for k, n in sums.items()}
-        for sums in _sums_by_coordinate(joint, nums)
-    )
+def _marginals_and_product(joint) -> tuple[dict, dict, bool]:
+    """``(px, py, holds)``: a joint's two marginals, and whether the joint is their product.
 
-
-def _is_product(joint, px, py) -> bool:
-    """Whether each cell of ``joint`` times its total is ``px[x] * py[y]``, its marginals'.
-
-    Exact masses compare exactly, as integers over their common
-    denominator; float ones within a 1e-12 absolute tolerance, a thousandth
-    of the row-sum tolerance.
+    ``holds`` when each cell times the joint's total is ``px[x] * py[y]``:
+    exactly for exact masses, compared as integers over their lcm
+    (:func:`_split`); within a 1e-12 absolute tolerance, a thousandth of
+    the row-sum tolerance, for float ones.
     """
-    exact = _rational([*joint.values(), *px.values(), *py.values()])
+    exact = _split(joint.values())
     if exact is None:
+        px, py = _sums_by_coordinate(joint, joint.values())
         total = sum(joint.values())
         tol = arithmetic_of(total).tol / 1000
-        return all(
+        holds = all(
             v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= tol
             for (x, y), v in joint.items()
         )
-    nums, _ = exact
-    cells = len(joint)
-    nx = dict(zip(px, nums[cells:cells + len(px)]))
-    ny = dict(zip(py, nums[cells + len(px):]))
-    total = sum(nums[:cells])
-    return all(n * total == nx[x] * ny[y] for (x, y), n in zip(joint, nums))
+        return px, py, holds
+    nums, den = exact
+    nx, ny = _sums_by_coordinate(joint, nums)
+    total = sum(nums)
+    holds = all(n * total == nx[x] * ny[y] for (x, y), n in zip(joint, nums))
+    px, py = ({k: Fraction(n, den) for k, n in sums.items()} for sums in (nx, ny))
+    return px, py, holds
 
 
 def mutual_information(joint) -> float:
@@ -137,7 +128,7 @@ def mutual_information(joint) -> float:
     """
     exact = _check_masses(joint.values(), "joint")
     if exact is None:
-        px, py = _marginals(joint)
+        px, py = _sums_by_coordinate(joint, joint.values())
         mi = 0.0
         for (x, y), p in joint.items():
             if p > 0:

@@ -21,22 +21,16 @@ to each written value. A decimal exponent beyond
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from .chain import (
-    EXACT, MarkovChain, RewardChain, arithmetic, format_scalar, _check_exponent, _read_literal,
-    validate_chain, validate_reward,
+    EXACT, MarkovChain, RewardChain, arithmetic, format_scalar, _read_literal, validate_chain,
+    validate_reward,
 )
 from .errors import ModelIOError, ModelParseError, _excerpt
 
 _TOP_KEYS = {"states", "transitions", "rewards"}
-
-#: The least limit CPython may set on the digits of a string-to-int
-#: conversion (``sys.int_info.str_digits_check_threshold``). A JSON number
-#: no longer than this has no digit run the limit can refuse.
-_DIGIT_LIMIT_FLOOR = 640
 
 
 def _parse_value(raw, where: str):
@@ -102,33 +96,18 @@ def _reject_constant(name):
     raise ModelParseError(f"invalid JSON: non-finite number {name}")
 
 
-def _read_json_number(text: str) -> Fraction:
-    """A JSON number with a fraction or an exponent, as ``Fraction(text)``.
-
-    After ``_read_literal``'s exponent check, ``Decimal`` reads the text
-    exactly, faster than ``Fraction`` parses it. A number longer than
-    ``_DIGIT_LIMIT_FLOOR`` goes through ``_read_literal`` itself, so a digit
-    run past CPython's limit on string-to-integer digits fails as there.
-    """
-    if len(text) > _DIGIT_LIMIT_FLOOR:
-        return _read_literal(text)
-    _check_exponent(text)
-    return Fraction(*Decimal(text).as_integer_ratio())
-
-
 def _decode(text: str):
     """Decode JSON, reading every number exactly; ``NaN`` and ``Infinity`` are errors.
 
     A number with a fraction or an exponent becomes a ``Fraction`` through
-    ``_read_json_number`` and an integer an ``int``, in both modes;
-    validation converts them to the chain's arithmetic as it converts
-    strings. A digit run longer than CPython's limit on string-to-integer
-    digits is an error too, whose ``ValueError`` ``json`` passes through
-    undecorated, and so is nesting deeper than the recursion limit lets
-    ``json`` descend.
+    ``_read_literal`` and an integer an ``int``, in both modes; validation
+    converts them to the chain's arithmetic as it converts strings. An
+    integer longer than CPython's limit on string-to-integer digits is an
+    error too, whose ``ValueError`` ``json`` passes through undecorated, and
+    so is nesting deeper than the recursion limit lets ``json`` descend.
     """
     try:
-        return json.loads(text, parse_float=_read_json_number, parse_constant=_reject_constant)
+        return json.loads(text, parse_float=_read_literal, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ModelParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:

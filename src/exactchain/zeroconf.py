@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 from . import analysis
 from .chain import (
-    EXACT, RewardChain, _coerce_param, _triple, _with_mode, arithmetic_of, format_scalar,
-    validate_chain, validate_reward,
+    EXACT, RewardChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
+    validate_reward,
 )
 from .errors import InvalidParamsError, _full_str
 
@@ -141,24 +141,6 @@ def _p_err_probe(params: ZeroconfParams, n: int, p_err):
     return tail + (1 - tail) * p_err
 
 
-def _p_err_probes(params: ZeroconfParams, p_err) -> list:
-    """:func:`_p_err_probe` of every probe ``0 .. N``, in order.
-
-    Exact values build the tails ``p^k = tn / td`` one factor at a time, in
-    integers, and combine each with ``p_err = a / b`` over one denominator:
-    ``(tn b + (td - tn) a) / (td b)``, reduced with one gcd per probe.
-    """
-    if arithmetic_of(params.p).tol:
-        return [_p_err_probe(params, n, p_err) for n in range(params.N + 1)]
-    (pn, pd), (a, b) = params.p.as_integer_ratio(), p_err.as_integer_ratio()
-    tn = td = 1
-    probes = []
-    for _ in range(params.N + 1):  # the tail p^k of probe N + 1 - k
-        tn, td = tn * pn, td * pd
-        probes.append(Fraction(tn * b + (td - tn) * a, td * b))
-    return probes[::-1]
-
-
 def expected_cost_closed(params: ZeroconfParams):
     """Closed-form expected running cost until ``Ok`` or ``Error``.
 
@@ -211,8 +193,8 @@ def zeroconf_report(
         "states": list(states),
         "p_err_start": _triple(p_err_value, p_err[START]),
         "p_err_probe": {
-            probe_label(n): _triple(closed, p_err[probe_label(n)])
-            for n, closed in enumerate(_p_err_probes(params, p_err_value))
+            probe_label(n): _triple(_p_err_probe(params, n, p_err_value), p_err[probe_label(n)])
+            for n in range(params.N + 1)
         },
         "expected_cost": _triple(expected_cost_closed(params), cost_solver),
         "ae_termination": {s: i in ae for i, s in enumerate(states)},

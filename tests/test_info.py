@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from exactchain.crowds import is_product_joint
 from exactchain.errors import InvalidDistributionError, _full_str
-from exactchain.info import _marginals, entropy, mutual_information
+from exactchain.info import _marginals_and_product, entropy, mutual_information
 
 
 def test_entropy_point_mass():
@@ -178,4 +178,4 @@ def test_exact_mutual_information_and_product_verdicts_match_fraction_arithmetic
     total = sum(joint.values())
     product = all(v * total == px[x] * py[y] for (x, y), v in joint.items())
     assert is_product_joint(joint) is product
-    assert _marginals(joint) == (px, py)
+    assert _marginals_and_product(joint) == (px, py, product)

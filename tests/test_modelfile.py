@@ -144,8 +144,7 @@ def exponents(magnitudes):
 @given(text=st.one_of(st.just("-0.0"), json_numbers(st.one_of(
     st.just(""), exponents(st.integers(0, MAX_DECIMAL_EXPONENT))))))
 def test_json_numbers_load_as_the_fraction_of_their_text(text):
-    # Decimal reads the short numbers and Fraction the long ones; in both
-    # modes the model holds what Fraction(text) reads, converted.
+    # In both modes the model holds what Fraction(text) reads, converted.
     value = _decode(text)
     assert value == F(text)
     assert type(value) is (int if re.fullmatch(r"-?[0-9]+", text) else F)
