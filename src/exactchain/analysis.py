@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import repeat
 
-from .chain import MarkovChain, RewardChain, _over_lcm, _total, arithmetic_of
+from .chain import MarkovChain, RewardChain, _total, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
 from .errors import _full_str
 
@@ -307,9 +307,10 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       ``(I - Q)^T y_s = e_s`` with one column per start; outcome ``k``
       from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``, so only the
       rows of states with an edge into the target are back-substituted.
-      Exact sums run in integers (:func:`_visit_masses`): the exits over
-      their lcm, each start's visits over one lcm per start column, and
-      each mass is reduced once; float masses are added in order.
+      The sums run on numerators (:func:`_visit_masses`): the exits over
+      one denominator, each start's visits over one per start column, and
+      each mass is divided once. Exact numerators are integers over an
+      lcm; float ones are the floats themselves, over ``1``.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order (:func:`_positive`). Where the forward search
@@ -358,27 +359,22 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
 def _visit_masses(exits, y, keys, n, arith) -> list:
     """``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts: ``[(k, mass), ...]`` per start.
 
-    Exact exits go over one denominator and each start's visit column over
-    another (:func:`chain._over_lcm`), so an exact mass is an integer sum,
-    reduced once. Float masses are the same sums of float products. Either
-    way the terms are added in the order of ``exits``.
+    The exits go over one denominator and each start's visit column over
+    another (``arith.split``), so a mass is a sum of products of
+    numerators, added in the order of ``exits`` and divided once by
+    ``arith.frac``: in exact arithmetic an integer sum, reduced once; in
+    float arithmetic the float sum itself, over ``1``.
     """
     edges = [(u, k) for u, out in exits.items() for k in out]
-    probs = [p for out in exits.values() for p in out.values()]
-    mass = {k: [0] * n for k in keys}  # mass[k][j]: outcome k from start j
-    exact = _over_lcm(probs, arith)
-    if exact is None:
-        for (u, k), p in zip(edges, probs):
-            mass[k] = [m + y_u * p for m, y_u in zip(mass[k], y[u])]
-        return [[(k, mass[k][j]) for k in keys] for j in range(n)]
-    e_nums, e_den = exact
+    e_nums, e_den = arith.split([p for out in exits.values() for p in out.values()])
     visited = list(y)
-    columns = [_over_lcm(column, arith) for column in zip(*(y[u] for u in visited))]
+    columns = [arith.split(column) for column in zip(*(y[u] for u in visited))]
     y_nums = dict(zip(visited, zip(*[nums for nums, _ in columns])))
+    mass = {k: [0] * n for k in keys}  # mass[k][j]: outcome k from start j
     for (u, k), e in zip(edges, e_nums):
         mass[k] = [m + y_u * e for m, y_u in zip(mass[k], y_nums[u])]
-    return [[(k, Fraction(mass[k][j], y_den * e_den)) for k in keys if mass[k][j]]
-            for j, (_, y_den) in enumerate(columns)]
+    return [list(zip(keys, map(arith.frac, row, repeat(y_den * e_den))))
+            for row, (_, y_den) in zip(zip(*mass.values()), columns)]
 
 
 def _positive(masses, tol) -> dict:

@@ -12,9 +12,12 @@ Each mode name stands for one :class:`Arithmetic` record, and the records
 are the one place that tells the modes apart: :func:`arithmetic` looks up
 a mode name, :func:`arithmetic_of` the arithmetic of values that carry no
 mode (case-study parameters, joints). The rest of the package asks a record
-for its zero, one, fractions, reader, tolerance and pivot rule. The reader,
-``read``, turns any input number into the mode's arithmetic, or ``None`` if
-it is unusable; a number already in it passes through as it is.
+for its zero, one, fractions, reader, tolerance, pivot rule and split. The
+reader, ``read``, turns any input number into the mode's arithmetic, or
+``None`` if it is unusable; a number already in it passes through as it
+is. The split writes values as numerators over one denominator: exact ones
+as integers over their lcm, floats as themselves over ``1``. So the work
+after a solve (totals, entry laws, marginals) has one body for both modes.
 
 State labels are the canonical external identity; integer indices are an
 internal detail of the sparse representation.
@@ -28,7 +31,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -144,29 +147,22 @@ def _sums_to_one(total) -> bool:
     return total == 1 or abs(total - 1) <= arithmetic_of(total).tol
 
 
-def _over_lcm(values, arith) -> tuple[list, int] | None:
-    """Exact ``values`` as integer numerators over their lcm, ``(nums, den)``; None for floats.
+def _over_lcm(values) -> tuple[list, int]:
+    """Exact ``values`` as integer numerators over their lcm, ``(nums, den)``.
 
-    Exact report work adds and compares these integers and reduces once at
-    the end, ``Fraction(sum(nums), den)``, with one gcd, where a
-    ``Fraction`` sum takes one per term. In float arithmetic (``arith``'s
-    tolerance is not zero) there is nothing to split, and the caller keeps
-    its float code: this is the one test that picks the integer path.
+    The exact arithmetic's ``split``. Report work adds and compares these
+    integers and reduces once at the end, ``Fraction(sum(nums), den)``,
+    with one gcd, where a ``Fraction`` sum takes one per term.
     """
-    if arith.tol:
-        return None
     pairs = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
 
 def _total(values, arith):
-    """The sum of ``values`` in ``arith``: exact values over their lcm, reduced once; floats in order."""
-    exact = _over_lcm(values, arith)
-    if exact is None:
-        return sum(values)
-    nums, den = exact
-    return Fraction(sum(nums), den)
+    """The sum of ``values`` in ``arith``: the ``sum`` of their ``split`` numerators over its denominator."""
+    nums, den = arith.split(values)
+    return arith.frac(sum(nums), den)
 
 
 def _triple(closed, solver):
@@ -220,6 +216,12 @@ class Arithmetic:
     and ``diagonal(row, u)`` the pivot ``d_u`` of ``u``'s row of ``I - Q``
     (``analysis._solve_block``): ``1 - q_uu`` exactly, and in float mode
     the row's exit mass, which no self-loop rounds to zero.
+
+    ``split(values)`` is ``(nums, den)``, numerators over one denominator
+    that report work adds and compares before one ``frac(n, den)`` per
+    result: exact values as integers over their lcm (:func:`_over_lcm`),
+    floats as themselves over the int ``1``, so that ``frac(n, 1)`` is the
+    same float. One body of report code serves both modes.
     """
 
     name: str
@@ -229,14 +231,16 @@ class Arithmetic:
     read: Callable
     tol: object
     diagonal: Callable
+    split: Callable
 
 
-# Fields in order: name, zero, one, frac, read, tol, diagonal.
+# Fields in order: name, zero, one, frac, read, tol, diagonal, split.
 _ARITHMETIC = {
     EXACT: Arithmetic(EXACT, Fraction(0), Fraction(1), Fraction, partial(_coerce, True), 0,
-                      lambda row, u: 1 - row[u] if u in row else Fraction(1)),
-    FLOAT: Arithmetic(FLOAT, 0.0, 1.0, lambda n, d: n / d, partial(_coerce, False), ROW_SUM_TOL,
-                      lambda row, u: sum(p for v, p in row.items() if v != u)),
+                      lambda row, u: 1 - row[u] if u in row else Fraction(1), _over_lcm),
+    FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, partial(_coerce, False), ROW_SUM_TOL,
+                      lambda row, u: sum(p for v, p in row.items() if v != u),
+                      lambda values: (list(values), 1)),
 }
 
 

@@ -324,6 +324,19 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     return joint
 
 
+def _hit_and_conditional_joint(model: CrowdsModel) -> tuple:
+    """``(hit, joint)``: the collaborator-hit probability and the (initiator, last honest) joint given a hit.
+
+    The joint with the hit event comes from the entry laws into the
+    collaborator Mix states (:func:`_initiator_joint`); its total is the
+    hit probability, and each cell's share of that total is the
+    conditional joint.
+    """
+    numerator = _initiator_joint(model, model.collaborator_mix_labels(), model.params.honest)
+    hit = _total(numerator.values(), model.chain.arith)  # > 0: some jondo is a collaborator
+    return hit, {pair: v / hit for pair, v in numerator.items()}
+
+
 def solver_joint_first_last(model: CrowdsModel) -> dict:
     """The (initiator, last honest) conditional joint from the solver.
 
@@ -331,12 +344,7 @@ def solver_joint_first_last(model: CrowdsModel) -> dict:
     gives the joint with the hit event; conditioning on the total hit
     probability reproduces the closed form exactly in exact mode.
     """
-    numerator = _initiator_joint(
-        model, model.collaborator_mix_labels(), model.params.honest
-    )
-    # > 0: some jondo is a collaborator
-    hit = _total(numerator.values(), model.chain.arith)
-    return {pair: v / hit for pair, v in numerator.items()}
+    return _hit_and_conditional_joint(model)[1]
 
 
 def first_last_jondo_joint(model: CrowdsModel) -> dict:
@@ -423,11 +431,8 @@ def crowds_report(
     params, chain = model.params, model.chain
 
     hit_closed = prob_hit_colls(params)
-    hit_joint = _initiator_joint(model, model.collaborator_mix_labels(), params.honest)
-    # > 0: some jondo is a collaborator
-    hit_solver = _total(hit_joint.values(), chain.arith)
+    hit_solver, joint_solver = _hit_and_conditional_joint(model)
     joint_closed = conditional_joint(params)
-    joint_solver = {pair: v / hit_solver for pair, v in hit_joint.items()}
     diag_closed = prob_first_eq_last(params)
     diag_solver = _total([joint_solver[(i, i)] for i in params.honest], chain.arith)
     contact_joint = first_last_jondo_joint(model)

@@ -602,6 +602,65 @@ def test_visit_orientation_back_substitutes_only_states_with_an_exit():
     assert repr(masses) == repr(per_outcome_entry_masses(chain, target, starts, key))
 
 
+def in_order_visit_masses(chain, target, starts, key, call):
+    """``sum_u y_s(u) exit_u(k)`` per start from one recorded transposed ``_solve_block`` call.
+
+    The call is solved again; each start's masses are added term by term
+    in block order, from ``0``, and the positive ones kept in key order.
+    """
+    exits = {}
+    for u in call["block"]:
+        for v, p in chain.row_by_index(u).items():
+            if v in target:
+                out = exits.setdefault(u, {})
+                k = key(u, v)
+                out[k] = out[k] + p if k in out else p
+    y = _solve_block(**call)
+    masses = {}
+    for j, s in enumerate(starts):
+        mass = {}
+        for u, out in exits.items():
+            for k, p in out.items():
+                mass[k] = mass.get(k, 0) + y[u][j] * p
+        masses[s] = {k: mass[k] for k in sorted(mass) if mass[k] > 0}
+    return masses
+
+
+def test_float_visit_masses_are_the_in_order_sums_of_their_solve_rows():
+    # Float masses run through the same numerator code as exact ones, over
+    # 1; each must be the float sum of y_s(u) * exit_u(k), bit for bit. The
+    # Crowds joint of the exact twin above has one term per mass; the
+    # random chains key by entry state, so several states add to a mass.
+    model = build_crowds(make_params(20, 4, F(4, 5)), FLOAT)
+    chain = model.chain
+    target = chain.index_set({END})
+    starts = [chain.index_of(init_label(j)) for j in model.params.honest]
+
+    def key(u, v):
+        return model.jondo_of(chain.states[u])
+
+    cases = [(chain, target, starts, key)]
+    rng = random.Random(27)
+    for _ in range(60):
+        rchain = validate_reward(random_chain(rng, rng.randint(3, 9), max_out=4), {})
+        chain = as_mode(rchain, FLOAT).chain
+        target = set(rng.sample(range(len(chain)), rng.randint(2, min(3, len(chain) - 1))))
+        outside = [s for s in range(len(chain)) if s not in target]
+        starts = rng.sample(outside, rng.randint(1, min(2, len(outside))))
+        cases.append((chain, target, starts, lambda u, v: v))
+    terms = 0
+    for chain, target, starts, key in cases:
+        with recording(analysis, "_solve_block") as calls:
+            masses = _entry_masses(chain, target, starts, key)
+        [call] = calls
+        if not call["transpose"]:
+            continue
+        assert repr(masses) == repr(in_order_visit_masses(chain, target, starts, key, call))
+        keys = [key(u, v) for u in call["block"] for v in chain.row_by_index(u) if v in target]
+        terms = max(terms, max(map(keys.count, keys)))
+    assert terms > 1
+
+
 def test_negative_float_masses_are_solver_failures(monkeypatch):
     # Entry masses and visits solve M-matrix systems with non-negative
     # right-hand sides; a float solve that returns a negative one, or masses

@@ -72,6 +72,17 @@ def test_row_sum_not_one_rejected():
         assert str(err.value) == f"row of state 'b' sums to {1 + off}, expected 1"
 
 
+def test_a_row_with_no_entries_sums_to_the_zero_of_its_arithmetic():
+    # A row total is the arithmetic's frac of its numerators over their
+    # denominator, so an empty float row sums to 0.0, as every float total does.
+    for mode, text in ((EXACT, "0"), (FLOAT, "0.0")):
+        with pytest.raises(RowSumNotOneError) as err:
+            validate_chain(["a", "b"], {("a", "a"): 1}, mode)
+        assert err.value.state == "b"
+        assert repr(err.value.actual) == repr(arithmetic(mode).zero)
+        assert str(err.value) == f"row of state 'b' sums to {text}, expected 1"
+
+
 def test_empty_state_space_rejected():
     with pytest.raises(EmptyStateSpaceError):
         validate_chain([], {})
@@ -341,16 +352,37 @@ def test_unknown_mode_names_fail_fast(call):
 
 
 #: The functions that may tell the modes apart: the arithmetic records'
-#: reader and lookups, the choice of linear-system kernel, and the check of
-#: plain-dict masses, which carry no mode.
+#: reader and lookups, the choice of linear-system kernel, the float-only
+#: check that entry masses sum to one where entry is almost sure, and the
+#: choice of arithmetic for plain-dict masses, which carry no mode.
 MODE_DECIDERS = {
     ("chain.py", "_coerce"), ("chain.py", "arithmetic"), ("chain.py", "arithmetic_of"),
-    ("linalg.py", "solve"), ("info.py", "_check_masses"),
+    ("linalg.py", "solve"), ("analysis.py", "_entry_masses"), ("info.py", "_split"),
 }
 
 
+def _is_tol(node) -> bool:
+    """Whether ``node`` reads a tolerance: the name ``tol`` or an attribute ``.tol``."""
+    return getattr(node, "id", None) == "tol" or getattr(node, "attr", None) == "tol"
+
+
+def _truth_tests(node) -> list:
+    """The expressions whose truth ``node`` tests: of an ``if``, ``while``, conditional
+    expression, comprehension ``if``, ``and``/``or`` operand or ``not``."""
+    if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+        return [node.test]
+    if isinstance(node, ast.comprehension):
+        return node.ifs
+    if isinstance(node, ast.BoolOp):
+        return node.values
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return [node.operand]
+    return []
+
+
 def mode_decisions(node, where):
-    """``(where, line)`` of each comparison with a mode name and each ``isinstance(_, float)``."""
+    """``(where, line)`` of each comparison with a mode name, each ``isinstance(_, float)``
+    and each truthiness test of a tolerance, whose zero marks exact arithmetic."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         where = (where[0], node.name)
     if isinstance(node, ast.Compare):
@@ -361,11 +393,29 @@ def mode_decisions(node, where):
     elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
         if getattr(node.args[1], "id", None) == "float":
             yield where, node.lineno
+    for test in _truth_tests(node):
+        if _is_tol(test):
+            yield where, test.lineno
     for child in ast.iter_child_nodes(node):
         yield from mode_decisions(child, where)
 
 
 def test_only_the_arithmetic_records_tell_the_modes_apart():
+    source = """
+def f(arith, tol, xs):
+    if arith.tol: pass
+    while tol: pass
+    a = 1 if tol else 2
+    b = [x for x in xs if x.tol]
+    c = tol and 1
+    d = 1 or arith.tol
+    e = not tol
+    g = abs(1 - 2) <= arith.tol
+    h = tol / 1000
+"""
+    # Every truthiness test of a tolerance is seen; a comparison with one is not.
+    lines = [line for _, line in mode_decisions(ast.parse(source), ("m.py", None))]
+    assert lines == [3, 4, 5, 6, 7, 8, 9]
     found = []
     for path in sorted(Path(exactchain.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

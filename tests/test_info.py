@@ -105,7 +105,8 @@ def test_float_masses_accepted_with_tolerance():
 
 
 def fraction_mutual_information(joint):
-    """Mutual information as summed in Fractions, cell by cell: the reference for exact joints."""
+    """Mutual information summed cell by cell in the masses' own arithmetic: Fractions for
+    exact joints, floats for float ones. The reference for both."""
     px: dict = {}
     py: dict = {}
     for (x, y), p in joint.items():
@@ -177,5 +178,57 @@ def test_exact_mutual_information_and_product_verdicts_match_fraction_arithmetic
     assert mutual_information(joint).hex() == want.hex()
     total = sum(joint.values())
     product = all(v * total == px[x] * py[y] for (x, y), v in joint.items())
+    assert is_product_joint(joint) is product
+    assert _marginals_and_product(joint) == (px, py, product)
+
+
+def float_check(values):
+    """The message of the first fault in float ``values``, checked one by one; None if none."""
+    total = 0
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"joint has non-finite mass {v!r}"
+        if v < 0:
+            return f"joint has negative mass {_full_str(v)}"
+        total = total + v
+    return None if abs(total - 1) <= 1e-9 else f"joint sums to {_full_str(total)}, expected 1"
+
+
+@st.composite
+def float_joints(draw):
+    """Float twins of exact joints: some cells kept exact, one nudged, off one or not finite."""
+    joint = {k: v if draw(st.integers(0, 9)) == 0 else float(v)
+             for k, v in draw(exact_joints()).items()}
+    cell = draw(st.sampled_from(sorted(joint)))
+    change = draw(st.sampled_from(["none", "none", "ulps", "off", "nan", "inf"]))
+    if change == "ulps":
+        joint[cell] = float(joint[cell]) * (1 + draw(st.integers(-4, 4)) * 2**-52)
+    elif change == "off":
+        joint[cell] = float(joint[cell]) + draw(st.sampled_from([-1e-8, -1e-10, 1e-10, 1e-8]))
+    elif change != "none":
+        joint[cell] = draw(st.sampled_from([-1.0, 1.0])) * float(change)
+    if not any(isinstance(v, float) for v in joint.values()):
+        joint[cell] = float(joint[cell])
+    return joint
+
+
+@settings(max_examples=400, deadline=None)
+@given(joint=float_joints())
+def test_float_mutual_information_and_product_verdicts_match_float_arithmetic(joint):
+    # Float joints share the exact body, with the masses over 1: the bits
+    # must be those of plain float arithmetic, cell by cell in the joint's order.
+    fault = float_check(joint.values())
+    if fault is not None:
+        with pytest.raises(InvalidDistributionError) as raised:
+            mutual_information(joint)
+        assert str(raised.value) == fault
+        return
+    want, px, py = fraction_mutual_information(joint)
+    assert mutual_information(joint).hex() == want.hex()
+    total = sum(joint.values())
+    product = all(
+        v * total == px[x] * py[y] or abs(v * total - px[x] * py[y]) <= 1e-12
+        for (x, y), v in joint.items()
+    )
     assert is_product_joint(joint) is product
     assert _marginals_and_product(joint) == (px, py, product)
