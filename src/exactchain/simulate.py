@@ -8,17 +8,22 @@ seed's state sequence and therefore owns a disjoint block of ``2**20``
 draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
 and :func:`sample_path` reject ``max_steps`` outside ``1..2**20 + 1``).
 
-Sampling always runs in 64-bit floats, also for exact-mode chains: each
-chain converts its rows once, on first use, into one flat per-edge table
-that it keeps, and successors are drawn by inverse CDF over the
-index-sorted row. :class:`PathRng` and :func:`sample_path` are the scalar
-reference; the estimators walk paths in blocks that replay exactly their
-per-path streams and successors, and add up path costs left to right in
-path-index order, so their estimates equal a path-by-path count bit for
-bit. The block size bounds the walker's memory, not its results. The
-block walker imports numpy when it first runs, so importing this module
-does not load it. Exactness lives in the analysis module; the simulator
-only corroborates it.
+Successors are drawn by inverse CDF over 64-bit floats, also for
+exact-mode chains: each chain converts its rows once, on first use, into
+one flat per-edge table of index-sorted successors and running sums that
+it keeps. :class:`PathRng` and :func:`sample_path` are the scalar
+reference: they take ``bisect_right`` of the float draw ``u`` in the row.
+The estimators walk paths in blocks that replay exactly their per-path
+streams and successors. They compare the draw's top 53 bits ``k`` with the
+sums scaled to integers, ``ceil(cum * 2**53) <= k``, which is exactly the
+float test ``cum <= u``; they start each search from a guide table of
+equal buckets per row when that saves halvings (:class:`_Successors`); and
+each keeps only the per-path state its estimate reads. Path costs add up
+left to right in path-index order, so the estimates equal a path-by-path
+count bit for bit. The block size bounds the walker's memory, not its
+results. The block walker imports numpy when it first runs, so importing
+this module does not load it. Exactness lives in the analysis module; the
+simulator only corroborates it.
 """
 
 from __future__ import annotations
@@ -175,24 +180,88 @@ def _mask(n: int, idx):
     return mask
 
 
-def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
+class _Successors:
+    """Successor search over a flat table ``ptr, cum``, on 53-bit integer draws.
+
+    A draw ``k`` (``next_uint64() >> 11``) stands for ``u = k * 2**-53``,
+    and ``cum <= u`` holds exactly when ``ceil(cum * 2**53) <= k``, so the
+    search compares integers and finds ``bisect_right`` of ``u`` in the
+    row, as :func:`sample_path` does, without converting the draw.
+
+    It starts from a guide table (Chen & Asau's indexed search) when that
+    saves at least one halving: row ``i`` cuts ``[0, 1)`` into ``K``
+    buckets, ``K`` the power of two at or above its length (fewer than two
+    buckets per edge), and bucket ``b`` holds the flat positions
+    ``bisect_right(cum_row, b / K)`` and ``min(bisect_right(cum_row,
+    (b + 1) / K), last)``, which bracket the answer for every draw in it.
+    Otherwise the bracket is the whole row. ``halvings`` is the log2 of the
+    widest bracket rounded up to a power of two; a probe past a bracket's
+    end reads its end, whose sum exceeds every draw in the bracket. The last
+    halving probes ``pos`` itself, which is never past the end.
+    """
+
+    __slots__ = ("cum", "start", "bound", "base", "shift", "halvings")
+
+    def __init__(self, ptr, cum):
+        import numpy as np
+
+        ptr, cum = np.array(ptr), np.array(cum)
+        width, row_last = np.diff(ptr), ptr[1:] - 1
+        self.cum = np.ceil(cum * 2.0**53).astype(np.uint64)
+        self.start, self.bound, self.base = ptr[:-1], row_last, None
+        self.halvings = (int(width.max()) - 1).bit_length()
+
+        # Edge e of row i falls in the buckets from ceil(cum_e * K_i) on (a
+        # sum that rounds above 1 counts as 1), so the count of edges keyed
+        # at or below bucket g of the flat guide is bisect_right at its edge.
+        log_k = np.frexp(width - 1)[1].astype(np.intp)
+        size = 1 << log_k
+        base = np.cumsum(size) - size
+        row = np.repeat(np.arange(width.size), width)
+        key = base[row] + np.minimum(np.ceil(cum * size[row]).astype(np.intp), size[row])
+        edge = np.searchsorted(key, np.arange(int(size.sum()) + 1), side="right")
+        lo, hi = edge[:-1], np.minimum(edge[1:], np.repeat(row_last, size))
+        halvings = int((hi - lo).max()).bit_length()
+        if halvings < self.halvings:
+            self.start, self.bound, self.halvings = lo, hi, halvings
+            self.base, self.shift = base, (53 - log_k).astype(np.uint64)
+
+    def __call__(self, i, k):
+        """Flat positions of the successors of states ``i`` for draws ``k``."""
+        import numpy as np
+
+        # Buckets as intp: numpy would add uint64 to intp in float64.
+        g = i if self.base is None else self.base[i] + (k >> self.shift[i]).view(np.intp)
+        pos, cum = self.start[g], self.cum
+        if self.halvings > 1:
+            bound = self.bound[g]
+            for h in range(self.halvings - 1, 0, -1):
+                pos += (1 << h) * (cum[np.minimum(pos + ((1 << h) - 1), bound)] <= k)
+        if self.halvings:
+            pos += cum[pos] <= k
+        return pos
+
+
+def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None,
+           first_last=False):
     """Walk paths ``0 .. cfg.samples - 1`` from ``start``, ``_BLOCK`` at a time.
 
     Path ``k`` replays ``sample_path`` on ``PathRng(cfg.seed, k)`` with the
     index set ``stop`` and ``cfg.max_steps``, on the same flat table: the
-    successor is ``bisect_right`` of ``u`` in its row, found by log2(width)
-    halvings (``width``: the widest row rounded up to a power of two) whose
-    probes past the row's end read its last entry, 1.0 > u, like ``+inf``.
-    A path still walking at step ``t`` has drawn at every earlier step, so
-    its stream state is its start state plus ``t`` increments.
+    successor is ``bisect_right`` of the draw in its row, found by
+    :class:`_Successors` on the draw's top 53 bits. A path still walking at
+    step ``t`` has drawn at every earlier step, so its stream state is its
+    start state plus ``t`` increments.
 
-    Yields per block, in path order: end states, states entered by the
-    first step and left by the last (the start if no step was taken), and
-    transition costs under the reward chain ``cost`` summed in step order.
-    The block size bounds the working arrays; each block's step loop runs
-    until its slowest path stops. A cost that overflows a float raises
-    :class:`InvalidParamsError`; a sum that overflows is left at ``inf``
-    (numpy warns about it unless the caller ignores overflow).
+    Yields per block, in path order: end states; if ``first_last``, the
+    states entered by the first step and left by the last (the start if no
+    step was taken), else ``None`` twice; and, under the reward chain
+    ``cost``, transition costs summed in step order, else ``None``. Only
+    the bookkeeping asked for is done at each step. The block size bounds
+    the working arrays; each block's step loop runs until its slowest path
+    stops. A cost that overflows a float raises :class:`InvalidParamsError`;
+    a sum that overflows is left at ``inf`` (numpy warns about it unless the
+    caller ignores overflow).
     """
     import numpy as np
 
@@ -207,9 +276,7 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
                 edge = f"{chain.states[i]!r} -> {chain.states[j]!r}"
                 raise InvalidParamsError(f"cost {edge} overflows a float")
     price = np.array(price)
-    ptr, cum, succ = np.array(ptr), np.array(cum), np.array(succ, dtype=np.intp)
-    width = 1 << (max(np.diff(ptr).tolist()) - 1).bit_length()
-    row_first, row_last = ptr[:-1], ptr[1:] - 1
+    search, succ = _Successors(ptr, cum), np.array(succ, dtype=np.intp)
     going = ~_mask(n, stop)
     s0 = chain.index_of(start)
 
@@ -217,7 +284,11 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
         paths = np.arange(lo, min(lo + _BLOCK, cfg.samples), dtype=np.uint64)
         rng0 = _jump(cfg.seed & _MASK64, paths * PATH_STREAM_STRIDE)
         end = np.full(paths.size, s0, dtype=np.intp)
-        first, last, acc = end.copy(), end.copy(), np.zeros(paths.size)
+        first = last = acc = None
+        if first_last:
+            first, last = end.copy(), end.copy()
+        if cost is not None:
+            acc = np.zeros(paths.size)
         live, nxt = np.arange(paths.size), end
         for steps in range(1, cfg.max_steps):
             moving = going[nxt]
@@ -227,15 +298,13 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None):
             z = rng0[live] + (steps * _GAMMA & _MASK64)
             z = (z ^ (z >> 30)) * _MIX1
             z = (z ^ (z >> 27)) * _MIX2
-            u = ((z ^ (z >> 31)) >> 11) * _UNIT
-            pos, bound, half = row_first[i], row_last[i], width
-            while half := half >> 1:
-                pos += half * (cum[np.minimum(pos + (half - 1), bound)] <= u)
+            pos = search(i, (z ^ (z >> 31)) >> 11)
             nxt = succ[pos]
             end[live] = nxt
-            last[live] = i
-            if steps == 1:
-                first[live] = nxt
+            if first_last:
+                last[live] = i
+                if steps == 1:
+                    first[live] = nxt
             if cost is not None:
                 acc[live] += price[pos]
         yield end, first, last, acc
@@ -256,7 +325,7 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     n = len(chain.states)
     is_hit, is_decided = _mask(n, psi_idx), _mask(n, stop)
     hits = decided = 0
-    for end, _, _, _ in _walks(chain, start, cfg, stop):
+    for end, *_ in _walks(chain, start, cfg, stop):
         hits += int(is_hit[end].sum())
         decided += int(is_decided[end].sum())
 
@@ -335,17 +404,22 @@ def estimate_joint_first_last(model, cfg: SimConfig) -> JointCounts:
     stop = coll_mix | {end_idx}
     is_hit, is_decided = _mask(len(jondo), coll_mix), _mask(len(jondo), stop)
 
-    counts: dict = {}
-    censored = cfg.samples
-    for end, first, last, _ in _walks(chain, model.START, cfg, stop):
+    # Per cell: its count, and the index of the first path that hit it.
+    tally = np.zeros(m * m, dtype=np.int64)
+    first_hit = np.full(m * m, cfg.samples)
+    censored, offset = cfg.samples, 0
+    for end, first, last, _ in _walks(chain, model.START, cfg, stop, first_last=True):
         hit = is_hit[end]
         censored -= int(is_decided[end].sum())
         cells, at, seen = np.unique(code[first[hit]] * m + code[last[hit]],
                                     return_index=True, return_counts=True)
-        # In order of each cell's first hit, as a path-by-path count inserts them.
-        order = np.argsort(at)
-        for cell, k in zip(cells[order].tolist(), seen[order].tolist()):
-            key = (names[cell // m], names[cell % m])
-            counts[key] = counts.get(key, 0) + k
+        tally[cells] += seen
+        first_hit[cells] = np.minimum(first_hit[cells], offset + at)
+        offset += end.size
 
+    # In order of each cell's first hit, as a path-by-path count inserts them.
+    cells = np.flatnonzero(tally)
+    cells = cells[np.argsort(first_hit[cells])]
+    counts = {(names[c // m], names[c % m]): k
+              for c, k in zip(cells.tolist(), tally[cells].tolist())}
     return JointCounts(counts, sum(counts.values()), cfg.samples, censored)

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
 from unittest.mock import patch
 
 import numpy as np
@@ -308,6 +309,76 @@ def test_step_index_matches_row_bisect(chain_seed, n_states, mode):
             assert got == succ[bisect_right(cum, u)], (i, u)
 
 
+def near_uniform_rows(max_width):
+    """Rows of masses within 10 % of each other, up to ``max_width`` wide."""
+    weights = st.lists(st.integers(100, 110), min_size=1, max_size=max_width)
+    return weights.map(lambda w: [x / sum(w) for x in w])
+
+
+def skewed_rows(max_width):
+    """Rows with a 0.97 head and the rest spread over up to ``max_width - 1`` masses."""
+    weights = st.lists(st.integers(1, 100), min_size=1, max_size=max_width - 1)
+    return weights.map(lambda t: [0.97] + [0.03 * x / sum(t) for x in t])
+
+
+def with_tiny_masses(row_and_places):
+    """Put masses of 1e-300, or of 0.0 as an exact mass that underflows, into a row."""
+    row, places = row_and_places
+    for k in places:
+        row.insert(k % (len(row) + 1), 1e-300 if k % 2 else 0.0)
+    return row
+
+
+# Tables of successor rows by kind. Near-uniform rows 5 or more wide take
+# the guide; skewed rows of up to 32 do not, since the head's boundary and
+# every later one fall into the row's last bucket; tiny masses put
+# boundaries a hair apart, or at the very start of a row. A running sum
+# may round above 1 before the row's last entry, which is set to 1.0.
+ROWS = {
+    "near-uniform": near_uniform_rows(64),
+    "skewed": skewed_rows(32),
+    "tiny": st.tuples(st.one_of(near_uniform_rows(61), skewed_rows(61)),
+                      st.lists(st.integers(0, 64), min_size=1, max_size=3)).map(with_tiny_masses),
+}
+TABLES = st.one_of(*(st.tuples(st.just(kind), st.lists(row, min_size=1, max_size=4))
+                     for kind, row in ROWS.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=TABLES)
+@example(table=("near-uniform", [[1 / 64] * 64, [1.0]]))
+@example(table=("skewed", [[0.97] + [0.03 / 31] * 31]))
+@example(table=("tiny", [[1e-300, 0.5, 1e-300, 0.5, 1e-300], [1e-300, 1e-300, 1.0]]))
+@example(table=("tiny", [[0.25, 0.7500000000000002, 1e-300, 1e-300], [0.9, 0.1, 1e-300, 1e-300],
+                         [0.5, 0.5000000000000002], [0.2] * 5]))
+def test_successor_search_matches_row_bisect(table):
+    # The walker's search on integer draws k finds, for every row, the
+    # flat position bisect_right gives for u = k * 2**-53 on the float row,
+    # hence the same successor. Draws sit at and next to every running sum
+    # and every bucket edge b / K, and at both ends of [0, 1).
+    kind, rows = table
+    ptr, cum = [0], []
+    for row in rows:
+        cum += accumulate(row)
+        cum[-1] = 1.0
+        ptr.append(len(cum))
+    search = simulate._Successors(ptr, cum)
+    if kind == "near-uniform" and max(map(len, rows)) >= 5:
+        assert search.base is not None
+    if kind == "skewed":
+        assert search.base is None
+    for i in range(len(rows)):
+        sums = cum[ptr[i] : ptr[i + 1]]
+        size = 1 << (len(sums) - 1).bit_length()
+        points = {0.0, 1 - 2**-53}
+        for c in sums + [b / size for b in range(size + 1)]:
+            points |= {c, math.nextafter(c, 0), math.nextafter(c, 1)}
+        draws = sorted({k for u in points for k in (math.floor(u * 2**53), math.ceil(u * 2**53))
+                        if 0 <= k < 2**53})
+        got = search(np.full(len(draws), i), np.array(draws, dtype=np.uint64))
+        assert got.tolist() == [ptr[i] + bisect_right(sums, k * 2**-53) for k in draws], i
+
+
 def test_walker_tables_hold_one_entry_per_edge():
     # One 1000-successor row that no path from "a" visits must not widen
     # the walker's tables for every other row.
@@ -332,11 +403,21 @@ def test_walker_tables_hold_one_entry_per_edge():
        block=st.just(SMALL_BLOCK))
 @example(n_jondos=5, coll_seed=1, skewed=True, p_f=F(4, 5), mode=FLOAT, seed=-5,
          samples=_BLOCK + 1, max_steps=3, block=_BLOCK)
+# Crowds of 20 take the walker's guide table, with one halving at p_f = 4/5
+# and two at 1/2; at 5 * SMALL_BLOCK + 3 paths, cells are first hit in
+# later blocks, after others that earlier blocks hit.
+@example(n_jondos=20, coll_seed=3, skewed=False, p_f=F(4, 5), mode=FLOAT, seed=1,
+         samples=5 * SMALL_BLOCK + 3, max_steps=10_000, block=SMALL_BLOCK)
+@example(n_jondos=20, coll_seed=0, skewed=True, p_f=F(1, 2), mode=EXACT, seed=-5,
+         samples=5 * SMALL_BLOCK + 3, max_steps=10_000, block=SMALL_BLOCK)
 def test_joint_walk_matches_sample_path(n_jondos, coll_seed, skewed, p_f, mode, seed,
                                         samples, max_steps, block):
     n_colls = 1 + coll_seed % (n_jondos - 2)
     init = {"J1": F(3, 4), "J2": F(1, 4)} if skewed else None
     model = build_crowds(make_params(n_jondos, n_colls, p_f, init), mode)
+    if n_jondos >= 20:
+        ptr, _, cum = model.chain._cdf_table()
+        assert simulate._Successors(ptr, cum).base is not None
     cfg = SimConfig(seed, samples, max_steps)
     coll_mix = model.collaborator_mix_labels()
 
