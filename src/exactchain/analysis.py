@@ -111,8 +111,8 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
     """Solve ``(I - Q) x = b``, or its transpose, with ``Q`` the transitions inside ``block``.
 
     ``block`` is a sorted index list and ``b`` holds one row per block
-    state, in block order. Returns the solution row of each block state,
-    or with ``keep``, a set of block states, of those states alone.
+    state, in block order. Returns the solution row of each state in
+    ``keep``, a set of block states, which is the whole block by default.
     Row ``i`` of the system goes to :func:`linalg.solve` as a dict of its
     nonzeros, ``{j: -q_ij, i: d_i}``; the transpose puts ``-q_ij`` in row
     ``j``. The caller picks a block from every state of which the path
@@ -141,9 +141,7 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
                 else:
                     rows[i][j] = -p
         rows[i][i] = diagonal(out, u)
-    if keep is None:
-        return dict(zip(block, linalg.solve(rows, b, chain.mode)))
-    kept = sorted(keep)
+    kept = block if keep is None else sorted(keep)
     return dict(zip(kept, linalg.solve(rows, b, chain.mode, keep={pos[u] for u in kept})))
 
 
@@ -315,9 +313,11 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order (:func:`_positive`). Where the forward search
     finds no state outside the block and the target, the target is entered
-    almost surely; there a float solve whose masses for some start miss one
-    by more than the row-sum tolerance raises :class:`SingularSystemError`.
-    Exact masses sum to one there, and are not summed.
+    almost surely; there each start's masses are added (:func:`_total`),
+    and a sum that misses one by more than the arithmetic's ``tol`` raises
+    :class:`SingularSystemError`. Exact masses of a correct solve sum to
+    exactly one, so in exact mode the check is an identity that only a
+    wrong law fails.
     """
     outside = set(range(len(chain.states))) - t_idx
     seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
@@ -345,10 +345,10 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
                          keep={u for u, out in exits.items() if out})
         columns = _visit_masses(exits, y, keys, len(starts), chain.arith)
         masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
-    if tol and seen - t_idx <= inside:
+    if seen - t_idx <= inside:
         # Every state met before entry can still reach the target.
         for s, out in masses.items():
-            total = sum(out.values(), zero)
+            total = _total(out.values(), chain.arith)
             if abs(total - one) > tol:
                 raise SingularSystemError(
                     f"entry masses sum to {_full_str(total)}, not 1, where entry is almost sure"

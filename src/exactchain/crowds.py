@@ -14,9 +14,11 @@ the joint law of (initiator, last honest jondo before a collaborator),
 the probable-innocence criterion, and the mutual-information bound on
 what collaborators learn; each is cross-checkable against the exact
 solver on the built chain. :func:`crowds_report` reads all its solver
-values off two entry-law solves; :func:`solver_hit_prob`,
-:func:`last_jondo_distribution` and :func:`solver_joint_first_last` each
-solve one query, as independent references.
+values off two entry-law solves; :func:`solver_hit_prob` and
+:func:`last_jondo_distribution` each solve one query, as independent
+references. :func:`solver_joint_first_last` is not one: it returns the
+report's own solver joint, which only its comparison with the closed form
+:func:`conditional_joint` checks independently.
 """
 
 from __future__ import annotations

@@ -25,19 +25,22 @@ Every other exact system goes to fraction-free (Bareiss) Gaussian
 elimination over integers: each dict row is read straight into a dense
 integer row with its denominators cleared, which keeps intermediate
 values from exploding the way naive rational elimination can, and wins
-on dense blocks. Back-substitution stays in integers too: every unknown
-is an integer over the last Bareiss pivot, the determinant (Bareiss
-1968), so the only rationals built are the results. Float mode fills a
-numpy matrix from the rows and delegates to numpy, which is imported on
-the first non-empty float solve, so exact work never loads it.
+on dense blocks. Its divisions are exact whatever the pivot order, so it
+pivots on the first nonzero entry of a column and searches no magnitudes.
+Back-substitution stays in integers too: every unknown is an integer over
+the last Bareiss pivot, the determinant (Bareiss 1968), so the only
+rationals built are the results. Float mode fills a numpy matrix from the
+rows and delegates to numpy, which is imported on the first non-empty
+float solve, so exact work never loads it.
 
-A caller that reads only some unknowns, such as the one start state of a
-query, names them in ``keep``: both exact solvers then order the kept
-unknowns last, eliminate everything else first, and back-substitute only
-the kept rows, which depend on nothing eliminated before them (PARAM reads
-the initial state's value off this way). Only the kept rows are returned,
-in ascending order. Float mode solves in full and returns the same rows,
-so its bits do not depend on ``keep``.
+Every solve is a kept-rows solve. A caller that reads only some unknowns,
+such as the one start state of a query, names them in ``keep``; without
+it, every unknown is kept. Both exact solvers order the kept unknowns
+last, eliminate everything else first, and back-substitute only the kept
+rows, which depend on nothing eliminated before them (PARAM reads the
+initial state's value off this way). Only the kept rows are returned, in
+ascending order. Float mode solves in full and returns the same rows, so
+its bits do not depend on ``keep``.
 """
 
 from __future__ import annotations
@@ -62,17 +65,19 @@ def solve_exact(rows, b, keep=None):
     ``rows``, ``b`` and ``keep`` are as in :func:`solve`, and so is the
     result. The kept columns go last, so the last ``len(keep)`` rows of the
     triangular system hold them alone and only those rows are
-    back-substituted.
+    back-substituted. Each column pivots on the first row at or below the
+    diagonal with a nonzero entry, swapped up; every Bareiss division is
+    exact in any pivot order, so no larger pivot is searched for.
 
-    Raises :class:`SingularSystemError` when no pivot can be found.
+    Raises :class:`SingularSystemError` when a column has no nonzero entry
+    left to pivot on.
     """
     n = len(rows)
-    if n == 0:
-        return []
+    keep = range(n) if keep is None else keep
     k = len(b[0]) if b else 0
     width = n + k
-    first = 0 if keep is None else n - len(keep)  # the first row back-substituted
-    cols = range(n) if keep is None else sorted(range(n), key=lambda j: j in keep)
+    first = n - len(keep)  # the first row back-substituted
+    cols = sorted(range(n), key=lambda j: j in keep)
     at = {j: c for c, j in enumerate(cols)}  # the kept columns go last
 
     # Clear denominators row by row: the augmented matrix becomes integral,
@@ -88,8 +93,8 @@ def solve_exact(rows, b, keep=None):
 
     prev = 1
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0:
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
             raise SingularSystemError(f"no pivot in column {col}")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
@@ -128,6 +133,7 @@ def solve_float(rows, b, keep=None):
     n = len(rows)
     if n == 0:
         return []
+    keep = range(n) if keep is None else keep
     import numpy as np
 
     a = np.zeros((n, n))
@@ -139,7 +145,7 @@ def solve_float(rows, b, keep=None):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     x = x.tolist()
-    return x if keep is None else [x[i] for i in sorted(keep)]
+    return [x[i] for i in sorted(keep)]
 
 
 def eliminate(rows, b, keep=None):
@@ -154,8 +160,8 @@ def eliminate(rows, b, keep=None):
     lowest index among equals, always on its diagonal; the unknowns in the
     set ``keep`` are pinned last, after every other one. Back-substitution
     runs in reverse elimination order and skips solution entries that are
-    zero; with ``keep``, only the kept rows are back-substituted: an
-    unknown's reduced row holds only unknowns eliminated after it.
+    zero; only the kept rows are back-substituted: an unknown's reduced row
+    holds only unknowns eliminated after it.
 
     Raises :class:`SingularSystemError` when a diagonal pivot is zero,
     which never happens on a nonsingular M-matrix such as the analyses'
@@ -173,12 +179,12 @@ def eliminate(rows, b, keep=None):
     constructor, which takes a full gcd in any case.
     """
     n = len(rows)
+    keep = range(n) if keep is None else keep
     k = len(b[0]) if b else 0
     rows = [
         {j: x.as_integer_ratio() for j, x in chain(row.items(), enumerate(b_row, n)) if j < n or x}
         for row, b_row in zip(rows, b)
     ]
-    pinned = () if keep is None else keep  # eliminated last
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -186,7 +192,7 @@ def eliminate(rows, b, keep=None):
                 holders[j].add(i)
 
     def cost(u):
-        return (u in pinned, (len(rows[u]) - 1) * (len(holders[u]) - 1), u)
+        return (u in keep, (len(rows[u]) - 1) * (len(holders[u]) - 1), u)
 
     heap = [cost(u) for u in range(n)]
     heapq.heapify(heap)
@@ -248,7 +254,7 @@ def eliminate(rows, b, keep=None):
     # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p
     x = [None] * n
     out = [None] * n
-    for p, pn, pd in reversed(order if keep is None else order[n - len(keep):]):
+    for p, pn, pd in reversed(order[n - len(keep):]):
         row = rows[p]
         acc = [row.get(c, (0, 1)) for c in range(n, n + k)]
         for j, (vn, vd) in row.items():
@@ -286,22 +292,23 @@ def eliminate(rows, b, keep=None):
         # quotient by the pivot is left unreduced for that one gcd.
         out[p] = sol = [Fraction(an * pd, ad * pn) for an, ad in acc]
         x[p] = [(v.numerator, v.denominator) for v in sol]
-    return out if keep is None else [out[p] for p in sorted(keep)]
+    return [out[p] for p in sorted(keep)]
 
 
 def solve(rows, b, mode, keep=None):
     """Solve ``a @ x = b`` in ``mode``'s arithmetic.
 
     ``rows[i]`` maps column ``j`` to the nonzero ``a[i][j]``; ``b`` is the
-    n-by-k right-hand-side matrix, a list of rows. Returns the n-by-k
-    solution as a list of rows; with ``keep``, a set of unknowns, only
-    their rows, in ascending order, which the exact solvers alone
-    back-substitute. Neither ``rows`` nor ``b`` is changed. Exact systems
-    with at most ``SPARSE_ROW_NNZ`` nonzeros per row on average go to
-    :func:`eliminate`, whatever the width of ``b``, the rest to
-    :func:`solve_exact`; float systems to :func:`solve_float`. The
-    analyses' systems have one column, or one per start state or per
-    outcome. A mode other than ``"exact"`` or ``"float"`` raises ``ValueError``.
+    n-by-k right-hand-side matrix, a list of rows. ``keep`` is the set of
+    unknowns whose rows are returned, in ascending order; ``None`` keeps
+    every unknown, so the full n-by-k solution comes back. The exact
+    solvers back-substitute the kept rows alone. Neither ``rows`` nor
+    ``b`` is changed. Exact systems with at most ``SPARSE_ROW_NNZ``
+    nonzeros per row on average go to :func:`eliminate`, whatever the width
+    of ``b``, the rest to :func:`solve_exact`; float systems to
+    :func:`solve_float`. The analyses' systems have one column, or one per
+    start state or per outcome. A mode other than ``"exact"`` or
+    ``"float"`` raises ``ValueError``.
     """
     if mode == "float":
         return solve_float(rows, b, keep)

@@ -715,6 +715,27 @@ def test_float_entry_masses_must_sum_to_one_only_where_entry_is_almost_sure(monk
     assert first_entry_distribution(avoidable, {"t"}, "a").never > 0.5
 
 
+def test_exact_entry_masses_must_sum_to_one_where_entry_is_almost_sure(monkeypatch):
+    # The float check, with no tolerance: a correct exact solve always meets
+    # it, so only a wrong law fails, and one that need not sum to one passes.
+    sure = chain_of({("s", "a"): F(1, 2), ("s", "t"): F(1, 2), ("a", "s"): F(1, 2),
+                     ("a", "t"): F(1, 2), ("t", "t"): F(1)})
+    avoidable = chain_of({("a", "t"): F(1, 2), ("a", "c"): F(1, 2), ("t", "t"): F(1),
+                          ("c", "c"): F(1)})
+    solve = linalg.solve
+    scale = 1 - F(1, 10**40)
+
+    def short(rows, b, mode, keep=None):
+        return [[v * scale for v in row] for row in solve(rows, b, mode, keep)]
+
+    monkeypatch.setattr(linalg, "solve", short)
+    for target in ({"t"}, {"s", "t"}):  # absorption probabilities, then visits
+        start = "a" if "s" in target else "s"
+        with pytest.raises(SingularSystemError, match="not 1, where entry is almost sure"):
+            first_entry_distribution(sure, target, start)
+    assert first_entry_distribution(avoidable, {"t"}, "a").mass == {"t": scale / 2}
+
+
 def dense_exit_mass_system(chain, block, transpose):
     """``I - Q`` over ``block``, or its transpose, as a dense numpy matrix whose
     diagonal holds each row's exit mass ``sum_{v != u} tau(u, v)``."""

@@ -351,13 +351,14 @@ def test_unknown_mode_names_fail_fast(call):
             call(mode)
 
 
-#: The functions that may tell the modes apart: the arithmetic records'
-#: reader and lookups, the choice of linear-system kernel, the float-only
-#: check that entry masses sum to one where entry is almost sure, and the
-#: choice of arithmetic for plain-dict masses, which carry no mode.
+#: The functions that tell the modes apart, and the only ones that may: the
+#: arithmetic records' reader and lookups, the choice of linear-system
+#: kernel, and the choice of arithmetic for plain-dict masses, which carry
+#: no mode. Every other check, such as the sum of entry masses where entry
+#: is almost sure, runs the same in both arithmetics.
 MODE_DECIDERS = {
     ("chain.py", "_coerce"), ("chain.py", "arithmetic"), ("chain.py", "arithmetic_of"),
-    ("linalg.py", "solve"), ("analysis.py", "_entry_masses"), ("info.py", "_split"),
+    ("linalg.py", "solve"), ("info.py", "_split"),
 }
 
 
@@ -418,7 +419,8 @@ def f(arith, tol, xs):
     assert lines == [3, 4, 5, 6, 7, 8, 9]
     found = []
     for path in sorted(Path(exactchain.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found += [(where, line) for where, line in mode_decisions(tree, (path.name, None))
-                  if where not in MODE_DECIDERS]
-    assert found == []
+        found += mode_decisions(ast.parse(path.read_text()), (path.name, None))
+    # Only the allowed functions decide, and each still does, so that no
+    # entry outlives the branch it allowed.
+    assert [(where, line) for where, line in found if where not in MODE_DECIDERS] == []
+    assert MODE_DECIDERS - {where for where, _ in found} == set()

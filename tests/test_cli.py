@@ -459,6 +459,21 @@ def test_zeroconf_sweep_csv(capsys):
     assert lines[1].startswith("exact,1,1/100")
 
 
+def test_sweep_prints_each_report_without_its_command_one_blank_line_apart(capsys):
+    code, swept, err = run(capsys, "zeroconf", "--preset", "paper-typical",
+                           "--sweep", "probes=1,2")
+    assert code == 0, err
+    bodies = []
+    for probes in ("1", "2"):
+        argv = ["zeroconf", "--preset", "paper-typical", "--probes", probes]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        body, command = out.rsplit("command: ", 1)
+        assert command == f"exactchain {' '.join(argv)}\n"
+        bodies.append(body)
+    assert swept == "\n".join(bodies)
+
+
 @pytest.mark.parametrize("sweep, message", [
     ("p=", "no values"),
     ("p=1/100,;probes= ,", "no values"),
@@ -707,6 +722,45 @@ def test_csv_timing_appends_elapsed_seconds_as_last_column(capsys, argv):
         head, elapsed = timed_row.rsplit(",", 1)
         assert head == plain_row
         assert float(elapsed) >= 0
+
+
+SMALL_FILE = "bench/models/zeroconf_small.json"
+
+
+@pytest.mark.parametrize("argv, header, row", [
+    (["validate", SMALL_FILE],
+     "command,mode,model_file,verdict,states,transitions,rewards",
+     f"exactchain validate {SMALL_FILE} --csv,exact,{SMALL_FILE},OK,5,8,3"),
+    (["solve", SMALL_FILE, "--until", "ALL=>Error", "--start", "Start", "--cost"],
+     "command,mode,model_file,start,phi,psi,"
+     "results[0].name,results[0].provenance,results[0].value,"
+     "results[1].name,results[1].provenance,results[1].value,"
+     "verdicts.probability_zero,verdicts.ae_certified",
+     f"exactchain solve {SMALL_FILE} --until ALL=>Error --start Start --cost --csv,exact,"
+     f"{SMALL_FILE},Start,Error Ok Probe 0 Probe 1 Start,Error,"
+     "until_probability,solver,1/5,expected_cost,solver,inf,False,False"),
+    (["simulate", SMALL_FILE, "--event", "until:ALL=>Error", "--seed", "7", "--samples", "1000"],
+     "command,mode,model,start,event,seed,samples,max_steps,"
+     "results[0].name,results[0].provenance,results[0].mean,results[0].std_error,"
+     "results[0].samples_used,results[0].censored",
+     f"exactchain simulate {SMALL_FILE} --event until:ALL=>Error --seed 7 --samples 1000 --csv,"
+     f"exact,{SMALL_FILE},Start,until:ALL=>Error,7,1000,10000,"
+     "until_probability,simulation,0.191,0.012430567163247218,1000,0"),
+], ids=["validate", "solve", "simulate"])
+def test_generic_csv_flattens_nested_reports(capsys, monkeypatch, argv, header, row):
+    # Nested dicts and lists of dicts become dotted and indexed columns;
+    # --timing appends elapsed_seconds last, as it does for every command.
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv, "--csv")
+    assert code == 0, err
+    assert out.splitlines() == [header, row]
+    code, out, err = run(capsys, *argv, "--csv", "--timing")
+    assert code == 0, err
+    timed_header, timed_row = out.splitlines()
+    assert timed_header == header + ",elapsed_seconds"
+    head, elapsed = timed_row.rsplit(",", 1)
+    assert head == row.replace(" --csv,", " --csv --timing,", 1)
+    assert float(elapsed) >= 0
 
 
 def _readme_commands():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactchain.crowds import is_product_joint
@@ -214,6 +214,8 @@ def float_joints(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(joint=float_joints())
+# The (a, a) cell's row and column are all Fractions, so its quotient is one.
+@example(joint={("a", "a"): F(1, 4), ("a", "b"): F(1, 4), ("b", "a"): F(1, 4), ("b", "b"): 0.25})
 def test_float_mutual_information_and_product_verdicts_match_float_arithmetic(joint):
     # Float joints share the exact body, with the masses over 1: the bits
     # must be those of plain float arithmetic, cell by cell in the joint's order.
@@ -232,3 +234,11 @@ def test_float_mutual_information_and_product_verdicts_match_float_arithmetic(jo
     )
     assert is_product_joint(joint) is product
     assert _marginals_and_product(joint) == (px, py, product)
+
+
+def test_entropy_of_a_fraction_beside_a_float_matches_fraction_arithmetic():
+    # The Fraction mass's quotient is a Fraction, logged by its parts. The
+    # entropy of a marginal is the mutual information of its diagonal joint.
+    marginal = {"x": F(1, 2), "y": 0.5}
+    want, _, _ = fraction_mutual_information({(k, k): p for k, p in marginal.items()})
+    assert entropy(marginal).hex() == want.hex()

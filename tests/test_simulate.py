@@ -141,6 +141,13 @@ def test_estimate_until_empty_phi_miss():
     assert est.mean == 0.0 and est.censored == 0
 
 
+def test_estimate_until_with_every_path_censored():
+    # With room for the start alone, no path is decided.
+    chain = chain_of({("a", "b"): F(1), ("b", "b"): F(1)})
+    est = estimate_until(chain, {"a"}, {"b"}, "a", SimConfig(seed=0, samples=10, max_steps=1))
+    assert est == Estimate(0.0, 0.0, 10, 10)
+
+
 def test_estimate_until_matches_exact_value():
     rchain = build_zeroconf(SMALL)
     chain = rchain.chain
