@@ -382,7 +382,8 @@ def _positive(masses, tol) -> dict:
 
     The masses solve an M-matrix system with a non-negative right-hand
     side, so none is negative; a float solve that returns one below
-    ``-tol``, the arithmetic's tolerance, has lost its accuracy, and raises
+    ``-tol``, the arithmetic's tolerance, or a NaN, which fails both
+    comparisons, has lost its accuracy, and raises
     :class:`SingularSystemError` rather than drop it. Only masses already
     bound to be dropped are compared, so exact mode pays nothing.
     """
@@ -392,6 +393,8 @@ def _positive(masses, tol) -> dict:
             positive[k] = m
         elif m < -tol:
             raise SingularSystemError(f"the solve returned a negative entry mass {_full_str(m)}")
+        elif m != m:
+            raise SingularSystemError("the solve returned a NaN entry mass")
     return positive
 
 

@@ -27,11 +27,18 @@ integer row with its denominators cleared, which keeps intermediate
 values from exploding the way naive rational elimination can, and wins
 on dense blocks. Its divisions are exact whatever the pivot order, so it
 pivots on the first nonzero entry of a column and searches no magnitudes.
-Back-substitution stays in integers too: every unknown is an integer over
-the last Bareiss pivot, the determinant (Bareiss 1968), so the only
-rationals built are the results. Float mode fills a numpy matrix from the
-rows and delegates to numpy, which is imported on the first non-empty
-float solve, so exact work never loads it.
+A step only rescales a row that has a zero in the pivot column, by the
+pivot over the previous one, and over a run of such steps the factors
+telescope (Sylvester's identity). So such a row is left alone and
+rescaled once, when a later step changes it or it becomes the pivot row;
+the division is exact because the row it gives is Bareiss's own, whose
+entries are minors of the integer matrix. A step whose pivot equals the
+one a row is current to touches that row only in the pivot row's nonzero
+columns. Back-substitution stays in integers too: every unknown is an
+integer over the last Bareiss pivot, the determinant (Bareiss 1968), so
+the only rationals built are the results. Float mode fills a numpy matrix
+from the rows and delegates to numpy, which is imported on the first
+non-empty float solve, so exact work never loads it.
 
 Every solve is a kept-rows solve. A caller that reads only some unknowns,
 such as the one start state of a query, names them in ``keep``; without
@@ -69,6 +76,17 @@ def solve_exact(rows, b, keep=None):
     diagonal with a nonzero entry, swapped up; every Bareiss division is
     exact in any pivot order, so no larger pivot is searched for.
 
+    A row with a zero in the pivot column is left alone: the step would
+    only rescale it by ``pivot / previous pivot``, and such factors
+    telescope, so the row records the pivot it is current to and is
+    rescaled once, by the previous pivot over that one, when a later step
+    changes it (folded into that step's division) or when it becomes the
+    pivot row. The rescaled row is the Bareiss row, whose entries are
+    minors of the integer matrix, so the division is exact. A row current
+    to the step's own pivot is updated only in the pivot row's nonzero
+    columns: a zero there leaves its entry as it is. Pivot rows are always
+    current, so back-substitution reads them as they are.
+
     Raises :class:`SingularSystemError` when a column has no nonzero entry
     left to pivot on.
     """
@@ -91,6 +109,9 @@ def solve_exact(rows, b, keep=None):
         m_row += [x.numerator * (scale // x.denominator) for x in b_row]
         m.append(m_row)
 
+    # level[r] is the pivot row r is current to: the Bareiss row is m[r]
+    # times prev / level[r], an integer row (Sylvester's identity).
+    level = [1] * n
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
@@ -98,13 +119,31 @@ def solve_exact(rows, b, keep=None):
             raise SingularSystemError(f"no pivot in column {col}")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-        pivval = m[col][col]
+            level[col], level[piv] = level[piv], level[col]
+        row_c = m[col]
+        lev = level[col]
+        if lev != prev:
+            for j in range(col, width):
+                row_c[j] = row_c[j] * prev // lev
+        pivval = row_c[col]
+        nonzero = None
         for r in range(col + 1, n):
-            factor = m[r][col]
             row_r = m[r]
-            row_c = m[col]
-            for j in range(col + 1, width):
-                row_r[j] = (row_r[j] * pivval - factor * row_c[j]) // prev
+            factor = row_r[col]
+            if not factor:
+                continue  # a rescale only, left to the row's next update
+            lev = level[r]
+            level[r] = pivval
+            if lev == pivval:
+                # A zero in the pivot row leaves the entry as it is.
+                if nonzero is None:
+                    nonzero = [j for j in range(col + 1, width) if row_c[j]]
+                for j in nonzero:
+                    row_r[j] -= factor * row_c[j] // lev
+            else:
+                # The rescale by prev / lev and the step's division by prev, in one.
+                for j in range(col + 1, width):
+                    row_r[j] = (row_r[j] * pivval - factor * row_c[j]) // lev
             row_r[col] = 0
         prev = pivval
 

@@ -686,6 +686,31 @@ def test_negative_float_masses_are_solver_failures(monkeypatch):
         analysis._residual([0.5, 0.5 + 1e-6], 1.0)
 
 
+def test_nan_float_masses_are_solver_failures(monkeypatch):
+    # NaN is neither above zero nor below -tol. From s, a third of the mass
+    # falls into the trap, so entry is not almost sure and the sum check does
+    # not run: a NaN mass left out would go into never as if it were real.
+    chain = validate_chain(["s", "a", "t", "u", "trap"], {
+        ("s", "a"): 0.5, ("s", "t"): 0.25, ("s", "trap"): 0.25,
+        ("a", "s"): 0.5, ("a", "t"): 0.25, ("a", "u"): 0.25,
+        ("t", "t"): 1.0, ("u", "u"): 1.0, ("trap", "trap"): 1.0,
+    }, FLOAT)
+    law = entry_edge_distribution(chain, {"t", "u"}, "s")
+    assert set(law.mass) == {("s", "t"), ("a", "t"), ("a", "u")}
+    assert law.never == pytest.approx(1 / 3)
+    solve = linalg.solve
+
+    def nan_last(rows, b, mode, keep=None):
+        x = solve(rows, b, mode, keep)
+        x[-1] = [math.nan for _ in x[-1]]
+        return x
+
+    monkeypatch.setattr(linalg, "solve", nan_last)
+    for query in (first_entry_distribution, entry_edge_distribution):
+        with pytest.raises(SingularSystemError, match="NaN entry mass"):
+            query(chain, {"t", "u"}, "s")
+
+
 def test_float_entry_masses_must_sum_to_one_only_where_entry_is_almost_sure(monkeypatch):
     # From s every path enters t, so a float law must sum to one. From a,
     # which leaves its near-one self-loop for t or the trap c, never is half

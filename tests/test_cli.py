@@ -812,6 +812,9 @@ _NO_SAMPLER = "simulate crowds zeroconf info"
     (["zeroconf", "--preset", "paper-typical",
       "--sweep", "p=1/100,1/10;probes=1,2,3", "--csv"], False, "crowds modelfile simulate info"),
     (["crowds", "--preset", "fig3"], False, "zeroconf modelfile simulate"),
+    # Fig. 3's blocks are sparse enough for state elimination; J=20's go to Bareiss.
+    (["crowds", "--jondos", "20", "--colls", "4", "--pf", "4/5"], False,
+     "zeroconf modelfile simulate"),
     (["validate", MODEL], False, _NO_SOLVER),
     (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--cost"], False, _NO_SAMPLER),
     (["solve", MODEL, "--until", "ALL=>Error", "--start", "Start", "--float"], True, _NO_SAMPLER),
@@ -826,8 +829,8 @@ _NO_SAMPLER = "simulate crowds zeroconf info"
       "--seed", "7", "--samples", "100"], True, "linalg crowds modelfile info"),
     (["simulate", "crowds:fig3", "--event", "until:ALL=>End", "--seed", "1", "--samples", "100"],
      True, "linalg zeroconf modelfile"),
-], ids=["import", "zeroconf", "zeroconf-sweep-csv", "crowds", "validate", "solve",
-        "solve-float", "simulate", "zeroconf-simulate", "crowds-simulate", "crowds-init",
+], ids=["import", "zeroconf", "zeroconf-sweep-csv", "crowds", "crowds-bareiss", "validate",
+        "solve", "solve-float", "simulate", "zeroconf-simulate", "crowds-simulate", "crowds-init",
         "simulate-preset", "simulate-crowds"])
 def test_numpy_loads_only_for_float_solves_and_sampling(tmp_path, argv, numpy_loaded, not_loaded):
     init = tmp_path / "init.json"

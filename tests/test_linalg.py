@@ -140,6 +140,79 @@ def test_solve_exact_matches_reference_elimination(system):
     assert all(type(v) is F for row in x for v in row)
 
 
+WEIGHT = st.one_of(st.just(0), st.just(0), st.integers(1, 9))
+
+
+@st.composite
+def zero_heavy_systems(draw):
+    """``(a, b, keep, order)`` with ``a = I - Q`` full of zeros.
+
+    Each row of ``Q`` is a row of weights over one more, positive, exit
+    weight, so every state leaves: ``a`` is strictly diagonally dominant
+    and no pivot vanishes, in Bareiss or in state elimination. The zeros
+    come in one of three shapes: absorbing blocks, where no row reaches an
+    earlier block, so each row is zero in the columns of the blocks before
+    its own; rows that hold only their diagonal; and near-duplicate rows,
+    which share one row of weights over their own exit weights, like
+    Crowds' Mix rows. ``order`` is the row order handed to Bareiss, so rows
+    left alone are also swapped up as pivots.
+    """
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["blocks", "diagonal", "duplicates"]))
+    weights = [[draw(WEIGHT) for _ in range(n)] for _ in range(n)]
+    if shape == "blocks":
+        starts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+        block = [sum(i >= s for s in starts) for i in range(n)]
+        weights = [[w * (block[j] >= block[i]) for j, w in enumerate(row)]
+                   for i, row in enumerate(weights)]
+    elif shape == "diagonal":
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            weights[i] = [weights[i][i] * (j == i) for j in range(n)]
+    else:
+        weights = [list(weights[0]) for _ in range(n)]
+    a = []
+    for i, row in enumerate(weights):
+        total = sum(row) + draw(st.integers(1, 9))
+        a.append([(i == j) - F(w, total) for j, w in enumerate(row)])
+    b = [[F(draw(WEIGHT), 9) for _ in range(k)] for _ in range(n)]
+    keep = draw(st.sets(st.integers(0, n - 1)))
+    order = draw(st.permutations(range(n)))
+    return a, b, keep, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_heavy_systems())
+# Rows 3 and 4 have zeros under the first three pivots: row 4 is left
+# alone for three steps before its update, and row 3 becomes the pivot row
+# before any step has changed it.
+@example(([[1, F(-1, 2), F(-1, 4), 0, F(-1, 8)],
+           [F(-1, 3), 1, F(-1, 3), F(-1, 6), 0],
+           [F(-1, 5), F(-1, 5), 1, F(-1, 5), F(-1, 5)],
+           [0, 0, 0, 1, F(-1, 2)],
+           [0, 0, 0, F(-1, 4), 1]],
+          [[F(1, 8)], [F(1, 6)], [F(1, 5)], [F(1, 2)], [F(3, 4)]], {3, 4}, range(5)))
+# Row 2 holds only its diagonal: left alone for two steps, it becomes the
+# pivot row and its pivot equals the one before, so row 3, updated at
+# both earlier steps, is updated only where row 2 is nonzero.
+@example(([[1, F(-1, 2), 0, F(-1, 4)],
+           [F(-1, 2), 1, F(-1, 4), 0],
+           [0, 0, 1, 0],
+           [F(-1, 3), F(-1, 3), F(-1, 3), 1]],
+          [[F(1, 4)], [F(1, 4)], [1], [0]], {2, 3}, range(4)))
+def test_bareiss_equals_state_elimination_on_zero_heavy_systems(system):
+    # Bareiss leaves a row with a zero in the pivot column alone and
+    # rescales it once, when a later step changes it or it becomes the
+    # pivot row; every result must be the one state elimination gives.
+    a, b, keep, order = system
+    rows = sparse(a)
+    full = reference_solve(a, b)
+    for kept in (None, keep):
+        x = solve_exact([rows[i] for i in order], [b[i] for i in order], kept)
+        assert repr(x) == repr(eliminate(rows, b, kept))
+        assert x == [full[i] for i in sorted(range(len(a)) if kept is None else kept)]
+
+
 def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
     # Clearing denominators and back-substitution stay in integers: the
     # n * k result entries are the only Fractions constructed.
