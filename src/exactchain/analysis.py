@@ -1,16 +1,21 @@
 """Qualitative and quantitative analysis of finite Markov (reward) chains.
 
 Qualitative verdicts (probability zero, probability one) are exact graph
-criteria in both arithmetic modes, read from one split of all states into
-those of probability zero and probability one (``_prob01``, two backward
-searches); no float tolerance decides them. The quantitative answers
-(until probabilities, expected hitting times, expected accumulated
-costs, first-entry laws) each solve one absorbing system
-``(I - Q) x = b`` over a block of states that the graph criteria pick so
-that the system is nonsingular. One multi-source traversal
+criteria in both arithmetic modes; no float tolerance decides them. The
+until verdicts (:func:`until_prob_is_zero`, :func:`certify_ae_until`),
+the sampler's stopping states and ZeroConf's almost-sure termination read
+one split of all states into those of probability zero and probability
+one (``_prob01``, two backward searches). The other verdicts come with
+the block of the query that needs them (``_entry_block``: one forward
+search from all its starts, one backward search from the target):
+whether an expected hitting time or cost is finite, and whether an entry
+law must sum to one. The quantitative answers (until probabilities,
+expected hitting times, expected accumulated costs, first-entry laws)
+each solve one absorbing system ``(I - Q) x = b`` over a block of states
+that the graph criteria pick so that the system is nonsingular. One multi-source traversal
 (``_traverse``) answers every reachability question, forward along the
-rows or backward along the predecessor lists; an entry-law block takes
-one forward search from all its starts at once.
+rows or backward along the predecessor lists. Sums of values, such as a
+right-hand side or a law's total, add left to right (``chain._sum``).
 
 Two conventions hold throughout and are easy to trip over:
 
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 
-from .chain import MarkovChain, RewardChain, _total, arithmetic_of
+from .chain import MarkovChain, RewardChain, _sum, _sums_to_one, _total, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
 from .errors import _full_str
 
@@ -49,7 +54,7 @@ class Distribution:
     never: object
 
     def total(self):
-        return sum(self.mass.values(), type(self.never)(0))
+        return _sum(self.mass.values(), type(self.never)(0))
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,24 @@ def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
     every = set(range(len(chain.states)))
     zero = every - targets - _can_reach(chain, within, targets)
     return zero, every - zero - _can_reach(chain, within, zero)
+
+
+def _entry_block(chain: MarkovChain, t_idx: set[int], starts) -> tuple[list[int], bool]:
+    """``(block, sure)`` for paths from ``starts``, which lie outside ``t_idx``, until entry.
+
+    One forward search from all the starts finds the states a path can
+    occupy before it enters the target, and one backward search from the
+    target the states that can still reach it; ``block`` holds the states
+    found by both, sorted. ``sure`` is whether every state met before entry
+    can still reach the target, which on a finite chain holds exactly when
+    the target is entered with probability one from every start (Baier &
+    Katoen, *Principles of Model Checking*, 10.1). Then the block holds
+    every state met before entry.
+    """
+    outside = set(range(len(chain.states))) - t_idx
+    seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
+    inside = seen & _can_reach(chain, outside, t_idx)
+    return sorted(inside), seen - t_idx <= inside
 
 
 def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> dict:
@@ -197,10 +220,9 @@ def _until_system(chain: MarkovChain, phi, psi):
     """
     phi_idx = chain.index_set(phi)
     psi_idx = chain.index_set(psi)
-    zero = chain.zero
     block = sorted(_can_reach(chain, phi_idx - psi_idx, psi_idx))
     b = [
-        [sum((p for v, p in chain.row_by_index(u).items() if v in psi_idx), zero)]
+        [_sum((p for v, p in chain.row_by_index(u).items() if v in psi_idx), chain.zero)]
         for u in block
     ]
     return psi_idx, block, b
@@ -243,23 +265,23 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
 
     ``cost_row(u)`` maps the successors of ``u`` to transition costs; without
     it every transition costs one (the hitting time). Returns ``math.inf``
-    when ``phi`` is not reached almost surely, and zero for a start already
-    in ``phi``.
+    when ``phi`` is not reached almost surely, as :func:`_entry_block`
+    decides, and zero for a start already in ``phi``. Otherwise the block
+    holds every state met before ``phi``.
     """
     phi_idx = chain.index_set(phi)
     s = chain.index_of(start)
     if s in phi_idx:
         return chain.zero
-    outside = set(range(len(chain.states))) - phi_idx
-    if s not in _prob01(chain, outside, phi_idx)[1]:
+    block, sure = _entry_block(chain, phi_idx, [s])
+    if not sure:
         return INFINITY
-    block = sorted(({s} | _traverse(chain.row_by_index, outside, [s])) - phi_idx)
     if cost_row is None:
         b = [[chain.one] for _ in block]
     else:
         zero = chain.zero
         b = [
-            [sum((p * costs.get(v, zero) for v, p in chain.row_by_index(u).items()), zero)]
+            [_sum((p * costs.get(v, zero) for v, p in chain.row_by_index(u).items()), zero)]
             for u, costs in zip(block, map(cost_row, block))
         ]
     return _solve_block(chain, block, b, keep={s})[s][0]
@@ -291,11 +313,11 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     ``u`` is the last state outside the target and ``c`` the entry state;
     ``starts`` lie outside the target. ``exit_u(k)`` is the probability of
     ``u``'s edges into the target with key ``k``. One solve covers the
-    union of the starts' blocks, found by one forward search from all
-    starts: the states that can occupy a path before entry and can still
-    reach the target. Every other state, a start among them, has zero
-    entry mass. The solve takes whichever orientation has fewer
-    right-hand-side columns, ``K`` outcome keys or ``S`` starts:
+    union of the starts' blocks (:func:`_entry_block`): the states that can
+    occupy a path before entry and can still reach the target. Every other
+    state, a start among them, has zero entry mass. The solve takes
+    whichever orientation has fewer right-hand-side columns, ``K`` outcome
+    keys or ``S`` starts:
 
     * ``K <= S``: the absorption probabilities ``(I - Q) X = exits``, one
       column per outcome, of which only the start rows are
@@ -311,18 +333,15 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       lcm; float ones are the floats themselves, over ``1``.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
-    outcomes in sorted order (:func:`_positive`). Where the forward search
-    finds no state outside the block and the target, the target is entered
-    almost surely; there each start's masses are added (:func:`_total`),
-    and a sum that misses one by more than the arithmetic's ``tol`` raises
-    :class:`SingularSystemError`. Exact masses of a correct solve sum to
-    exactly one, so in exact mode the check is an identity that only a
-    wrong law fails.
+    outcomes in sorted order (:func:`_positive`). Where the block search
+    (:func:`_entry_block`) shows that the target is entered almost surely,
+    each start's masses are added (:func:`_total`), and a sum that is not
+    one (``chain._sums_to_one``: exactly, or within the float ``tol``)
+    raises :class:`SingularSystemError`. Exact masses of a correct solve
+    sum to exactly one, so in exact mode the check is an identity that only
+    a wrong law fails.
     """
-    outside = set(range(len(chain.states))) - t_idx
-    seen = set(starts) | _traverse(chain.row_by_index, outside, starts)
-    inside = seen & _can_reach(chain, outside, t_idx)
-    block = sorted(inside)
+    block, sure = _entry_block(chain, t_idx, starts)
     zero, one, tol = chain.zero, chain.one, chain.arith.tol
     exits = {u: {} for u in block}
     for u, out in exits.items():
@@ -337,7 +356,7 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
         for b_row, out in zip(b, exits.values()):
             for k, p in out.items():
                 b_row[col[k]] = p
-        x = _solve_block(chain, block, b, keep=inside.intersection(starts))
+        x = _solve_block(chain, block, b, keep=set(starts).intersection(block))
         masses = {s: _positive(zip(keys, x[s]), tol) if s in x else {} for s in starts}
     else:
         b = [[one if u == s else zero for s in starts] for u in block]
@@ -345,11 +364,10 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
                          keep={u for u, out in exits.items() if out})
         columns = _visit_masses(exits, y, keys, len(starts), chain.arith)
         masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
-    if seen - t_idx <= inside:
-        # Every state met before entry can still reach the target.
+    if sure:
         for s, out in masses.items():
             total = _total(out.values(), chain.arith)
-            if abs(total - one) > tol:
+            if not _sums_to_one(total):
                 raise SingularSystemError(
                     f"entry masses sum to {_full_str(total)}, not 1, where entry is almost sure"
                 )

@@ -19,6 +19,12 @@ is. The split writes values as numerators over one denominator: exact ones
 as integers over their lcm, floats as themselves over ``1``. So the work
 after a solve (totals, entry laws, marginals) has one body for both modes.
 
+Every sum of mode values in the package adds left to right: a whole sum
+through ``_sum``, a sum by key (marginals, entry laws by outcome) one
+term at a time. Builtin ``sum`` compensates floats from Python 3.12, so
+float results added with it would differ in their last bits between
+Python versions.
+
 State labels are the canonical external identity; integer indices are an
 internal detail of the sparse representation.
 """
@@ -151,7 +157,7 @@ def _over_lcm(values) -> tuple[list, int]:
     """Exact ``values`` as integer numerators over their lcm, ``(nums, den)``.
 
     The exact arithmetic's ``split``. Report work adds and compares these
-    integers and reduces once at the end, ``Fraction(sum(nums), den)``,
+    integers and reduces once at the end, ``Fraction(_sum(nums, 0), den)``,
     with one gcd, where a ``Fraction`` sum takes one per term.
     """
     pairs = [v.as_integer_ratio() for v in values]
@@ -159,10 +165,22 @@ def _over_lcm(values) -> tuple[list, int]:
     return [n * (den // d) for n, d in pairs], den
 
 
+def _sum(values, start):
+    """``start`` plus ``values``, added one by one, left to right, on every Python version.
+
+    A plain loop: ``functools.reduce(operator.add, ...)`` adds in the same
+    order but pays a call per term, and float report work makes thousands
+    of short sums.
+    """
+    for value in values:
+        start += value
+    return start
+
+
 def _total(values, arith):
-    """The sum of ``values`` in ``arith``: the ``sum`` of their ``split`` numerators over its denominator."""
+    """The sum of ``values`` in ``arith``: the ``_sum`` of their ``split`` numerators over its denominator."""
     nums, den = arith.split(values)
-    return arith.frac(sum(nums), den)
+    return arith.frac(_sum(nums, 0), den)
 
 
 def _triple(closed, solver):
@@ -239,7 +257,7 @@ _ARITHMETIC = {
     EXACT: Arithmetic(EXACT, Fraction(0), Fraction(1), Fraction, partial(_coerce, True), 0,
                       lambda row, u: 1 - row[u] if u in row else Fraction(1), _over_lcm),
     FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, partial(_coerce, False), ROW_SUM_TOL,
-                      lambda row, u: sum(p for v, p in row.items() if v != u),
+                      lambda row, u: _sum((p for v, p in row.items() if v != u), 0),
                       lambda values: (list(values), 1)),
 }
 

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     def add_sampling(p, required=False):
-        p.add_argument("--seed", type=int, default=0, required=required)
+        p.add_argument("--seed", type=_int_flag, default=0, required=required)
         p.add_argument("--samples", type=_positive_int, default=100_000, required=required)
         p.add_argument("--max-steps", type=_positive_int)  # None: simulate's default
 
@@ -231,8 +231,6 @@ def cmd_solve(args, argv, mode) -> dict:
 
     model, chain = _with_chain(modelfile.load_model(args.model, mode))
     phi, psi = _until_sets(args.until, chain)
-    chain.index_of(args.start)
-
     prob = analysis.until_probability(chain, phi, psi, args.start)
     results = [
         {"name": "until_probability", "provenance": "solver", "value": format_scalar(prob)}
@@ -276,7 +274,7 @@ def _axes(*flags) -> dict:
 def _zeroconf_flags(p) -> dict:
     q = p.add_mutually_exclusive_group()
     return _axes(
-        p.add_argument("--probes", type=int, metavar="N", help="last probe index N (N+1 probes)"),
+        p.add_argument("--probes", type=_int_flag, metavar="N", help="last probe index N (N+1 probes)"),
         p.add_argument("--p", type=_rational_flag, help="probe/response loss probability"),
         q.add_argument("--q", type=_rational_flag, help="address-collision probability"),
         q.add_argument("--hosts", type=_hosts_flag, dest="q", metavar="HOSTS",
@@ -322,8 +320,8 @@ def _flatten_zeroconf(report: dict) -> dict:
 
 def _crowds_flags(p) -> dict:
     axes = _axes(
-        p.add_argument("--jondos", type=int, help="crowd size J"),
-        p.add_argument("--colls", type=int, help="number of collaborators (the last labels)"),
+        p.add_argument("--jondos", type=_int_flag, help="crowd size J"),
+        p.add_argument("--colls", type=_int_flag, help="number of collaborators (the last labels)"),
         p.add_argument("--pf", type=_rational_flag, help="forwarding probability"),
     )
     p.add_argument("--init", metavar="FILE",

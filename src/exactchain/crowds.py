@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _sums_to_one, _total, _triple, _with_mode,
+    EXACT, MarkovChain, _coerce_param, _sum, _sums_to_one, _total, _triple, _with_mode,
     arithmetic_of, format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
@@ -96,7 +96,7 @@ class CrowdsParams:
                 raise InvalidParamsError(f"init[{j}] is negative")
             if v > 0 and j in self.colls:
                 raise InvalidParamsError(f"collaborator {j!r} cannot initiate")
-        total = sum(init.values())
+        total = _sum(init.values(), 0)
         if not _sums_to_one(total):
             raise InvalidParamsError(f"init sums to {_full_str(total)}, expected 1")
         init = {j: init.get(j, 0) for j in honest}

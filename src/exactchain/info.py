@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import add
 
-from .chain import _sums_to_one, arithmetic_of
+from .chain import _sum, _sums_to_one, arithmetic_of
 from .errors import InvalidDistributionError, _full_str
 
 
@@ -36,15 +34,14 @@ def _split(masses):
 def _check_masses(values, what: str):
     """Raise unless ``values`` are finite, non-negative masses summing to one; return their :func:`_split`.
 
-    The numerators are added one by one, in order, so a float total does
-    not depend on the Python version's ``sum``, which compensates floats
-    from 3.12. A non-finite mass makes that total non-finite, and a
-    negative one the least mass negative; only then are the masses looked
-    through, in order, for the first fault.
+    The numerators are added left to right (``chain._sum``), so a float
+    total does not depend on the Python version. A non-finite mass makes
+    that total non-finite, and a negative one the least mass negative; only
+    then are the masses looked through, in order, for the first fault.
     """
     values = list(values)
     nums, den, arith = _split(values)
-    total = reduce(add, nums, 0)
+    total = _sum(nums, 0)
     if not -math.inf < total < math.inf or min(nums, default=0) < 0:
         for v, n in zip(values, nums):
             if not -math.inf < n < math.inf:
@@ -106,7 +103,7 @@ def _marginals_and_product(joint) -> tuple[dict, dict, bool]:
     """
     nums, den, arith = _split(joint.values())
     nx, ny = _sums_by_coordinate(joint, nums)
-    total = sum(nums)
+    total = _sum(nums, 0)
     tol = arith.tol / 1000
     holds = all(
         n * total == nx[x] * ny[y] or abs(n * total - nx[x] * ny[y]) <= tol

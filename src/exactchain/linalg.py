@@ -7,6 +7,11 @@ nonzeros, the right-hand sides as a dense list of rows, and optionally the
 set ``keep`` of unknowns the caller reads. Each reads its inputs into its
 own working form, writes nothing back, and returns a dense list of
 solution rows. :func:`solve` only picks a solver by mode and density.
+Both exact solvers read the system through one reader, ``_read``: each
+matrix entry, and each nonzero right-hand-side entry, becomes a reduced
+``(numerator, denominator)`` pair of ints once, by ``as_integer_ratio()``,
+with right-hand side ``c`` at column ``n + c`` after the unknowns. Zero
+right-hand sides, most of those an entry law passes, are not read.
 
 Sparse systems, such as ZeroConf's path of probes with back edges to its
 start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
@@ -15,15 +20,13 @@ cost on its diagonal, without pivoting, so the fill-in stays near the
 system's own nonzeros where dense elimination fills the whole matrix. No
 pivot vanishes on the nonsingular M-matrices ``I - Q`` (or their
 transposes) that the analyses build; a zero pivot raises
-:class:`SingularSystemError`. Entries are ints or Fractions, read once
-into reduced ``(numerator, denominator)`` int pairs; the elimination and
-back-substitution run on those pairs by Henrici's rule, inline, so no
-``Fraction`` method runs in the loop and only the results are built as
-Fractions.
+:class:`SingularSystemError`. The elimination and back-substitution run
+on the reader's pairs by Henrici's rule, inline, so no ``Fraction``
+method runs in the loop and only the results are built as Fractions.
 
 Every other exact system goes to fraction-free (Bareiss) Gaussian
-elimination over integers: each dict row is read straight into a dense
-integer row with its denominators cleared, which keeps intermediate
+elimination over integers: each row of the reader's pairs becomes a
+dense integer row with its denominators cleared, which keeps intermediate
 values from exploding the way naive rational elimination can, and wins
 on dense blocks. Its divisions are exact whatever the pivot order, so it
 pivots on the first nonzero entry of a column and searches no magnitudes.
@@ -66,6 +69,20 @@ from .errors import SingularSystemError
 SPARSE_ROW_NNZ = 4
 
 
+def _read(rows, b, n):
+    """The exact system as one dict per row of reduced ``(numerator, denominator)`` pairs.
+
+    Row ``i`` holds ``rows[i]``'s entries at their columns and the nonzero
+    entries of ``b[i]``, right-hand side ``c`` at column ``n + c``. Each
+    entry is read once, by ``as_integer_ratio()``, so the pair is reduced
+    and its denominator positive; a zero right-hand side is not read.
+    """
+    return [
+        {j: x.as_integer_ratio() for j, x in chain(row.items(), enumerate(b_row, n)) if j < n or x}
+        for row, b_row in zip(rows, b)
+    ]
+
+
 def solve_exact(rows, b, keep=None):
     """Solve ``a @ x = b`` exactly by Bareiss elimination; entries are Fractions or ints.
 
@@ -95,19 +112,16 @@ def solve_exact(rows, b, keep=None):
     k = len(b[0]) if b else 0
     width = n + k
     first = n - len(keep)  # the first row back-substituted
-    cols = sorted(range(n), key=lambda j: j in keep)
-    at = {j: c for c, j in enumerate(cols)}  # the kept columns go last
+    # The kept columns go last; right-hand-side columns keep their place.
+    at = {j: c for c, j in enumerate(sorted(range(n), key=lambda j: j in keep))}
 
     # Clear denominators row by row: the augmented matrix becomes integral,
     # which is what makes the Bareiss divisions exact.
-    m = []
-    for row, b_row in zip(rows, b):
-        scale = lcm(*(x.denominator for x in row.values()), *(x.denominator for x in b_row))
-        m_row = [0] * n
-        for j, x in row.items():
-            m_row[at[j]] = x.numerator * (scale // x.denominator)
-        m_row += [x.numerator * (scale // x.denominator) for x in b_row]
-        m.append(m_row)
+    m = [[0] * width for _ in rows]
+    for m_row, row in zip(m, _read(rows, b, n)):
+        scale = lcm(*[d for _, d in row.values()])
+        for j, (num, den) in row.items():
+            m_row[at.get(j, j)] = num * (scale // den)
 
     # level[r] is the pivot row r is current to: the Bareiss row is m[r]
     # times prev / level[r], an integer row (Sylvester's identity).
@@ -191,10 +205,10 @@ def eliminate(rows, b, keep=None):
     """Solve the sparse system ``rows`` by state elimination.
 
     ``rows``, ``b`` and ``keep`` are as in :func:`solve`, and so is the
-    result; entries are ints or Fractions. Each row is read into its own
-    dict, with right-hand side ``c`` as column ``n + c`` after the
-    unknowns, so ``b`` is eliminated with the matrix and its nonzeros count
-    in a row's cost. The unknown eliminated next is the one of least
+    result; entries are ints or Fractions. Each row is read (``_read``)
+    into its own dict, with right-hand side ``c`` as column ``n + c`` after
+    the unknowns, so ``b`` is eliminated with the matrix and its nonzeros
+    count in a row's cost. The unknown eliminated next is the one of least
     Markowitz cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the
     lowest index among equals, always on its diagonal; the unknowns in the
     set ``keep`` are pinned last, after every other one. Back-substitution
@@ -206,11 +220,10 @@ def eliminate(rows, b, keep=None):
     which never happens on a nonsingular M-matrix such as the analyses'
     ``I - Q``, or its transpose, in any order.
 
-    Each entry is read once into a reduced ``(numerator, denominator)``
-    pair of ints with a positive denominator, and the arithmetic runs on
-    those pairs inline, by Henrici's rule (JACM 1956) as ``Fraction``
-    itself does: a product cancels each numerator against the other
-    factor's denominator first, and a sum divides by the gcd of the
+    The arithmetic runs on the reader's reduced ``(numerator,
+    denominator)`` pairs inline, by Henrici's rule (JACM 1956) as
+    ``Fraction`` itself does: a product cancels each numerator against the
+    other factor's denominator first, and a sum divides by the gcd of the
     denominators before it multiplies, then reduces by what that gcd still
     shares with the new numerator. Both keep every pair reduced without a
     gcd over the full-size result. Only the returned results are built as
@@ -220,10 +233,7 @@ def eliminate(rows, b, keep=None):
     n = len(rows)
     keep = range(n) if keep is None else keep
     k = len(b[0]) if b else 0
-    rows = [
-        {j: x.as_integer_ratio() for j, x in chain(row.items(), enumerate(b_row, n)) if j < n or x}
-        for row, b_row in zip(rows, b)
-    ]
+    rows = _read(rows, b, n)
     holders = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:

@@ -106,11 +106,12 @@ class Estimate:
     """Point estimate over the decided samples; censored paths are excluded.
 
     ``censored`` counts paths that hit the step horizon undecided. They are
-    reported, never silently dropped.
+    reported, never silently dropped. With no decided path there is no
+    estimate: ``mean`` and ``std_error`` are ``None`` (JSON ``null``).
     """
 
-    mean: float
-    std_error: float
+    mean: float | None
+    std_error: float | None
     samples_used: int
     censored: int
 
@@ -331,7 +332,7 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
 
     censored = cfg.samples - decided
     if decided == 0:
-        return Estimate(0.0, 0.0, cfg.samples, censored)
+        return Estimate(None, None, cfg.samples, censored)
     p = hits / decided
     return Estimate(p, (p * (1.0 - p) / decided) ** 0.5, cfg.samples, censored)
 
@@ -368,7 +369,7 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
 
     censored = cfg.samples - decided
     if decided == 0:
-        return Estimate(0.0, 0.0, cfg.samples, censored)
+        return Estimate(None, None, cfg.samples, censored)
     mean = total / decided
     # NaN first: max keeps it, so an overflowed sum of squares is not read as 0.
     var = max((total_sq - decided * mean * mean) / (decided - 1), 0.0) if decided > 1 else 0.0

@@ -93,7 +93,11 @@ def state_labels(params: ZeroconfParams) -> list[str]:
 
 def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
     """Build the validated allocation chain with its cost matrix."""
-    params = _with_mode(params, mode)
+    return _build(_with_mode(params, mode), mode)
+
+
+def _build(params: ZeroconfParams, mode: str) -> RewardChain:
+    """:func:`build_zeroconf` of a record whose numbers are in ``mode``'s arithmetic already."""
     n, p, q, r, e = params.N, params.p, params.q, params.r, params.E
 
     trans = {
@@ -169,7 +173,7 @@ def zeroconf_report(
     given, seeded Monte Carlo estimates are attached.
     """
     params = _with_mode(params, mode)
-    rchain = build_zeroconf(params, mode)
+    rchain = _build(params, mode)
     chain = rchain.chain
     states = chain.states
     goal = {OK, ERROR}

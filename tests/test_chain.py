@@ -10,13 +10,16 @@ import pytest
 
 import exactchain
 from exactchain import (
-    EXACT, FLOAT, format_scalar, linalg, parse_scalar, validate_chain, validate_reward,
+    EXACT, FLOAT, analysis, format_scalar, info, linalg, parse_scalar, validate_chain,
+    validate_reward,
 )
-from exactchain.chain import MAX_DECIMAL_EXPONENT, _entry_rows, arithmetic
-from exactchain.crowds import FIG3, build_crowds, crowds_report
+from exactchain.chain import MAX_DECIMAL_EXPONENT, _entry_rows, _total, arithmetic
+from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
 from exactchain.errors import (
     EmptyStateSpaceError,
+    InvalidDistributionError,
+    InvalidParamsError,
     LiteralRangeError,
     NegativeCostError,
     NegativeProbabilityError,
@@ -83,6 +86,26 @@ def test_a_row_with_no_entries_sums_to_the_zero_of_its_arithmetic():
         assert str(err.value) == f"row of state 'b' sums to {text}, expected 1"
 
 
+def test_float_sums_add_left_to_right_on_every_python():
+    # Builtin sum compensates floats from Python 3.12, where ten 0.1s add to
+    # 1.0 and ten 0.1s and a 0.2 to 1.2000000000000002. Left to right they
+    # add to 0.9999999999999999 and 1.2 on every version, which keeps float
+    # results the same across versions.
+    tenths = {f"t{i}": 0.1 for i in range(10)}
+    below_one = 0.9999999999999999
+    assert _total(tenths.values(), arithmetic(FLOAT)) == below_one
+    assert analysis.Distribution(tenths, 0.0).total() == below_one
+    assert arithmetic(FLOAT).diagonal(dict(enumerate([*tenths.values(), 0.5])), 10) == below_one
+    chain = validate_chain(["s", *tenths], {**{("s", t): p for t, p in tenths.items()},
+                                            **{(t, t): 1.0 for t in tenths}}, FLOAT)
+    assert analysis._until_system(chain, {"s"}, set(tenths))[2] == [[below_one]]
+    with pytest.raises(InvalidDistributionError, match=r"sums to 1\.2, expected 1"):
+        info.entropy({**tenths, "x": 0.2})
+    init = {f"J{i}": 0.1 for i in range(1, 11)} | {"J11": 0.2}
+    with pytest.raises(InvalidParamsError, match=r"init sums to 1\.2, expected 1"):
+        make_params(12, 1, F(1, 2), init)
+
+
 def test_empty_state_space_rejected():
     with pytest.raises(EmptyStateSpaceError):
         validate_chain([], {})
@@ -96,6 +119,8 @@ def test_duplicate_labels_rejected():
 def test_unknown_state_in_transitions():
     with pytest.raises(UnknownStateError):
         validate_chain(["a"], {("a", "zz"): F(1)})
+    with pytest.raises(UnknownStateError, match="zz"):
+        validate_chain(["a"], {("zz", "a"): F(1)})
 
 
 def test_negative_probability_rejected():

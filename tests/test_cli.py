@@ -96,7 +96,12 @@ def test_validate_io_and_parse_codes(capsys, tmp_path):
      "rewards[0]: undeclared state 'b'"),
     ({"states": ["a", "a"], "transitions": [{"from": "a", "to": "a", "prob": "1"}]},
      "duplicate state labels: ['a']"),
-], ids=["transition-to-undeclared", "reward-to-undeclared", "duplicate-label"])
+    ({"states": ["a"], "transitions": {"from": "a", "to": "a", "prob": "1"}},
+     "'transitions' must be a list"),
+    ({"states": ["a"], "transitions": [{"from": 0, "to": "a", "prob": "1"}]},
+     "transitions[0]: 'from' and 'to' must be state names"),
+], ids=["transition-to-undeclared", "reward-to-undeclared", "duplicate-label",
+        "transitions-not-a-list", "from-not-a-label"])
 def test_model_state_label_errors_are_parse_errors(capsys, tmp_path, model, message):
     # Not exit 6, which is for a query's unknown state, and no traceback.
     path = tmp_path / "bad.json"
@@ -352,19 +357,62 @@ def test_malformed_literals_of_40_characters_are_shown_whole(capsys, literal):
     assert err.rstrip().endswith(f"cannot parse number {literal!r}")
 
 
-@pytest.mark.parametrize("flags, code, message", [
-    (["--simulate", "--samples", "x"], cli.EXIT_USAGE,
+ZEROCONF = ["zeroconf", "--preset", "paper-typical"]
+CROWDS = ["crowds", "--preset", "fig3"]
+NINES = "9" * 5000  # past CPython's 4,300-digit limit on parsing an integer
+NINES_CUT = f"'{NINES[:20]}...{NINES[-12:]}'"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([*ZEROCONF, "--simulate", "--samples", "x"], cli.EXIT_USAGE,
      "argument --samples: expected an integer, got 'x'"),
-    (["--simulate", "--max-steps", "x"], cli.EXIT_USAGE,
+    ([*ZEROCONF, "--simulate", "--max-steps", "x"], cli.EXIT_USAGE,
      "argument --max-steps: expected an integer, got 'x'"),
-    (["--hosts", "abc"], cli.EXIT_USAGE, "argument --hosts: expected an integer, got 'abc'"),
-    (["--sweep", "hosts=abc"], cli.EXIT_MODEL, "cannot parse sweep hosts='abc'"),
-], ids=["samples", "max-steps", "hosts", "sweep-hosts"])
-def test_malformed_integer_flags_name_no_private_helper(capsys, flags, code, message):
-    got, out, err = run_to_exit(capsys, "zeroconf", "--preset", "paper-typical", *flags)
+    ([*ZEROCONF, "--hosts", "abc"], cli.EXIT_USAGE,
+     "argument --hosts: expected an integer, got 'abc'"),
+    ([*ZEROCONF, "--sweep", "hosts=abc"], cli.EXIT_MODEL, "cannot parse sweep hosts='abc'"),
+    ([*ZEROCONF, "--probes", "2x"], cli.EXIT_USAGE,
+     "argument --probes: expected an integer, got '2x'"),
+    ([*ZEROCONF, "--probes", NINES], cli.EXIT_USAGE,
+     f"argument --probes: expected an integer, got {NINES_CUT}"),
+    ([*CROWDS, "--jondos", "5x"], cli.EXIT_USAGE,
+     "argument --jondos: expected an integer, got '5x'"),
+    ([*CROWDS, "--jondos", NINES], cli.EXIT_USAGE,
+     f"argument --jondos: expected an integer, got {NINES_CUT}"),
+    ([*CROWDS, "--colls", "1x"], cli.EXIT_USAGE,
+     "argument --colls: expected an integer, got '1x'"),
+    ([*CROWDS, "--colls", NINES], cli.EXIT_USAGE,
+     f"argument --colls: expected an integer, got {NINES_CUT}"),
+    ([*ZEROCONF, "--simulate", "--seed", "7x"], cli.EXIT_USAGE,
+     "argument --seed: expected an integer, got '7x'"),
+    ([*ZEROCONF, "--simulate", "--seed", NINES], cli.EXIT_USAGE,
+     f"argument --seed: expected an integer, got {NINES_CUT}"),
+], ids=["samples", "max-steps", "hosts", "sweep-hosts", "probes", "probes-5000-digits", "jondos",
+        "jondos-5000-digits", "colls", "colls-5000-digits", "seed", "seed-5000-digits"])
+def test_malformed_integer_flags_name_no_private_helper(capsys, argv, code, message):
+    # Every integer flag reads its value through cli._int_flag, whose message
+    # names the flag and quotes a long value cut short.
+    got, out, err = run_to_exit(capsys, *argv)
     assert (got, out) == (code, "")
+    assert len(err) < 1000
     assert err.rstrip().endswith(message)
     assert "_" not in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["solve", "FILE", "--until", "ALL", "--start", "a"], LOOP_MODEL % 1, cli.EXIT_MODEL,
+     "invalid parameters: --until expects 'PHI=>PSI', got 'ALL'"),
+    (["solve", "FILE", "--until", "ALL=>a", "--start", "a", "--cost"], LOOP_MODEL % 1,
+     cli.EXIT_MODEL, "invalid parameters: --cost requires a model file with rewards"),
+    (["crowds", "--preset", "fig3", "--init", "FILE"], "[0.5, 0.5]", cli.EXIT_PARSE,
+     "parse error: init file FILE must hold an object"),
+], ids=["until-without-arrow", "cost-without-rewards", "init-list"])
+def test_malformed_requests_exit_by_their_code(capsys, tmp_path, argv, text, code, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    got, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (got, out) == (code, "")
+    assert err == f"error: {message.replace('FILE', str(path))}\n"
 
 
 # Model-file values, as JSON text: near-one pairs, float extremes, negatives,
@@ -478,6 +526,8 @@ def test_sweep_prints_each_report_without_its_command_one_blank_line_apart(capsy
     ("p=", "no values"),
     ("p=1/100,;probes= ,", "no values"),
     ("p=1/100;p=1/10", "twice"),
+    ("pp=1/100", "sweep axis 'pp' not in ['E', 'hosts', 'p', 'probes', 'q', 'r']"),
+    (";", "empty sweep specification"),
 ])
 def test_zeroconf_sweep_rejects_empty_and_repeated_axes(capsys, sweep, message):
     code, out, err = run(capsys, "zeroconf", "--preset", "paper-typical",

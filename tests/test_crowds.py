@@ -46,6 +46,15 @@ def test_parameter_validation():
         CrowdsParams(("a", "a", "b"), frozenset({"b"}), F(1, 2))
     with pytest.raises(InvalidParamsError):
         CrowdsParams(("a", "b"), frozenset(), F(1, 2))
+    with pytest.raises(InvalidParamsError, match="need at least one jondo"):
+        CrowdsParams((), frozenset({"a"}), F(1, 2))
+    # make_params counts collaborators first, so only a record reaches this.
+    with pytest.raises(InvalidParamsError, match="proper subset"):
+        CrowdsParams(("a", "b"), frozenset({"a", "b"}), F(1, 2))
+    with pytest.raises(InvalidParamsError, match="unknown jondos"):
+        CrowdsParams(("a", "b"), frozenset({"b"}), F(1, 2), {"a": F(1, 2), "z": F(1, 2)})
+    with pytest.raises(InvalidParamsError, match=r"init\[b\] is negative"):
+        CrowdsParams(("a", "b", "c"), frozenset({"c"}), F(1, 2), {"a": F(3, 2), "b": F(-1, 2)})
     with pytest.raises(InvalidParamsError):
         # collaborators cannot initiate
         CrowdsParams(("a", "b", "c"), frozenset({"c"}),

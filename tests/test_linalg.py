@@ -236,6 +236,17 @@ def test_solve_exact_builds_only_the_results_as_fractions(monkeypatch):
     assert matmul(a, x) == b
 
 
+def test_both_exact_kernels_read_the_system_once_through_one_reader():
+    # Each entry becomes a reduced int pair, right-hand side c at column
+    # n + c; a zero right-hand side is not read.
+    rows, b = [{0: F(2), 1: F(-2, 6)}, {1: 1}], [[F(0), F(1, 2)], [1, F(0)]]
+    assert linalg._read(rows, b, 2) == [{0: (2, 1), 1: (-1, 3), 3: (1, 2)}, {1: (1, 1), 2: (1, 1)}]
+    for kernel in (solve_exact, eliminate):
+        with recording(linalg, "_read") as calls:
+            assert kernel(rows, b) == [[F(1, 6), F(1, 4)], [F(1), F(0)]]
+        assert len(calls) == 1
+
+
 def test_exact_dispatch_survives_zero_pivots():
     # Bareiss pivots past a missing diagonal; state elimination, which
     # never pivots, reports it.

@@ -144,8 +144,9 @@ def test_estimate_until_empty_phi_miss():
 def test_estimate_until_with_every_path_censored():
     # With room for the start alone, no path is decided.
     chain = chain_of({("a", "b"): F(1), ("b", "b"): F(1)})
+    # No decided path gives no estimate, not a mean of 0.
     est = estimate_until(chain, {"a"}, {"b"}, "a", SimConfig(seed=0, samples=10, max_steps=1))
-    assert est == Estimate(0.0, 0.0, 10, 10)
+    assert est == Estimate(None, None, 10, 10)
 
 
 def test_estimate_until_matches_exact_value():
@@ -260,7 +261,7 @@ def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, sampl
         p = sum(e in psi for e in ends) / decided
         want = Estimate(p, (p * (1.0 - p) / decided) ** 0.5, samples, samples - decided)
     else:
-        want = Estimate(0.0, 0.0, samples, samples)
+        want = Estimate(None, None, samples, samples)
     with patch.object(simulate, "_BLOCK", block):
         got = estimate_until(chain, phi, psi, start, cfg)
     assert got == want
@@ -284,7 +285,7 @@ def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, sampl
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
         want = Estimate(mean, (var / n) ** 0.5, samples, samples - n)
     else:
-        want = Estimate(0.0, 0.0, samples, samples)
+        want = Estimate(None, None, samples, samples)
     with patch.object(simulate, "_BLOCK", block):
         got = estimate_cost(rchain, psi, start, cfg)
     assert got == want

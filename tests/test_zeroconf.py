@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactchain import FLOAT, analysis
+from exactchain import FLOAT, analysis, zeroconf
 from exactchain.analysis import (
     certify_ae_until,
     expected_cost_until,
@@ -42,6 +42,8 @@ def test_parameter_validation():
         ZeroconfParams(N=1, p=F(1, 2), q=F(0), r=0, E=0)
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=-1, E=0)
+    with pytest.raises(InvalidParamsError, match="need E >= 0"):
+        ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=0, E=-1)
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=1, p="nonsense", q=F(1, 2), r=0, E=0)
     with pytest.raises(InvalidParamsError, match="finite"):
@@ -190,6 +192,15 @@ def test_report_graph_searches_do_not_grow_with_n():
         return len(calls)
 
     assert count(2) == count(40)
+
+
+def test_report_converts_its_parameters_once():
+    # The report builds its chain from the record it converted for its
+    # closed forms, so the build does not convert it again.
+    for mode in ("exact", FLOAT):
+        with recording(zeroconf, "_with_mode") as calls:
+            zeroconf_report(PAPER_TYPICAL, mode)
+        assert len(calls) == 1
 
 
 def test_report_exact_mode():
