@@ -145,14 +145,20 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
     arithmetic sets ``d_i``: ``1 - q_ii`` in exact mode, and in float mode
     the row's exit mass instead, so a self-loop of ``1 - 1e-17`` cannot
     round the pivot to zero (Grassmann, Taksar & Heyman 1985); exact rows
-    make the two equal, and the transpose keeps the same diagonal.
+    make the two equal, and the transpose keeps the same diagonal. The
+    entries go through the arithmetic's ``negation()``, one per solve: each
+    distinct exact value object is negated once, so a Crowds block of
+    ``J**2`` edges over three shared values makes three ``Fraction``
+    negations, and the pivot of a row with no self-loop is the shared
+    ``one``; float entries are negated one by one, as a memo costs more
+    than a float negation.
     """
     if not block:
         return {}
     from . import linalg  # here, so that a sampling run loads no elimination kernel
 
     pos = {u: r for r, u in enumerate(block)}
-    diagonal = chain.arith.diagonal
+    negate, diagonal = chain.arith.negation(), chain.arith.diagonal
     rows = [{} for _ in block]
     for i, u in enumerate(block):
         out = chain.row_by_index(u)
@@ -160,9 +166,9 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
             j = pos.get(v)
             if j is not None:
                 if transpose:
-                    rows[j][i] = -p
+                    rows[j][i] = negate(p)
                 else:
-                    rows[i][j] = -p
+                    rows[i][j] = negate(p)
         rows[i][i] = diagonal(out, u)
     kept = block if keep is None else sorted(keep)
     return dict(zip(kept, linalg.solve(rows, b, chain.mode, keep={pos[u] for u in kept})))

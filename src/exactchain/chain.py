@@ -12,12 +12,15 @@ Each mode name stands for one :class:`Arithmetic` record, and the records
 are the one place that tells the modes apart: :func:`arithmetic` looks up
 a mode name, :func:`arithmetic_of` the arithmetic of values that carry no
 mode (case-study parameters, joints). The rest of the package asks a record
-for its zero, one, fractions, reader, tolerance, pivot rule and split. The
-reader, ``read``, turns any input number into the mode's arithmetic, or
-``None`` if it is unusable; a number already in it passes through as it
-is. The split writes values as numerators over one denominator: exact ones
-as integers over their lcm, floats as themselves over ``1``. So the work
-after a solve (totals, entry laws, marginals) has one body for both modes.
+for its zero, one, fractions, reader, tolerance, negation, pivot rule and
+split. The reader, ``read``, turns any input number into the mode's
+arithmetic, or ``None`` if it is unusable; a number already in it passes
+through as it is. The split writes values as numerators over one
+denominator: exact ones as integers over their lcm, floats as themselves
+over ``1``. So the work after a solve (totals, entry laws, marginals) has
+one body for both modes, and so does validation: the signs of a row are
+checked on its split numerators, which the row-sum check then adds, so no
+exact entry pays a ``Fraction`` comparison.
 
 Every sum of mode values in the package adds left to right: a whole sum
 through ``_sum``, a sum by key (marginals, entry laws by outcome) one
@@ -36,8 +39,8 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
-from operator import attrgetter, truediv
+from itertools import accumulate, chain as iter_chain
+from operator import attrgetter, neg, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -232,8 +235,13 @@ class Arithmetic:
     ``frac(n, d)`` is ``n / d``, ``read`` is :func:`_coerce` in this
     arithmetic, ``tol`` the absolute tolerance on a sum that must be one,
     and ``diagonal(row, u)`` the pivot ``d_u`` of ``u``'s row of ``I - Q``
-    (``analysis._solve_block``): ``1 - q_uu`` exactly, and in float mode
-    the row's exit mass, which no self-loop rounds to zero.
+    (``analysis._solve_block``): ``1 - q_uu`` exactly, the shared ``one``
+    for a row with no self-loop, and in float mode the row's exit mass,
+    which no self-loop rounds to zero. ``negation()`` gives each solve its
+    own ``p -> -p`` for the entries of ``-Q``: the exact one negates each
+    distinct value object once (:func:`_exact_negation`), since the
+    builders share value objects across rows; the float one is
+    ``operator.neg``, as a memo costs more than a float negation.
 
     ``split(values)`` is ``(nums, den)``, numerators over one denominator
     that report work adds and compares before one ``frac(n, den)`` per
@@ -248,16 +256,40 @@ class Arithmetic:
     frac: Callable
     read: Callable
     tol: object
+    negation: Callable
     diagonal: Callable
     split: Callable
 
 
-# Fields in order: name, zero, one, frac, read, tol, diagonal, split.
+def _exact_negation():
+    """A fresh ``p -> -p`` that negates each distinct value object once.
+
+    The memo is keyed on the object's identity: a ``Fraction`` hash is a
+    Python-level modular inverse, dearer than the negation it would save.
+    The chain holds every value it is given, so no identity is reused
+    while the solve that owns the memo runs. Equal values in separate
+    objects are each negated once.
+    """
+    memo = {}
+
+    def negate(p):
+        minus = memo.get(id(p))
+        if minus is None:
+            minus = memo[id(p)] = -p
+        return minus
+
+    return negate
+
+
+_ONE = Fraction(1)
+
+# Fields in order: name, zero, one, frac, read, tol, negation, diagonal, split.
 _ARITHMETIC = {
-    EXACT: Arithmetic(EXACT, Fraction(0), Fraction(1), Fraction, partial(_coerce, True), 0,
-                      lambda row, u: 1 - row[u] if u in row else Fraction(1), _over_lcm),
+    EXACT: Arithmetic(EXACT, Fraction(0), _ONE, Fraction, partial(_coerce, True), 0,
+                      _exact_negation, lambda row, u: 1 - row[u] if u in row else _ONE,
+                      _over_lcm),
     FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, partial(_coerce, False), ROW_SUM_TOL,
-                      lambda row, u: _sum((p for v, p in row.items() if v != u), 0),
+                      lambda: neg, lambda row, u: _sum((p for v, p in row.items() if v != u), 0),
                       lambda values: (list(values), 1)),
 }
 
@@ -274,26 +306,36 @@ def arithmetic_of(value) -> Arithmetic:
     return _ARITHMETIC[FLOAT if isinstance(value, float) else EXACT]
 
 
-def _entry_rows(index, entries: Mapping, read, invalid) -> tuple:
+def _entry_rows(index, entries: Mapping, arith: Arithmetic, invalid) -> tuple:
     """Read a sparse ``(from, to) -> value`` map into read-only rows of nonzeros.
 
-    Each value goes through ``read``, an :class:`Arithmetic` record's, once
-    and in order; an unusable or negative one raises
-    ``invalid(frm, to, value)``, and zeros are dropped.
+    Returns ``(rows, splits)``, with ``splits`` each row's ``arith.split``.
+    Each value goes through ``arith.read`` once and in order; an unusable
+    one raises ``invalid(frm, to, value)``, and zeros are dropped. Signs
+    are checked once every value is read, on each row's split numerators,
+    whose sign is the value's; a negative one raises ``invalid`` for the
+    first negative entry of the map. So an unknown label or an unusable
+    value anywhere in the map is reported before a negative entry.
     """
+    read, split = arith.read, arith.split
     rows = [{} for _ in index]
     for (frm, to), raw in entries.items():
-        if frm not in index:
-            raise UnknownStateError(frm)
-        if to not in index:
-            raise UnknownStateError(to)
+        try:
+            row, j = rows[index[frm]], index[to]
+        except KeyError:
+            raise UnknownStateError(to if frm in index else frm) from None
         value = read(raw)
-        if value is None or value < 0:
+        if value is None:
             raise invalid(frm, to, raw)
         if value:
-            rows[index[frm]][index[to]] = value
+            row[j] = value
+    splits = [split(row.values()) for row in rows]
+    if min(iter_chain.from_iterable(nums for nums, _ in splits), default=0) < 0:
+        for (frm, to), raw in entries.items():
+            if rows[index[frm]].get(index[to], 0) < 0:
+                raise invalid(frm, to, raw)
     # Read-only row views: chains are shared freely across analyses.
-    return tuple(map(MappingProxyType, rows))
+    return tuple(map(MappingProxyType, rows)), splits
 
 
 class MarkovChain:
@@ -449,9 +491,13 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
 
     ``trans`` maps ``(from_label, to_label)`` to a probability; absent pairs
     mean zero. Exact zero entries are dropped. Validation checks and never
-    repairs: a bad row raises rather than being renormalized. A row is
-    added by :func:`_total`: exact entries as integer numerators over
-    their lcm, reduced once, and float entries in order.
+    repairs: a bad row raises rather than being renormalized. Each row is
+    split once (``Arithmetic.split``): exact entries as integer numerators
+    over their lcm, float entries as themselves. The split's numerators
+    carry the signs that :func:`_entry_rows` checks, and their sum, reduced
+    once, is the row total. Unknown labels and unusable values anywhere in
+    the map raise before a negative entry, and a negative entry before a
+    row that does not sum to one.
 
     Raises
     ------
@@ -466,9 +512,9 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     if len(index) != len(states):
         dupes = sorted({s for s in states if states.count(s) > 1})
         raise ValueError(f"duplicate state labels: {dupes}")
-    rows = _entry_rows(index, trans, arith.read, NegativeProbabilityError)
-    for s, row in zip(states, rows):
-        total = _total(row.values(), arith)
+    rows, splits = _entry_rows(index, trans, arith, NegativeProbabilityError)
+    for s, (nums, den) in zip(states, splits):
+        total = arith.frac(_sum(nums, 0), den)
         if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
     return MarkovChain(states, index, rows, arith)
@@ -477,8 +523,11 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
 def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:
     """Attach a validated non-negative cost map to an existing chain.
 
+    Signs are checked as in :func:`validate_chain`, on each row's split
+    numerators, after every entry is read.
+
     Raises
     ------
     UnknownStateError, NegativeCostError
     """
-    return RewardChain(chain, _entry_rows(chain._index, cost, chain.arith.read, NegativeCostError))
+    return RewardChain(chain, _entry_rows(chain._index, cost, chain.arith, NegativeCostError)[0])

@@ -79,6 +79,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_flag(text: str) -> int:
+    # SimConfig's range, checked here too so that a bad seed is a flag error.
+    value = _int_flag(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in 0..{2**64 - 1}, got {value}")
+    return value
+
+
 def _rational_flag(text: str) -> Fraction:
     # An exponent out of range raises LiteralRangeError, which argparse
     # lets through to main as a parse error.
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     def add_sampling(p, required=False):
-        p.add_argument("--seed", type=_int_flag, default=0, required=required)
+        p.add_argument("--seed", type=_seed_flag, default=0, required=required)
         p.add_argument("--samples", type=_positive_int, default=100_000, required=required)
         p.add_argument("--max-steps", type=_positive_int)  # None: simulate's default
 

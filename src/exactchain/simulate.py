@@ -83,11 +83,19 @@ class PathRng:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A sampling run: its seed, its number of paths and their horizon.
+
+    The seed lies in ``0 .. 2**64 - 1``, the splitmix64 states, so that
+    no two seeds draw the same paths.
+    """
+
     seed: int
     samples: int
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
+        if not 0 <= self.seed <= _MASK64:
+            raise InvalidParamsError(f"seed must be in 0..{_MASK64}, got {self.seed}")
         if self.samples < 1:
             raise InvalidParamsError(f"samples must be >= 1, got {self.samples}")
         _check_max_steps(self.max_steps)

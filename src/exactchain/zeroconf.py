@@ -9,7 +9,10 @@ back to picking a new address. Each probe round costs ``r`` seconds.
 
 The module builds the finite Markov reward chain of this process and
 evaluates its closed-form error probability and expected running cost,
-both cross-checkable against the generic exact solver.
+both cross-checkable against the generic exact solver. The builder shares
+one value object per distinct probability among the probe rows, and the
+per-probe error probabilities have one body for both modes, on the
+numerators of ``p`` and of the error probability (``Arithmetic.split``).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import TYPE_CHECKING
 
 from . import analysis
 from .chain import (
-    EXACT, RewardChain, _coerce_param, _triple, _with_mode, format_scalar, validate_chain,
-    validate_reward,
+    EXACT, RewardChain, _coerce_param, _triple, _with_mode, arithmetic_of, format_scalar,
+    validate_chain, validate_reward,
 )
 from .errors import InvalidParamsError, _full_str
 
@@ -99,25 +102,27 @@ def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
 def _build(params: ZeroconfParams, mode: str) -> RewardChain:
     """:func:`build_zeroconf` of a record whose numbers are in ``mode``'s arithmetic already."""
     n, p, q, r, e = params.N, params.p, params.q, params.r, params.E
+    states = state_labels(params)
+    probes = states[3:]  # Probe 0 .. Probe N
 
     trans = {
-        (START, probe_label(0)): q,
+        (START, probes[0]): q,
         (START, OK): 1 - q,
         (OK, OK): 1,
         (ERROR, ERROR): 1,
     }
     cost = {
-        (START, probe_label(0)): r,
+        (START, probes[0]): r,
         (START, OK): r * (n + 1),
     }
-    for i in range(n + 1):
-        probe = probe_label(i)
-        nxt = probe_label(i + 1) if i < n else ERROR
+    answered = 1 - p  # one object for every probe row, so a solve negates it once
+    for probe, nxt in zip(probes, [*probes[1:], ERROR]):
         trans[(probe, nxt)] = p
-        trans[(probe, START)] = 1 - p
-        cost[(probe, nxt)] = r if i < n else e
+        trans[(probe, START)] = answered
+        cost[(probe, nxt)] = r
+    cost[(probes[-1], ERROR)] = e
 
-    chain = validate_chain(state_labels(params), trans, mode)
+    chain = validate_chain(states, trans, mode)
     return validate_reward(chain, cost)
 
 
@@ -136,13 +141,26 @@ def p_err_probe_closed(params: ZeroconfParams, n: int):
     """
     if not 0 <= n <= params.N:
         raise ValueError(f"probe index must lie in 0..{params.N}, got {n}")
-    return _p_err_probe(params, n, p_err_closed(params))
+    return next(_p_err_probes(params, p_err_closed(params), [n]))
 
 
-def _p_err_probe(params: ZeroconfParams, n: int, p_err):
-    """:func:`p_err_probe_closed` given ``p_err = p_err_closed(params)``."""
-    tail = params.p ** (params.N - n + 1)
-    return tail + (1 - tail) * p_err
+def _p_err_probes(params: ZeroconfParams, p_err, probes):
+    """:func:`p_err_probe_closed` of each of ``probes``, given ``p_err = p_err_closed(params)``.
+
+    The form is ``tail + (1 - tail) * p_err`` with ``tail = p**k`` and
+    ``k = N - n + 1``, written on split numerators: with ``([a], b)`` the
+    split of ``p``, ``([e], d)`` that of ``p_err`` and ``t = a**k``, it is
+    ``frac(t*d + (b**k - t)*e, b**k * d)``. Exact values are integers over
+    one ``Fraction`` per probe. Float values split over the int ``1``, and
+    every operation with that ``1`` is exact, so the float form rounds
+    where the plain one does, in the same order, and its bits are the same.
+    """
+    arith = arithmetic_of(p_err)
+    ([a], b), ([e], d) = arith.split([params.p]), arith.split([p_err])
+    frac, last = arith.frac, params.N + 1
+    for n in probes:
+        t, bk = a ** (last - n), b ** (last - n)
+        yield frac(t * d + (bk - t) * e, bk * d)
 
 
 def expected_cost_closed(params: ZeroconfParams):
@@ -176,6 +194,7 @@ def zeroconf_report(
     rchain = _build(params, mode)
     chain = rchain.chain
     states = chain.states
+    probes = states[3:]  # Probe 0 .. Probe N, as state_labels lists them
     goal = {OK, ERROR}
 
     p_err = analysis.until_probabilities(chain, states, {ERROR})
@@ -197,8 +216,8 @@ def zeroconf_report(
         "states": list(states),
         "p_err_start": _triple(p_err_value, p_err[START]),
         "p_err_probe": {
-            probe_label(n): _triple(_p_err_probe(params, n, p_err_value), p_err[probe_label(n)])
-            for n in range(params.N + 1)
+            probe: _triple(closed, p_err[probe])
+            for probe, closed in zip(probes, _p_err_probes(params, p_err_value, range(len(probes))))
         },
         "expected_cost": _triple(expected_cost_closed(params), cost_solver),
         "ae_termination": {s: i in ae for i, s in enumerate(states)},

@@ -31,8 +31,11 @@ from exactchain.errors import (
     StartInTargetError,
     UnknownStateError,
 )
-from exactchain.crowds import END, build_crowds, first_last_jondo_joint, init_label, make_params
-from exactchain.zeroconf import ZeroconfParams, build_zeroconf
+from exactchain.chain import arithmetic
+from exactchain.crowds import (
+    END, build_crowds, crowds_report, first_last_jondo_joint, init_label, make_params,
+)
+from exactchain.zeroconf import ZeroconfParams, build_zeroconf, zeroconf_report
 from _support import (
     as_mode, near_one_chain, random_chain, random_query, random_reward, recording,
     truncated_until_mass,
@@ -773,6 +776,33 @@ def dense_exit_mass_system(chain, block, transpose):
                 a[(pos[v], r) if transpose else (r, pos[v])] = -p
         a[r, r] = sum(p for v, p in row.items() if v != u)
     return a
+
+
+@pytest.mark.parametrize("report", [
+    lambda: crowds_report(make_params(20, 4, F(4, 5))),
+    lambda: zeroconf_report(ZeroconfParams(100, F(1, 100), F(16, 65024), F(1, 500), 3600)),
+], ids=["crowds-J20", "zeroconf-N100"])
+def test_exact_blocks_hold_one_negated_object_per_distinct_chain_value(report):
+    # The builders share value objects: Crowds' J**2 edges hold three, and
+    # ZeroConf's probe rows two. A solve negates each distinct one once, and
+    # the pivot of every row with no self-loop is the arithmetic's one.
+    one = arithmetic(EXACT).one
+    systems = []
+    solve = linalg.solve
+
+    def copying(rows, b, mode, keep=None):
+        systems.append([dict(row) for row in rows])  # solve writes b into the rows
+        return solve(rows, b, mode, keep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "solve", copying)
+        report()
+    assert len(systems) >= 2
+    for rows in systems:
+        off = [x for i, row in enumerate(rows) for j, x in row.items() if j != i]
+        assert len({id(x) for x in off}) == len(set(off)) <= 3
+        pivots = [row[i] for i, row in enumerate(rows) if row[i] == 1]
+        assert pivots and all(x is one for x in pivots)
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])

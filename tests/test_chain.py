@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import itertools
 import math
 import random
 import sys
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -183,9 +185,11 @@ def test_entry_rows_read_each_entry_once_through_the_reader():
 
     entries = {("a", "a"): F(1, 2), ("a", "b"): F(1, 2), ("b", "a"): "1/2", ("b", "b"): "1/2",
                ("c", "a"): 0, ("c", "b"): 0, ("c", "c"): 1}
-    rows = _entry_rows({"a": 0, "b": 1, "c": 2}, entries, read, NegativeProbabilityError)
+    arith = dataclasses.replace(arithmetic(EXACT), read=read)
+    rows, splits = _entry_rows({"a": 0, "b": 1, "c": 2}, entries, arith, NegativeProbabilityError)
     assert reads == list(entries.values())  # every entry, in order; zeros are dropped
     assert [dict(row) for row in rows] == [{0: F(1, 2), 1: F(1, 2)}] * 2 + [{2: F(1)}]
+    assert splits == [([1, 1], 2)] * 2 + [([1], 1)]  # the split of each row, for its checks
 
     # A value already in the arithmetic is passed through as the same object.
     half, quarter = F(1, 2), 0.25
@@ -212,6 +216,79 @@ def test_entry_rows_reject_a_raw_equal_to_one_read_before(first, raw, error):
         validate_chain(["a", "b"], {("b", "a"): raw}, EXACT)
     assert (type(err.value), str(err.value)) == (type(fresh.value), str(fresh.value))
     assert err.value.__context__ is None
+
+
+# One fault each, as (entries, error, message); a negative probability comes
+# with the mass that keeps its row summing to one. Values are strings, read
+# the same in both modes.
+CHAIN_FAULTS = {
+    "unknown-from": ({("zz", "a"): "1"}, UnknownStateError, "unknown state 'zz'"),
+    "unknown-to": ({("a", "zz"): "1"}, UnknownStateError, "unknown state 'zz'"),
+    "unusable": ({("b", "a"): "1/x"}, NegativeProbabilityError,
+                 "transition 'b' -> 'a' has invalid probability '1/x'"),
+    "negative": ({("b", "a"): "-1/2", ("b", "c"): "1/2"}, NegativeProbabilityError,
+                 "transition 'b' -> 'a' has invalid probability '-1/2'"),
+}
+COST_FAULTS = {
+    "unknown-from": ({("zz", "a"): "1"}, UnknownStateError, "unknown state 'zz'"),
+    "unknown-to": ({("a", "zz"): "1"}, UnknownStateError, "unknown state 'zz'"),
+    "unusable": ({("b", "a"): "1/x"}, NegativeCostError, "cost 'b' -> 'a' has invalid value '1/x'"),
+    "negative": ({("b", "a"): "-1/2"}, NegativeCostError,
+                 "cost 'b' -> 'a' has invalid value '-1/2'"),
+}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("kind, fault", [("chain", f) for f in CHAIN_FAULTS]
+                         + [("cost", f) for f in COST_FAULTS])
+def test_a_single_fault_raises_one_error_wherever_it_sits(kind, fault, mode):
+    # The fault sits among valid entries, first, in the middle or last, and
+    # raises the same error with the same message in both modes.
+    states = ["a", "b", "c"]
+    if kind == "chain":
+        faulty, error, message = CHAIN_FAULTS[fault]
+        valid = {("a", "a"): "1/2", ("a", "c"): "1/2", ("b", "b"): "1", ("c", "c"): "1"}
+        check = partial(validate_chain, states, mode=mode)
+    else:
+        faulty, error, message = COST_FAULTS[fault]
+        valid = {("a", "a"): "3", ("b", "c"): "1/7", ("c", "c"): "0"}
+        loops = {(s, s): "1" for s in states}
+        check = partial(validate_reward, validate_chain(states, loops, mode))
+    items = list(valid.items())
+    for at in range(len(items) + 1):
+        with pytest.raises(error) as err:
+            check(dict(items[:at]) | faulty | dict(items[at:]))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_several_faults_raise_in_reading_order_then_signs_then_sums(mode):
+    # Labels and values are read entry by entry, and the first unknown label
+    # or unusable value raises. Signs are checked once every entry is read,
+    # on the rows' split numerators, and row sums after them. So a negative
+    # entry followed by an unknown label raises for the label.
+    states = ["a", "b"]
+    negative = {("a", "a"): "3/2", ("a", "b"): "-1/2", ("b", "b"): "1"}
+    for later, error, message in [
+        ({("b", "zz"): "1"}, UnknownStateError, "unknown state 'zz'"),
+        ({("b", "a"): "x"}, NegativeProbabilityError,
+         "transition 'b' -> 'a' has invalid probability 'x'"),
+    ]:
+        with pytest.raises(error) as err:
+            validate_chain(states, negative | later, mode)
+        assert str(err.value) == message
+    # Of two negative entries the first in the map raises, although the
+    # other sits in an earlier row, which does not sum to one either.
+    twice = {("a", "a"): "1/4", ("b", "a"): "-1", ("b", "b"): "2", ("a", "b"): "-3/4"}
+    with pytest.raises(NegativeProbabilityError) as err:
+        validate_chain(states, twice, mode)
+    assert str(err.value) == "transition 'b' -> 'a' has invalid probability '-1'"
+    chain = validate_chain(states, {("a", "b"): "1", ("b", "b"): "1"}, mode)
+    with pytest.raises(UnknownStateError, match="^unknown state 'zz'$"):
+        validate_reward(chain, {("a", "b"): "-1", ("zz", "a"): "1"})
+    with pytest.raises(NegativeCostError) as err:
+        validate_reward(chain, {("a", "b"): "1", ("b", "b"): "-2", ("a", "a"): "-1"})
+    assert str(err.value) == "cost 'b' -> 'b' has invalid value '-2'"
 
 
 def test_reward_validation():

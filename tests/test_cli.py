@@ -679,6 +679,16 @@ def test_simulate_zero_samples_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_usage_error(capsys, seed):
+    # The sampler reads a seed modulo 2**64, so a seed outside the range
+    # would draw another seed's paths while the report echoed its own.
+    code, out, err = run_to_exit(capsys, "simulate", "crowds:fig3", "--event", "until:ALL=>End",
+                                 "--seed", seed, "--samples", "10")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.rstrip().endswith(f"argument --seed: must be in 0..{2**64 - 1}, got {seed}")
+
+
 def test_simulate_bad_event(capsys):
     code, _, err = run(capsys, "simulate", "crowds:fig3",
                        "--event", "hitting:End", "--seed", "1", "--samples", "10")

@@ -35,12 +35,12 @@ SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
 # The walker tests patch its block down to SMALL_BLOCK, so that path counts
 # straddle one or many blocks cheaply; one example each keeps the real
-# _BLOCK. Short horizons censor, and seeds wrap modulo 2**64.
+# _BLOCK. Short horizons censor, and seeds span the 64-bit range.
 SMALL_BLOCK = 8
 SAMPLES = st.sampled_from([1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
                            5 * SMALL_BLOCK + 3])
 MAX_STEPS = st.sampled_from([1, 2, 3, 10, 100])
-SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -5]), st.integers(-2**70, 2**70))
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**64 - 5]), st.integers(0, 2**64 - 1))
 MODES = st.sampled_from([EXACT, FLOAT])
 # (states, most successors per row): narrow rows, or rows that may reach
 # every state of up to 30, so the walker's search runs 1 to 5 halvings over
@@ -74,6 +74,16 @@ def test_sim_config_validation():
         SimConfig(seed=0, samples=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, samples=1, max_steps=0)
+
+
+def test_sim_config_rejects_seeds_outside_64_bits():
+    # PathRng reads a seed modulo 2**64, so a seed outside the range would
+    # draw the paths of another while its report echoed its own.
+    assert SimConfig(seed=2**64 - 1, samples=1).seed == 2**64 - 1
+    for bad in (-1, 2**64):
+        message = rf"seed must be in 0\.\.{2**64 - 1}, got {bad}$"
+        with pytest.raises(InvalidParamsError, match=message):
+            SimConfig(seed=bad, samples=1)
 
 
 def test_sim_config_keeps_path_streams_disjoint():
@@ -229,15 +239,15 @@ def _reference_paths(chain, start, cfg, stop):
        block=st.just(SMALL_BLOCK))
 @example(chain_seed=1, shape=(4, 3), mode=EXACT, seed=2**64 - 1, samples=1,
          max_steps=1, start_in_psi=False, block=SMALL_BLOCK)
-@example(chain_seed=2, shape=(5, 3), mode=FLOAT, seed=-5, samples=SMALL_BLOCK - 1,
+@example(chain_seed=2, shape=(5, 3), mode=FLOAT, seed=2**64 - 5, samples=SMALL_BLOCK - 1,
          max_steps=2, start_in_psi=False, block=SMALL_BLOCK)
-@example(chain_seed=3, shape=(6, 3), mode=EXACT, seed=-5, samples=SMALL_BLOCK,
+@example(chain_seed=3, shape=(6, 3), mode=EXACT, seed=2**64 - 5, samples=SMALL_BLOCK,
          max_steps=3, start_in_psi=True, block=SMALL_BLOCK)
 @example(chain_seed=4, shape=(3, 3), mode=FLOAT, seed=2**64 - 1, samples=_BLOCK + 1,
          max_steps=10, start_in_psi=False, block=_BLOCK)
 @example(chain_seed=5, shape=(30, 30), mode=FLOAT, seed=7, samples=5 * SMALL_BLOCK + 3,
          max_steps=100, start_in_psi=False, block=SMALL_BLOCK)
-@example(chain_seed=6, shape=(23, 23), mode=EXACT, seed=-5, samples=SMALL_BLOCK + 1,
+@example(chain_seed=6, shape=(23, 23), mode=EXACT, seed=2**64 - 5, samples=SMALL_BLOCK + 1,
          max_steps=10, start_in_psi=False, block=SMALL_BLOCK)
 def test_estimator_walk_matches_sample_path(chain_seed, shape, mode, seed, samples,
                                             max_steps, start_in_psi, block):
@@ -409,14 +419,14 @@ def test_walker_tables_hold_one_entry_per_edge():
        p_f=st.sampled_from([F(1, 2), F(4, 5), F(9, 10)]), mode=MODES, seed=SEEDS,
        samples=SAMPLES, max_steps=st.sampled_from([1, 2, 3, 5, 10_000]),
        block=st.just(SMALL_BLOCK))
-@example(n_jondos=5, coll_seed=1, skewed=True, p_f=F(4, 5), mode=FLOAT, seed=-5,
+@example(n_jondos=5, coll_seed=1, skewed=True, p_f=F(4, 5), mode=FLOAT, seed=2**64 - 5,
          samples=_BLOCK + 1, max_steps=3, block=_BLOCK)
 # Crowds of 20 take the walker's guide table, with one halving at p_f = 4/5
 # and two at 1/2; at 5 * SMALL_BLOCK + 3 paths, cells are first hit in
 # later blocks, after others that earlier blocks hit.
 @example(n_jondos=20, coll_seed=3, skewed=False, p_f=F(4, 5), mode=FLOAT, seed=1,
          samples=5 * SMALL_BLOCK + 3, max_steps=10_000, block=SMALL_BLOCK)
-@example(n_jondos=20, coll_seed=0, skewed=True, p_f=F(1, 2), mode=EXACT, seed=-5,
+@example(n_jondos=20, coll_seed=0, skewed=True, p_f=F(1, 2), mode=EXACT, seed=2**64 - 5,
          samples=5 * SMALL_BLOCK + 3, max_steps=10_000, block=SMALL_BLOCK)
 def test_joint_walk_matches_sample_path(n_jondos, coll_seed, skewed, p_f, mode, seed,
                                         samples, max_steps, block):

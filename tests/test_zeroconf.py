@@ -1,16 +1,21 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exactchain import FLOAT, analysis, zeroconf
+from exactchain import EXACT, FLOAT, analysis, format_scalar, zeroconf
 from exactchain.analysis import (
     certify_ae_until,
     expected_cost_until,
     until_probabilities,
     until_probability,
 )
+from exactchain.chain import _with_mode
 from exactchain.errors import InvalidParamsError
 from exactchain.zeroconf import (
     CLAIMED_ERROR_BOUND,
@@ -115,6 +120,104 @@ def test_p_err_probe_closed_forms():
     assert p_err_probe_closed(SMALL, SMALL.N) == p + (1 - p) * p_err_closed(SMALL)
     with pytest.raises(ValueError):
         p_err_probe_closed(SMALL, SMALL.N + 1)
+
+
+def plain_probe_form(tail, p_err):
+    """The error probability from a probe with ``tail = p**(N - n + 1)``: the
+    remaining probes are all lost, or one is answered and the restart errs."""
+    return tail + (1 - tail) * p_err
+
+
+PROBABILITIES = st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=PROBABILITIES, q=PROBABILITIES, n=st.integers(0, 60),
+       mode=st.sampled_from([EXACT, FLOAT]))
+def test_per_probe_forms_are_the_plain_form_in_both_modes(p, q, n, mode):
+    # The per-probe forms run on split numerators, which in float mode are
+    # the floats over the int 1; every operation with that 1 is exact, so
+    # they round where the plain form does. The report reads the same forms
+    # as p_err_probe_closed.
+    params = _with_mode(ZeroconfParams(n, p, q, F(1, 500), 3600), mode)
+    p_err = p_err_closed(params)
+    plain = [plain_probe_form(params.p ** (n - i + 1), p_err) for i in range(n + 1)]
+    forms = list(zeroconf._p_err_probes(params, p_err, range(n + 1)))
+    assert list(map(repr, forms)) == list(map(repr, plain))
+    report = zeroconf_report(params, mode)["p_err_probe"]
+    assert [report[probe_label(i)]["closed_form"] for i in range(n + 1)] == [
+        format_scalar(p_err_probe_closed(params, i)) for i in range(n + 1)
+    ]
+
+
+def row_shapes(n, p, q, r, e):
+    """The rows of the ZeroConf chain by shape, as ``[(successor, probability, cost)]``.
+
+    A probe ``i < N`` moves on to probe ``i + 1``, named here by shape.
+    """
+    return {
+        "Start": [("Probe 0", q, r), ("Ok", 1 - q, r * (n + 1))],
+        "Probe i<N": [("Probe i+1", p, r), ("Start", 1 - p, 0)],
+        "Probe N": [("Error", p, e), ("Start", 1 - p, 0)],
+    }
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_builder_rows_take_the_three_shapes(n):
+    # The link between the symbolic check below and the builder, on a grid
+    # of sizes with generic rational parameters.
+    p, q, r, e = F(2, 7), F(3, 11), F(5, 13), F(17, 19)
+    rchain = build_zeroconf(ZeroconfParams(n, p, q, r, e))
+    shapes = row_shapes(n, p, q, r, e)
+    costs = {}
+    for u, v, c in rchain.cost_edges():
+        costs.setdefault(u, {})[v] = c
+    for state in rchain.states:
+        if state in ("Ok", "Error"):
+            shape, rename = [(state, 1, 0)], {}
+        elif state == "Start":
+            shape, rename = shapes["Start"], {}
+        else:
+            i = int(state.split()[1])
+            shape = shapes["Probe N" if i == n else "Probe i<N"]
+            rename = {"Probe i+1": probe_label(i + 1)}
+        assert rchain.chain.row(state) == {rename.get(v, v): x for v, x, _ in shape}
+        assert costs.get(state, {}) == {rename.get(v, v): c for v, _, c in shape if c}
+
+
+def test_closed_forms_satisfy_every_row_shape_for_every_size():
+    # With t = p**(N - i) for probe i and T = p**(N + 1), the error
+    # probability and the expected cost from probe i are functions of t
+    # (error(t), expected(t)), so each row shape is one identity in p, q, r,
+    # E, N, t and T. Probe i + 1 has t / p, probe 0 has T / p and probe N
+    # has 1. The per-probe cost vector is not in the package; it is derived
+    # here.
+    p, q, r, e, t, T = sympy.symbols("p q r E t T", positive=True)
+    n = sympy.Symbol("N", integer=True, nonnegative=True)
+    params = SimpleNamespace(N=n, p=p, q=q, r=r, E=e)
+    powers = {p ** (n + 1): T, p**n: T / p}
+    p_err = p_err_closed(params).subs(powers)
+    cost = expected_cost_closed(params).subs(powers)
+    assert not {p ** (n + 1), p**n} & (p_err.atoms(sympy.Pow) | cost.atoms(sympy.Pow))
+
+    def error(t):
+        return plain_probe_form(p * t, p_err)
+
+    def expected(t):
+        return p * r * (1 - t) / (1 - p) + p * t * e + (1 - p * t) * cost
+
+    shapes = row_shapes(n, p, q, r, e)
+    # (vector, its value at Start and at Error, whether transitions cost)
+    for value, start, err, paid in ((error, p_err, 1, 0), (expected, cost, 0, 1)):
+        values = {
+            "Start": {"self": start, "Probe 0": value(T / p), "Ok": 0},
+            "Probe i<N": {"self": value(t), "Probe i+1": value(t / p), "Start": start},
+            "Probe N": {"self": value(1), "Error": err, "Start": start},
+        }
+        for shape, row in shapes.items():
+            x = values[shape]
+            residual = x["self"] - sum(prob * (paid * c + x[v]) for v, prob, c in row)
+            assert sympy.cancel(residual) == 0, (value.__name__, shape)
 
 
 def test_start_iteration_identity():
