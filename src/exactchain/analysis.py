@@ -31,6 +31,7 @@ Two conventions hold throughout and are easy to trip over:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -136,42 +137,26 @@ def _solve_block(chain: MarkovChain, block, b, transpose=False, keep=None) -> di
     ``block`` is a sorted index list and ``b`` holds one row per block
     state, in block order. Returns the solution row of each state in
     ``keep``, a set of block states, which is the whole block by default.
-    Row ``i`` of the system goes to :func:`linalg.solve` as a dict of its
-    nonzeros, ``{j: -q_ij, i: d_i}``; the transpose puts ``-q_ij`` in row
-    ``j``. The caller picks a block from every state of which the path
-    eventually leaves it with positive probability, which makes ``I - Q`` a
-    nonsingular M-matrix, and so is its transpose: exact sparse elimination
-    then never meets a zero diagonal pivot, in any order. The chain's
-    arithmetic sets ``d_i``: ``1 - q_ii`` in exact mode, and in float mode
-    the row's exit mass instead, so a self-loop of ``1 - 1e-17`` cannot
-    round the pivot to zero (Grassmann, Taksar & Heyman 1985); exact rows
-    make the two equal, and the transpose keeps the same diagonal. The
-    entries go through the arithmetic's ``negation()``, one per solve: each
-    distinct exact value object is negated once, so a Crowds block of
-    ``J**2`` edges over three shared values makes three ``Fraction``
-    negations, and the pivot of a row with no self-loop is the shared
-    ``one``; float entries are negated one by one, as a memo costs more
-    than a float negation.
+    The chain's arithmetic builds the matrix (``Arithmetic.system``) in the
+    form :func:`linalg.solve` takes in its mode: exact rows as dicts of
+    their nonzeros with pivot ``1 - q_ii``, each distinct value object
+    negated once; a float block as one dense numpy matrix, built in a few
+    array operations, whose diagonal is each row's exit mass (Grassmann,
+    Taksar & Heyman 1985), so a self-loop of ``1 - 1e-17`` cannot round the
+    pivot to zero. Exact rows make the two diagonals equal. The caller
+    picks a block from every state of which the path eventually leaves it
+    with positive probability, which makes ``I - Q`` a nonsingular
+    M-matrix, and so is its transpose: exact sparse elimination then never
+    meets a zero diagonal pivot, in any order.
     """
     if not block:
         return {}
     from . import linalg  # here, so that a sampling run loads no elimination kernel
 
-    pos = {u: r for r, u in enumerate(block)}
-    negate, diagonal = chain.arith.negation(), chain.arith.diagonal
-    rows = [{} for _ in block]
-    for i, u in enumerate(block):
-        out = chain.row_by_index(u)
-        for v, p in out.items():
-            j = pos.get(v)
-            if j is not None:
-                if transpose:
-                    rows[j][i] = negate(p)
-                else:
-                    rows[i][j] = negate(p)
-        rows[i][i] = diagonal(out, u)
+    a = chain.arith.system(chain, block, transpose)
     kept = block if keep is None else sorted(keep)
-    return dict(zip(kept, linalg.solve(rows, b, chain.mode, keep={pos[u] for u in kept})))
+    at = None if keep is None else {bisect_left(block, u) for u in keep}
+    return dict(zip(kept, linalg.solve(a, b, chain.mode, keep=at)))
 
 
 def reachable(chain: MarkovChain, phi, start: str) -> set[str]:

@@ -12,21 +12,24 @@ Each mode name stands for one :class:`Arithmetic` record, and the records
 are the one place that tells the modes apart: :func:`arithmetic` looks up
 a mode name, :func:`arithmetic_of` the arithmetic of values that carry no
 mode (case-study parameters, joints). The rest of the package asks a record
-for its zero, one, fractions, reader, tolerance, negation, pivot rule and
-split. The reader, ``read``, turns any input number into the mode's
-arithmetic, or ``None`` if it is unusable; a number already in it passes
-through as it is. The split writes values as numerators over one
-denominator: exact ones as integers over their lcm, floats as themselves
-over ``1``. So the work after a solve (totals, entry laws, marginals) has
-one body for both modes, and so does validation: the signs of a row are
-checked on its split numerators, which the row-sum check then adds, so no
-exact entry pays a ``Fraction`` comparison.
+for its zero, one, fractions, reader, tolerance, system and split. The
+system is the matrix of a block's absorbing equations, ``I - Q`` or its
+transpose, in the form its mode's solvers read: dicts of nonzeros for the
+exact kernels, one dense numpy matrix for the float one. The reader,
+``read``, turns any input number into the mode's arithmetic, or ``None``
+if it is unusable; a number already in it passes through as it is. The
+split writes values as numerators over one denominator: exact ones as
+integers over their lcm, floats as themselves over ``1``. So the work
+after a solve (totals, entry laws, marginals) has one body for both modes,
+and so does validation: the signs of a row are checked on its split
+numerators, which the row-sum check then adds, so no exact entry pays a
+``Fraction`` comparison, and a float row is not copied.
 
 Every sum of mode values in the package adds left to right: a whole sum
 through ``_sum``, a sum by key (marginals, entry laws by outcome) one
-term at a time. Builtin ``sum`` compensates floats from Python 3.12, so
-float results added with it would differ in their last bits between
-Python versions.
+term at a time, and the float system's exit masses by ``numpy.cumsum``.
+Builtin ``sum`` compensates floats from Python 3.12, so float results
+added with it would differ in their last bits between Python versions.
 
 State labels are the canonical external identity; integer indices are an
 internal detail of the sparse representation.
@@ -40,7 +43,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain as iter_chain
-from operator import attrgetter, neg, truediv
+from operator import attrgetter, methodcaller, truediv
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -233,21 +236,22 @@ class Arithmetic:
     """The numbers one mode computes with: what every mode-dependent step reads.
 
     ``frac(n, d)`` is ``n / d``, ``read`` is :func:`_coerce` in this
-    arithmetic, ``tol`` the absolute tolerance on a sum that must be one,
-    and ``diagonal(row, u)`` the pivot ``d_u`` of ``u``'s row of ``I - Q``
-    (``analysis._solve_block``): ``1 - q_uu`` exactly, the shared ``one``
-    for a row with no self-loop, and in float mode the row's exit mass,
-    which no self-loop rounds to zero. ``negation()`` gives each solve its
-    own ``p -> -p`` for the entries of ``-Q``: the exact one negates each
-    distinct value object once (:func:`_exact_negation`), since the
-    builders share value objects across rows; the float one is
-    ``operator.neg``, as a memo costs more than a float negation.
+    arithmetic and ``tol`` the absolute tolerance on a sum that must be one.
+    ``system(chain, block, transpose)`` is the matrix of
+    ``analysis._solve_block``: ``I - Q`` over the sorted index list
+    ``block``, or its transpose, as :func:`linalg.solve` takes it in this
+    mode. The exact one (:func:`_exact_system`) is a dict of nonzeros per
+    row with pivot ``1 - q_uu``; the float one (:func:`_float_system`) is
+    an n-by-n numpy matrix whose diagonal holds each row's exit mass, which
+    no self-loop rounds to zero.
 
     ``split(values)`` is ``(nums, den)``, numerators over one denominator
     that report work adds and compares before one ``frac(n, den)`` per
     result: exact values as integers over their lcm (:func:`_over_lcm`),
     floats as themselves over the int ``1``, so that ``frac(n, 1)`` is the
-    same float. One body of report code serves both modes.
+    same float. The float numerators are ``values`` itself, not a copy, so
+    ``values`` must be a collection when they are read more than once. One
+    body of report code serves both modes.
     """
 
     name: str
@@ -256,41 +260,95 @@ class Arithmetic:
     frac: Callable
     read: Callable
     tol: object
-    negation: Callable
-    diagonal: Callable
+    system: Callable
     split: Callable
 
 
-def _exact_negation():
-    """A fresh ``p -> -p`` that negates each distinct value object once.
+def _exact_system(chain, block, transpose) -> list:
+    """``I - Q`` over ``block``, or its transpose, as one dict of nonzeros per row.
 
-    The memo is keyed on the object's identity: a ``Fraction`` hash is a
+    Row ``i`` holds ``{j: -q_ij, i: 1 - q_ii}``, and the transpose puts
+    ``-q_ij`` in row ``j``. Each distinct value object is negated once,
+    through a memo keyed on its identity: the builders share value objects
+    across rows, so a Crowds block of ``J**2`` edges over three shared
+    values makes three ``Fraction`` negations, and a ``Fraction`` hash is a
     Python-level modular inverse, dearer than the negation it would save.
-    The chain holds every value it is given, so no identity is reused
-    while the solve that owns the memo runs. Equal values in separate
-    objects are each negated once.
+    The chain holds every value it is given, so no identity is reused while
+    the memo lives; equal values in separate objects are each negated once.
+    The pivot of a row with no self-loop is the shared ``one``.
     """
+    pos = {u: r for r, u in enumerate(block)}
     memo = {}
+    rows = [{} for _ in block]
+    for i, u in enumerate(block):
+        out = chain.row_by_index(u)
+        for v, p in out.items():
+            j = pos.get(v)
+            if j is not None:
+                minus = memo.get(id(p))
+                if minus is None:
+                    minus = memo[id(p)] = -p
+                if transpose:
+                    rows[j][i] = minus
+                else:
+                    rows[i][j] = minus
+        rows[i][i] = 1 - out[u] if u in out else _ONE
+    return rows
 
-    def negate(p):
-        minus = memo.get(id(p))
-        if minus is None:
-            minus = memo[id(p)] = -p
-        return minus
 
-    return negate
+def _float_system(chain, block, transpose):
+    """``I - Q`` over ``block``, or its transpose, as one dense n-by-n numpy matrix.
+
+    Off the diagonal each in-block entry is ``-q_ij``. The diagonal holds
+    each row's exit mass, the sum of its entries off the diagonal, inside
+    the block or not, in place of ``1 - q_ii``, so a self-loop of
+    ``1 - 1e-17`` cannot round the pivot to zero (Grassmann, Taksar &
+    Heyman 1985); the transpose keeps the same diagonal. The exit mass adds
+    the row's entries left to right in its dict order, as ``_sum`` does:
+    ``numpy.cumsum`` along the rows of an n-by-(longest block row) array of
+    them, zero-padded and with each self-loop zeroed, since adding a zero
+    leaves a float as it is. numpy's reductions (``sum``, ``add.reduce``,
+    ``reduceat``) add rows of eight or more terms pairwise, which moves the
+    last bit, so none of them adds the floats.
+
+    The chain's entries are gathered in a few array operations rather than
+    one Python call each. A tiny block pays numpy's fixed cost of some tens
+    of microseconds. Beside the n-by-n matrix, the work arrays hold n times
+    the longest block row floats (the padded array), a few ints per block
+    entry and one int per chain state.
+    """
+    import numpy as np
+
+    n = len(block)
+    outs = [chain.row_by_index(u) for u in block]
+    sizes = np.fromiter(map(len, outs), dtype=np.intp, count=n)
+    count = int(sizes.sum())
+    cols = np.fromiter(iter_chain.from_iterable(outs), dtype=np.intp, count=count)
+    vals = np.fromiter(iter_chain.from_iterable(map(methodcaller("values"), outs)),
+                       dtype=float, count=count)
+    row = np.repeat(np.arange(n), sizes)
+    vals[cols == np.asarray(block)[row]] = 0.0  # a self-loop is in neither part
+    padded = np.zeros((n, int(sizes.max())))  # row r's entries from column 0 on
+    padded[row, np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = vals
+    at = np.full(len(chain.states), -1)
+    at[block] = np.arange(n)
+    col = at[cols]
+    inside = col >= 0
+    i, j = row[inside], col[inside]
+    a = np.zeros((n, n))
+    a[(j, i) if transpose else (i, j)] = -vals[inside]
+    a[np.arange(n), np.arange(n)] = np.cumsum(padded, axis=1)[:, -1]
+    return a
 
 
 _ONE = Fraction(1)
 
-# Fields in order: name, zero, one, frac, read, tol, negation, diagonal, split.
+# Fields in order: name, zero, one, frac, read, tol, system, split.
 _ARITHMETIC = {
     EXACT: Arithmetic(EXACT, Fraction(0), _ONE, Fraction, partial(_coerce, True), 0,
-                      _exact_negation, lambda row, u: 1 - row[u] if u in row else _ONE,
-                      _over_lcm),
+                      _exact_system, _over_lcm),
     FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, partial(_coerce, False), ROW_SUM_TOL,
-                      lambda: neg, lambda row, u: _sum((p for v, p in row.items() if v != u), 0),
-                      lambda values: (list(values), 1)),
+                      _float_system, lambda values: (values, 1)),
 }
 
 

@@ -2,11 +2,13 @@
 
 The systems solved here are `(I - Q) x = b` style absorption equations with
 at most a few hundred unknowns, so direct elimination is enough. Every
-solver takes the same inputs: the rows of the matrix as dicts of their
-nonzeros, the right-hand sides as a dense list of rows, and optionally the
-set ``keep`` of unknowns the caller reads. Each reads its inputs into its
-own working form, writes nothing back, and returns a dense list of
-solution rows. :func:`solve` only picks a solver by mode and density.
+solver takes the same inputs: the matrix, the right-hand sides as a dense
+list of rows, and optionally the set ``keep`` of unknowns the caller
+reads. The exact solvers take the matrix as a list of rows, each a dict of
+its nonzeros; the float solver takes it as one n-by-n numpy array of
+floats. Each reads its inputs into its own working form, writes nothing
+back, and returns a dense list of solution rows. :func:`solve` only picks
+a solver by mode and density.
 Both exact solvers read the system through one reader, ``_read``: each
 matrix entry, and each nonzero right-hand-side entry, becomes a reduced
 ``(numerator, denominator)`` pair of ints once, by ``as_integer_ratio()``,
@@ -39,9 +41,10 @@ entries are minors of the integer matrix. A step whose pivot equals the
 one a row is current to touches that row only in the pivot row's nonzero
 columns. Back-substitution stays in integers too: every unknown is an
 integer over the last Bareiss pivot, the determinant (Bareiss 1968), so
-the only rationals built are the results. Float mode fills a numpy matrix
-from the rows and delegates to numpy, which is imported on the first
-non-empty float solve, so exact work never loads it.
+the only rationals built are the results. Float mode hands its dense
+matrix, which the chain's arithmetic builds in numpy
+(``chain._float_system``), to ``numpy.linalg.solve`` as it is; only float
+work imports numpy, so exact work never loads it.
 
 Every solve is a kept-rows solve. A caller that reads only some unknowns,
 such as the one start state of a query, names them in ``keep``; without
@@ -177,28 +180,23 @@ def solve_exact(rows, b, keep=None):
     return out
 
 
-def solve_float(rows, b, keep=None):
-    """Solve ``a @ x = b`` in 64-bit floats; arguments and result as in :func:`solve`.
+def solve_float(a, b, keep=None):
+    """Solve ``a @ x = b`` in 64-bit floats by ``numpy.linalg.solve``.
 
-    The full system is solved whatever ``keep`` says, so the kept rows are
-    bit for bit those of the full solution.
+    ``a`` is one n-by-n numpy array of floats, taken as it is; ``b`` and
+    ``keep`` are as in :func:`solve`, and so is the result. The full system
+    is solved whatever ``keep`` says, so the kept rows are bit for bit those
+    of the full solution. A singular ``a`` raises
+    :class:`SingularSystemError`.
     """
-    n = len(rows)
-    if n == 0:
-        return []
-    keep = range(n) if keep is None else keep
     import numpy as np
 
-    a = np.zeros((n, n))
-    a.flat[[i * n + j for i, row in enumerate(rows) for j in row]] = [
-        x for row in rows for x in row.values()
-    ]
     try:
         x = np.linalg.solve(a, np.asarray(b, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     x = x.tolist()
-    return [x[i] for i in sorted(keep)]
+    return x if keep is None else [x[i] for i in sorted(keep)]
 
 
 def eliminate(rows, b, keep=None):
@@ -347,16 +345,17 @@ def eliminate(rows, b, keep=None):
 def solve(rows, b, mode, keep=None):
     """Solve ``a @ x = b`` in ``mode``'s arithmetic.
 
-    ``rows[i]`` maps column ``j`` to the nonzero ``a[i][j]``; ``b`` is the
-    n-by-k right-hand-side matrix, a list of rows. ``keep`` is the set of
-    unknowns whose rows are returned, in ascending order; ``None`` keeps
-    every unknown, so the full n-by-k solution comes back. The exact
-    solvers back-substitute the kept rows alone. Neither ``rows`` nor
-    ``b`` is changed. Exact systems with at most ``SPARSE_ROW_NNZ``
-    nonzeros per row on average go to :func:`eliminate`, whatever the width
-    of ``b``, the rest to :func:`solve_exact`; float systems to
-    :func:`solve_float`. The analyses' systems have one column, or one per
-    start state or per outcome. A mode other than ``"exact"`` or
+    ``rows`` is ``a``: in exact mode a list whose ``rows[i]`` maps column
+    ``j`` to the nonzero ``a[i][j]``, in float mode one n-by-n numpy array
+    of floats. ``b`` is the n-by-k right-hand-side matrix, a list of rows.
+    ``keep`` is the set of unknowns whose rows are returned, in ascending
+    order; ``None`` keeps every unknown, so the full n-by-k solution comes
+    back. The exact solvers back-substitute the kept rows alone. Neither
+    ``rows`` nor ``b`` is changed. Exact systems with at most
+    ``SPARSE_ROW_NNZ`` nonzeros per row on average go to :func:`eliminate`,
+    whatever the width of ``b``, the rest to :func:`solve_exact`; float
+    systems to :func:`solve_float`. The analyses' systems have one column,
+    or one per start state or per outcome. A mode other than ``"exact"`` or
     ``"float"`` raises ``ValueError``.
     """
     if mode == "float":

@@ -770,11 +770,13 @@ def dense_exit_mass_system(chain, block, transpose):
     pos = {u: r for r, u in enumerate(block)}
     a = np.zeros((len(block), len(block)))
     for r, u in enumerate(block):
-        row = chain.row_by_index(u)
-        for v, p in row.items():
-            if v != u and v in pos:
-                a[(pos[v], r) if transpose else (r, pos[v])] = -p
-        a[r, r] = sum(p for v, p in row.items() if v != u)
+        exit_mass = 0  # added left to right: builtin sum compensates from Python 3.12
+        for v, p in chain.row_by_index(u).items():
+            if v != u:
+                exit_mass += p
+                if v in pos:
+                    a[(pos[v], r) if transpose else (r, pos[v])] = -p
+        a[r, r] = exit_mass
     return a
 
 
@@ -827,6 +829,59 @@ def test_float_block_solve_is_numpy_on_the_dense_exit_mass_system(transpose):
         x = _solve_block(chain, block, b, transpose)
         expected = np.linalg.solve(dense_exit_mass_system(chain, block, transpose), np.array(b))
         assert repr(x) == repr(dict(zip(block, expected.tolist())))
+
+
+def float_block_query(rng, n_states, shape):
+    """A float chain of ``shape``, and the block of its states that reach its last state
+    through the others.
+
+    ``"wide"`` chains have rows of up to ``n_states`` entries, ``"random"``
+    ones of up to three, and ``"near_one"`` ones near-one self-loops.
+    """
+    if shape == "near_one":
+        chain = near_one_chain(rng, n_states)
+    else:
+        chain = random_chain(rng, n_states, max_out={"random": 3, "wide": n_states}[shape])
+    chain = as_mode(random_reward(rng, n_states, chain=chain), FLOAT).chain
+    within = set(range(n_states - 1))
+    return chain, sorted(brute_closure(edge_list(chain, backward=True), within, {n_states - 1})
+                         & within)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 16),
+       shape=st.sampled_from(["random", "wide", "near_one"]), transpose=st.booleans(),
+       keep_at=st.none() | st.sets(st.integers(0, 14)))
+def test_float_block_solve_is_numpy_on_the_reference_exit_mass_system(
+        seed, n_states, shape, transpose, keep_at):
+    # The float system is built in numpy, and its exit masses add left to
+    # right: bit for bit the reference matrix, and so numpy's solve of it.
+    rng = random.Random(seed)
+    chain, block = float_block_query(rng, n_states, shape)
+    if not block:
+        return
+    reference = dense_exit_mass_system(chain, block, transpose)
+    assert np.array_equal(arithmetic(FLOAT).system(chain, block, transpose), reference)
+    keep = None if keep_at is None else {block[i] for i in keep_at if i < len(block)}
+    b = [[rng.random(), float(u == block[0])] for u in block]
+    x = _solve_block(chain, block, b, transpose, keep)
+    expected = dict(zip(block, np.linalg.solve(reference, np.array(b)).tolist()))
+    assert repr(x) == repr({u: expected[u] for u in (block if keep is None else sorted(keep))})
+
+
+def test_float_exit_masses_add_left_to_right_where_numpy_would_add_pairwise():
+    # numpy's sum adds rows of eight or more terms pairwise. Wide rows where
+    # that moves the last bit still get the left-to-right exit mass.
+    rng = random.Random(33)
+    moved = 0
+    for _ in range(20):
+        chain, block = float_block_query(rng, 16, "wide")
+        diagonal = arithmetic(FLOAT).system(chain, block, False).diagonal().tolist()
+        for u, d in zip(block, diagonal):
+            exits = [p for v, p in chain.row_by_index(u).items() if v != u]
+            assert d == dense_exit_mass_system(chain, [u], False)[0, 0]
+            moved += len(exits) >= 8 and d != np.sum(exits)
+    assert moved > 0
 
 
 @settings(max_examples=150, deadline=None)

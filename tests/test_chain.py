@@ -15,7 +15,9 @@ from exactchain import (
     EXACT, FLOAT, analysis, format_scalar, info, linalg, parse_scalar, validate_chain,
     validate_reward,
 )
-from exactchain.chain import MAX_DECIMAL_EXPONENT, _entry_rows, _total, arithmetic
+from exactchain.chain import (
+    MAX_DECIMAL_EXPONENT, MarkovChain, _entry_rows, _total, arithmetic,
+)
 from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
 from exactchain.errors import (
@@ -97,7 +99,11 @@ def test_float_sums_add_left_to_right_on_every_python():
     below_one = 0.9999999999999999
     assert _total(tenths.values(), arithmetic(FLOAT)) == below_one
     assert analysis.Distribution(tenths, 0.0).total() == below_one
-    assert arithmetic(FLOAT).diagonal(dict(enumerate([*tenths.values(), 0.5])), 10) == below_one
+    # The float system's exit mass, for a row of ten 0.1s and a self-loop,
+    # in a chain built unvalidated: the row sums to 1.5.
+    row = dict(enumerate([*tenths.values(), 0.5]))
+    loose = MarkovChain(tuple(range(11)), {}, (*[{}] * 10, row), arithmetic(FLOAT))
+    assert arithmetic(FLOAT).system(loose, [10], False).tolist() == [[below_one]]
     chain = validate_chain(["s", *tenths], {**{("s", t): p for t, p in tenths.items()},
                                             **{(t, t): 1.0 for t in tenths}}, FLOAT)
     assert analysis._until_system(chain, {"s"}, set(tenths))[2] == [[below_one]]
@@ -191,10 +197,14 @@ def test_entry_rows_read_each_entry_once_through_the_reader():
     assert [dict(row) for row in rows] == [{0: F(1, 2), 1: F(1, 2)}] * 2 + [{2: F(1)}]
     assert splits == [([1, 1], 2)] * 2 + [([1], 1)]  # the split of each row, for its checks
 
-    # A value already in the arithmetic is passed through as the same object.
+    # A value already in the arithmetic is passed through as the same object,
+    # and float values split into themselves: the numerators are not a copy.
     half, quarter = F(1, 2), 0.25
     assert arithmetic(EXACT).read(half) is half
     assert arithmetic(FLOAT).read(quarter) is quarter
+    values = [quarter]
+    assert arithmetic(FLOAT).split(values) == (values, 1)
+    assert arithmetic(FLOAT).split(values)[0] is values
     with pytest.raises(TypeError):
         arithmetic(EXACT).read(0.5)
     for mode in (EXACT, FLOAT):

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +208,79 @@ def test_solver_matches_closed_forms():
         model = build_crowds(params)
         assert solver_hit_prob(model) == prob_hit_colls(params)
         assert solver_joint_first_last(model) == conditional_joint(params)
+
+
+def row_shapes(J, H, p_f):
+    """The Init and Mix rows of the Crowds chain by shape, as ``[(kind, count, probability)]``.
+
+    Each of the ``count`` successors of the kind ``kind`` has
+    ``probability``; ``C = J - H`` Mix states are collaborators'.
+    """
+    return {
+        "Init": [("collaborator Mix", J - H, 1 / J), ("honest Mix", H, 1 / J)],
+        "Mix": [("collaborator Mix", J - H, p_f / J), ("honest Mix", H, p_f / J),
+                ("End", 1, 1 - p_f)],
+    }
+
+
+def test_closed_forms_satisfy_the_init_and_mix_rows_for_every_size(monkeypatch):
+    # Identities in J, H, p_f and the initiator weight w. A vector takes one
+    # value per shape and role: "l", the honest jondo the outcome names, or
+    # "other", every other honest one. The hit probability is the same from
+    # every Init state and p_f times that from every honest Mix state; for
+    # the joint's outcome l, Init l and Init i != l hold the conditional
+    # cells times the hit probability over the initiator's weight, and Mix
+    # states p_f times their jondo's Init value. An edge into a collaborator
+    # pays 1, for the joint only from l's states. The closed forms read
+    # their arithmetic off p_f; over sympy symbols it is sympy's division.
+    J, H, p_f, w = sympy.symbols("J H p_f w", positive=True)
+    monkeypatch.setattr(crowds, "_frac", lambda num, den, params: num / den)
+    params = SimpleNamespace(J=J, H=H, p_f=p_f, honest=("i", "l"), init={"i": w, "l": 1 - w})
+    hit = prob_hit_colls(params)
+    joint = conditional_joint(params)
+    init_values = {
+        "hit": {"l": hit, "other": hit},
+        "joint": {"l": joint[("l", "l")] / (1 - w) * hit, "other": joint[("i", "l")] / w * hit},
+    }
+    pays = {"hit": {"l": 1, "other": 1}, "joint": {"l": 1, "other": 0}}
+    shapes = row_shapes(J, H, p_f)
+    for vector, init in init_values.items():
+        mix = {role: p_f * x for role, x in init.items()}
+        for shape, x in (("Init", init), ("Mix", mix)):
+            for role in ("l", "other"):
+                value = {"collaborator Mix": pays[vector][role], "End": 0}
+                step = 0
+                for kind, count, prob in shapes[shape]:
+                    if kind == "honest Mix":
+                        step += prob * (mix["l"] + (count - 1) * mix["other"])
+                    else:
+                        step += count * prob * value[kind]
+                assert sympy.cancel(x[role] - step) == 0, (vector, shape, role)
+
+
+@pytest.mark.parametrize("J", range(2, 41))
+def test_builder_rows_take_the_init_and_mix_shapes(J):
+    # The link between the symbolic check above and the builder, on a grid
+    # of sizes with a generic rational p_f and a skewed initiator law.
+    p_f = F(7, 11)
+    for H in sorted({1, (J + 1) // 2, J - 1}):
+        init = {f"J{i}": F(2 * i, H * (H + 1)) for i in range(1, H + 1)}
+        params = make_params(J, J - H, p_f, init)
+        model = build_crowds(params)
+        shapes = row_shapes(F(J), H, p_f)
+        members = {"collaborator Mix": [mix_label(c) for c in params.colls],
+                   "honest Mix": [mix_label(h) for h in params.honest], "End": [crowds.END]}
+        for state in model.chain.states:
+            kind = model.kind(state)
+            if kind == "start":
+                row = {crowds.init_label(h): params.init[h] for h in params.honest}
+            elif kind == "end":
+                row = {crowds.END: 1}
+            else:
+                shape = shapes[kind.capitalize()]
+                assert [len(members[k]) for k, _, _ in shape] == [count for _, count, _ in shape]
+                row = {v: prob for k, _, prob in shape for v in members[k]}
+            assert model.chain.row(state) == row
 
 
 def test_entry_edge_total_mass_is_hit_probability():
