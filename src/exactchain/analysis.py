@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain as iter_chain
 
 from .chain import MarkovChain, RewardChain, _sum, _sums_to_one, _total, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
@@ -303,7 +303,8 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
 
     ``u`` is the last state outside the target and ``c`` the entry state;
     ``starts`` lie outside the target. ``exit_u(k)`` is the probability of
-    ``u``'s edges into the target with key ``k``. One solve covers the
+    ``u``'s edges into the target with key ``k``, added in row order. One
+    solve covers the
     union of the starts' blocks (:func:`_entry_block`): the states that can
     occupy a path before entry and can still reach the target. Every other
     state, a start among them, has zero entry mass. The solve takes
@@ -319,9 +320,9 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
       from ``s`` then has mass ``sum_u y_s(u) exit_u(k)``, so only the
       rows of states with an edge into the target are back-substituted.
       The sums run on numerators (:func:`_visit_masses`): the exits over
-      one denominator, each start's visits over one per start column, and
-      each mass is divided once. Exact numerators are integers over an
-      lcm; float ones are the floats themselves, over ``1``.
+      one denominator and the kept visit rows over another. Exact
+      numerators are integers over an lcm; float ones are the floats
+      themselves, over ``1``.
 
     Returns ``{start: {outcome: mass}}`` with the strictly positive masses,
     outcomes in sorted order (:func:`_positive`). Where the block search
@@ -333,13 +334,15 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     a wrong law fails.
     """
     block, sure = _entry_block(chain, t_idx, starts)
-    zero, one, tol = chain.zero, chain.one, chain.arith.tol
-    exits = {u: {} for u in block}
-    for u, out in exits.items():
-        for v, p in chain.row_by_index(u).items():
-            if v in t_idx:
-                k = key(u, v)
-                out[k] = out[k] + p if k in out else p
+    zero, one, arith = chain.zero, chain.one, chain.arith
+    inside = t_idx.__contains__
+    exits = {}
+    for u in block:
+        row, out = chain.row_by_index(u), {}
+        for v in filter(inside, row):  # the row's edges into the target, in row order
+            k = key(u, v)
+            out[k] = out[k] + row[v] if k in out else row[v]
+        exits[u] = out
     keys = sorted({k for out in exits.values() for k in out})
     if len(keys) <= len(starts):
         col = {k: c for c, k in enumerate(keys)}
@@ -348,16 +351,16 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
             for k, p in out.items():
                 b_row[col[k]] = p
         x = _solve_block(chain, block, b, keep=set(starts).intersection(block))
-        masses = {s: _positive(zip(keys, x[s]), tol) if s in x else {} for s in starts}
+        masses = {s: _positive(zip(keys, x[s]), arith) if s in x else {} for s in starts}
     else:
         b = [[one if u == s else zero for s in starts] for u in block]
         y = _solve_block(chain, block, b, transpose=True,
                          keep={u for u, out in exits.items() if out})
-        columns = _visit_masses(exits, y, keys, len(starts), chain.arith)
-        masses = {s: _positive(column, tol) for s, column in zip(starts, columns)}
+        rows, den = _visit_masses(exits, y, keys, len(starts), arith)
+        masses = {s: _positive(zip(keys, row), arith, den) for s, row in zip(starts, rows)}
     if sure:
         for s, out in masses.items():
-            total = _total(out.values(), chain.arith)
+            total = _total(out.values(), arith)
             if not _sums_to_one(total):
                 raise SingularSystemError(
                     f"entry masses sum to {_full_str(total)}, not 1, where entry is almost sure"
@@ -365,28 +368,26 @@ def _entry_masses(chain: MarkovChain, t_idx: set[int], starts, key) -> dict:
     return masses
 
 
-def _visit_masses(exits, y, keys, n, arith) -> list:
-    """``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts: ``[(k, mass), ...]`` per start.
+def _visit_masses(exits, y, keys, n, arith) -> tuple:
+    """``sum_u y_s(u) exit_u(k)`` for each of ``n`` starts, as numerators over one denominator.
 
-    The exits go over one denominator and each start's visit column over
-    another (``arith.split``), so a mass is a sum of products of
-    numerators, added in the order of ``exits`` and divided once by
-    ``arith.frac``: in exact arithmetic an integer sum, reduced once; in
-    float arithmetic the float sum itself, over ``1``.
+    Returns ``(rows, den)``, one row of numerators per start in ``keys``
+    order. The exits go over one denominator and the kept visit rows, split
+    once, over another (``arith.split``), so a mass is a sum of products of
+    numerators, added in the order of ``exits``: in exact arithmetic an
+    integer sum; in float arithmetic the float sum itself, over ``1``.
     """
     edges = [(u, k) for u, out in exits.items() for k in out]
     e_nums, e_den = arith.split([p for out in exits.values() for p in out.values()])
-    visited = list(y)
-    columns = [arith.split(column) for column in zip(*(y[u] for u in visited))]
-    y_nums = dict(zip(visited, zip(*[nums for nums, _ in columns])))
+    y_nums, y_den = arith.split(list(iter_chain.from_iterable(y.values())))
+    y_rows = dict(zip(y, (y_nums[i:i + n] for i in range(0, len(y_nums), n))))
     mass = {k: [0] * n for k in keys}  # mass[k][j]: outcome k from start j
     for (u, k), e in zip(edges, e_nums):
-        mass[k] = [m + y_u * e for m, y_u in zip(mass[k], y_nums[u])]
-    return [list(zip(keys, map(arith.frac, row, repeat(y_den * e_den))))
-            for row, (_, y_den) in zip(zip(*mass.values()), columns)]
+        mass[k] = [m + y_u * e for m, y_u in zip(mass[k], y_rows[u])]
+    return list(zip(*mass.values())), y_den * e_den
 
 
-def _positive(masses, tol) -> dict:
+def _positive(masses, arith, den=None) -> dict:
     """The ``(outcome, mass)`` pairs of positive mass, as a dict.
 
     The masses solve an M-matrix system with a non-negative right-hand
@@ -394,13 +395,17 @@ def _positive(masses, tol) -> dict:
     ``-tol``, the arithmetic's tolerance, or a NaN, which fails both
     comparisons, has lost its accuracy, and raises
     :class:`SingularSystemError` rather than drop it. Only masses already
-    bound to be dropped are compared, so exact mode pays nothing.
+    bound to be dropped are compared, so exact mode pays nothing. With
+    ``den``, the pairs hold numerators over it (:func:`_visit_masses`),
+    which carry their masses' signs (float ones are over ``1``), and only a
+    positive one is divided: no exact zero becomes a ``Fraction``.
     """
     positive = {}
     for k, m in masses:
         if m > 0:
-            positive[k] = m
-        elif m < -tol:
+            positive[k] = m if den is None else arith.frac(m, den)
+        elif m < -arith.tol:
+            m = m if den is None else arith.frac(m, den)
             raise SingularSystemError(f"the solve returned a negative entry mass {_full_str(m)}")
         elif m != m:
             raise SingularSystemError("the solve returned a NaN entry mass")

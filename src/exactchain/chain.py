@@ -41,7 +41,6 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, chain as iter_chain
 from operator import attrgetter, methodcaller, truediv
 from types import MappingProxyType
@@ -115,8 +114,11 @@ def parse_scalar(text, mode=EXACT):
 
 
 def format_scalar(value):
-    """Serialize losslessly: Fractions as ``num/den`` strings, floats via repr."""
-    if isinstance(value, Fraction):
+    """Serialize losslessly: Fractions as ``num/den`` strings, floats via repr.
+
+    A float skips the ``isinstance`` test, an ``ABCMeta`` check.
+    """
+    if type(value) is not float and isinstance(value, Fraction):
         return _full_str(value)
     if value == math.inf:
         return "inf"
@@ -201,16 +203,15 @@ def _triple(closed, solver):
 def _coerce(exact: bool, value):
     """Convert an input number to exact or float arithmetic; None if it is unusable.
 
-    This is the one reader of input numbers, as each :class:`Arithmetic`
+    This is the one reader of input numbers, behind each :class:`Arithmetic`
     record's ``read``: chain and cost entries, model-file strings,
     case-study parameters, rational CLI flags and :func:`parse_scalar`. A
     string is read as a numeric literal by :func:`_read_literal`, whose
     exponent check raises ``LiteralRangeError``. Unusable are bools and
     other non-numbers, malformed text, a zero denominator, NaN and, in
     float mode, a value past the float range. Exact mode rejects floats
-    with ``TypeError``. A value already in the arithmetic (a ``Fraction``
-    in exact mode, a finite ``float`` in float mode) is returned as the same
-    object, not copied.
+    with ``TypeError``. The readers return a value already in their
+    arithmetic (a ``Fraction``, a finite ``float``) before calling this.
     """
     if exact and isinstance(value, float):
         # Silent float->Fraction conversion would smuggle binary rounding
@@ -219,8 +220,6 @@ def _coerce(exact: bool, value):
             f"exact mode rejects float {value!r}; pass a Fraction, an int, "
             f"or a string literal like '1/100'"
         )
-    if type(value) is (Fraction if exact else float):
-        return value if exact or math.isfinite(value) else None
     if isinstance(value, bool):
         return None
     try:
@@ -231,12 +230,24 @@ def _coerce(exact: bool, value):
     return number if exact or math.isfinite(number) else None
 
 
+def _read_exact(value):
+    """The exact ``read``: a ``Fraction`` as it is, anything else by :func:`_coerce`."""
+    return value if type(value) is Fraction else _coerce(True, value)
+
+
+def _read_float(value):
+    """The float ``read``: a finite ``float`` as it is, anything else by :func:`_coerce`."""
+    return value if type(value) is float and math.isfinite(value) else _coerce(False, value)
+
+
 @dataclasses.dataclass(frozen=True)
 class Arithmetic:
     """The numbers one mode computes with: what every mode-dependent step reads.
 
-    ``frac(n, d)`` is ``n / d``, ``read`` is :func:`_coerce` in this
-    arithmetic and ``tol`` the absolute tolerance on a sum that must be one.
+    ``frac(n, d)`` is ``n / d`` and ``tol`` the absolute tolerance on a
+    sum that must be one. ``read`` returns a value already in this
+    arithmetic as it is, after one type test, and reads any other through
+    :func:`_coerce`.
     ``system(chain, block, transpose)`` is the matrix of
     ``analysis._solve_block``: ``I - Q`` over the sorted index list
     ``block``, or its transpose, as :func:`linalg.solve` takes it in this
@@ -345,9 +356,9 @@ _ONE = Fraction(1)
 
 # Fields in order: name, zero, one, frac, read, tol, system, split.
 _ARITHMETIC = {
-    EXACT: Arithmetic(EXACT, Fraction(0), _ONE, Fraction, partial(_coerce, True), 0,
+    EXACT: Arithmetic(EXACT, Fraction(0), _ONE, Fraction, _read_exact, 0,
                       _exact_system, _over_lcm),
-    FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, partial(_coerce, False), ROW_SUM_TOL,
+    FLOAT: Arithmetic(FLOAT, 0.0, 1.0, truediv, _read_float, ROW_SUM_TOL,
                       _float_system, lambda values: (values, 1)),
 }
 

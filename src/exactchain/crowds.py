@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import repeat
 from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -305,24 +306,29 @@ def _initiator_joint(model: CrowdsModel, target, lasts) -> dict:
     run over ``honest x lasts``. One solve covers every initiator with
     positive weight: one right-hand-side column per jondo left when those
     are no more than the initiators, else one per initiator
-    (:func:`analysis._entry_masses`). Each cell holds one product, or the
-    zero of the chain's arithmetic; no cell is a sum. Where the cells are
-    totalled (``chain._total`` and ``info``), exact ones are added as
-    integers over one denominator.
+    (:func:`analysis._entry_masses`), keyed by a list lookup. The joint is
+    built in one pass: each cell holds one product, or the zero of the
+    chain's arithmetic; no cell is a sum. Where the cells are totalled
+    (``chain._total`` and ``info``), exact ones are added as integers over
+    one denominator.
     """
     params = model.params
     chain = model.chain
+    zero = chain.zero
     starts = {
-        chain.index_of(init_label(i)): i for i in params.honest if params.init[i] > 0
+        i: chain.index_of(init_label(i)) for i in params.honest if params.init[i] > 0
     }
+    jondos = list(map(model.jondo_of, chain.states))
     masses = analysis._entry_masses(
-        chain, chain.index_set(target), list(starts),
-        lambda u, v: model.jondo_of(chain.states[u]),
+        chain, chain.index_set(target), list(starts.values()), lambda u, v: jondos[u]
     )
-    joint = {(i, l): chain.zero for i in params.honest for l in lasts}
-    for s, i in starts.items():
-        for l, m in masses[s].items():  # one mass per (initiator, jondo) cell
-            joint[(i, l)] = params.init[i] * m
+    joint = {}
+    for i in params.honest:
+        law = masses[starts[i]] if i in starts else {}
+        weight = params.init[i]
+        for l in lasts:
+            m = law.get(l)
+            joint[(i, l)] = zero if m is None else weight * m
     return joint
 
 
@@ -330,13 +336,17 @@ def _hit_and_conditional_joint(model: CrowdsModel) -> tuple:
     """``(hit, joint)``: the collaborator-hit probability and the (initiator, last honest) joint given a hit.
 
     The joint with the hit event comes from the entry laws into the
-    collaborator Mix states (:func:`_initiator_joint`); its total is the
-    hit probability, and each cell's share of that total is the
-    conditional joint.
+    collaborator Mix states (:func:`_initiator_joint`). Over one
+    denominator (``Arithmetic.split``), its numerators' sum is the hit
+    probability, and each numerator over that sum is a cell of the
+    conditional joint: in exact arithmetic one integer pair per cell, not a
+    ``Fraction`` division by ``hit``.
     """
+    arith = model.chain.arith
     numerator = _initiator_joint(model, model.collaborator_mix_labels(), model.params.honest)
-    hit = _total(numerator.values(), model.chain.arith)  # > 0: some jondo is a collaborator
-    return hit, {pair: v / hit for pair, v in numerator.items()}
+    nums, den = arith.split(numerator.values())
+    total = _sum(nums, 0)  # > 0: some jondo is a collaborator
+    return arith.frac(total, den), dict(zip(numerator, map(arith.frac, nums, repeat(total))))
 
 
 def solver_joint_first_last(model: CrowdsModel) -> dict:

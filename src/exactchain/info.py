@@ -59,12 +59,14 @@ def _log2(a, b=1) -> float:
 
     An int pair is reduced by its gcd, and a ``Fraction`` quotient split,
     and the two parts are logged apart; any other quotient is a float.
+    ``Fraction`` arithmetic returns plain Fractions, so a type test finds
+    them, where ``isinstance`` would run an ``ABCMeta`` check per float.
     """
     if isinstance(a, int) and isinstance(b, int):
         g = math.gcd(a, b)
         return math.log2(a // g) - math.log2(b // g)
     ratio = a / b
-    if isinstance(ratio, Fraction):
+    if type(ratio) is Fraction:
         return math.log2(ratio.numerator) - math.log2(ratio.denominator)
     return math.log2(ratio)
 

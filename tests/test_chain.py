@@ -9,6 +9,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import exactchain
 from exactchain import (
@@ -16,7 +18,7 @@ from exactchain import (
     validate_reward,
 )
 from exactchain.chain import (
-    MAX_DECIMAL_EXPONENT, MarkovChain, _entry_rows, _total, arithmetic,
+    MAX_DECIMAL_EXPONENT, MarkovChain, _entry_rows, _read_literal, _total, arithmetic,
 )
 from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
@@ -212,6 +214,69 @@ def test_entry_rows_read_each_entry_once_through_the_reader():
     assert arithmetic(FLOAT).read(math.nan) is None
     assert arithmetic(FLOAT).read(math.inf) is None
     assert arithmetic(FLOAT).read(-math.inf) is None
+
+
+def reference_read(exact, value):
+    """The reader as one function of the mode, a test-first path for every input: the reference."""
+    if exact and isinstance(value, float):
+        raise TypeError(
+            f"exact mode rejects float {value!r}; pass a Fraction, an int, "
+            f"or a string literal like '1/100'"
+        )
+    if type(value) is (F if exact else float):
+        return value if exact or math.isfinite(value) else None
+    if isinstance(value, bool):
+        return None
+    try:
+        number = _read_literal(value) if isinstance(value, str) else value
+        number = F(number) if exact else float(number)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        return None
+    return number if exact or math.isfinite(number) else None
+
+
+class FloatSubclass(float):
+    pass
+
+
+class FractionSubclass(F):
+    pass
+
+
+def outcome(read, value):
+    """``(type, result)`` of ``read(value)``, or the type and message of what it raises."""
+    try:
+        result = read(value)
+    except Exception as exc:  # the reference and the reader must raise alike
+        return type(exc), str(exc)
+    return type(result), result
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(), st.booleans(), st.none(), st.floats(), st.fractions(),
+    st.floats().map(FloatSubclass), st.fractions().map(lambda q: FractionSubclass(q)),
+    st.text(max_size=12), st.text("0123456789+-./eE_ ", max_size=12),
+    st.builds(str, st.floats()), st.builds(str, st.fractions()),
+))
+@example("1e400")
+@example(f"1e{MAX_DECIMAL_EXPONENT + 1}")
+@example("1/0")
+@example(math.nan)
+@example(-math.inf)
+@example(FloatSubclass(math.inf))
+@example(2**1100)
+def test_readers_return_their_own_numbers_first_and_read_the_rest_as_the_reference(value):
+    # Each arithmetic's reader returns a value already in it, the same
+    # object, before any other test; any other input reads as the reference
+    # reads it, or raises what the reference raises, subclasses of float
+    # and Fraction included.
+    for mode, exact in ((EXACT, True), (FLOAT, False)):
+        read = arithmetic(mode).read
+        if type(value) is (F if exact else float) and (exact or math.isfinite(value)):
+            assert read(value) is value
+        else:
+            assert outcome(read, value) == outcome(partial(reference_read, exact), value)
 
 
 @pytest.mark.parametrize("first, raw, error", [

@@ -503,6 +503,76 @@ def test_exact_report_bytes_are_unchanged(params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def left_to_right(values):
+    """The sum of ``values`` from ``0``, one term at a time, as the report adds."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("jondos", [20, 40])
+def test_float_report_post_solve_bits_are_plain_per_cell_float_arithmetic(jondos, skewed,
+                                                                          monkeypatch):
+    # Float report bytes are pinned nowhere else: the bench checks them
+    # within a tolerance, the golden digests cover exact reports, and the
+    # solves' own bits depend on the BLAS build. So the two solved joints
+    # are taken as they come, and everything the report prints after them
+    # must be the plain float arithmetic of their cells, added left to right.
+    honest = jondos - jondos // 5
+    init = None
+    if skewed:  # J1 never initiates; J2..JH in proportion to their index
+        init = {"J1": 0, **{f"J{i}": F(i, honest * (honest + 1) // 2 - 1)
+                            for i in range(2, honest + 1)}}
+    params = make_params(jondos, jondos // 5, F(4, 5), init)
+    joints = []
+    initiator_joint = crowds._initiator_joint
+
+    def keep(*args):
+        joints.append(initiator_joint(*args))
+        return joints[-1]
+
+    monkeypatch.setattr(crowds, "_initiator_joint", keep)
+    report = crowds_report(params, FLOAT)
+    hit_joint, contact_joint = joints
+    assert (len(hit_joint), len(contact_joint)) == (honest * honest, honest * jondos)
+    assert all(type(v) is float for v in [*hit_joint.values(), *contact_joint.values()])
+
+    hit = left_to_right(hit_joint.values())
+    cond = {pair: v / hit for pair, v in hit_joint.items()}
+    labels = build_crowds(params, FLOAT).params.honest
+    assert report["hit_collaborator"]["solver"] == repr(hit)
+    assert report["first_equals_last"]["solver"] == repr(left_to_right(cond[(i, i)] for i in labels))
+    assert {name: t["solver"] for name, t in report["joint_first_last"].items()} == {
+        f"{i}|{l}": repr(v) for (i, l), v in cond.items()}
+    if skewed:
+        assert report["joint_first_last"]["J1|J2"]["solver"] == "0.0"
+
+    last = {}
+    for (_, l), v in contact_joint.items():
+        last[l] = last.get(l, 0) + v
+    never = 1.0 - left_to_right(last.values())
+    uniform = 1 / jondos
+    assert repr(report["last_jondo"]) == repr({
+        "expected_uniform": repr(uniform),
+        "solver": {l: repr(m) for l, m in sorted(last.items())},
+        "never": repr(never if never >= 0 else 0.0),
+        "max_difference": repr(max(abs(m - uniform) for m in last.values())),
+    })
+
+    closed = conditional_joint(build_crowds(params, FLOAT).params)
+    px, py = {}, {}
+    for (i, l), p in closed.items():
+        px[i] = px.get(i, 0) + p
+        py[l] = py.get(l, 0) + p
+    mi = 0.0
+    for (i, l), p in closed.items():
+        if p > 0:
+            mi += p * math.log2(p / (px[i] * py[l]))
+    assert repr(report["mutual_information_bits"]["exact"]) == repr(mi)
+
+
 def test_triples_keep_equal_values_that_print_differently_apart():
     half = F(1, 2)
     cells = [("0.0", 0.0, 0.5), ("-0.0", -0.0, 0.5), ("solver 0.0", 0.5, 0.0),
