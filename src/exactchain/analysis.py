@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain as iter_chain
+from itertools import chain as iter_chain, repeat
+from operator import mul
 
 from .chain import MarkovChain, RewardChain, _sum, _sums_to_one, _total, arithmetic_of
 from .errors import ConditionHasZeroProbabilityError, SingularSystemError, StartInTargetError
@@ -259,6 +260,15 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
     when ``phi`` is not reached almost surely, as :func:`_entry_block`
     decides, and zero for a start already in ``phi``. Otherwise the block
     holds every state met before ``phi``.
+
+    A row's right-hand side is ``sum_v p_uv c_uv``, added on its split
+    numerators (``Arithmetic.split``): the probabilities over one
+    denominator and the costs over another, one ``frac`` a row, so no
+    exact product or sum builds a ``Fraction``. Float rows add the same
+    products in the same order as a plain loop. The split is per row:
+    one over the whole block would carry the lcm of every row's
+    denominators, which on rows of distinct prime denominators is slower
+    than ``Fraction`` arithmetic.
     """
     phi_idx = chain.index_set(phi)
     s = chain.index_of(start)
@@ -270,11 +280,13 @@ def _expected_until(chain: MarkovChain, phi, start: str, cost_row=None):
     if cost_row is None:
         b = [[chain.one] for _ in block]
     else:
-        zero = chain.zero
-        b = [
-            [_sum((p * costs.get(v, zero) for v, p in chain.row_by_index(u).items()), zero)]
-            for u, costs in zip(block, map(cost_row, block))
-        ]
+        split, frac = chain.arith.split, chain.arith.frac
+        zeros = repeat(chain.zero)
+        b = []
+        for out, costs in zip(map(chain.row_by_index, block), map(cost_row, block)):
+            pn, pd = split(out.values())
+            cn, cd = split(map(costs.get, out, zeros))
+            b.append([frac(_sum(map(mul, pn, cn), 0), pd * cd)])
     return _solve_block(chain, block, b, keep={s})[s][0]
 
 

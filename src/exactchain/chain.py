@@ -192,7 +192,17 @@ def _total(values, arith):
 
 
 def _triple(closed, solver):
-    """Report entry comparing a closed form with the solver's value."""
+    """Report entry comparing a closed form with the solver's value.
+
+    Two equal ``Fraction``s, what every exact cross-check should give, are
+    compared before anything is subtracted: the value is formatted once
+    and the difference is ``"0"``, as ``closed - solver`` would print, so
+    no large ``Fraction`` is subtracted and formatted only to print zero.
+    Any other pair, floats and subclasses among them, is subtracted.
+    """
+    if type(closed) is Fraction and type(solver) is Fraction and closed == solver:
+        text = format_scalar(closed)
+        return {"closed_form": text, "solver": text, "difference": "0"}
     return {
         "closed_form": format_scalar(closed),
         "solver": format_scalar(solver),

@@ -382,16 +382,20 @@ def is_product_joint(joint: dict) -> bool:
 def _triples(cells) -> dict:
     """``{name: _triple(closed, solver)}`` for ``(name, closed, solver)`` cells.
 
-    The H^2 cells of a joint hold few distinct values, so each distinct pair
-    is formatted once and each cell gets its own copy. The memo keys on type
-    and value, which keeps apart values that compare equal but print
-    differently (``1``, ``1.0`` and ``Fraction(1)``); a pair with a zero
-    skips it, since ``0.0 == -0.0``.
+    The H^2 cells of a joint hold few distinct values, so each distinct
+    pair with a float in it is formatted once and each cell gets its own
+    copy. The memo keys on type and value, which keeps apart values that
+    compare equal but print differently (``1``, ``1.0`` and
+    ``Fraction(1)``); a pair with a zero skips it, since ``0.0 == -0.0``.
+    Every other cell goes straight to :func:`_triple`: an exact cell's
+    equal values are compared there before anything is formatted, which
+    costs less than hashing two ``Fraction``s for the memo.
     """
     formatted = {}
     triples = {}
     for name, closed, solver in cells:
-        if not (closed and solver):
+        floats = type(closed) is float or type(solver) is float
+        if not (floats and closed and solver):
             triples[name] = _triple(closed, solver)
             continue
         key = (type(closed), closed, type(solver), solver)

@@ -19,12 +19,14 @@ Sparse systems, such as ZeroConf's path of probes with back edges to its
 start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
 2011) on those rows: each step eliminates the unknown of least Markowitz
 cost on its diagonal, without pivoting, so the fill-in stays near the
-system's own nonzeros where dense elimination fills the whole matrix. No
-pivot vanishes on the nonsingular M-matrices ``I - Q`` (or their
-transposes) that the analyses build; a zero pivot raises
-:class:`SingularSystemError`. The elimination and back-substitution run
-on the reader's pairs by Henrici's rule, inline, so no ``Fraction``
-method runs in the loop and only the results are built as Fractions.
+system's own nonzeros where dense elimination fills the whole matrix.
+The pivot queue keeps one list of current costs, and a step pushes a heap
+entry only for an unknown whose cost it changed. No pivot vanishes on the
+nonsingular M-matrices ``I - Q`` (or their transposes) that the analyses
+build; a zero pivot raises :class:`SingularSystemError`. The elimination
+and back-substitution run on the reader's pairs by Henrici's rule, inline,
+so no ``Fraction`` method runs in the loop and only the results are built
+as Fractions.
 
 Every other exact system goes to fraction-free (Bareiss) Gaussian
 elimination over integers: each row of the reader's pairs becomes a
@@ -209,7 +211,14 @@ def eliminate(rows, b, keep=None):
     count in a row's cost. The unknown eliminated next is the one of least
     Markowitz cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the
     lowest index among equals, always on its diagonal; the unknowns in the
-    set ``keep`` are pinned last, after every other one. Back-substitution
+    set ``keep`` are pinned last, after every other one. Each unknown's
+    current cost is kept in one list and its ``keep`` flag is read once.
+    After a pivot only the rows it updated and the columns of its row can
+    have a new cost, and an entry ``(pinned, cost, index)`` is pushed onto
+    the heap only for one whose cost changed; a popped entry is stale when
+    its unknown is done or its cost differs from the list. So the pivot is
+    always the least ``(pinned, cost, index)`` over the live unknowns, with
+    no push for a cost that stayed the same. Back-substitution
     runs in reverse elimination order and skips solution entries that are
     zero; only the kept rows are back-substituted: an unknown's reduced row
     holds only unknowns eliminated after it.
@@ -238,18 +247,16 @@ def eliminate(rows, b, keep=None):
             if j < n:
                 holders[j].add(i)
 
-    def cost(u):
-        return (u in keep, (len(rows[u]) - 1) * (len(holders[u]) - 1), u)
-
-    heap = [cost(u) for u in range(n)]
+    pinned = [u in keep for u in range(n)]
+    costs = [(len(row) - 1) * (len(hold) - 1) for row, hold in zip(rows, holders)]
+    heap = list(zip(pinned, costs, range(n)))
     heapq.heapify(heap)
     done = [False] * n
     order = []
     while heap:
-        entry = heapq.heappop(heap)
-        p = entry[-1]
-        if done[p] or entry != cost(p):
-            continue  # a stale entry: p's cost changed after it was pushed
+        _, c, p = heapq.heappop(heap)
+        if done[p] or c != costs[p]:
+            continue  # a stale entry: p is done, or its cost changed after the push
         row = rows[p]
         pn, pd = row.pop(p, (0, 1))
         if not pn:
@@ -297,7 +304,10 @@ def eliminate(rows, b, keep=None):
             if j < n:
                 holders[j].discard(p)
         for u in holders[p].union(j for j in row if j < n):
-            heapq.heappush(heap, cost(u))
+            c = (len(rows[u]) - 1) * (len(holders[u]) - 1)
+            if c != costs[u]:
+                costs[u] = c
+                heapq.heappush(heap, (pinned[u], c, u))
     # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p
     x = [None] * n
     out = [None] * n

@@ -31,7 +31,7 @@ from exactchain.errors import (
     StartInTargetError,
     UnknownStateError,
 )
-from exactchain.chain import arithmetic
+from exactchain.chain import _sum, arithmetic
 from exactchain.crowds import (
     END, build_crowds, crowds_report, first_last_jondo_joint, init_label, make_params,
 )
@@ -362,6 +362,58 @@ def test_cost_charges_first_transition():
     chain = chain_of({("a", "b"): F(1), ("b", "b"): F(1)})
     rchain = validate_reward(chain, {("a", "b"): F(7)})
     assert expected_cost_until(rchain, {"b"}, "a") == 7
+
+
+def prime_denominator_reward(n, mode):
+    """A path of ``n`` states to ``Goal``, each with edges back to ``T0``, whose
+    rows have distinct prime denominators, and so do their costs.
+
+    Row ``T{i}`` moves on with probability ``a / p_i``, back to ``T0`` with
+    ``b / p_i`` and to ``Goal`` with the rest, for the ``i``-th prime
+    ``p_i`` past 100; its costs are over the ``i``-th prime past 10,000. The
+    lcm of every row's denominators has thousands of bits.
+    """
+    def primes(start):
+        k = start
+        while True:
+            k += 1
+            if all(k % d for d in range(2, math.isqrt(k) + 1)):
+                yield k
+
+    rng = random.Random(n)
+    states = [f"T{i}" for i in range(n)] + ["Goal"]
+    trans, cost = {("Goal", "Goal"): 1}, {}
+    for i, p, q in zip(range(n), primes(100), primes(10_000)):
+        a, b = rng.randint(1, p // 3), rng.randint(1, p // 3)
+        for to, w in ((states[i + 1], a), ("T0", b), ("Goal", p - a - b)):
+            trans[(states[i], to)] = trans.get((states[i], to), 0) + F(w, p)
+            cost[(states[i], to)] = F(rng.randint(1, 9), q)
+    if mode == FLOAT:
+        trans = {key: float(v) for key, v in trans.items()}
+        cost = {key: float(v) for key, v in cost.items()}
+    return validate_reward(validate_chain(states, trans, mode), cost)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_cost_right_hand_side_adds_split_numerators_as_the_plain_sum_would(mode):
+    # Each row's sum_v p_uv c_uv is added on per-row split numerators; the
+    # exact value and every float bit are the plain in-order sum's. Rows of
+    # distinct prime denominators are the case a split over the whole block
+    # would make slow.
+    rchain = prime_denominator_reward(300, mode)
+    chain = rchain.chain
+    with recording(analysis, "_solve_block") as calls:
+        value = expected_cost_until(rchain, {"Goal"}, "T0")
+    (call,) = calls
+    zero = chain.zero
+    plain = [
+        [_sum((p * rchain.cost_row_by_index(u).get(v, zero)
+               for v, p in chain.row_by_index(u).items()), zero)]
+        for u in call["block"]
+    ]
+    assert len(plain) == 300
+    assert repr(call["b"]) == repr(plain)
+    assert repr(value) == repr(_solve_block(chain, call["block"], plain, keep={0})[0][0])
 
 
 # ----------------------------------------------------------- first-entry law

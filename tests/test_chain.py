@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exactchain
+from exactchain import chain as chain_module
 from exactchain import (
     EXACT, FLOAT, analysis, format_scalar, info, linalg, parse_scalar, validate_chain,
     validate_reward,
@@ -486,6 +487,79 @@ def test_format_past_the_digit_limit_leaves_the_limit_alone(monkeypatch):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+class Marked(F):
+    """A ``Fraction`` subclass whose differences and strings are its own."""
+
+    def __sub__(self, other):
+        return Marked(F(self) - other)
+
+    def __str__(self):
+        return f"marked {F(self)}"
+
+
+def subtracting_triple(closed, solver):
+    """The report entry as written before equal values were compared first."""
+    return {
+        "closed_form": format_scalar(closed),
+        "solver": format_scalar(solver),
+        "difference": format_scalar(closed - solver),
+    }
+
+
+@dataclasses.dataclass(frozen=True)
+class PastTheLimit:
+    """Stands for ``F(10**4400 + k, 7)``, whose 4,401-digit numerator is past
+    CPython's default 4,300-digit ``str`` limit. Hypothesis writes drawn
+    values out by ``repr``, which such a Fraction refuses, so the test
+    builds the value from this stand-in."""
+
+    k: int
+
+    def value(self):
+        return F(10**4400 + self.k, 7)
+
+
+SCALARS = st.one_of(
+    st.fractions(),
+    st.integers(0, 3).map(PastTheLimit),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1, F(1), 1.0]),
+    st.fractions().map(Marked),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(SCALARS, SCALARS),
+    SCALARS.map(lambda v: (v, v)),
+    st.one_of(st.fractions(), st.integers(0, 3).map(PastTheLimit)).map(lambda v: (v, "copy")),
+))
+@example((1, F(1)))
+@example((F(1), 1))
+@example((Marked(1, 2), Marked(1, 2)))
+@example((Marked(1, 2), F(1, 2)))
+@example((PastTheLimit(0), "copy"))
+@example((PastTheLimit(0), PastTheLimit(1)))
+@example((PastTheLimit(0), 1.0))
+@example((0.0, -0.0))
+@example((math.inf, math.inf))
+@example((math.nan, math.nan))
+def test_triple_compares_before_it_subtracts_and_prints_the_same(pair):
+    # Equal Fractions skip the subtraction and print their value once; every
+    # entry is still what subtracting and formatting each value prints, and
+    # a pair whose subtraction raises still raises. "copy" is an equal
+    # Fraction in a separate object.
+    closed, solver = (v.value() if isinstance(v, PastTheLimit) else v for v in pair)
+    if solver == "copy":
+        solver = F(closed.numerator, closed.denominator)
+    got = outcome(partial(chain_module._triple, closed), solver)
+    assert got == outcome(partial(subtracting_triple, closed), solver)
+    if type(closed) is type(solver) is F and closed == solver:
+        triple = got[1]
+        assert triple["difference"] == "0" and triple["closed_form"] == triple["solver"]
 
 
 def test_chain_mode_flag_and_arithmetic_types():

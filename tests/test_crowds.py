@@ -589,6 +589,23 @@ def test_triples_keep_equal_values_that_print_differently_apart():
     # Every cell has its own dict, a repeated pair's too.
     assert len({id(t) for t in triples.values()}) == len(cells)
 
+    # Exact J=20 cells go straight to _triple: equal values print once with
+    # a zero difference, and an unequal pair is still subtracted.
+    model = build_crowds(make_params(20, 4, F(4, 5)))
+    closed = conditional_joint(model.params)
+    solver = crowds._hit_and_conditional_joint(model)[1]
+    cells = [(f"{i}|{l}", p, solver[(i, l)]) for (i, l), p in closed.items()]
+    key = next(iter(closed))
+    cells += [("off by one", closed[key] + F(1, 10**9), solver[key]), ("int", 1, F(1))]
+    assert len(cells) == 16 * 16 + 2
+    assert all(type(c) is type(s) is F for _, c, s in cells[:-1])
+    triples = crowds._triples(cells)
+    assert triples == {name: _triple(c, s) for name, c, s in cells}
+    assert all(t["difference"] == "0" for name, t in triples.items() if name != "off by one")
+    assert triples["off by one"]["difference"] == "1/1000000000"
+    assert triples["int"] == {"closed_form": "1.0", "solver": "1", "difference": "0"}
+    assert len({id(t) for t in triples.values()}) == len(cells)
+
 
 # Near-one crowds: (J, collaborators) by p_f = 1 - 10**-k.
 # Entry into End is almost sure, but numpy's LU on the expected-visits

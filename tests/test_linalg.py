@@ -484,3 +484,80 @@ def test_dispatch_sends_path_blocks_sparse_and_dense_blocks_to_bareiss():
     assert len(edge.mass) > 2
     assert widths == [1]
     assert used == ["sparse"]
+
+
+class PivotLog(dict):
+    """A row of ``linalg._read`` that logs each pop of its own unknown's index.
+
+    ``eliminate`` pops an unknown's diagonal from its row when it pivots on
+    it, and pops only other columns from the rows it updates, so the log is
+    the pivot order.
+    """
+
+    def __init__(self, entries, index, log):
+        super().__init__(entries)
+        self.index = index
+        self.log = log
+
+    def pop(self, key, *default):
+        if key == self.index:
+            self.log.append(key)
+        return super().pop(key, *default)
+
+
+def reference_pivot_order(rows, b, keep):
+    """The pivot order of least ``(pinned, (row nnz - 1) * (column nnz - 1), index)``,
+    each live unknown's cost recomputed anew at every step.
+
+    Fill is simulated on sets of columns, right-hand side ``c`` at column
+    ``n + c`` for each nonzero ``b`` entry: eliminating ``p`` puts its row's
+    other columns into every live row that holds ``p``, and takes ``p`` out.
+    """
+    n = len(rows)
+    keep = range(n) if keep is None else keep
+    pattern = [set(row) | {n + c for c, x in enumerate(b_row) if x} for row, b_row in zip(rows, b)]
+    live = set(range(n))
+    order = []
+    while live:
+        def cost(u):
+            holders = sum(u in pattern[i] for i in live)
+            return (u in keep, (len(pattern[u]) - 1) * (holders - 1), u)
+
+        p = min(live, key=cost)
+        order.append(p)
+        live.remove(p)
+        for r in live:
+            if p in pattern[r]:
+                pattern[r] |= pattern[p]
+                pattern[r].discard(p)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 24),
+       shape=st.sampled_from(["width2", "width3", "near_one"]), data=st.data())
+def test_eliminate_pivots_in_the_markowitz_order_recomputed_at_every_step(
+        seed, n_states, shape, data):
+    # eliminate keeps one cost per unknown and pushes a heap entry only when
+    # a cost changes; its pivots must still be the least costs recomputed
+    # over every live unknown at each step.
+    rng = random.Random(seed)
+    if shape == "near_one":
+        chain = near_one_chain(rng, n_states)
+    else:
+        chain = random_chain(rng, n_states, max_out={"width2": 2, "width3": 3}[shape])
+    rchain = random_reward(rng, n_states, chain=chain)
+    log = []
+    read = linalg._read
+
+    def logging_read(rows, b, n):
+        return [PivotLog(row, i, log) for i, row in enumerate(read(rows, b, n))]
+
+    for rows, b in block_systems(chain, rchain, rng):
+        keep = data.draw(st.none() | st.sets(st.integers(0, len(rows) - 1)))
+        log.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_read", logging_read)
+            x = eliminate(rows, b, keep)
+        assert log == reference_pivot_order(rows, b, keep)
+        assert repr(x) == repr(solve_exact(rows, b, keep))
