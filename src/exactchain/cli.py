@@ -539,6 +539,10 @@ _ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
+    # OpenBLAS rounds np.linalg.solve differently with its thread count, so
+    # float bytes would depend on the CPU set; one thread fixes them. numpy
+    # reads this when it loads, which no import above does; a set value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)

@@ -100,7 +100,7 @@ class CrowdsParams:
         total = _sum(init.values(), 0)
         if not _sums_to_one(total):
             raise InvalidParamsError(f"init sums to {_full_str(total)}, expected 1")
-        init = {j: init.get(j, 0) for j in honest}
+        init = {j: init.get(j, Fraction(0)) for j in honest}
         object.__setattr__(self, "init", MappingProxyType(init))
 
     def __hash__(self):

@@ -20,13 +20,15 @@ start, go to state elimination (Daws 2004; Hahn, Hermanns & Zhang, PARAM
 2011) on those rows: each step eliminates the unknown of least Markowitz
 cost on its diagonal, without pivoting, so the fill-in stays near the
 system's own nonzeros where dense elimination fills the whole matrix.
-The pivot queue keeps one list of current costs, and a step pushes a heap
-entry only for an unknown whose cost it changed. No pivot vanishes on the
-nonsingular M-matrices ``I - Q`` (or their transposes) that the analyses
-build; a zero pivot raises :class:`SingularSystemError`. The elimination
-and back-substitution run on the reader's pairs by Henrici's rule, inline,
-so no ``Fraction`` method runs in the loop and only the results are built
-as Fractions.
+The pivot queue keeps one list of current costs, ``None`` for an unknown
+already eliminated, and a step pushes a heap entry only for an unknown
+whose cost it changed. No pivot vanishes on the nonsingular M-matrices
+``I - Q`` (or their transposes) that the analyses build; a zero pivot
+raises :class:`SingularSystemError`. The elimination runs on the reader's
+pairs by Henrici's rule, inline, so no ``Fraction`` method runs in its
+loop. Back-substitution adds each result column's few terms as integers
+over the lcm of their denominators, and only the results are built as
+Fractions, each with one gcd.
 
 Every other exact system goes to fraction-free (Bareiss) Gaussian
 elimination over integers: each row of the reader's pairs becomes a
@@ -212,30 +214,33 @@ def eliminate(rows, b, keep=None):
     Markowitz cost ``(row nonzeros - 1) * (column nonzeros - 1)``, the
     lowest index among equals, always on its diagonal; the unknowns in the
     set ``keep`` are pinned last, after every other one. Each unknown's
-    current cost is kept in one list and its ``keep`` flag is read once.
-    After a pivot only the rows it updated and the columns of its row can
-    have a new cost, and an entry ``(pinned, cost, index)`` is pushed onto
-    the heap only for one whose cost changed; a popped entry is stale when
-    its unknown is done or its cost differs from the list. So the pivot is
+    current cost is kept in one list, ``None`` once it is eliminated, and
+    its ``keep`` flag is read once. After a pivot only the rows it updated
+    and the columns of its row can have a new cost, and an entry
+    ``(pinned, cost, index)`` is pushed onto the heap only for one whose
+    cost changed; a popped entry is stale when its cost differs from the
+    list, as a finished unknown's ``None`` always does. So the pivot is
     always the least ``(pinned, cost, index)`` over the live unknowns, with
-    no push for a cost that stayed the same. Back-substitution
-    runs in reverse elimination order and skips solution entries that are
-    zero; only the kept rows are back-substituted: an unknown's reduced row
-    holds only unknowns eliminated after it.
+    no push for a cost that stayed the same. Back-substitution runs in
+    reverse elimination order and skips solution entries that are zero;
+    only the kept rows are back-substituted: an unknown's reduced row holds
+    only unknowns eliminated after it.
 
     Raises :class:`SingularSystemError` when a diagonal pivot is zero,
     which never happens on a nonsingular M-matrix such as the analyses'
     ``I - Q``, or its transpose, in any order.
 
     The arithmetic runs on the reader's reduced ``(numerator,
-    denominator)`` pairs inline, by Henrici's rule (JACM 1956) as
-    ``Fraction`` itself does: a product cancels each numerator against the
-    other factor's denominator first, and a sum divides by the gcd of the
-    denominators before it multiplies, then reduces by what that gcd still
-    shares with the new numerator. Both keep every pair reduced without a
-    gcd over the full-size result. Only the returned results are built as
-    Fractions; each one's division by its pivot is left to the Fraction
-    constructor, which takes a full gcd in any case.
+    denominator)`` pairs. Elimination applies Henrici's rule (JACM 1956)
+    inline, as ``Fraction`` itself does: a product cancels each numerator
+    against the other factor's denominator first, and a sum divides by the
+    gcd of the denominators before it multiplies, then reduces by what that
+    gcd still shares with the new numerator. Both keep every pair reduced
+    without a gcd over the full-size result. Back-substitution needs no
+    such rule: each result column is one short sum, of the row's
+    right-hand side and the unreduced products ``-a_pj x_j``, added as
+    integers over the lcm of their denominators. The Fraction constructor
+    reduces that sum over the pivot with the one gcd it takes in any case.
     """
     n = len(rows)
     keep = range(n) if keep is None else keep
@@ -251,17 +256,16 @@ def eliminate(rows, b, keep=None):
     costs = [(len(row) - 1) * (len(hold) - 1) for row, hold in zip(rows, holders)]
     heap = list(zip(pinned, costs, range(n)))
     heapq.heapify(heap)
-    done = [False] * n
     order = []
     while heap:
         _, c, p = heapq.heappop(heap)
-        if done[p] or c != costs[p]:
-            continue  # a stale entry: p is done, or its cost changed after the push
+        if c != costs[p]:
+            continue  # a stale entry: p is done (cost None) or its cost changed
         row = rows[p]
         pn, pd = row.pop(p, (0, 1))
         if not pn:
             raise SingularSystemError(f"zero pivot for unknown {p}")
-        done[p] = True
+        costs[p] = None
         order.append((p, pn, pd))
         holders[p].discard(p)
         items = row.items()
@@ -308,46 +312,23 @@ def eliminate(rows, b, keep=None):
             if c != costs[u]:
                 costs[u] = c
                 heapq.heappush(heap, (pinned[u], c, u))
-    # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p
+    # x_p = (b_p - sum_j a_pj x_j) / pivot, over the columns eliminated after p:
+    # each column's terms are added over their lcm, and the Fraction takes one gcd.
     x = [None] * n
     out = [None] * n
     for p, pn, pd in reversed(order[n - len(keep):]):
         row = rows[p]
-        acc = [row.get(c, (0, 1)) for c in range(n, n + k)]
-        for j, (vn, vd) in row.items():
-            if j >= n:
-                continue
-            for c, (xn, xd) in enumerate(x[j]):
-                if not xn:
-                    continue
-                # Solution entries grow to full size, and a big int divided
-                # by 1 is still copied: divide only by a real common factor.
-                an, ad = -vn, vd
-                g = gcd(an, xd)
-                if g != 1:
-                    an //= g
-                    xd //= g
-                g = gcd(xn, ad)
-                if g != 1:
-                    xn //= g
-                    ad //= g
-                an *= xn
-                ad *= xd
-                bn, bd = acc[c]
-                g = gcd(bd, ad)
-                if g == 1:
-                    acc[c] = (bn * ad + an * bd, bd * ad)
-                    continue
-                s = bd // g
-                t = bn * (ad // g) + an * s
-                g2 = gcd(t, g)
-                if g2 == 1:
-                    acc[c] = (t, s * ad)
-                else:
-                    acc[c] = (t // g2, s * (ad // g2))
-        # Fraction(n, d) takes a full gcd even of a reduced pair, so the
-        # quotient by the pivot is left unreduced for that one gcd.
-        out[p] = sol = [Fraction(an * pd, ad * pn) for an, ad in acc]
+        coeffs = [(x[j], vn, vd) for j, (vn, vd) in row.items() if j < n]
+        sol = []
+        for c in range(k):
+            terms = [row.get(n + c, (0, 1))]
+            for xj, vn, vd in coeffs:
+                xn, xd = xj[c]
+                if xn:
+                    terms.append((-vn * xn, vd * xd))
+            den = lcm(*[d for _, d in terms])
+            sol.append(Fraction(sum([t * (den // d) for t, d in terms]) * pd, den * pn))
+        out[p] = sol
         x[p] = [(v.numerator, v.denominator) for v in sol]
     return [out[p] for p in sorted(keep)]
 

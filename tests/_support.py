@@ -67,6 +67,29 @@ def near_one_chain(rng: random.Random, n_states: int):
     return validate_chain(states, trans)
 
 
+def prime_chain(rng: random.Random, n_states: int):
+    """A random exact-mode chain whose rows lie over distinct primes.
+
+    Row ``i`` splits its mass over up to three random successors in
+    multiples of ``1/p_i``, ``p_i`` the ``i``-th prime past 100, so no two
+    rows' denominators share a factor and their lcm grows as fast as it can.
+    """
+    states = [f"s{i}" for i in range(n_states)]
+    primes = []
+    candidate = 100
+    while len(primes) < n_states:
+        candidate += 1
+        if all(candidate % q for q in range(2, int(candidate ** 0.5) + 1)):
+            primes.append(candidate)
+    trans = {}
+    for s, p in zip(states, primes):
+        targets = rng.sample(states, rng.randint(1, min(3, n_states)))
+        cuts = [0, *sorted(rng.sample(range(1, p), len(targets) - 1)), p]
+        for t, lo, hi in zip(targets, cuts, cuts[1:]):
+            trans[(s, t)] = Fraction(hi - lo, p)
+    return validate_chain(states, trans)
+
+
 def random_reward(rng: random.Random, n_states: int, mode: str = EXACT, chain=None):
     """A random reward chain: small costs on most edges of ``chain``, else of a :func:`random_chain`."""
     if chain is None:

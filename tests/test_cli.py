@@ -938,3 +938,19 @@ def test_closed_stdout_ends_the_run_without_a_traceback():
     _, err = proc.communicate(timeout=60)
     # 1, as Python exits on EPIPE: a cut report is no success.
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_float_bytes_do_not_depend_on_the_openblas_thread_count():
+    # OpenBLAS rounds this report's solves differently with more than one
+    # thread, and by default it starts one per CPU; the CLI asks for one
+    # unless the variable is set. Each run starts at most 2 threads.
+    argv = ["crowds", "--jondos", "60", "--colls", "12", "--pf", "4/5", "--float", "--json"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    outputs = []
+    for child_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-m", "exactchain.cli", *argv], env=child_env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -486,8 +486,10 @@ def test_report_float_mode_forwarding_just_below_one():
 GOLDEN_REPORTS = [
     (make_params(3, 1, F(4, 5), {"J1": F(2, 3), "J2": F(1, 3)}),
      "314355687e1274ae0db92173746e65a9e0763330e2c885b7a96a4aabd0d8ebd4"),
+    # Re-recorded when omitted initiators (J4, J5) began to print "0" as the
+    # explicit J2 does, not "0.0"; nothing else in the report moved.
     (make_params(8, 2, F(2, 3), {"J1": F(1, 2), "J2": 0, "J3": F(1, 3), "J6": F(1, 6)}),
-     "4fee746435a26eafa526c4cf1976d09e32f66a77a3746cf0524b38c696c4da25"),
+     "a198d35103d1d2ecbaedb5dc8de0b537b75a895f8dba0ab9c418963628ceff3e"),
     (make_params(12, 3, F(4, 5), {f"J{i}": F(i, 45) for i in range(1, 10)}),
      "45dacb8b5ea1c14a9b509d896ce19c8b20b90ae684ba8a815a33ea0b30353f68"),
     # Hashed before the report arithmetic after the solves ran on integers
@@ -501,6 +503,15 @@ GOLDEN_REPORTS = [
 def test_exact_report_bytes_are_unchanged(params, digest):
     text = json.dumps(crowds_report(params), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_omitted_and_explicit_zero_initiators_print_alike(mode):
+    half = {"J2": F(1, 2), "J3": F(1, 2)}
+    omitted = crowds_report(make_params(4, 1, F(1, 2), half), mode)["params"]["init"]
+    explicit = crowds_report(make_params(4, 1, F(1, 2), {"J1": 0, **half}), mode)["params"]["init"]
+    assert omitted == explicit
+    assert omitted["J1"] == ("0" if mode == EXACT else "0.0")
 
 
 def left_to_right(values):

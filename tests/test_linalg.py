@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from exactchain import analysis, crowds, linalg, zeroconf
 from exactchain.errors import SingularSystemError
 from exactchain.linalg import eliminate, solve_exact, solve_float
-from _support import near_one_chain, random_chain, random_query, random_reward, recording
+from _support import (
+    near_one_chain, prime_chain, random_chain, random_query, random_reward, recording,
+)
 
 
 def sparse(a):
@@ -295,13 +297,17 @@ def block_systems(chain, rchain, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 20),
-       shape=st.sampled_from(["width2", "width3", "dense", "near_one"]))
+       shape=st.sampled_from(["width2", "width3", "dense", "near_one", "prime"]))
 def test_sparse_elimination_equals_bareiss_on_absorbing_blocks(seed, n_states, shape):
     # Every block is I - Q for states that all leave it with positive
-    # probability, a nonsingular M-matrix: no diagonal pivot vanishes.
+    # probability, a nonsingular M-matrix: no diagonal pivot vanishes. The
+    # prime shape's rows lie over distinct primes, so the lcm that each
+    # back-substituted column is added over grows fastest there.
     rng = random.Random(seed)
     if shape == "near_one":
         chain = near_one_chain(rng, n_states)
+    elif shape == "prime":
+        chain = prime_chain(rng, n_states)
     else:
         width = {"width2": 2, "width3": 3, "dense": n_states}[shape]
         chain = random_chain(rng, n_states, max_out=width)
