@@ -22,8 +22,9 @@ split writes values as numerators over one denominator: exact ones as
 integers over their lcm, floats as themselves over ``1``. So the work
 after a solve (totals, entry laws, marginals) has one body for both modes,
 and so does validation: the signs of a row are checked on its split
-numerators, which the row-sum check then adds, so no exact entry pays a
-``Fraction`` comparison, and a float row is not copied.
+numerators, which the row-sum check then adds and compares with the
+denominator, so no exact entry pays a ``Fraction`` comparison, a row that
+sums to one builds no total, and a float row is not copied.
 
 Every sum of mode values in the package adds left to right: a whole sum
 through ``_sum``, a sum by key (marginals, entry laws by outcome) one
@@ -394,7 +395,9 @@ def _entry_rows(index, entries: Mapping, arith: Arithmetic, invalid) -> tuple:
     are checked once every value is read, on each row's split numerators,
     whose sign is the value's; a negative one raises ``invalid`` for the
     first negative entry of the map. So an unknown label or an unusable
-    value anywhere in the map is reported before a negative entry.
+    value anywhere in the map is reported before a negative entry. A
+    caller's row-sum check reads the same splits, comparing the sum of a
+    row's numerators with its denominator first.
     """
     read, split = arith.read, arith.split
     rows = [{} for _ in index]
@@ -573,10 +576,12 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     repairs: a bad row raises rather than being renormalized. Each row is
     split once (``Arithmetic.split``): exact entries as integer numerators
     over their lcm, float entries as themselves. The split's numerators
-    carry the signs that :func:`_entry_rows` checks, and their sum, reduced
-    once, is the row total. Unknown labels and unusable values anywhere in
-    the map raise before a negative entry, and a negative entry before a
-    row that does not sum to one.
+    carry the signs that :func:`_entry_rows` checks. A row whose numerators
+    add up to its denominator sums to exactly one, with nothing reduced;
+    only another row builds its total, the ``frac`` of that sum, and
+    compares it with one (within ``ROW_SUM_TOL`` for floats). Unknown
+    labels and unusable values anywhere in the map raise before a negative
+    entry, and a negative entry before a row that does not sum to one.
 
     Raises
     ------
@@ -593,7 +598,10 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
         raise ValueError(f"duplicate state labels: {dupes}")
     rows, splits = _entry_rows(index, trans, arith, NegativeProbabilityError)
     for s, (nums, den) in zip(states, splits):
-        total = arith.frac(_sum(nums, 0), den)
+        num = _sum(nums, 0)
+        if num == den:
+            continue
+        total = arith.frac(num, den)
         if not _sums_to_one(total):
             raise RowSumNotOneError(s, total)
     return MarkovChain(states, index, rows, arith)

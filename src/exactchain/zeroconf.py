@@ -13,10 +13,14 @@ both cross-checkable against the generic exact solver. The builder shares
 one value object per distinct probability among the probe rows, and the
 per-probe error probabilities have one body for both modes, on the
 numerators of ``p`` and of the error probability (``Arithmetic.split``).
+They come as unreduced split pairs ``(num, den)``: the report compares an
+exact pair with the solver's value by cross-multiplying, and reduces a
+pair to one value only where it prints it as differing from the solver's.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -137,30 +141,53 @@ def p_err_probe_closed(params: ZeroconfParams, n: int):
     """Closed-form error probability from ``Probe n``.
 
     An error needs the remaining ``N - n + 1`` probes to be lost in a row,
-    or a response followed by an erroneous restart.
+    or a response followed by an erroneous restart. ``n`` is any integer
+    that ``operator.index`` takes, a bool excepted; anything else, like an
+    index outside ``0..N``, raises ``ValueError``.
     """
-    if not 0 <= n <= params.N:
-        raise ValueError(f"probe index must lie in 0..{params.N}, got {n}")
-    return next(_p_err_probes(params, p_err_closed(params), [n]))
+    try:
+        k = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        k = None
+    if k is None or not 0 <= k <= params.N:
+        raise ValueError(f"probe index must lie in 0..{params.N}, got {n!r}")
+    p_err = p_err_closed(params)
+    return arithmetic_of(p_err).frac(*next(_p_err_probes(params, p_err, [k])))
 
 
 def _p_err_probes(params: ZeroconfParams, p_err, probes):
-    """:func:`p_err_probe_closed` of each of ``probes``, given ``p_err = p_err_closed(params)``.
+    """The split pair ``(num, den)`` of :func:`p_err_probe_closed` for each of ``probes``.
 
-    The form is ``tail + (1 - tail) * p_err`` with ``tail = p**k`` and
+    ``p_err`` is ``p_err_closed(params)``. The form is
+    ``tail + (1 - tail) * p_err`` with ``tail = p**k`` and
     ``k = N - n + 1``, written on split numerators: with ``([a], b)`` the
     split of ``p``, ``([e], d)`` that of ``p_err`` and ``t = a**k``, it is
-    ``frac(t*d + (b**k - t)*e, b**k * d)``. Exact values are integers over
-    one ``Fraction`` per probe. Float values split over the int ``1``, and
-    every operation with that ``1`` is exact, so the float form rounds
-    where the plain one does, in the same order, and its bits are the same.
+    ``(t*d + (bk - t)*e, bk*d)`` with ``bk = b**k``, and the value is its
+    ``frac``. Exact pairs are unreduced integers, which the report
+    cross-multiplies with the solver's value. Float pairs are a float over
+    the int ``1``, and every operation with that ``1`` is exact, so the
+    float form rounds where the plain one does, in the same order, and its
+    bits are the same.
     """
     arith = arithmetic_of(p_err)
     ([a], b), ([e], d) = arith.split([params.p]), arith.split([p_err])
-    frac, last = arith.frac, params.N + 1
+    last = params.N + 1
     for n in probes:
         t, bk = a ** (last - n), b ** (last - n)
-        yield frac(t * d + (bk - t) * e, bk * d)
+        yield t * d + (bk - t) * e, bk * d
+
+
+def _probe_triple(num, den, solver, frac):
+    """``_triple(frac(num, den), solver)``, with an exact match found on integers.
+
+    A plain ``Fraction`` solver value equal to ``num / den`` (``den > 0``)
+    is found by cross-multiplying, so the closed form is not reduced only
+    to print the solver's value; ``_triple`` then prints that value once
+    with a difference of ``"0"``. Any other pair is reduced and subtracted.
+    """
+    if type(solver) is Fraction and num * solver.denominator == solver.numerator * den:
+        return _triple(solver, solver)
+    return _triple(frac(num, den), solver)
 
 
 def expected_cost_closed(params: ZeroconfParams):
@@ -200,6 +227,7 @@ def zeroconf_report(
     p_err = analysis.until_probabilities(chain, states, {ERROR})
     cost_solver = analysis.expected_cost_until(rchain, goal, START)
     p_err_value = p_err_closed(params)
+    frac = arithmetic_of(p_err_value).frac
     goal_idx = chain.index_set(goal)
     ae = analysis._prob01(chain, set(range(len(states))) - goal_idx, goal_idx)[1]
 
@@ -216,8 +244,8 @@ def zeroconf_report(
         "states": list(states),
         "p_err_start": _triple(p_err_value, p_err[START]),
         "p_err_probe": {
-            probe: _triple(closed, p_err[probe])
-            for probe, closed in zip(probes, _p_err_probes(params, p_err_value, range(len(probes))))
+            probe: _probe_triple(num, den, p_err[probe], frac)
+            for probe, (num, den) in zip(probes, _p_err_probes(params, p_err_value, range(len(probes))))
         },
         "expected_cost": _triple(expected_cost_closed(params), cost_solver),
         "ae_termination": {s: i in ae for i, s in enumerate(states)},

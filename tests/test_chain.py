@@ -19,7 +19,8 @@ from exactchain import (
     validate_reward,
 )
 from exactchain.chain import (
-    MAX_DECIMAL_EXPONENT, MarkovChain, _entry_rows, _read_literal, _total, arithmetic,
+    MAX_DECIMAL_EXPONENT, ROW_SUM_TOL, MarkovChain, _entry_rows, _read_literal, _total,
+    arithmetic,
 )
 from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
 from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
@@ -159,6 +160,71 @@ def test_float_mode_row_tolerance():
     with pytest.raises(RowSumNotOneError):
         validate_chain(["a", "b"], {("a", "b"): 1.0 - 1e-7, ("b", "b"): 1.0},
                        mode=FLOAT)
+
+
+def row_sum_outcome(values, mode):
+    """``None`` if ``validate_chain`` accepts a row of ``values`` (and an absorbing
+    state for its targets), else the total its ``RowSumNotOneError`` carries."""
+    targets = [f"t{i}" for i in range(len(values))]
+    trans = {("s", t): v for t, v in zip(targets, values)}
+    trans.update({(t, t): arithmetic(mode).one for t in targets})
+    try:
+        validate_chain(["s", *targets], trans, mode)
+    except RowSumNotOneError as err:
+        assert err.state == "s"
+        return err.actual
+    return None
+
+
+ROW_OFFSETS = st.sampled_from([0, F(1, 10**40), -F(1, 10**40), F(1, 10**9), -F(1, 10**9),
+                               F(1, 10**8), F(1, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(heads=st.lists(st.fractions(F(1, 10**6), F(1, 4), max_denominator=10**6),
+                      min_size=0, max_size=3),
+       off=ROW_OFFSETS, mode=st.sampled_from([EXACT, FLOAT]))
+@example(heads=[], off=F(1, 10**40), mode=EXACT)
+@example(heads=[F(1, 2), F(1, 4)], off=0, mode=FLOAT)
+def test_row_sum_on_numerators_decides_and_totals_as_the_reduced_sum(heads, off, mode):
+    # A row is accepted when its split numerators add up to its denominator;
+    # any other row is judged on its reduced total, within ROW_SUM_TOL for
+    # floats, and a rejected one carries that total.
+    read = arithmetic(mode).read
+    values = [read(v) for v in heads] + [read(1 - sum(heads, F(0)) + off)]
+    total = _total(values, arithmetic(mode))
+    expected = None if chain_module._sums_to_one(total) else total
+    assert repr(row_sum_outcome(values, mode)) == repr(expected)
+
+
+def test_only_a_row_whose_numerators_miss_its_denominator_builds_a_total(monkeypatch):
+    # Rows that sum to exactly one never reach the reduced comparison.
+    calls, sums_to_one = [], chain_module._sums_to_one
+    monkeypatch.setattr(chain_module, "_sums_to_one",
+                        lambda total: calls.append(total) or sums_to_one(total))
+    build_zeroconf(PAPER_TYPICAL)
+    build_crowds(FIG3)
+    assert row_sum_outcome([0.5, 0.25, 0.25], FLOAT) is None
+    assert calls == []
+    assert row_sum_outcome([1.0 - 5e-10], FLOAT) is None
+    assert row_sum_outcome([F(1, 3), F(2, 3) + F(1, 10**40)], EXACT) == 1 + F(1, 10**40)
+    assert calls == [1.0 - 5e-10, 1 + F(1, 10**40)]
+
+
+def test_float_row_sums_at_the_edges_of_the_tolerance():
+    # One-entry rows: 1.0 and the last float within ROW_SUM_TOL of it on
+    # each side are accepted; the next float out is rejected with itself as
+    # the total.
+    assert row_sum_outcome([1.0], FLOAT) is None
+    for away in (0.0, 2.0):
+        inside = 1 + math.copysign(ROW_SUM_TOL, away - 1)
+        while abs(inside - 1) > ROW_SUM_TOL:
+            inside = math.nextafter(inside, 1.0)
+        while abs(math.nextafter(inside, away) - 1) <= ROW_SUM_TOL:
+            inside = math.nextafter(inside, away)
+        outside = math.nextafter(inside, away)
+        assert inside != 1.0 and row_sum_outcome([inside], FLOAT) is None
+        assert repr(row_sum_outcome([outside], FLOAT)) == repr(outside)
 
 
 def test_float_mode_rejects_nan_and_inf():

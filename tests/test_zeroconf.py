@@ -3,6 +3,7 @@ import json
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from exactchain.analysis import (
     until_probabilities,
     until_probability,
 )
-from exactchain.chain import _with_mode
+from exactchain.chain import _triple, _with_mode, arithmetic
 from exactchain.errors import InvalidParamsError
 from exactchain.zeroconf import (
     CLAIMED_ERROR_BOUND,
@@ -122,6 +123,16 @@ def test_p_err_probe_closed_forms():
         p_err_probe_closed(SMALL, SMALL.N + 1)
 
 
+def test_probe_index_is_an_integer_and_not_a_bool():
+    # A probe number is whatever operator.index takes, as a numpy integer;
+    # a bool is no probe number, and a float is none even when it is whole.
+    assert p_err_probe_closed(PAPER_TYPICAL, np.int64(1)) == p_err_probe_closed(PAPER_TYPICAL, 1)
+    assert type(p_err_probe_closed(PAPER_TYPICAL, np.uint8(2))) is F
+    for index in (True, False, 1.0, 1.5, F(1), "1", None):
+        with pytest.raises(ValueError, match=r"probe index must lie in 0\.\.2, got "):
+            p_err_probe_closed(PAPER_TYPICAL, index)
+
+
 def plain_probe_form(tail, p_err):
     """The error probability from a probe with ``tail = p**(N - n + 1)``: the
     remaining probes are all lost, or one is answered and the restart errs."""
@@ -141,13 +152,55 @@ def test_per_probe_forms_are_the_plain_form_in_both_modes(p, q, n, mode):
     # as p_err_probe_closed.
     params = _with_mode(ZeroconfParams(n, p, q, F(1, 500), 3600), mode)
     p_err = p_err_closed(params)
+    frac = arithmetic(mode).frac
     plain = [plain_probe_form(params.p ** (n - i + 1), p_err) for i in range(n + 1)]
-    forms = list(zeroconf._p_err_probes(params, p_err, range(n + 1)))
+    forms = [frac(num, den) for num, den in zeroconf._p_err_probes(params, p_err, range(n + 1))]
     assert list(map(repr, forms)) == list(map(repr, plain))
     report = zeroconf_report(params, mode)["p_err_probe"]
     assert [report[probe_label(i)]["closed_form"] for i in range(n + 1)] == [
         format_scalar(p_err_probe_closed(params, i)) for i in range(n + 1)
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=PROBABILITIES, q=PROBABILITIES, n=st.integers(0, 60),
+       mode=st.sampled_from([EXACT, FLOAT]))
+def test_report_cross_checks_each_probe_as_the_reduced_triple(p, q, n, mode):
+    # The report compares each exact split pair with the solver's value by
+    # cross-multiplying; its entries are the triples of the reduced forms.
+    params = _with_mode(ZeroconfParams(n, p, q, F(1, 500), 3600), mode)
+    frac = arithmetic(mode).frac
+    solver = until_probabilities(build_zeroconf(params, mode).chain, state_labels(params),
+                                 {"Error"})
+    pairs = zeroconf._p_err_probes(params, p_err_closed(params), range(n + 1))
+    assert zeroconf_report(params, mode)["p_err_probe"] == {
+        probe_label(i): _triple(frac(num, den), solver[probe_label(i)])
+        for i, (num, den) in enumerate(pairs)
+    }
+
+
+def test_a_probe_the_solver_misses_prints_its_reduced_form_and_difference(monkeypatch):
+    # One solver value off by 1/10**30 fails the cross-multiplication, so the
+    # report reduces that probe's form and prints the triple as _triple does.
+    params, off, missed = PAPER_TYPICAL, F(1, 10**30), probe_label(1)
+    solve = analysis.until_probabilities
+
+    def off_by_one_probe(*args):
+        values = solve(*args)
+        values[missed] += off
+        return values
+
+    monkeypatch.setattr(analysis, "until_probabilities", off_by_one_probe)
+    report = zeroconf_report(params)["p_err_probe"]
+    closed = p_err_probe_closed(params, 1)
+    assert report[missed] == {
+        "closed_form": format_scalar(closed),
+        "solver": format_scalar(closed + off),
+        "difference": format_scalar(-off),
+    }
+    assert report[missed] == _triple(closed, closed + off)
+    for i in (0, 2):
+        assert report[probe_label(i)]["difference"] == "0"
 
 
 def row_shapes(n, p, q, r, e):
