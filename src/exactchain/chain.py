@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 from fractions import Fraction
 from itertools import accumulate, chain as iter_chain
@@ -131,6 +132,25 @@ def _coerce_param(value, name):
     number = arithmetic_of(value).read(value)
     if number is None:
         raise InvalidParamsError(f"parameter {name} must be a finite number, got {_excerpt(value)}")
+    return number
+
+
+def _coerce_int(value, name, low=-math.inf, high=math.inf) -> int:
+    """Read an integer parameter as a plain ``int`` in ``low .. high``, unbounded by default.
+
+    An integer is anything ``operator.index`` takes, numpy integers among
+    them, except a bool; a float or a ``Fraction`` is none, however whole.
+    Anything else, and an integer out of range, raises ``InvalidParamsError``.
+    """
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise InvalidParamsError(f"{name} must be an integer, got {_excerpt(value)}")
+    if not low <= number <= high:
+        bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise InvalidParamsError(f"{name} must be {bounds}, got {_full_str(number)}")
     return number
 
 

@@ -44,7 +44,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .chain import _ARITHMETIC, EXACT, FLOAT, RewardChain, arithmetic, format_scalar
+from .chain import EXACT, FLOAT, RewardChain, _coerce_int, arithmetic, format_scalar
 from .errors import (
     ExactchainError,
     InvalidParamsError,
@@ -72,19 +72,25 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {_excerpt(text)}") from None
 
 
+def _int_in(text: str, name: str, *bounds) -> int:
+    """``text`` as an integer within ``bounds``, read as the parameter ``name`` is."""
+    try:
+        return _coerce_int(_int_flag(text), name, *bounds)
+    except InvalidParamsError as exc:
+        # argparse would report a ValueError as its own "invalid ... value".
+        # Its message names the flag, so the parameter's name is dropped.
+        raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{name} ")) from None
+
+
 def _positive_int(text: str) -> int:
-    value = _int_flag(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_in(text, "count", 1)
 
 
 def _seed_flag(text: str) -> int:
-    # SimConfig's range, checked here too so that a bad seed is a flag error.
-    value = _int_flag(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be in 0..{2**64 - 1}, got {value}")
-    return value
+    # SimConfig's range, checked here so that a bad seed is a flag error.
+    from .simulate import _RANGES
+
+    return _int_in(text, "seed", *_RANGES["seed"])
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -162,9 +168,10 @@ def _resolve_mode(args) -> str:
     if getattr(args, "exact", False):
         return EXACT
     env = os.environ.get(ENV_MODE, EXACT).lower()
-    if env not in _ARITHMETIC:
-        raise InvalidParamsError(f"{ENV_MODE} must be 'exact' or 'float', got {env!r}")
-    return env
+    try:
+        return arithmetic(env).name
+    except ValueError:
+        raise InvalidParamsError(f"{ENV_MODE} must be 'exact' or 'float', got {env!r}") from None
 
 
 def _resolve_set(spec: str, chain) -> set[str]:

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 
 from . import analysis, info
 from .chain import (
-    EXACT, MarkovChain, _coerce_param, _sum, _sums_to_one, _total, _triple, _with_mode,
-    arithmetic_of, format_scalar, validate_chain,
+    EXACT, MarkovChain, _coerce_int, _coerce_param, _sum, _sums_to_one, _total, _triple,
+    _with_mode, arithmetic_of, format_scalar, validate_chain,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
 
@@ -124,8 +124,14 @@ class CrowdsParams:
 
 
 def make_params(n_jondos: int, n_colls: int, p_f, init=None) -> CrowdsParams:
-    """Auto-label a crowd ``J1 .. Jn``; the last ``n_colls`` collaborate."""
-    if n_jondos < 1 or n_colls < 1 or n_colls >= n_jondos:
+    """Auto-label a crowd ``J1 .. Jn``; the last ``n_colls`` collaborate.
+
+    Both counts are any integers that ``operator.index`` takes, a bool
+    excepted, with ``1 <= n_colls < n_jondos``; anything else raises
+    :class:`InvalidParamsError`.
+    """
+    n_jondos, n_colls = _coerce_int(n_jondos, "n_jondos"), _coerce_int(n_colls, "n_colls")
+    if not 1 <= n_colls < n_jondos:
         raise InvalidParamsError(
             f"need 1 <= collaborators < jondos, got {n_colls} of {n_jondos}"
         )

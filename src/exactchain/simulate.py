@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import analysis
-from .chain import FLOAT, MarkovChain, RewardChain, arithmetic
+from .chain import FLOAT, MarkovChain, RewardChain, _coerce_int, arithmetic
 from .errors import InvalidParamsError
 
 _MASK64 = (1 << 64) - 1
@@ -48,6 +48,9 @@ PATH_STREAM_STRIDE = 1 << 20
 
 DEFAULT_MAX_STEPS = 10_000
 
+#: The bounds ``(low, high)`` of each field of :class:`SimConfig`.
+_RANGES = {"seed": (0, _MASK64), "samples": (1, math.inf), "max_steps": (1, PATH_STREAM_STRIDE + 1)}
+
 #: Paths the estimators walk together. It bounds the walker's working
 #: arrays; each step costs a fixed overhead plus a share per path still
 #: walking, so larger blocks pay fewer steps of a few stragglers.
@@ -60,14 +63,19 @@ def _jump(seed: int, steps: int) -> int:
 
 
 class PathRng:
-    """Splitmix64 stream for one sampled path, derived from (seed, path index)."""
+    """Splitmix64 stream for one sampled path, derived from (seed, path index).
+
+    The seed is an integer in ``0 .. 2**64 - 1`` and the path index one
+    ``>= 0``, each read as :class:`SimConfig` reads its fields and kept as
+    a plain ``int``; anything else raises :class:`InvalidParamsError`.
+    """
 
     __slots__ = ("seed", "path_index", "_state")
 
     def __init__(self, seed: int, path_index: int = 0):
-        self.seed = seed & _MASK64
-        self.path_index = path_index
-        self._state = _jump(self.seed, path_index * PATH_STREAM_STRIDE)
+        self.seed = _coerce_int(seed, "seed", *_RANGES["seed"])
+        self.path_index = _coerce_int(path_index, "path_index", 0)
+        self._state = _jump(self.seed, self.path_index * PATH_STREAM_STRIDE)
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -85,8 +93,13 @@ class PathRng:
 class SimConfig:
     """A sampling run: its seed, its number of paths and their horizon.
 
-    The seed lies in ``0 .. 2**64 - 1``, the splitmix64 states, so that
-    no two seeds draw the same paths.
+    Each field is any integer that ``operator.index`` takes, a bool
+    excepted, and is kept as a plain ``int``: the seed in
+    ``0 .. 2**64 - 1``, the splitmix64 states, so that no two seeds draw
+    the same paths; at least one sample; and ``max_steps`` in
+    ``1 .. 2**20 + 1``, so that a path has room for its start and draws
+    only from its own stream. Anything else raises
+    :class:`InvalidParamsError`.
     """
 
     seed: int
@@ -94,19 +107,8 @@ class SimConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidParamsError(f"seed must be in 0..{_MASK64}, got {self.seed}")
-        if self.samples < 1:
-            raise InvalidParamsError(f"samples must be >= 1, got {self.samples}")
-        _check_max_steps(self.max_steps)
-
-
-def _check_max_steps(max_steps: int) -> None:
-    """Reject a horizon with room for no state, or whose path draws from the next path's stream."""
-    if not 1 <= max_steps <= PATH_STREAM_STRIDE + 1:
-        raise InvalidParamsError(
-            f"max_steps must be in 1..{PATH_STREAM_STRIDE + 1}, got {max_steps}"
-        )
+        for name, bounds in _RANGES.items():
+            object.__setattr__(self, name, _coerce_int(getattr(self, name), name, *bounds))
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,13 @@ def sample_path(
     ``stop`` is an optional predicate on state labels checked at every
     state including the start; sampling ends at the first state satisfying
     it, otherwise at the horizon. One uniform draw is consumed per
-    transition taken, so ``max_steps`` above ``PATH_STREAM_STRIDE + 1``
-    raises :class:`InvalidParamsError`: the path would draw from the next
-    path's stream. So does ``max_steps < 1``, which leaves room for no state.
+    transition taken, so ``max_steps`` is read as :class:`SimConfig` reads
+    it: an integer above ``PATH_STREAM_STRIDE + 1`` raises
+    :class:`InvalidParamsError`, since the path would draw from the next
+    path's stream, and so does one below ``1``, which leaves room for no
+    state, or any value that is no integer.
     """
-    _check_max_steps(max_steps)
+    max_steps = _coerce_int(max_steps, "max_steps", *_RANGES["max_steps"])
     ptr, succ, cum = chain._cdf_table()
     states = chain.states
     i = chain.index_of(start)
@@ -291,7 +295,7 @@ def _walks(chain: MarkovChain, start: str, cfg: SimConfig, stop, cost=None,
 
     for lo in range(0, cfg.samples, _BLOCK):
         paths = np.arange(lo, min(lo + _BLOCK, cfg.samples), dtype=np.uint64)
-        rng0 = _jump(cfg.seed & _MASK64, paths * PATH_STREAM_STRIDE)
+        rng0 = _jump(cfg.seed, paths * PATH_STREAM_STRIDE)
         end = np.full(paths.size, s0, dtype=np.intp)
         first = last = acc = None
         if first_last:

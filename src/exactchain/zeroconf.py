@@ -20,15 +20,14 @@ pair to one value only where it prints it as differing from the solver's.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import analysis
 from .chain import (
-    EXACT, RewardChain, _coerce_param, _triple, _with_mode, arithmetic_of, format_scalar,
-    validate_chain, validate_reward,
+    EXACT, RewardChain, _coerce_int, _coerce_param, _triple, _with_mode, arithmetic_of,
+    format_scalar, validate_chain, validate_reward,
 )
 from .errors import InvalidParamsError, _full_str
 
@@ -48,17 +47,24 @@ def probe_label(n: int) -> str:
 
 
 def hosts_to_q(hosts: int) -> Fraction:
-    """Collision probability when ``hosts`` addresses are already taken."""
-    return Fraction(hosts, ADDRESS_POOL)
+    """Collision probability when ``hosts`` addresses are already taken.
+
+    ``hosts`` is any integer that ``operator.index`` takes, a bool
+    excepted, and anything else raises :class:`InvalidParamsError`;
+    :class:`ZeroconfParams` checks the range of the ``q`` it gives.
+    """
+    return Fraction(_coerce_int(hosts, "hosts"), ADDRESS_POOL)
 
 
 @dataclass(frozen=True)
 class ZeroconfParams:
     """Protocol parameters: probes are numbered ``0 .. N`` (``N + 1`` total).
 
-    ``p`` is the probe/response loss probability, ``q`` the probability of
-    picking a taken address, ``r`` the duration of one probe round in
-    seconds, ``E`` the penalty for a double allocation in seconds.
+    ``N`` is any integer ``>= 0`` that ``operator.index`` takes, a bool
+    excepted, and is kept as a plain ``int``. ``p`` is the probe/response
+    loss probability, ``q`` the probability of picking a taken address,
+    ``r`` the duration of one probe round in seconds, ``E`` the penalty for
+    a double allocation in seconds.
     """
 
     N: int
@@ -68,8 +74,7 @@ class ZeroconfParams:
     E: object
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
-            raise InvalidParamsError(f"N must be a natural number, got {self.N!r}")
+        object.__setattr__(self, "N", _coerce_int(self.N, "N", 0))
         for name in ("p", "q", "r", "E"):
             object.__setattr__(self, name, _coerce_param(getattr(self, name), name))
         if not 0 < self.p < 1:
@@ -100,11 +105,7 @@ def state_labels(params: ZeroconfParams) -> list[str]:
 
 def build_zeroconf(params: ZeroconfParams, mode: str = EXACT) -> RewardChain:
     """Build the validated allocation chain with its cost matrix."""
-    return _build(_with_mode(params, mode), mode)
-
-
-def _build(params: ZeroconfParams, mode: str) -> RewardChain:
-    """:func:`build_zeroconf` of a record whose numbers are in ``mode``'s arithmetic already."""
+    params = _with_mode(params, mode)
     n, p, q, r, e = params.N, params.p, params.q, params.r, params.E
     states = state_labels(params)
     probes = states[3:]  # Probe 0 .. Probe N
@@ -141,16 +142,11 @@ def p_err_probe_closed(params: ZeroconfParams, n: int):
     """Closed-form error probability from ``Probe n``.
 
     An error needs the remaining ``N - n + 1`` probes to be lost in a row,
-    or a response followed by an erroneous restart. ``n`` is any integer
-    that ``operator.index`` takes, a bool excepted; anything else, like an
-    index outside ``0..N``, raises ``ValueError``.
+    or a response followed by an erroneous restart. ``n`` is read as
+    ``N`` is: any integer but a bool, here in ``0 .. N``; anything else
+    raises :class:`InvalidParamsError`, a ``ValueError``.
     """
-    try:
-        k = None if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        k = None
-    if k is None or not 0 <= k <= params.N:
-        raise ValueError(f"probe index must lie in 0..{params.N}, got {n!r}")
+    k = _coerce_int(n, "probe index", 0, params.N)
     p_err = p_err_closed(params)
     return arithmetic_of(p_err).frac(*next(_p_err_probes(params, p_err, [k])))
 
@@ -218,7 +214,7 @@ def zeroconf_report(
     given, seeded Monte Carlo estimates are attached.
     """
     params = _with_mode(params, mode)
-    rchain = _build(params, mode)
+    rchain = build_zeroconf(params, mode)  # converts nothing: params is in mode's arithmetic
     chain = rchain.chain
     states = chain.states
     probes = states[3:]  # Probe 0 .. Probe N, as state_labels lists them

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,11 @@ from exactchain.chain import (
     arithmetic,
 )
 from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
-from exactchain.zeroconf import PAPER_TYPICAL, build_zeroconf, zeroconf_report
+from exactchain.simulate import PATH_STREAM_STRIDE, PathRng, SimConfig, sample_path
+from exactchain.zeroconf import (
+    PAPER_TYPICAL, ZeroconfParams, build_zeroconf, hosts_to_q, p_err_probe_closed,
+    zeroconf_report,
+)
 from exactchain.errors import (
     EmptyStateSpaceError,
     InvalidDistributionError,
@@ -741,3 +746,57 @@ def f(arith, tol, xs):
     # entry outlives the branch it allowed.
     assert [(where, line) for where, line in found if where not in MODE_DECIDERS] == []
     assert MODE_DECIDERS - {where for where, _ in found} == set()
+
+
+def _self_loop_path(max_steps):
+    chain = validate_chain(["a"], {("a", "a"): F(1)})
+    return sample_path(chain, "a", PathRng(0), stop=lambda s: True, max_steps=max_steps).states
+
+
+#: Each integer parameter: a call that reads a value into it and returns
+#: what it kept (or what it computed from it), and its lowest and highest
+#: accepted integer.
+INTEGER_PARAMETERS = {
+    "ZeroconfParams.N": (lambda v: ZeroconfParams(v, F(1, 2), F(1, 2), 0, 0).N, 0, math.inf),
+    "p_err_probe_closed.n": (lambda v: p_err_probe_closed(PAPER_TYPICAL, v), 0, PAPER_TYPICAL.N),
+    "hosts_to_q.hosts": (hosts_to_q, -math.inf, math.inf),
+    "make_params.n_jondos": (lambda v: make_params(v, 1, F(1, 2)).J, 2, math.inf),
+    "make_params.n_colls": (lambda v: len(make_params(4, v, F(1, 2)).colls), 1, 3),
+    "SimConfig.seed": (lambda v: SimConfig(v, 1).seed, 0, 2**64 - 1),
+    "SimConfig.samples": (lambda v: SimConfig(0, v).samples, 1, math.inf),
+    "SimConfig.max_steps": (lambda v: SimConfig(0, 1, v).max_steps, 1, PATH_STREAM_STRIDE + 1),
+    "sample_path.max_steps": (_self_loop_path, 1, PATH_STREAM_STRIDE + 1),
+    "PathRng.seed": (lambda v: PathRng(v).seed, 0, 2**64 - 1),
+    "PathRng.path_index": (lambda v: PathRng(0, v).path_index, 0, math.inf),
+}
+
+
+def integer_inputs(low, high):
+    """``(value, accepted)`` pairs: integers of each kind at and just past
+    the bounds, and values that are no integers."""
+    inside = [max(low, -5), min(high, 40)]
+    outside = [b for b in (low - 1, high + 1) if math.isfinite(b)]
+    for k, accepted in [(k, True) for k in inside] + [(k, False) for k in outside]:
+        yield k, accepted
+        if -(2**63) <= k < 2**63:
+            yield np.int64(k), accepted
+        if 0 <= k < 2**64:
+            yield np.uint64(k), accepted
+        if -(2**7) <= k < 2**7:
+            yield np.int8(k), accepted
+    for value in (True, False, float(inside[0]), inside[0] + 0.5, F(1), "1", None):
+        yield value, False
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_every_integer_parameter_reads_through_one_rule(name):
+    # An integer of any kind but bool, in range, is kept as a plain int;
+    # anything else raises InvalidParamsError, never TypeError or OverflowError.
+    read, low, high = INTEGER_PARAMETERS[name]
+    for value, accepted in integer_inputs(low, high):
+        if accepted:
+            kept, plain = read(value), read(int(value))
+            assert kept == plain and type(kept) is type(plain), value
+        else:
+            with pytest.raises(InvalidParamsError):
+                read(value)

@@ -371,6 +371,7 @@ NINES_CUT = f"'{NINES[:20]}...{NINES[-12:]}'"
     ([*ZEROCONF, "--hosts", "abc"], cli.EXIT_USAGE,
      "argument --hosts: expected an integer, got 'abc'"),
     ([*ZEROCONF, "--sweep", "hosts=abc"], cli.EXIT_MODEL, "cannot parse sweep hosts='abc'"),
+    ([*ZEROCONF, "--hosts", "-5"], cli.EXIT_MODEL, "need 0 < q < 1, got q=-5/65024"),
     ([*ZEROCONF, "--probes", "2x"], cli.EXIT_USAGE,
      "argument --probes: expected an integer, got '2x'"),
     ([*ZEROCONF, "--probes", NINES], cli.EXIT_USAGE,
@@ -387,11 +388,14 @@ NINES_CUT = f"'{NINES[:20]}...{NINES[-12:]}'"
      "argument --seed: expected an integer, got '7x'"),
     ([*ZEROCONF, "--simulate", "--seed", NINES], cli.EXIT_USAGE,
      f"argument --seed: expected an integer, got {NINES_CUT}"),
-], ids=["samples", "max-steps", "hosts", "sweep-hosts", "probes", "probes-5000-digits", "jondos",
-        "jondos-5000-digits", "colls", "colls-5000-digits", "seed", "seed-5000-digits"])
+], ids=["samples", "max-steps", "hosts", "sweep-hosts", "hosts-negative", "probes",
+        "probes-5000-digits", "jondos", "jondos-5000-digits", "colls", "colls-5000-digits", "seed",
+        "seed-5000-digits"])
 def test_malformed_integer_flags_name_no_private_helper(capsys, argv, code, message):
     # Every integer flag reads its value through cli._int_flag, whose message
-    # names the flag and quotes a long value cut short.
+    # names the flag and quotes a long value cut short. An integer that the
+    # model refuses is a parameter error, not argparse's "invalid <type
+    # function> value".
     got, out, err = run_to_exit(capsys, *argv)
     assert (got, out) == (code, "")
     assert len(err) < 1000
@@ -689,6 +693,18 @@ def test_seed_outside_64_bits_is_usage_error(capsys, seed):
     assert err.rstrip().endswith(f"argument --seed: must be in 0..{2**64 - 1}, got {seed}")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "-3", "must be >= 1, got -3"),
+    ("--max-steps", "0", "must be >= 1, got 0"),
+])
+def test_sampling_flags_outside_their_range_are_usage_errors(capsys, flag, value, message):
+    flags = {"--seed": "1", "--samples": "10", flag: value}
+    code, out, err = run_to_exit(capsys, "simulate", "crowds:fig3", "--event", "until:ALL=>End",
+                                 *(item for pair in flags.items() for item in pair))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.rstrip().endswith(f"argument {flag}: {message}")
+
+
 def test_simulate_bad_event(capsys):
     code, _, err = run(capsys, "simulate", "crowds:fig3",
                        "--event", "hitting:End", "--seed", "1", "--samples", "10")
@@ -823,11 +839,15 @@ def test_generic_csv_flattens_nested_reports(capsys, monkeypatch, argv, header, 
     assert float(elapsed) >= 0
 
 
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``## heading`` in README.md."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"## {heading}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_commands():
     """The ``exactchain`` lines of the sh block under "## Command line" in README.md."""
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("exactchain ")]
 
 
@@ -841,6 +861,14 @@ def test_readme_command_examples(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def test_readme_library_quick_start(capsys):
+    # Each print in the block prints what its comment says.
+    block = _readme_block("Library quick start", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    want = [line.rpartition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == want == ["2/3", "2"]
 
 
 # ------------------------------------------------------------------ start-up

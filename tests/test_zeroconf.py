@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from exactchain.analysis import (
 )
 from exactchain.chain import _triple, _with_mode, arithmetic
 from exactchain.errors import InvalidParamsError
+from exactchain.simulate import SimConfig
 from exactchain.zeroconf import (
     CLAIMED_ERROR_BOUND,
     PAPER_TYPICAL,
@@ -37,10 +39,10 @@ SMALL = ZeroconfParams(N=1, p=F(1, 2), q=F(1, 2), r=1, E=0)
 
 
 def test_parameter_validation():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match=r"^N must be >= 0, got -1$"):
         ZeroconfParams(N=-1, p=F(1, 2), q=F(1, 2), r=0, E=0)
     for flag in (True, False):  # bool is an int subclass, but not a probe count
-        with pytest.raises(InvalidParamsError, match="N must be a natural number"):
+        with pytest.raises(InvalidParamsError, match=rf"^N must be an integer, got {flag}$"):
             ZeroconfParams(N=flag, p=F(1, 2), q=F(1, 2), r=0, E=0)
     with pytest.raises(InvalidParamsError):
         ZeroconfParams(N=1, p=F(1), q=F(1, 2), r=0, E=0)
@@ -129,7 +131,11 @@ def test_probe_index_is_an_integer_and_not_a_bool():
     assert p_err_probe_closed(PAPER_TYPICAL, np.int64(1)) == p_err_probe_closed(PAPER_TYPICAL, 1)
     assert type(p_err_probe_closed(PAPER_TYPICAL, np.uint8(2))) is F
     for index in (True, False, 1.0, 1.5, F(1), "1", None):
-        with pytest.raises(ValueError, match=r"probe index must lie in 0\.\.2, got "):
+        message = f"probe index must be an integer, got {index!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p_err_probe_closed(PAPER_TYPICAL, index)
+    for index in (-1, 3, np.int64(3)):
+        with pytest.raises(ValueError, match=rf"^probe index must be in 0\.\.2, got {index}$"):
             p_err_probe_closed(PAPER_TYPICAL, index)
 
 
@@ -352,11 +358,22 @@ def test_report_graph_searches_do_not_grow_with_n():
 
 def test_report_converts_its_parameters_once():
     # The report builds its chain from the record it converted for its
-    # closed forms, so the build does not convert it again.
+    # closed forms, so the build's conversion returns that record as it is.
     for mode in ("exact", FLOAT):
-        with recording(zeroconf, "_with_mode") as calls:
-            zeroconf_report(PAPER_TYPICAL, mode)
-        assert len(calls) == 1
+        with recording(zeroconf, "_with_mode") as conversions:
+            with recording(zeroconf, "build_zeroconf") as builds:
+                zeroconf_report(PAPER_TYPICAL, mode)
+        [build] = builds
+        assert [c["params"] for c in conversions] == [PAPER_TYPICAL, build["params"]]
+        assert _with_mode(build["params"], mode) is build["params"]
+
+
+def test_report_with_numpy_sampling_counts_is_the_report_with_ints():
+    # SimConfig keeps plain ints, so the report's simulation section goes
+    # through json, and the walker draws the paths of the same seed.
+    with_numpy = zeroconf_report(PAPER_TYPICAL, sim=SimConfig(np.int64(7), np.int64(1000)))
+    with_ints = zeroconf_report(PAPER_TYPICAL, sim=SimConfig(7, 1000))
+    assert json.dumps(with_numpy) == json.dumps(with_ints)
 
 
 def test_report_exact_mode():
