@@ -2,7 +2,13 @@
 
 A chain is built once by :func:`validate_chain` / :func:`validate_reward`
 and is immutable afterwards; every analysis in this package consumes these
-types. Two arithmetic modes exist, fixed per chain at construction:
+types. :func:`validate_chain` reads a map with one entry per edge. A
+builder whose states share rows, as Crowds' Init and Mix states do, hands
+one dict per state to the row entry :func:`_validate_rows` instead: it
+reads and checks each distinct row object once, and the states that hold
+it share one read-only view. Both entries run the same reader and the
+same sign and row-sum checks, and raise the same errors for the same rows.
+Two arithmetic modes exist, fixed per chain at construction:
 
 * ``"exact"`` (default): probabilities and costs are `fractions.Fraction`
   values, rows must sum to exactly 1.
@@ -406,6 +412,39 @@ def arithmetic_of(value) -> Arithmetic:
     return _ARITHMETIC[FLOAT if isinstance(value, float) else EXACT]
 
 
+def _state_index(states) -> tuple:
+    """``(states, index)``: the labels as a tuple and the position of each.
+
+    Raises :class:`EmptyStateSpaceError` for no label and ``ValueError``
+    for a duplicate one.
+    """
+    states = tuple(states)
+    if not states:
+        raise EmptyStateSpaceError("a chain needs at least one state")
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
+        dupes = sorted({s for s in states if states.count(s) > 1})
+        raise ValueError(f"duplicate state labels: {dupes}")
+    return states, index
+
+
+def _check_sums(holders, splits, arith: Arithmetic) -> None:
+    """Raise :class:`RowSumNotOneError` for the first row whose split does not sum to one.
+
+    ``holders`` names each row, in the order of ``splits``. A row whose
+    numerators add up to its denominator sums to exactly one, with nothing
+    reduced; only another row builds its total, the ``frac`` of that sum,
+    and compares it with one (within ``ROW_SUM_TOL`` for floats).
+    """
+    for s, (nums, den) in zip(holders, splits):
+        num = _sum(nums, 0)
+        if num == den:
+            continue
+        total = arith.frac(num, den)
+        if not _sums_to_one(total):
+            raise RowSumNotOneError(s, total)
+
+
 def _entry_rows(index, entries: Mapping, arith: Arithmetic, invalid) -> tuple:
     """Read a sparse ``(from, to) -> value`` map into read-only rows of nonzeros.
 
@@ -416,8 +455,7 @@ def _entry_rows(index, entries: Mapping, arith: Arithmetic, invalid) -> tuple:
     whose sign is the value's; a negative one raises ``invalid`` for the
     first negative entry of the map. So an unknown label or an unusable
     value anywhere in the map is reported before a negative entry. A
-    caller's row-sum check reads the same splits, comparing the sum of a
-    row's numerators with its denominator first.
+    caller's row-sum check (:func:`_check_sums`) reads the same splits.
     """
     read, split = arith.read, arith.split
     rows = [{} for _ in index]
@@ -596,12 +634,15 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     repairs: a bad row raises rather than being renormalized. Each row is
     split once (``Arithmetic.split``): exact entries as integer numerators
     over their lcm, float entries as themselves. The split's numerators
-    carry the signs that :func:`_entry_rows` checks. A row whose numerators
-    add up to its denominator sums to exactly one, with nothing reduced;
-    only another row builds its total, the ``frac`` of that sum, and
-    compares it with one (within ``ROW_SUM_TOL`` for floats). Unknown
-    labels and unusable values anywhere in the map raise before a negative
-    entry, and a negative entry before a row that does not sum to one.
+    carry the signs that :func:`_entry_rows` checks, and
+    :func:`_check_sums` adds them to check each row's sum. Unknown labels
+    and unusable values anywhere in the map raise before a negative entry,
+    and a negative entry before a row that does not sum to one.
+
+    Every entry of the map is read, one by one. A builder whose states
+    share rows hands them to :func:`_validate_rows` instead, which reads
+    and checks each distinct row object once, through the same reader and
+    the same two checks.
 
     Raises
     ------
@@ -609,22 +650,38 @@ def validate_chain(states: Sequence[str], trans: Mapping, mode: str = EXACT) -> 
     RowSumNotOneError
     """
     arith = arithmetic(mode)
-    states = tuple(states)
-    if not states:
-        raise EmptyStateSpaceError("a chain needs at least one state")
-    index = {s: i for i, s in enumerate(states)}
-    if len(index) != len(states):
-        dupes = sorted({s for s in states if states.count(s) > 1})
-        raise ValueError(f"duplicate state labels: {dupes}")
+    states, index = _state_index(states)
     rows, splits = _entry_rows(index, trans, arith, NegativeProbabilityError)
-    for s, (nums, den) in zip(states, splits):
-        num = _sum(nums, 0)
-        if num == den:
-            continue
-        total = arith.frac(num, den)
-        if not _sums_to_one(total):
-            raise RowSumNotOneError(s, total)
+    _check_sums(states, splits, arith)
     return MarkovChain(states, index, rows, arith)
+
+
+def _validate_rows(states: Sequence[str], rows: Sequence[dict], mode: str) -> MarkovChain:
+    """Check one row per state and wrap them as a :class:`MarkovChain`: the row entry of builders.
+
+    ``rows[i]`` is the row of ``states[i]``, a dict from column index, in
+    ``0 .. len(states) - 1``, to probability. States may share one row
+    object. Each distinct object is read once, as the map of its first
+    holder's entries (:func:`_entry_rows`), and its sum checked once
+    (:func:`_check_sums`); every state that holds it gets the same
+    read-only view of its nonzeros, in its own order. A Crowds chain of
+    ``J**2`` mixing edges has four distinct rows, so it is read in
+    ``O(J)`` steps.
+
+    Each error is the one :func:`validate_chain` raises for the equivalent
+    map, which lists every state's row in state order: a faulty row is
+    named by the first state, in state order, that holds it.
+    """
+    arith = arithmetic(mode)
+    states, index = _state_index(states)
+    first = {}  # id(row) -> the index of the first state that holds it
+    for i, row in enumerate(rows):
+        first.setdefault(id(row), i)
+    firsts = list(first.values())
+    entries = {(states[i], states[j]): raw for i in firsts for j, raw in rows[i].items()}
+    views, splits = _entry_rows(index, entries, arith, NegativeProbabilityError)
+    _check_sums([states[i] for i in firsts], [splits[i] for i in firsts], arith)
+    return MarkovChain(states, index, tuple(views[first[id(row)]] for row in rows), arith)
 
 
 def validate_reward(chain: MarkovChain, cost: Mapping) -> RewardChain:

@@ -87,10 +87,17 @@ def _positive_int(text: str) -> int:
 
 
 def _seed_flag(text: str) -> int:
-    # SimConfig's range, checked here so that a bad seed is a flag error.
+    # SimConfig's ranges, checked here so that a bad seed or sample count
+    # is a flag error.
     from .simulate import _RANGES
 
     return _int_in(text, "seed", *_RANGES["seed"])
+
+
+def _samples_flag(text: str) -> int:
+    from .simulate import _RANGES
+
+    return _int_in(text, "samples", *_RANGES["samples"])
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sampling(p, required=False):
         p.add_argument("--seed", type=_seed_flag, default=0, required=required)
-        p.add_argument("--samples", type=_positive_int, default=100_000, required=required)
+        p.add_argument("--samples", type=_samples_flag, default=100_000, required=required)
         p.add_argument("--max-steps", type=_positive_int)  # None: simulate's default
 
     for command, study in _CASE_STUDIES.items():

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from . import analysis, info
 from .chain import (
     EXACT, MarkovChain, _coerce_int, _coerce_param, _sum, _sums_to_one, _total, _triple,
-    _with_mode, arithmetic_of, format_scalar, validate_chain,
+    _validate_rows, _with_mode, arithmetic_of, format_scalar,
 )
 from .errors import InvalidParamsError, NotHonestJondoError, _full_str
 
@@ -133,7 +133,7 @@ def make_params(n_jondos: int, n_colls: int, p_f, init=None) -> CrowdsParams:
     n_jondos, n_colls = _coerce_int(n_jondos, "n_jondos"), _coerce_int(n_colls, "n_colls")
     if not 1 <= n_colls < n_jondos:
         raise InvalidParamsError(
-            f"need 1 <= collaborators < jondos, got {n_colls} of {n_jondos}"
+            f"need 1 <= collaborators < jondos, got {_full_str(n_colls)} of {_full_str(n_jondos)}"
         )
     jondos = tuple(f"J{i}" for i in range(1, n_jondos + 1))
     return CrowdsParams(jondos, frozenset(jondos[n_jondos - n_colls:]), p_f, init)
@@ -173,7 +173,17 @@ class CrowdsModel:
 
 
 def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
-    """Build and validate the route-establishment chain."""
+    """Build and validate the route-establishment chain.
+
+    The chain has four distinct rows. Start holds the initiator law, less
+    the initiators of weight 0. One Init row, ``1/J`` to each Mix state,
+    is shared by every Init state, and one Mix row, ``p_f/J`` to each Mix
+    state and ``1 - p_f`` to End, by every Mix state; End loops. So every
+    Init and Mix state takes one of two row shapes by construction, for
+    every J and H, and validation (:func:`chain._validate_rows`) reads and
+    checks each distinct row once: ``O(J)`` work for ``J**2`` mixing edges.
+    Each row lists its entries in state order, End last.
+    """
     params = _with_mode(params, mode)
     uniform = _frac(1, params.J, params)
     p_f = params.p_f
@@ -181,20 +191,14 @@ def build_crowds(params: CrowdsParams, mode: str = EXACT) -> CrowdsModel:
     inits = [init_label(j) for j in params.honest]
     mixes = [mix_label(j) for j in params.jondos]
     states = [START, *inits, *mixes, END]
-    trans = {(END, END): 1}
-    for label, weight in zip(inits, params.init.values()):  # init is keyed by honest
-        if weight > 0:
-            trans[(START, label)] = weight
-    for i in inits:
-        for j in mixes:
-            trans[(i, j)] = uniform
-    forward, stop = p_f * uniform, 1 - p_f
-    for i in mixes:
-        for j in mixes:
-            trans[(i, j)] = forward
-        trans[(i, END)] = stop
-
-    return CrowdsModel(params, validate_chain(states, trans, mode))
+    first_mix, end = 1 + len(inits), len(states) - 1
+    # init is keyed by honest, in the order of the Init states from index 1
+    start = {k: weight for k, weight in enumerate(params.init.values(), 1) if weight > 0}
+    init = dict.fromkeys(range(first_mix, end), uniform)
+    mix = dict.fromkeys(range(first_mix, end), p_f * uniform)
+    mix[end] = 1 - p_f
+    rows = [start, *repeat(init, len(inits)), *repeat(mix, len(mixes)), {end: 1}]
+    return CrowdsModel(params, _validate_rows(states, rows, mode))
 
 
 def _frac(num: int, den: int, params: CrowdsParams):

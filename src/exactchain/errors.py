@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package."""
 
 from decimal import Decimal
+from numbers import Rational
 
 
 def _full_str(value) -> str:
@@ -25,9 +26,17 @@ def _excerpt(value) -> str:
 
     A literal read from a file or a flag can be megabytes long. Past 40
     characters only its first 20 and last 12 are shown: a string is cut
-    and then quoted, any other value is cut in its repr.
+    and then quoted, any other value is cut in its repr. A number whose
+    repr ``str`` refuses, past the digit limit, is written as
+    :func:`_full_str` writes it, and any other such value by its type.
     """
-    text = value if isinstance(value, str) else repr(value)
+    if isinstance(value, str):
+        text = value
+    else:
+        try:
+            text = repr(value)
+        except ValueError:  # an integer past the digit limit
+            text = _full_str(value) if isinstance(value, Rational) else f"<{type(value).__name__}>"
     if len(text) > 40:
         text = f"{text[:20]}...{text[-12:]}"
     return repr(text) if isinstance(value, str) else text

@@ -6,7 +6,10 @@ give identical samples on every platform. Per-path streams are derived by
 the generator's O(1) jump: path ``i`` starts ``i * 2**20`` steps into the
 seed's state sequence and therefore owns a disjoint block of ``2**20``
 draws (a path draws at most ``max_steps - 1`` times, and :class:`SimConfig`
-and :func:`sample_path` reject ``max_steps`` outside ``1..2**20 + 1``).
+and :func:`sample_path` reject ``max_steps`` outside ``1..2**20 + 1``). The
+``2**64`` states of the walk hold ``2**44`` such blocks, so path indices
+run over ``0 .. 2**44 - 1`` and a run draws at most ``2**44`` samples;
+path ``2**44`` would replay path 0.
 
 Successors are drawn by inverse CDF over 64-bit floats, also for
 exact-mode chains: each chain converts its rows once, on first use, into
@@ -46,10 +49,14 @@ _UNIT = 2.0 ** -53
 #: disjoint as long as one path consumes at most this many draws.
 PATH_STREAM_STRIDE = 1 << 20
 
+#: Paths whose streams are disjoint: the splitmix64 walk's ``2**64`` states
+#: hold this many blocks of ``PATH_STREAM_STRIDE`` draws.
+_PATHS = (_MASK64 + 1) // PATH_STREAM_STRIDE
+
 DEFAULT_MAX_STEPS = 10_000
 
 #: The bounds ``(low, high)`` of each field of :class:`SimConfig`.
-_RANGES = {"seed": (0, _MASK64), "samples": (1, math.inf), "max_steps": (1, PATH_STREAM_STRIDE + 1)}
+_RANGES = {"seed": (0, _MASK64), "samples": (1, _PATHS), "max_steps": (1, PATH_STREAM_STRIDE + 1)}
 
 #: Paths the estimators walk together. It bounds the walker's working
 #: arrays; each step costs a fixed overhead plus a share per path still
@@ -66,15 +73,16 @@ class PathRng:
     """Splitmix64 stream for one sampled path, derived from (seed, path index).
 
     The seed is an integer in ``0 .. 2**64 - 1`` and the path index one
-    ``>= 0``, each read as :class:`SimConfig` reads its fields and kept as
-    a plain ``int``; anything else raises :class:`InvalidParamsError`.
+    in ``0 .. 2**44 - 1``, the paths whose streams are disjoint, each read
+    as :class:`SimConfig` reads its fields and kept as a plain ``int``;
+    anything else raises :class:`InvalidParamsError`.
     """
 
     __slots__ = ("seed", "path_index", "_state")
 
     def __init__(self, seed: int, path_index: int = 0):
         self.seed = _coerce_int(seed, "seed", *_RANGES["seed"])
-        self.path_index = _coerce_int(path_index, "path_index", 0)
+        self.path_index = _coerce_int(path_index, "path_index", 0, _PATHS - 1)
         self._state = _jump(self.seed, self.path_index * PATH_STREAM_STRIDE)
 
     def next_uint64(self) -> int:
@@ -96,9 +104,9 @@ class SimConfig:
     Each field is any integer that ``operator.index`` takes, a bool
     excepted, and is kept as a plain ``int``: the seed in
     ``0 .. 2**64 - 1``, the splitmix64 states, so that no two seeds draw
-    the same paths; at least one sample; and ``max_steps`` in
-    ``1 .. 2**20 + 1``, so that a path has room for its start and draws
-    only from its own stream. Anything else raises
+    the same paths; ``1 .. 2**44`` samples, one per disjoint path stream;
+    and ``max_steps`` in ``1 .. 2**20 + 1``, so that a path has room for
+    its start and draws only from its own stream. Anything else raises
     :class:`InvalidParamsError`.
     """
 

@@ -21,7 +21,7 @@ from exactchain import (
 )
 from exactchain.chain import (
     MAX_DECIMAL_EXPONENT, ROW_SUM_TOL, MarkovChain, _entry_rows, _read_literal, _total,
-    arithmetic,
+    _validate_rows, arithmetic,
 )
 from exactchain.crowds import FIG3, build_crowds, crowds_report, make_params
 from exactchain.simulate import PATH_STREAM_STRIDE, PathRng, SimConfig, sample_path
@@ -31,6 +31,7 @@ from exactchain.zeroconf import (
 )
 from exactchain.errors import (
     EmptyStateSpaceError,
+    ExactchainError,
     InvalidDistributionError,
     InvalidParamsError,
     LiteralRangeError,
@@ -438,6 +439,49 @@ def test_several_faults_raise_in_reading_order_then_signs_then_sums(mode):
     assert str(err.value) == "cost 'b' -> 'b' has invalid value '-2'"
 
 
+SHARED_FAULTS = {
+    "unusable": ({0: "1/2", 1: "x"}, NegativeProbabilityError, "transition 'b' -> 'b'"),
+    "negative": ({0: "3/2", 1: "-1/2"}, NegativeProbabilityError, "transition 'b' -> 'b'"),
+    "sum": ({0: "1/2", 1: "1/3"}, RowSumNotOneError, "row of state 'b' sums to"),
+}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("first", ["valid", "negative"])
+@pytest.mark.parametrize("fault", SHARED_FAULTS)
+def test_a_shared_row_fails_as_its_map_does_named_by_its_first_holder(fault, first, mode):
+    # States b and d share one faulty row object, read and checked once. The
+    # rows raise what validate_chain raises for the map that lists every
+    # state's row in state order: reading errors first, then signs, then
+    # sums, each named by the first state, in state order, that holds the row.
+    shared, error, prefix = SHARED_FAULTS[fault]
+    states = ["a", "b", "c", "d"]
+    rows = [{0: "1"} if first == "valid" else {0: "2", 1: "-1"}, shared, {2: "1"}, shared]
+    trans = {(states[i], states[j]): raw for i, row in enumerate(rows) for j, raw in row.items()}
+    with pytest.raises(ExactchainError) as from_map:
+        validate_chain(states, trans, mode)
+    with pytest.raises(type(from_map.value)) as from_rows:
+        _validate_rows(states, rows, mode)
+    assert str(from_rows.value) == str(from_map.value)
+    if first == "valid" or fault == "unusable":
+        assert type(from_rows.value) is error and str(from_rows.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_states_that_share_a_row_share_one_view_of_its_nonzeros(mode):
+    shared = {0: "1/2", 1: 0, 2: "1/2"}
+    chain = _validate_rows(["a", "b", "c"], [shared, {1: 1}, shared], mode)
+    assert chain.row_by_index(0) is chain.row_by_index(2)
+    assert chain.row_by_index(0) is not chain.row_by_index(1)
+    one_half = arithmetic(mode).read("1/2")
+    assert list(chain.row_by_index(0).items()) == [(0, one_half), (2, one_half)]  # zeros dropped
+    with pytest.raises(TypeError):
+        chain.row_by_index(0)[1] = one_half
+    assert chain.row("c") == chain.row("a") == validate_chain(
+        ["a", "b", "c"], {("a", "a"): "1/2", ("a", "c"): "1/2", ("b", "b"): 1,
+                          ("c", "a"): "1/2", ("c", "c"): "1/2"}, mode).row("a")
+
+
 def test_reward_validation():
     states, trans, cost = zeroconf_tables()
     chain = validate_chain(states, trans)
@@ -763,19 +807,22 @@ INTEGER_PARAMETERS = {
     "make_params.n_jondos": (lambda v: make_params(v, 1, F(1, 2)).J, 2, math.inf),
     "make_params.n_colls": (lambda v: len(make_params(4, v, F(1, 2)).colls), 1, 3),
     "SimConfig.seed": (lambda v: SimConfig(v, 1).seed, 0, 2**64 - 1),
-    "SimConfig.samples": (lambda v: SimConfig(0, v).samples, 1, math.inf),
+    "SimConfig.samples": (lambda v: SimConfig(0, v).samples, 1, 2**44),
     "SimConfig.max_steps": (lambda v: SimConfig(0, 1, v).max_steps, 1, PATH_STREAM_STRIDE + 1),
     "sample_path.max_steps": (_self_loop_path, 1, PATH_STREAM_STRIDE + 1),
     "PathRng.seed": (lambda v: PathRng(v).seed, 0, 2**64 - 1),
-    "PathRng.path_index": (lambda v: PathRng(0, v).path_index, 0, math.inf),
+    "PathRng.path_index": (lambda v: PathRng(0, v).path_index, 0, 2**44 - 1),
 }
 
 
 def integer_inputs(low, high):
-    """``(value, accepted)`` pairs: integers of each kind at and just past
-    the bounds, and values that are no integers."""
+    """``(value, accepted)`` pairs: integers of each kind at, just past and
+    far past the bounds, and values that are no integers. The values far
+    past a bound, and one of the others, are past CPython's 4,300-digit
+    limit on integer-to-string conversion, which no message may trip on."""
     inside = [max(low, -5), min(high, 40)]
-    outside = [b for b in (low - 1, high + 1) if math.isfinite(b)]
+    outside = [bound + sign * step for bound, sign in ((low, -1), (high, 1)) if math.isfinite(bound)
+               for step in (1, 10**5000)]
     for k, accepted in [(k, True) for k in inside] + [(k, False) for k in outside]:
         yield k, accepted
         if -(2**63) <= k < 2**63:
@@ -784,7 +831,8 @@ def integer_inputs(low, high):
             yield np.uint64(k), accepted
         if -(2**7) <= k < 2**7:
             yield np.int8(k), accepted
-    for value in (True, False, float(inside[0]), inside[0] + 0.5, F(1), "1", None):
+    for value in (True, False, float(inside[0]), inside[0] + 0.5, F(1), F(10**5000, 3), "1",
+                  None):
         yield value, False
 
 

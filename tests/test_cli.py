@@ -694,7 +694,9 @@ def test_seed_outside_64_bits_is_usage_error(capsys, seed):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--samples", "-3", "must be >= 1, got -3"),
+    ("--samples", "-3", f"must be in 1..{2**44}, got -3"),
+    # Path 2**44 would replay path 0's stream.
+    ("--samples", str(2**44 + 1), f"must be in 1..{2**44}, got {2**44 + 1}"),
     ("--max-steps", "0", "must be >= 1, got 0"),
 ])
 def test_sampling_flags_outside_their_range_are_usage_errors(capsys, flag, value, message):

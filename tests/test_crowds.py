@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactchain import EXACT, FLOAT, crowds, format_scalar, linalg
+from exactchain import EXACT, FLOAT, crowds, format_scalar, linalg, validate_chain
+from exactchain import chain as chain_module
 from exactchain.analysis import certify_ae_until, entry_edge_distribution
 from exactchain.chain import _triple
 from exactchain.errors import InvalidParamsError, NotHonestJondoError, SingularSystemError
@@ -44,6 +46,8 @@ def test_parameter_validation():
         make_params(3, 1, F(1))  # p_f < 1
     with pytest.raises(InvalidParamsError):
         make_params(3, 1, F(0))
+    with pytest.raises(InvalidParamsError, match="^need 1 <= collaborators < jondos, got 1000"):
+        make_params(10**5000, 10**5000, F(1, 2))  # counts past the 4,300-digit str limit
     with pytest.raises(InvalidParamsError):
         CrowdsParams(("a", "a", "b"), frozenset({"b"}), F(1, 2))
     with pytest.raises(InvalidParamsError):
@@ -470,6 +474,70 @@ def test_exact_report_has_zero_differences_for_any_crowd(params):
                *report["joint_first_last"].values()]
     assert all(t["difference"] == "0" for t in triples)
     assert report["last_jondo"]["max_difference"] == "0"
+
+
+def map_built_chain(params, mode):
+    """The Crowds chain from one label-pair map entry per edge, read by ``validate_chain``.
+
+    The builder's body before it shared rows: the reference for the row-built chain.
+    """
+    params = chain_module._with_mode(params, mode)
+    uniform = crowds._frac(1, params.J, params)
+    p_f = params.p_f
+
+    inits = [crowds.init_label(j) for j in params.honest]
+    mixes = [mix_label(j) for j in params.jondos]
+    states = [crowds.START, *inits, *mixes, crowds.END]
+    trans = {(crowds.END, crowds.END): 1}
+    for label, weight in zip(inits, params.init.values()):  # init is keyed by honest
+        if weight > 0:
+            trans[(crowds.START, label)] = weight
+    for i in inits:
+        for j in mixes:
+            trans[(i, j)] = uniform
+    forward, stop = p_f * uniform, 1 - p_f
+    for i in mixes:
+        for j in mixes:
+            trans[(i, j)] = forward
+        trans[(i, crowds.END)] = stop
+
+    return validate_chain(states, trans, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crowds_params(), st.sampled_from([EXACT, FLOAT]))
+def test_row_built_chain_is_the_map_built_chain(params, mode):
+    # Same states, and each row's entries in the same order with equal values
+    # of the same type, so float exit masses add the same terms in the same
+    # order. Every Init state holds one row object, and every Mix state another.
+    model = build_crowds(params, mode)
+    chain, reference = model.chain, map_built_chain(params, mode)
+    assert chain.states == reference.states
+    for i in range(len(chain)):
+        row, expected = chain.row_by_index(i), reference.row_by_index(i)
+        assert [(j, type(v), v) for j, v in row.items()] == \
+            [(j, type(v), v) for j, v in expected.items()]
+    for kind in ("init", "mix"):
+        held = {id(chain.row_by_index(i))
+                for i, s in enumerate(chain.states) if model.kind(s) == kind}
+        assert len(held) == 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_validation_reads_each_distinct_row_once(monkeypatch, mode):
+    # At J = 20 with 4 collaborators the four rows hold 16 (Start), 20
+    # (Init), 21 (Mix) and 1 (End) entries: 58 reads, not one per edge.
+    params = chain_module._with_mode(make_params(20, 4, F(4, 5)), mode)
+    arith, reads = chain_module.arithmetic(mode), []
+
+    def read(raw):
+        reads.append(raw)
+        return arith.read(raw)
+
+    monkeypatch.setitem(chain_module._ARITHMETIC, mode, dataclasses.replace(arith, read=read))
+    chain = build_crowds(params, mode).chain
+    assert len(reads) == 58
+    assert sum(map(len, map(chain.row_by_index, range(len(chain))))) == 16 + 20 * 16 + 21 * 20 + 1
 
 
 def test_report_float_mode_forwarding_just_below_one():

@@ -67,6 +67,12 @@ def test_path_streams_are_jump_separated():
     for _ in range(PATH_STREAM_STRIDE):
         base.next_uint64()
     assert base.next_uint64() == PathRng(99, 1).next_uint64()
+    # The walk's 2**64 states hold 2**44 streams, so the stream after the
+    # last one would be stream 0 again; its index is rejected.
+    last = PathRng(99, 2**44 - 1)
+    assert (last._state + PATH_STREAM_STRIDE * simulate._GAMMA) % 2**64 == PathRng(99, 0)._state
+    with pytest.raises(InvalidParamsError, match=rf"in 0\.\.{2**44 - 1}, got {2**44}$"):
+        PathRng(99, 2**44)
 
 
 def test_sim_config_validation():
@@ -89,8 +95,10 @@ def test_sim_config_rejects_seeds_outside_64_bits():
 def test_sim_config_keeps_path_streams_disjoint():
     # A path of max_steps states draws max_steps - 1 times; a longer one
     # would draw from the next path's stream.
-    assert SimConfig(seed=0, samples=1, max_steps=PATH_STREAM_STRIDE + 1)
-    for bad in (dict(samples=0), dict(max_steps=0), dict(max_steps=PATH_STREAM_STRIDE + 2)):
+    # And there are 2**44 streams, one per sample.
+    assert SimConfig(seed=0, samples=2**44, max_steps=PATH_STREAM_STRIDE + 1)
+    for bad in (dict(samples=0), dict(samples=2**44 + 1), dict(max_steps=0),
+                dict(max_steps=PATH_STREAM_STRIDE + 2)):
         with pytest.raises(InvalidParamsError):
             SimConfig(**{"seed": 0, "samples": 1, **bad})
 
