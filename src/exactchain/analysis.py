@@ -5,7 +5,10 @@ criteria in both arithmetic modes; no float tolerance decides them. The
 until verdicts (:func:`until_prob_is_zero`, :func:`certify_ae_until`),
 the sampler's stopping states and ZeroConf's almost-sure termination read
 one split of all states into those of probability zero and probability
-one (``_prob01``, two backward searches). The other verdicts come with
+one (``_prob01``, two backward searches), which takes the until event's
+label sets and alone forms the set ``phi - psi`` the path moves on
+through; a cost or termination query passes every state as ``phi``. The
+other verdicts come with
 the block of the query that needs them (``_entry_block``: one forward
 search from all its starts, one backward search from the target):
 whether an expected hitting time or cost is finite, and whether an entry
@@ -99,19 +102,23 @@ def _can_reach(chain: MarkovChain, within: set[int], targets: set[int]) -> set[i
     return _traverse(chain._predecessors().__getitem__, within, targets) & within
 
 
-def _prob01(chain: MarkovChain, within: set[int], targets: set[int]):
-    """The states of probability zero and one of reaching ``targets`` through ``within``.
+def _prob01(chain: MarkovChain, phi, psi):
+    """``(psi_idx, zero, one)``: the split of the until event ``phi U psi``.
 
-    Covers every state: ``zero`` holds the states outside the targets with
-    no path to them through ``within``; ``one`` holds the rest except the
+    ``phi`` and ``psi`` are label sets and ``psi_idx`` holds ``psi``'s
+    indices. The path may move on only through ``within = phi - psi``.
+    Covers every state: ``zero`` holds the states outside ``psi`` with no
+    path to it through ``within``; ``one`` holds the rest except the
     states with a path through ``within`` into ``zero``. On a finite chain
-    these are exactly the states from which the targets are reached through
-    ``within`` with probability zero and one (Baier & Katoen, *Principles
-    of Model Checking*, 10.1), whatever the arithmetic mode.
+    these are exactly the states from which the event has probability zero
+    and one, with the prepended-start convention (Baier & Katoen,
+    *Principles of Model Checking*, 10.1), whatever the arithmetic mode.
     """
+    phi_idx, psi_idx = chain.index_set(phi), chain.index_set(psi)
+    within = phi_idx - psi_idx
     every = set(range(len(chain.states)))
-    zero = every - targets - _can_reach(chain, within, targets)
-    return zero, every - zero - _can_reach(chain, within, zero)
+    zero = every - psi_idx - _can_reach(chain, within, psi_idx)
+    return psi_idx, zero, every - zero - _can_reach(chain, within, zero)
 
 
 def _entry_block(chain: MarkovChain, t_idx: set[int], starts) -> tuple[list[int], bool]:
@@ -181,10 +188,8 @@ def until_prob_is_zero(chain: MarkovChain, phi, psi, start: str) -> bool:
     ``phi | psi``; otherwise it is null exactly when no ``psi`` state is
     graph-reachable through ``phi - psi``.
     """
-    phi_idx = chain.index_set(phi)
-    psi_idx = chain.index_set(psi)
-    s = chain.index_of(start)
-    return s in _prob01(chain, phi_idx - psi_idx, psi_idx)[0]
+    zero = _prob01(chain, phi, psi)[1]
+    return chain.index_of(start) in zero
 
 
 def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
@@ -197,10 +202,8 @@ def certify_ae_until(chain: MarkovChain, phi, psi, start: str) -> bool:
     chains: ``True`` if and only if the until probability is one, in both
     arithmetic modes, since it never looks at a float.
     """
-    phi_idx = chain.index_set(phi)
-    psi_idx = chain.index_set(psi)
-    s = chain.index_of(start)
-    return s in _prob01(chain, phi_idx - psi_idx, psi_idx)[1]
+    one = _prob01(chain, phi, psi)[2]
+    return chain.index_of(start) in one
 
 
 def _until_system(chain: MarkovChain, phi, psi):

@@ -72,32 +72,25 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {_excerpt(text)}") from None
 
 
-def _int_in(text: str, name: str, *bounds) -> int:
-    """``text`` as an integer within ``bounds``, read as the parameter ``name`` is."""
-    try:
-        return _coerce_int(_int_flag(text), name, *bounds)
-    except InvalidParamsError as exc:
-        # argparse would report a ValueError as its own "invalid ... value".
-        # Its message names the flag, so the parameter's name is dropped.
-        raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{name} ")) from None
+def _sampling_flag(name: str) -> Callable[[str], int]:
+    """The type of the flag that sets ``SimConfig``'s field ``name``.
 
+    It reads the value as ``SimConfig`` does, within
+    ``simulate._RANGES[name]``, so that a value out of range is a flag
+    error (exit 2). The range is looked up when the flag is parsed:
+    building the parser loads no sampler.
+    """
+    def read(text: str) -> int:
+        from .simulate import _RANGES
 
-def _positive_int(text: str) -> int:
-    return _int_in(text, "count", 1)
+        try:
+            return _coerce_int(_int_flag(text), name, *_RANGES[name])
+        except InvalidParamsError as exc:
+            # argparse would report a ValueError as its own "invalid ... value".
+            # Its message names the flag, so the parameter's name is dropped.
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{name} ")) from None
 
-
-def _seed_flag(text: str) -> int:
-    # SimConfig's ranges, checked here so that a bad seed or sample count
-    # is a flag error.
-    from .simulate import _RANGES
-
-    return _int_in(text, "seed", *_RANGES["seed"])
-
-
-def _samples_flag(text: str) -> int:
-    from .simulate import _RANGES
-
-    return _int_in(text, "samples", *_RANGES["samples"])
+    return read
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -142,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     def add_sampling(p, required=False):
-        p.add_argument("--seed", type=_seed_flag, default=0, required=required)
-        p.add_argument("--samples", type=_samples_flag, default=100_000, required=required)
-        p.add_argument("--max-steps", type=_positive_int)  # None: simulate's default
+        p.add_argument("--seed", type=_sampling_flag("seed"), default=0, required=required)
+        p.add_argument("--samples", type=_sampling_flag("samples"), default=100_000,
+                       required=required)
+        p.add_argument("--max-steps", type=_sampling_flag("max_steps"))  # None: simulate's default
 
     for command, study in _CASE_STUDIES.items():
         p = sub.add_parser(command, help=study.help)

@@ -67,6 +67,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from .chain import FLOAT, arithmetic
 from .errors import SingularSystemError
 
 #: Exact systems go to sparse elimination when ``a`` has at most this many
@@ -347,12 +348,10 @@ def solve(rows, b, mode, keep=None):
     whatever the width of ``b``, the rest to :func:`solve_exact`; float
     systems to :func:`solve_float`. The analyses' systems have one column,
     or one per start state or per outcome. A mode other than ``"exact"`` or
-    ``"float"`` raises ``ValueError``.
+    ``"float"`` raises ``chain.arithmetic``'s ``ValueError``.
     """
-    if mode == "float":
+    if arithmetic(mode).name == FLOAT:
         return solve_float(rows, b, keep)
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if sum(map(len, rows)) > SPARSE_ROW_NNZ * len(rows):
         return solve_exact(rows, b, keep)
     return eliminate(rows, b, keep)

@@ -340,9 +340,8 @@ def estimate_until(chain: MarkovChain, phi, psi, start: str, cfg: SimConfig) -> 
     decides it as a miss. Paths undecided after ``max_steps`` states are
     censored and excluded from the point estimate.
     """
-    phi_idx = chain.index_set(phi)
-    psi_idx = chain.index_set(psi)
-    stop = psi_idx | analysis._prob01(chain, phi_idx - psi_idx, psi_idx)[0]
+    psi_idx, zero, _ = analysis._prob01(chain, phi, psi)
+    stop = psi_idx | zero
     n = len(chain.states)
     is_hit, is_decided = _mask(n, psi_idx), _mask(n, stop)
     hits = decided = 0
@@ -369,9 +368,8 @@ def estimate_cost(rchain: RewardChain, phi, start: str, cfg: SimConfig) -> Estim
     import numpy as np
 
     chain = rchain.chain
-    phi_idx = chain.index_set(phi)
-    outside = set(range(len(chain.states))) - phi_idx
-    stop = phi_idx | analysis._prob01(chain, outside, phi_idx)[0]
+    phi_idx, zero, _ = analysis._prob01(chain, chain.states, phi)
+    stop = phi_idx | zero
 
     is_hit = _mask(len(chain.states), phi_idx)
     total = total_sq = 0.0

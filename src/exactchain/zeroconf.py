@@ -203,6 +203,17 @@ def expected_cost_closed(params: ZeroconfParams):
     return (restart_rounds + direct) / (1 - q * (1 - pn1))
 
 
+def _simulated(est, exact) -> dict:
+    """A report's entry for the estimate ``est`` of the solver's value ``exact``."""
+    return {
+        "provenance": "simulation",
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "censored": est.censored,
+        "exact": float(exact),
+    }
+
+
 def zeroconf_report(
     params: ZeroconfParams, mode: str = EXACT, sim: SimConfig | None = None
 ) -> dict:
@@ -224,8 +235,7 @@ def zeroconf_report(
     cost_solver = analysis.expected_cost_until(rchain, goal, START)
     p_err_value = p_err_closed(params)
     frac = arithmetic_of(p_err_value).frac
-    goal_idx = chain.index_set(goal)
-    ae = analysis._prob01(chain, set(range(len(states))) - goal_idx, goal_idx)[1]
+    ae = analysis._prob01(chain, states, goal)[2]
 
     report = {
         "model": "zeroconf",
@@ -260,19 +270,7 @@ def zeroconf_report(
         est_cost = estimate_cost(rchain, goal, START, sim)
         report["simulation"] = {
             **asdict(sim),
-            "p_err_start": {
-                "provenance": "simulation",
-                "mean": est_err.mean,
-                "std_error": est_err.std_error,
-                "censored": est_err.censored,
-                "exact": float(p_err[START]),
-            },
-            "expected_cost": {
-                "provenance": "simulation",
-                "mean": est_cost.mean,
-                "std_error": est_cost.std_error,
-                "censored": est_cost.censored,
-                "exact": float(cost_solver),
-            },
+            "p_err_start": _simulated(est_err, p_err[START]),
+            "expected_cost": _simulated(est_cost, cost_solver),
         }
     return report

@@ -697,7 +697,9 @@ def test_seed_outside_64_bits_is_usage_error(capsys, seed):
     ("--samples", "-3", f"must be in 1..{2**44}, got -3"),
     # Path 2**44 would replay path 0's stream.
     ("--samples", str(2**44 + 1), f"must be in 1..{2**44}, got {2**44 + 1}"),
-    ("--max-steps", "0", "must be >= 1, got 0"),
+    ("--max-steps", "0", "must be in 1..1048577, got 0"),
+    # A path of 2**20 + 2 states would draw from the next path's stream.
+    ("--max-steps", "1048578", "must be in 1..1048577, got 1048578"),
 ])
 def test_sampling_flags_outside_their_range_are_usage_errors(capsys, flag, value, message):
     flags = {"--seed": "1", "--samples": "10", flag: value}
@@ -726,9 +728,38 @@ def test_simulate_max_steps_keeps_path_streams_disjoint(capsys):
             "--seed", "1", "--samples", "10")
     report = run_json(capsys, *args, "--max-steps", "1048577")
     assert report["max_steps"] == 1048577
-    code, out, err = run(capsys, *args, "--max-steps", "1048578")
-    assert code == cli.EXIT_MODEL
-    assert out == "" and err.startswith("error: invalid parameters: max_steps")
+    code, out, err = run_to_exit(capsys, *args, "--max-steps", "1048578")
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.rstrip().endswith(
+        "argument --max-steps: must be in 1..1048577, got 1048578")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples", "--max-steps"])
+def test_sampling_flags_read_simconfig_ranges(capsys, flag):
+    # Parsing only: nothing is sampled, so the 2**44 samples of --samples'
+    # upper bound never run.
+    from exactchain.simulate import _RANGES
+
+    field = flag.removeprefix("--").replace("-", "_")
+    low, high = _RANGES[field]
+    argv = ["simulate", "crowds:fig3", "--event", "until:ALL=>End", "--seed", "1",
+            "--samples", "10"]
+    parser = cli.build_parser()
+    for value in (low, high):
+        assert getattr(parser.parse_args([*argv, flag, str(value)]), field) == value
+    for value in (low - 1, high + 1):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, flag, str(value)])
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"argument {flag}: must be in {low}..{high}, got {value}")
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--max-steps", "2000000")])
+def test_zeroconf_sampling_flags_are_checked_without_simulate(capsys, flag, value):
+    code, out, err = run_to_exit(capsys, "zeroconf", "--preset", "paper-typical", flag, value)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert f"argument {flag}: must be in " in err
 
 
 # ------------------------------------------------------------------- generic
